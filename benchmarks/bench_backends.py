@@ -18,7 +18,7 @@ from gf2matroid.gf2 import enumerate_subspaces
 
 
 def forward(r, girth, pg_n, min_critical):
-    # mirrors max_size under its default two-point symmetry forcing
+    # two forced points, not a full basis: leaves the kernels enough work to time
     forced = ((1 << r) - 1, (1 << r) - 2)
 
     def work(kern):

@@ -59,7 +59,8 @@ def analysis_dict(m: BinaryMatroid) -> Dict:
     affine = is_affine(m)
     cn, cover = critical_number(m)
     # one fact measured three ways; any disagreement is a library bug
-    assert affine == (og.value is None) == (cn <= 1)
+    if not affine == (og.value is None) == (cn <= 1):
+        raise RuntimeError("affineness, odd girth and critical number disagree")
     max_pg = 0
     while max_pg < m.ambient_rank and has_pg_restriction(m, max_pg + 1):
         max_pg += 1

@@ -295,7 +295,8 @@ def critical_number(m: BinaryMatroid) -> Tuple[int, CocycleCover]:
             f |= 1 << pivots[i]
         lifted.append(f)
     cover = CocycleCover(r, tuple(sorted(lifted)))
-    assert cover.size == dim - d_max and cover.covers(m)
+    if cover.size != dim - d_max or not cover.covers(m):
+        raise RuntimeError("critical number cover failed re-verification")
     return dim - d_max, cover
 
 

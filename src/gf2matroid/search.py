@@ -6,12 +6,12 @@ blockers B and reports PG(r-1,2) minus B.  Both prove optimality when
 they complete within budget; otherwise the report carries the best
 bound found and exhaustive=False.
 
-Symmetry breaking is conservative: the direct engine may force the
-first one or two chosen points (any pair of distinct nonzero vectors
-is GL-equivalent), falling back to weaker forcing when nothing at
-least that large exists; the complement engine keeps only one root
-branch (a flat's stabilizer is transitive on its points).  Optima are
-never lost; reported witnesses are the canonical first find.
+Symmetry breaking: the direct engine keeps only sets containing one
+fixed basis, which loses no optimum because some largest valid set has
+full rank and GL(r,2) is transitive on ordered bases (max_size gives
+the argument); the complement engine keeps only one root branch (a
+flat's stabilizer is transitive on its points).  Reported witnesses are
+the canonical first find.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import monotonic
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ._backend import kernels, load_kernels
 from .constructions import bose_burton, extremal_gs, extremal_odd_girth
@@ -203,8 +203,10 @@ def _mask_lex_less(a: int, b: int) -> bool:
 
 
 def _forward_task(args) -> Tuple[int, int, int, bool]:
-    (backend, r, g, pg_n, c, full, forced_in, forced_out, budget, prune) = args
+    (backend, r, g, pg_n, c, full, forced_in, forced_out, deadline, prune) = args
     mod = load_kernels(backend)
+    # monotonic() is system-wide, so the parent's deadline holds here too
+    budget = None if deadline is None else max(0.0, deadline - monotonic())
     return mod.forward_search(
         r, g, pg_n, c, full, forced_in, forced_out, budget, prune
     )
@@ -223,7 +225,9 @@ def _run_forward(
         return kernels.forward_search(
             r, g, pg_n, c, full, tuple(forced_in), 0, budget, prune
         )
-    # split the top of the tree into 2^k independent subproblems
+    # split the top of the tree into 2^k independent subproblems that
+    # share one absolute deadline
+    deadline = None if budget is None else monotonic() + budget
     avail = [v for v in range((1 << r) - 1, 0, -1) if v not in set(forced_in)]
     k = max(1, math.ceil(math.log2(2 * threads)))
     k = min(k, 6, len(avail))
@@ -245,7 +249,7 @@ def _run_forward(
                 full,
                 tuple(forced_in) + tuple(inc),
                 out,
-                budget,
+                deadline,
                 prune,
             )
         )
@@ -259,6 +263,12 @@ def _run_forward(
     return best, best_mask, nodes, completed
 
 
+def _forced_basis(r: int) -> Tuple[int, ...]:
+    """All-ones and all-ones XOR e_i (i < r-1): a basis of GF(2)^r, largest first."""
+    top = (1 << r) - 1
+    return (top,) + tuple(top ^ (1 << i) for i in range(r - 1))
+
+
 def max_size(
     r: int,
     constraints: ConstraintSet,
@@ -269,29 +279,22 @@ def max_size(
 ) -> SearchReport:
     """Largest point set in GF(2)^r meeting the constraints.
 
-    Conservative symmetry forcing: sets of size >= m have a GL-image
-    containing the first m candidates, so the search starts with the
-    two largest encodings forced in and retries with weaker forcing
-    only when nothing that large exists.
+    With symmetry_break the search keeps only sets that contain one
+    fixed basis.  Nothing is lost: adding a point outside the span of a
+    valid set keeps it valid (the new point lies on no circuit and in no
+    flat of rank >= 2, and the critical number can only grow), so some
+    largest valid set has full rank; every constraint is
+    GL(r,2)-invariant and GL(r,2) is transitive on ordered bases, so
+    some image of that set contains the fixed basis.  Freeness of
+    order 1 admits no point at all and is searched unforced.
     """
     t0 = monotonic()
     constraints.validate(r)
     norm = constraints.normalized()
-    deadline = t0 + budget if budget is not None else None
-    n_cand = (1 << r) - 1
-    forced: List[int] = []
-    if symmetry_break and norm[1] != 1:
-        forced = [(1 << r) - 1, (1 << r) - 2][: min(2, n_cand)]
-    nodes = 0
-    while True:
-        left = None if deadline is None else max(0.0, deadline - monotonic())
-        best, best_mask, n, completed = _run_forward(
-            r, norm, forced, left, threads, prune
-        )
-        nodes += n
-        if best >= 0 or not forced or not completed:
-            break
-        forced.pop()  # nothing of size >= len(forced); weaken the forcing
+    forced = _forced_basis(r) if symmetry_break and norm[1] != 1 else ()
+    best, best_mask, nodes, completed = _run_forward(
+        r, norm, forced, budget, threads, prune
+    )
     wall = monotonic() - t0
     if best < 0:
         return SearchReport(

@@ -142,6 +142,16 @@ def test_analyze_missing_file(capsys):
     assert err
 
 
+def test_analysis_self_check_raises(monkeypatch):
+    # is_affine contradicting odd girth and critical number is a library
+    # bug; it must raise, even under python -O
+    from gf2matroid import cli
+
+    monkeypatch.setattr(cli, "is_affine", lambda m: not m.is_empty)
+    with pytest.raises(RuntimeError, match="disagree"):
+        cli.analysis_dict(parse("rank 3\n001\n010\n011\n"))
+
+
 def test_search_exhaustive_exit_zero(capsys):
     code, out, _ = run(
         capsys, "search", "-r", "4", "--min-odd-girth", "5", "--forbid-affine"
@@ -197,7 +207,7 @@ def test_search_budget_inconclusive_exit_two(capsys):
         capsys,
         "search",
         "-r",
-        "5",
+        "6",
         "--min-odd-girth",
         "5",
         "--forbid-affine",
@@ -268,7 +278,16 @@ def test_verify_gs(capsys):
 
 def test_verify_budget_inconclusive_exit_two(capsys):
     code, out, _ = run(
-        capsys, "verify", "main", "--k", "5", "--r", "5", "--budget", "1e-9"
+        capsys,
+        "verify",
+        "main",
+        "--k",
+        "5",
+        "--r",
+        "6",
+        "--deep",
+        "--budget",
+        "1e-9",
     )
     assert code == EXIT_INCONCLUSIVE
     report = json.loads(out)

@@ -140,6 +140,22 @@ def test_critical_number_of_geometries():
             assert critical_number(bose_burton(r, c))[0] == c
 
 
+def test_critical_number_self_check_raises(monkeypatch):
+    # a disjoint subspace one dimension too small gives a cover that
+    # fails its own size check; that must raise, even under python -O
+    import gf2matroid.matroid as mod
+
+    real = mod._max_disjoint_subspace
+
+    def shrunk(r, free):
+        d, basis = real(r, free)
+        return d - 1, basis
+
+    monkeypatch.setattr(mod, "_max_disjoint_subspace", shrunk)
+    with pytest.raises(RuntimeError, match="cover"):
+        critical_number(ag(3))
+
+
 def test_monotonicity_under_point_removal():
     # fewer points: girth up, critical down, flats only disappear
     for _ in range(40):

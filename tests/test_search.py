@@ -152,7 +152,7 @@ def test_single_thread_determinism():
     b = max_size(5, GIRTH5_NONAFFINE)
     assert a.optimum == b.optimum == 10
     assert a.witness == b.witness
-    assert a.nodes == b.nodes == 16099  # frozen traversal anchor
+    assert a.nodes == b.nodes == 445  # frozen traversal anchor
 
 
 def test_symmetry_and_prune_toggles_do_not_change_optimum():
@@ -165,6 +165,59 @@ def test_symmetry_and_prune_toggles_do_not_change_optimum():
         assert GIRTH5_NONAFFINE.satisfied_by(rep.witness)
 
 
+REPLAY_CONSTRAINTS = [
+    ConstraintSet(min_odd_girth=5),
+    ConstraintSet(min_odd_girth=7),
+    GIRTH5_NONAFFINE,
+    ConstraintSet(min_odd_girth=7, forbid_affine=True),
+    ConstraintSet(forbid_affine=True),
+    ConstraintSet(min_critical=2),
+    ConstraintSet(min_critical=3),
+    ConstraintSet(min_odd_girth=5, min_critical=3),
+    ConstraintSet(pg_free_order=2),
+    ConstraintSet(pg_free_order=3),
+    ConstraintSet(pg_free_order=4),
+    ConstraintSet(pg_free_order=3, min_critical=2),
+    ConstraintSet(pg_free_order=4, min_critical=3),
+    ConstraintSet(pg_free_order=3, full_rank=True),
+    ConstraintSet(min_odd_girth=5, full_rank=True),
+    ConstraintSet(min_odd_girth=7, forbid_affine=True, full_rank=True),
+]
+
+# the unforced search is slow at rank 5 for flat-freeness and order-3
+# critical demands, so rank 5 replays only these
+REPLAY_RANK_FIVE = [
+    ConstraintSet(min_odd_girth=5),
+    ConstraintSet(min_odd_girth=7),
+    GIRTH5_NONAFFINE,
+    ConstraintSet(min_odd_girth=5, full_rank=True),
+    ConstraintSet(min_critical=3),
+]
+
+
+def test_basis_forcing_replays_the_unforced_search():
+    cases = [(r, cs) for r in range(1, 5) for cs in REPLAY_CONSTRAINTS]
+    cases += [(5, cs) for cs in REPLAY_RANK_FIVE]
+    checked = 0
+    for r, cs in cases:
+        try:
+            cs.validate(r)
+        except ValueError:
+            continue
+        forced = max_size(r, cs)
+        free = max_size(r, cs, symmetry_break=False)
+        assert forced.exhaustive and free.exhaustive
+        assert forced.optimum == free.optimum, (r, cs)
+        for rep in (forced, free):
+            if rep.witness is not None:
+                assert rep.witness.size == rep.optimum
+                assert cs.satisfied_by(rep.witness), (r, cs)
+            else:
+                assert rep.optimum == 0
+        checked += 1
+    assert checked == 51
+
+
 def test_threads_agree_with_single_thread():
     single = max_size(5, GIRTH5_NONAFFINE, threads=1)
     multi = max_size(5, GIRTH5_NONAFFINE, threads=2)
@@ -174,8 +227,18 @@ def test_threads_agree_with_single_thread():
     assert GIRTH5_NONAFFINE.satisfied_by(multi.witness)
 
 
+def test_budget_is_a_hard_deadline_under_threads():
+    # every pool subtask stops at the one shared deadline; the slack
+    # covers pool start-up and the kernels checking the clock only
+    # every few thousand nodes
+    budget, slack = 1.0, 0.5
+    rep = max_size(7, GIRTH5_NONAFFINE, budget=budget, threads=2)
+    assert not rep.exhaustive
+    assert rep.wall_time <= budget + slack
+
+
 def test_budget_runs_are_never_exhaustive():
-    rep = max_size(5, GIRTH5_NONAFFINE, budget=1e-9)
+    rep = max_size(6, GIRTH5_NONAFFINE, budget=1e-9)
     assert not rep.exhaustive
     if rep.witness is not None:
         assert GIRTH5_NONAFFINE.satisfied_by(rep.witness)
@@ -254,7 +317,7 @@ def test_verify_theorem_gs():
 
 
 def test_verify_theorem_budget_inconclusive():
-    rep = verify_theorem("main", {"k": 5, "r": 5}, budget=1e-9)
+    rep = verify_theorem("main", {"k": 5, "r": 6}, budget=1e-9)
     assert rep.inconclusive and not rep.passed
 
 
