@@ -19,10 +19,11 @@ from typing import Dict, List, Optional
 
 from .constructions import FamilySpec
 from .files import MatroidFileError, parse, read_matroid, render, write_matroid
+from .gf2 import largest_subspace_in
 from .matroid import (
     BinaryMatroid,
     critical_number,
-    has_pg_restriction,
+    has_pg_restriction,  # unused; perfbench/tracing.py wraps it under this name
     is_affine,
     odd_girth,
 )
@@ -61,9 +62,9 @@ def analysis_dict(m: BinaryMatroid) -> Dict:
     # one fact measured three ways; any disagreement is a library bug
     if not affine == (og.value is None) == (cn <= 1):
         raise RuntimeError("affineness, odd girth and critical number disagree")
-    max_pg = 0
-    while max_pg < m.ambient_rank and has_pg_restriction(m, max_pg + 1):
-        max_pg += 1
+    # a rank-n flat inside the points meets the codimension-cn subspace
+    # disjoint from them only in 0, so n <= cn
+    max_pg = len(largest_subspace_in(m.points, m.ambient_rank, 0, cn))
     return {
         "report": "analysis",
         "rank": m.ambient_rank,
@@ -100,7 +101,7 @@ def _needs_deep(theorem: str, params: Dict[str, int]) -> bool:
     r = params["r"]
     if theorem == "main":
         k = params["k"]
-        return (k == 5 and r >= 6) or (k == 7 and r >= 7) or k >= 9
+        return (k == 5 and r >= 7) or (k == 7 and r >= 8) or k >= 9
     return r >= 6
 
 
@@ -212,6 +213,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
             prune=not args.no_prune,
         )
     else:
+        if args.threads is not None or args.no_prune:
+            raise ValueError("--threads and --no-prune apply to --method forward only")
         window = args.max_blocker
         if window is None:
             window = (1 << args.rank) - 1

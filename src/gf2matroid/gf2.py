@@ -22,10 +22,12 @@ __all__ = [
     "check_rank",
     "check_vector",
     "dot",
+    "echelon_insert",
     "enumerate_subspaces",
     "gaussian_binomial",
     "hyperplane_complement",
     "iter_bits",
+    "largest_subspace_in",
     "mask_from",
     "nonzero_mask",
     "orthogonal_complement",
@@ -73,17 +75,28 @@ def nonzero_mask(r: int) -> int:
     return (1 << (1 << r)) - 2
 
 
+def echelon_insert(pivot_row: dict[int, int], v: int) -> int:
+    """One elimination step: reduce v against rows keyed by their pivot.
+
+    A nonzero residue becomes a new row under its own pivot.  Returns
+    the residue, which is 0 iff v already lay in the span of the rows.
+    """
+    while v:
+        p = v.bit_length() - 1
+        row = pivot_row.get(p)
+        if row is None:
+            pivot_row[p] = v
+            break
+        v ^= row
+    return v
+
+
 def rank_of(vectors: Iterable[int], r: int) -> int:
     """Rank of a collection of vectors over GF(2)."""
     pivot_row: dict[int, int] = {}
     for v in vectors:
         check_vector(v, r)
-        while v:
-            p = v.bit_length() - 1
-            if p not in pivot_row:
-                pivot_row[p] = v
-                break
-            v ^= pivot_row[p]
+        echelon_insert(pivot_row, v)
     return len(pivot_row)
 
 
@@ -101,15 +114,19 @@ class Subspace:
 
     def __post_init__(self) -> None:
         check_rank(self.ambient_rank)
-        prev_pivot = self.ambient_rank
-        for b in self.basis:
+        prev_pivot = -1
+        lower_pivots = 0
+        for b in reversed(self.basis):
             check_vector(b, self.ambient_rank)
             if b == 0:
                 raise ValueError("zero vector in basis")
             p = b.bit_length() - 1
-            if p >= prev_pivot:
+            if p <= prev_pivot:
                 raise ValueError("basis is not in echelon order")
+            if b & lower_pivots:
+                raise ValueError("basis is not reduced: a bit at a later pivot")
             prev_pivot = p
+            lower_pivots |= 1 << p
 
     @property
     def dim(self) -> int:
@@ -165,12 +182,7 @@ def span(vectors: Iterable[int], r: int) -> Subspace:
     pivot_row: dict[int, int] = {}
     for v in vectors:
         check_vector(v, r)
-        while v:
-            p = v.bit_length() - 1
-            if p not in pivot_row:
-                pivot_row[p] = v
-                break
-            v ^= pivot_row[p]
+        echelon_insert(pivot_row, v)
     basis = sorted(pivot_row.values(), reverse=True)
     # back-substitute; xors with later rows cascade to strictly lower pivots
     for i in range(len(basis)):
@@ -283,3 +295,50 @@ def translate_mask(mask: int, v: int, r: int) -> int:
         v >>= 1
         j += 1
     return mask
+
+
+def largest_subspace_in(mask: int, r: int, lo: int, hi: int) -> Tuple[int, ...]:
+    """Basis of a largest subspace of dimension in (lo, hi] inside mask.
+
+    Only the nonzero vectors of the subspace must lie in mask.  The
+    search enumerates greedy canonical bases, b_{i+1} the least element
+    of the subspace outside span(b_1..b_i): ascending, each vector the
+    least of its coset modulo the span before it.  Every subspace is
+    visited once, in lexicographic order of these bases, so the first
+    of the largest dimension found is the least.  A branch stops when
+    the mask has too few points outside the current span to beat the
+    best dimension so far, and the whole search stops at dimension hi.
+    Returns () when no subspace of dimension above lo lies in mask.
+    """
+    check_rank(r, POINTSET_RANK_MAX)
+    best = lo
+    best_basis: Tuple[int, ...] = ()
+    basis: List[int] = []
+
+    def extend(span_mask: int, start: int) -> bool:
+        nonlocal best, best_basis
+        if len(basis) > best:
+            best = len(basis)
+            best_basis = tuple(basis)
+            if best == hi:
+                return True
+        if (mask & ~span_mask).bit_count() < (1 << (best + 1)) - (1 << len(basis)):
+            return False
+        for v in iter_bits(mask >> start << start):
+            if (span_mask >> v) & 1:
+                continue
+            coset = translate_mask(span_mask, v, r)
+            if coset & ((1 << v) - 1):
+                continue  # v is not the least element of its coset
+            if coset & ~mask:
+                continue  # coset leaves the mask
+            basis.append(v)
+            done = extend(span_mask | coset, v + 1)
+            basis.pop()
+            if done:
+                return True
+        return False
+
+    if lo < hi:
+        extend(1, 1)
+    return best_basis

@@ -10,6 +10,10 @@ odd_girth (parity BFS) against odd_girth_bruteforce (subset
 enumeration), and critical_number (largest disjoint subspace) against
 critical_number_bruteforce (exhaustive cocycle cover).  The test suite
 asserts their agreement.
+
+Both subspace invariants, critical_number (a largest subspace inside
+the complement of the points) and pg_restriction (a rank-n subspace
+inside the points), go through the one finder gf2.largest_subspace_in.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from .gf2 import (
     Subspace,
     check_rank,
     check_vector,
+    echelon_insert,
     hyperplane_complement,
     iter_bits,
+    largest_subspace_in,
     mask_from,
     nonzero_mask,
     orthogonal_complement,
@@ -235,49 +241,14 @@ def is_affine(m: BinaryMatroid) -> bool:
     return _cover_mask(m) != 0
 
 
-def _max_disjoint_subspace(r: int, free: int) -> Tuple[int, Tuple[int, ...]]:
-    """Largest-dimension subspace whose nonzero vectors all lie in free.
-
-    Enumerates greedy canonical bases (ascending, each new vector the
-    least of its coset), so every subspace is visited at most once; the
-    first maximum found has the lexicographically least such basis.
-    """
-    best_dim = 0
-    best_basis: Tuple[int, ...] = ()
-
-    def extend(basis: List[int], span_mask: int, start: int) -> None:
-        nonlocal best_dim, best_basis
-        if len(basis) > best_dim:
-            best_dim = len(basis)
-            best_basis = tuple(basis)
-        outside = (free & ~span_mask).bit_count()
-        reachable = ((1 << len(basis)) + outside).bit_length() - 1
-        if reachable <= best_dim:
-            return
-        rest = free >> start << start
-        for v in iter_bits(rest):
-            if (span_mask >> v) & 1:
-                continue
-            coset = translate_mask(span_mask, v, r)
-            if coset & ((1 << v) - 1):
-                continue  # v is not the least element of its coset
-            if coset & ~free & ~1:
-                continue  # coset leaves the free set
-            basis.append(v)
-            extend(basis, span_mask | coset, v + 1)
-            basis.pop()
-
-    extend([], 1, 1)
-    return best_dim, best_basis
-
-
 def critical_number(m: BinaryMatroid) -> Tuple[int, CocycleCover]:
     """Least number of cocycles covering the points, with a witness cover.
 
     Computed in the span of the points (unused ambient dimensions do
     not matter) as dim minus the largest dimension of a subspace
-    disjoint from the points; the cover is a basis of that subspace's
-    annihilator, lifted back to ambient coordinates.
+    disjoint from the points (gf2.largest_subspace_in); the cover is a
+    basis of that subspace's annihilator, lifted back to ambient
+    coordinates.
     """
     r = m.ambient_rank
     if m.is_empty:
@@ -285,8 +256,9 @@ def critical_number(m: BinaryMatroid) -> Tuple[int, CocycleCover]:
     sp = span(m.point_list(), r)
     dim = sp.dim
     free = nonzero_mask(dim) & ~mask_from(sp.coordinates(v) for v in m.point_list())
-    d_max, basis = _max_disjoint_subspace(dim, free)
-    witness = span(list(basis), dim)
+    basis = largest_subspace_in(free, dim, 0, dim)
+    d_max = len(basis)
+    witness = span(basis, dim)
     pivots = [b.bit_length() - 1 for b in sp.basis]
     lifted = []
     for g in orthogonal_complement(witness).basis:
@@ -320,39 +292,14 @@ def critical_number_bruteforce(m: BinaryMatroid) -> int:
 def pg_restriction(m: BinaryMatroid, n: int) -> Optional[Subspace]:
     """A rank-n subspace with all nonzero vectors in m, or None.
 
-    The witness is the first found over greedy canonical bases, i.e.
-    the one with the lexicographically least such basis.
+    The witness is the span of the lexicographically least greedy
+    canonical basis among such subspaces (gf2.largest_subspace_in).
     """
     r = m.ambient_rank
     if not 1 <= n <= r:
         raise ValueError(f"restriction order must be in [1, {r}], got {n}")
-    pts = m.points
-
-    def extend(basis: List[int], span_mask: int, start: int) -> Optional[List[int]]:
-        if len(basis) == n:
-            return basis
-        if (pts & ~span_mask).bit_count() < ((1 << n) - (1 << len(basis))):
-            return None
-        rest = pts >> start << start
-        for v in iter_bits(rest):
-            if (span_mask >> v) & 1:
-                continue
-            coset = translate_mask(span_mask, v, r)
-            if coset & ((1 << v) - 1):
-                continue
-            if coset & ~pts & ~1:
-                continue
-            basis.append(v)
-            out = extend(basis, span_mask | coset, v + 1)
-            if out is not None:
-                return out
-            basis.pop()
-        return None
-
-    found = extend([], 1, 1)
-    if found is None:
-        return None
-    return span(found, r)
+    basis = largest_subspace_in(m.points, r, n - 1, n)
+    return span(basis, r) if basis else None
 
 
 def has_pg_restriction(m: BinaryMatroid, n: int) -> bool:
@@ -419,17 +366,10 @@ def is_isomorphic(a: BinaryMatroid, b: BinaryMatroid) -> bool:
     basis_a: List[int] = []
     pivots: Dict[int, int] = {}
     for v in iter_bits(a.points):
-        w = v
-        while w:
-            p = w.bit_length() - 1
-            if p in pivots:
-                w ^= pivots[p]
-            else:
-                pivots[p] = w
-                basis_a.append(v)
+        if echelon_insert(pivots, v):
+            basis_a.append(v)
+            if len(basis_a) == r:
                 break
-        if len(basis_a) == r:
-            break
     b_points = b.point_list()
 
     def assign(i: int, pairs: List[Tuple[int, int]], img_pivots: Dict[int, int]) -> bool:
@@ -439,16 +379,8 @@ def is_isomorphic(a: BinaryMatroid, b: BinaryMatroid) -> bool:
         for t in b_points:
             if deg_b[t] != deg_a[v]:
                 continue
-            w = t
             ok_piv = dict(img_pivots)
-            while w:
-                p = w.bit_length() - 1
-                if p in ok_piv:
-                    w ^= ok_piv[p]
-                else:
-                    ok_piv[p] = w
-                    break
-            if w == 0:
+            if not echelon_insert(ok_piv, t):
                 continue  # image would be linearly dependent
             new_pairs = []
             ok = True

@@ -2,21 +2,36 @@
 
 import io
 import json
+import random
 from importlib.resources import files
 
 import jsonschema
 import pytest
 
-from gf2matroid import FamilySpec, odd_girth, parse, read_matroid
+from gf2matroid import (
+    FamilySpec,
+    ag,
+    bose_burton,
+    circuit,
+    extremal_gs,
+    extremal_odd_girth,
+    has_pg_restriction,
+    odd_girth,
+    parse,
+    pg,
+    read_matroid,
+)
 from gf2matroid.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
     THREADS_ENV,
+    analysis_dict,
     main,
 )
 from gf2matroid.search import VerifyReport
+from helpers import random_matroid
 
 
 def schema(name):
@@ -152,6 +167,21 @@ def test_analysis_self_check_raises(monkeypatch):
         cli.analysis_dict(parse("rank 3\n001\n010\n011\n"))
 
 
+def test_analysis_max_pg_order_is_the_largest_flat():
+    rng = random.Random(0x9F)
+    sets = [
+        random_matroid(rng, r, d)
+        for r in range(2, 7)
+        for d in (0.3, 0.6, 0.8, 0.95)
+        for _ in range(3)
+    ]
+    sets += [pg(5), ag(5), circuit(5), extremal_odd_girth(5, 6), extremal_gs(3, 6)]
+    sets += [bose_burton(6, c) for c in (1, 2, 3, 4)]
+    for m in sets:
+        orders = [n for n in range(1, m.ambient_rank + 1) if has_pg_restriction(m, n)]
+        assert analysis_dict(m)["max_pg_order"] == max(orders, default=0)
+
+
 def test_search_exhaustive_exit_zero(capsys):
     code, out, _ = run(
         capsys, "search", "-r", "4", "--min-odd-girth", "5", "--forbid-affine"
@@ -232,6 +262,14 @@ def test_search_blocker_flag_needs_complement_method(capsys):
     )
     assert code == EXIT_USAGE
     assert "complement" in err
+
+
+def test_search_forward_flags_need_forward_method(capsys):
+    for flag in (["--threads", "2"], ["--no-prune"]):
+        argv = ["search", "-r", "4", "--pg-free", "2", "--method", "complement"]
+        code, _, err = run(capsys, *argv, *flag)
+        assert code == EXIT_USAGE, flag
+        assert "forward" in err
 
 
 def test_search_threads_env(capsys, monkeypatch):
@@ -321,12 +359,17 @@ def test_verify_missing_parameter(capsys):
 
 
 def test_verify_deep_gate(capsys):
-    code, _, err = run(capsys, "verify", "main", "--k", "5", "--r", "6")
+    code, _, err = run(capsys, "verify", "main", "--k", "5", "--r", "7")
     assert code == EXIT_USAGE
     assert "--deep" in err
     code, _, err = run(capsys, "verify", "gs", "--n", "3", "--r", "6")
     assert code == EXIT_USAGE
     assert "--deep" in err
+    # main k=5 r=6 finishes in seconds, so it runs without --deep
+    code, _, _ = run(
+        capsys, "verify", "main", "--k", "5", "--r", "6", "--budget", "1e-9"
+    )
+    assert code == EXIT_INCONCLUSIVE
 
 
 def test_usage_errors_exit_sixtyfour():

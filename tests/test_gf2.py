@@ -19,6 +19,8 @@ from gf2matroid import (
     span,
     translate_mask,
 )
+from gf2matroid.gf2 import largest_subspace_in
+from helpers import random_mask
 
 rng = random.Random(0x6F32)
 
@@ -119,9 +121,12 @@ def test_subspace_coordinates_rejects_outside_vector():
 
 def test_subspace_validates_basis():
     with pytest.raises(ValueError):
-        Subspace(3, (0b011, 0b010))  # not reduced echelon
+        Subspace(3, (0b011, 0b010))  # two vectors share a pivot
     with pytest.raises(ValueError):
         Subspace(2, (0b01, 0b10))  # pivots must descend
+    with pytest.raises(ValueError):
+        Subspace(2, (0b11, 0b01))  # echelon but not reduced: bit at a later pivot
+    assert span([0b11, 0b01], 2) == Subspace(2, (0b10, 0b01))
 
 
 def test_orthogonal_complement_dimensions_and_duality():
@@ -214,3 +219,32 @@ def test_rank_limits_enforced():
         span([1], 0)
     with pytest.raises(ValueError):
         span([4], 2)  # vector outside GF(2)^2
+
+
+def greedy_basis(s: Subspace):
+    """b_{i+1} = the least element of s outside span(b_1..b_i)."""
+    elements, inside, basis = set(s.vectors()), {0}, []
+    while inside != elements:
+        b = min(elements - inside)
+        basis.append(b)
+        inside |= {x ^ b for x in inside}
+    return tuple(basis)
+
+
+def test_largest_subspace_in_matches_bruteforce():
+    for _ in range(200):
+        r = rng.randrange(1, 6)
+        mask = random_mask(rng, r, rng.choice((0.3, 0.6, 0.8, 0.95, 1.0)))
+        lo = rng.randrange(0, r + 1)
+        hi = rng.randrange(lo, r + 1)
+        want = ()
+        for d in range(hi, lo, -1):
+            inside = [
+                greedy_basis(s)
+                for s in enumerate_subspaces(r, d)
+                if s.point_mask() & ~mask == 0
+            ]
+            if inside:
+                want = min(inside)
+                break
+        assert largest_subspace_in(mask, r, lo, hi) == want, (mask, r, lo, hi)

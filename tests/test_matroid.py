@@ -141,17 +141,19 @@ def test_critical_number_of_geometries():
 
 
 def test_critical_number_self_check_raises(monkeypatch):
-    # a disjoint subspace one dimension too small gives a cover that
-    # fails its own size check; that must raise, even under python -O
+    # a subspace one dimension above the largest disjoint one meets the
+    # points, so its annihilator misses a point; that must raise, even
+    # under python -O
     import gf2matroid.matroid as mod
 
-    real = mod._max_disjoint_subspace
+    real = mod.largest_subspace_in
 
-    def shrunk(r, free):
-        d, basis = real(r, free)
-        return d - 1, basis
+    def widened(mask, r, lo, hi):
+        basis = real(mask, r, lo, hi)
+        below = span(basis, r)
+        return basis + (min(v for v in range(1, 1 << r) if v not in below),)
 
-    monkeypatch.setattr(mod, "_max_disjoint_subspace", shrunk)
+    monkeypatch.setattr(mod, "largest_subspace_in", widened)
     with pytest.raises(RuntimeError, match="cover"):
         critical_number(ag(3))
 
