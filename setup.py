@@ -1,4 +1,9 @@
-"""Build script: compiles the optional search kernels when Cython is available.
+"""Build script: compiles the optional C search kernels.
+
+src/gf2matroid/_kernels.c is plain C; setuptools and a C compiler build
+it, no Cython involved:
+
+    python setup.py build_ext --inplace
 
 The package is fully functional without the extension; gf2matroid._backend
 falls back to the pure-Python kernels at import time.
@@ -33,21 +38,13 @@ class optional_build_ext(build_ext):
         )
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [
-            Extension(
-                "gf2matroid._kernels",
-                ["src/gf2matroid/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level="3",
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[
+        Extension(
+            "gf2matroid._kernels",
+            ["src/gf2matroid/_kernels.c"],
+            extra_compile_args=["-O3"],
+        )
+    ],
+    cmdclass={"build_ext": optional_build_ext},
+)

@@ -1,17377 +1,932 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3"
-        ],
-        "name": "gf2matroid._kernels",
-        "sources": [
-            "src/gf2matroid/_kernels.pyx"
-        ]
-    },
-    "module_name": "gf2matroid._kernels"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__gf2matroid___kernels
-#define __PYX_HAVE_API__gf2matroid___kernels
-/* Early includes */
-#include <string.h>
-#include <stdlib.h>
-
-    #include <stdint.h>
-    static inline int popcnt64(unsigned long long x) { return __builtin_popcountll(x); }
-    static inline int ctz64(unsigned long long x) { return __builtin_ctzll(x); }
-    static inline int msb64(unsigned long long x) { return 63 - __builtin_clzll(x); }
-    
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/gf2matroid/_kernels.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* NoFastGil.proto */
-#define __Pyx_PyGILState_Ensure PyGILState_Ensure
-#define __Pyx_PyGILState_Release PyGILState_Release
-#define __Pyx_FastGIL_Remember()
-#define __Pyx_FastGIL_Forget()
-#define __Pyx_FastGilFuncInit()
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* ForceInitThreads.proto */
-#ifndef __PYX_FORCE_INIT_THREADS
-  #define __PYX_FORCE_INIT_THREADS 0
-#endif
-
-/* #### Code section: numeric_typedefs ### */
-
-/* "gf2matroid/_kernels.pyx":15
- * from time import monotonic
- * 
- * ctypedef unsigned long long u64             # <<<<<<<<<<<<<<
- * ctypedef unsigned int u32
- * ctypedef unsigned short u16
-*/
-typedef unsigned PY_LONG_LONG __pyx_t_10gf2matroid_8_kernels_u64;
-
-/* "gf2matroid/_kernels.pyx":16
- * 
- * ctypedef unsigned long long u64
- * ctypedef unsigned int u32             # <<<<<<<<<<<<<<
- * ctypedef unsigned short u16
- * 
-*/
-typedef unsigned int __pyx_t_10gf2matroid_8_kernels_u32;
-
-/* "gf2matroid/_kernels.pyx":17
- * ctypedef unsigned long long u64
- * ctypedef unsigned int u32
- * ctypedef unsigned short u16             # <<<<<<<<<<<<<<
- * 
- * cdef extern from *:
-*/
-typedef unsigned short __pyx_t_10gf2matroid_8_kernels_u16;
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_t_10gf2matroid_8_kernels_FwdCtx;
-struct __pyx_t_10gf2matroid_8_kernels_CmpCtx;
-
-/* "gf2matroid/_kernels.pyx":223
- * # --------------------------------------------------------- forward search
- * 
- * cdef struct FwdCtx:             # <<<<<<<<<<<<<<
- *     int r, n_all, nw, T, pg_n, min_critical
- *     bint full_rank, prune, use_deadline, timed_out
-*/
-struct __pyx_t_10gf2matroid_8_kernels_FwdCtx {
-  int r;
-  int n_all;
-  int nw;
-  int T;
-  int pg_n;
-  int min_critical;
-  int full_rank;
-  int prune;
-  int use_deadline;
-  int timed_out;
-  double deadline;
-  PY_LONG_LONG nodes;
-  int best;
-  __pyx_t_10gf2matroid_8_kernels_u64 *best_mask;
-  __pyx_t_10gf2matroid_8_kernels_u64 *hit;
-  __pyx_t_10gf2matroid_8_kernels_u64 *nonzero;
-  __pyx_t_10gf2matroid_8_kernels_u64 *slab_chosen;
-  __pyx_t_10gf2matroid_8_kernels_u64 *slab_sums;
-  __pyx_t_10gf2matroid_8_kernels_u64 *slab_covers;
-  __pyx_t_10gf2matroid_8_kernels_u16 *slab_piv;
-  __pyx_t_10gf2matroid_8_kernels_u16 *slab_feas;
-  __pyx_t_10gf2matroid_8_kernels_u64 *scratch;
-};
-
-/* "gf2matroid/_kernels.pyx":485
- * # ------------------------------------------------------ complement search
- * 
- * cdef struct CmpCtx:             # <<<<<<<<<<<<<<
- *     int r, n_all, nw, n_subs, tw, forbidden_dim, max_blocker, maxcov
- *     bint full_rank, symmetry, use_deadline, timed_out
-*/
-struct __pyx_t_10gf2matroid_8_kernels_CmpCtx {
-  int r;
-  int n_all;
-  int nw;
-  int n_subs;
-  int tw;
-  int forbidden_dim;
-  int max_blocker;
-  int maxcov;
-  int full_rank;
-  int symmetry;
-  int use_deadline;
-  int timed_out;
-  double deadline;
-  PY_LONG_LONG nodes;
-  int best;
-  __pyx_t_10gf2matroid_8_kernels_u64 *best_mask;
-  __pyx_t_10gf2matroid_8_kernels_u64 *subs;
-  __pyx_t_10gf2matroid_8_kernels_u64 *through;
-  __pyx_t_10gf2matroid_8_kernels_u64 *nonzero;
-  __pyx_t_10gf2matroid_8_kernels_u64 *slab_b;
-  __pyx_t_10gf2matroid_8_kernels_u64 *slab_uncov;
-  __pyx_t_10gf2matroid_8_kernels_u64 *slab_avail;
-  __pyx_t_10gf2matroid_8_kernels_u64 *slab_removed;
-  __pyx_t_10gf2matroid_8_kernels_u64 *taken;
-  __pyx_t_10gf2matroid_8_kernels_u64 *scratch;
-};
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* PyObjectGetAttrStr.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* PyObjectFormatSimple.proto */
-#if CYTHON_COMPILING_IN_PYPY
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        PyObject_Format(s, f))
-#elif CYTHON_USE_TYPE_SLOTS
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        likely(PyLong_CheckExact(s)) ? PyLong_Type.tp_repr(s) :\
-        likely(PyFloat_CheckExact(s)) ? PyFloat_Type.tp_repr(s) :\
-        PyObject_Format(s, f))
-#else
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        PyObject_Format(s, f))
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* GetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* SwapException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* SaveResetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* BuildPyUnicode.proto (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char);
-
-/* COrdinalToPyUnicode.proto (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value);
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t width, char padding_char);
-
-/* GCCDiagnostics.proto (used by CIntToPyUnicode) */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* IncludeStdlibH.proto (used by CIntToPyUnicode) */
-#include <stdlib.h>
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_int(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_int(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_int(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char);
-
-/* WriteUnraisableException.proto */
-static void __Pyx_WriteUnraisable(const char *name, int clineno,
-                                  int lineno, const char *filename,
-                                  int full_traceback, int nogil);
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AndObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_AndObjC(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceAnd(op1, op2) : PyNumber_And(op1, op2))
-#endif
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* ImportFrom.proto */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name);
-
-/* ListPack.proto */
-static PyObject *__Pyx_PyList_Pack(Py_ssize_t n, ...);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE unsigned PY_LONG_LONG __Pyx_PyLong_As_unsigned_PY_LONG_LONG(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_unsigned_PY_LONG_LONG(unsigned PY_LONG_LONG value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE unsigned int __Pyx_PyLong_As_unsigned_int(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "gf2matroid._kernels" */
-static PY_LONG_LONG __pyx_v_10gf2matroid_8_kernels_CHECK_INTERVAL;
-static __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_10gf2matroid_8_kernels_LOWPAT[6];
-static CYTHON_INLINE void __pyx_f_10gf2matroid_8_kernels_bs_translate(__pyx_t_10gf2matroid_8_kernels_u64 *, __pyx_t_10gf2matroid_8_kernels_u64 *, int, int); /*proto*/
-static CYTHON_INLINE int __pyx_f_10gf2matroid_8_kernels_bs_popcount(__pyx_t_10gf2matroid_8_kernels_u64 *, int); /*proto*/
-static CYTHON_INLINE int __pyx_f_10gf2matroid_8_kernels_bs_isempty(__pyx_t_10gf2matroid_8_kernels_u64 *, int); /*proto*/
-static CYTHON_INLINE int __pyx_f_10gf2matroid_8_kernels_bs_get(__pyx_t_10gf2matroid_8_kernels_u64 *, int); /*proto*/
-static CYTHON_INLINE void __pyx_f_10gf2matroid_8_kernels_bs_set(__pyx_t_10gf2matroid_8_kernels_u64 *, int); /*proto*/
-static CYTHON_INLINE void __pyx_f_10gf2matroid_8_kernels_bs_clear_through(__pyx_t_10gf2matroid_8_kernels_u64 *, int); /*proto*/
-static int __pyx_f_10gf2matroid_8_kernels_c_has_subspace(__pyx_t_10gf2matroid_8_kernels_u64 *, int, int, int, __pyx_t_10gf2matroid_8_kernels_u64 *); /*proto*/
-static void __pyx_f_10gf2matroid_8_kernels_int_to_words(PyObject *, __pyx_t_10gf2matroid_8_kernels_u64 *, int); /*proto*/
-static PyObject *__pyx_f_10gf2matroid_8_kernels_words_to_int(__pyx_t_10gf2matroid_8_kernels_u64 *, int); /*proto*/
-static int __pyx_f_10gf2matroid_8_kernels_fwd_check_deadline(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *); /*proto*/
-static int __pyx_f_10gf2matroid_8_kernels_fwd_feasible(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *, int, __pyx_t_10gf2matroid_8_kernels_u64 *, __pyx_t_10gf2matroid_8_kernels_u64 *); /*proto*/
-static int __pyx_f_10gf2matroid_8_kernels_fwd_passes_extra(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *, __pyx_t_10gf2matroid_8_kernels_u64 *, __pyx_t_10gf2matroid_8_kernels_u64 *, int); /*proto*/
-static int __pyx_f_10gf2matroid_8_kernels_fwd_include(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *, int, int, __pyx_t_10gf2matroid_8_kernels_u64 *, __pyx_t_10gf2matroid_8_kernels_u64 *, __pyx_t_10gf2matroid_8_kernels_u64 *, __pyx_t_10gf2matroid_8_kernels_u16 *, int); /*proto*/
-static void __pyx_f_10gf2matroid_8_kernels_fwd_dfs(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *, int, __pyx_t_10gf2matroid_8_kernels_u16 *, int, __pyx_t_10gf2matroid_8_kernels_u64 *, __pyx_t_10gf2matroid_8_kernels_u64 *, __pyx_t_10gf2matroid_8_kernels_u64 *, __pyx_t_10gf2matroid_8_kernels_u16 *, int, int); /*proto*/
-static void __pyx_f_10gf2matroid_8_kernels__fwd_free(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *); /*proto*/
-static int __pyx_f_10gf2matroid_8_kernels_cmp_check_deadline(struct __pyx_t_10gf2matroid_8_kernels_CmpCtx *); /*proto*/
-static int __pyx_f_10gf2matroid_8_kernels_cmp_lower_bound(struct __pyx_t_10gf2matroid_8_kernels_CmpCtx *, __pyx_t_10gf2matroid_8_kernels_u64 *); /*proto*/
-static int __pyx_f_10gf2matroid_8_kernels_cmp_closes_forbidden(struct __pyx_t_10gf2matroid_8_kernels_CmpCtx *, __pyx_t_10gf2matroid_8_kernels_u64 *, int); /*proto*/
-static void __pyx_f_10gf2matroid_8_kernels_cmp_dfs(struct __pyx_t_10gf2matroid_8_kernels_CmpCtx *, int, __pyx_t_10gf2matroid_8_kernels_u64 *, int, __pyx_t_10gf2matroid_8_kernels_u64 *, __pyx_t_10gf2matroid_8_kernels_u64 *, int); /*proto*/
-static void __pyx_f_10gf2matroid_8_kernels__cmp_free(struct __pyx_t_10gf2matroid_8_kernels_CmpCtx *); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "gf2matroid._kernels"
-extern int __pyx_module_is_main_gf2matroid___kernels;
-int __pyx_module_is_main_gf2matroid___kernels = 0;
-
-/* Implementation of "gf2matroid._kernels" */
-/* #### Code section: global_var ### */
-static PyObject *__pyx_builtin_enumerate;
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_search_kernels_Same_cal[] = "Compiled search kernels.\n\nSame call contracts, traversal order, pruning rules and node counts as\ngf2matroid._kernels_py; point sets live in uint64 word arrays instead\nof Python big ints.  The pure module is the reference; keep the two in\nlockstep when changing either.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_10gf2matroid_8_kernels_has_subspace_mask(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_mask, int __pyx_v_d, int __pyx_v_r); /* proto */
-static PyObject *__pyx_pf_10gf2matroid_8_kernels_2min_odd_zero_subset(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_points); /* proto */
-static PyObject *__pyx_pf_10gf2matroid_8_kernels_4forward_search(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_r, int __pyx_v_min_odd_girth, int __pyx_v_pg_free_order, int __pyx_v_min_critical, int __pyx_v_full_rank, PyObject *__pyx_v_forced_in, PyObject *__pyx_v_forced_out_mask, PyObject *__pyx_v_budget, int __pyx_v_prune); /* proto */
-static PyObject *__pyx_pf_10gf2matroid_8_kernels_6complement_search(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_r, PyObject *__pyx_v_subspace_masks, int __pyx_v_forbidden_dim, int __pyx_v_full_rank, int __pyx_v_max_blocker, PyObject *__pyx_v_budget, int __pyx_v_symmetry); /* proto */
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_codeobj_tab[4];
-  PyObject *__pyx_string_tab[91];
-  PyObject *__pyx_number_tab[5];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u__2 __pyx_string_tab[1]
-#define __pyx_kp_u_complement_search_supports_ambie __pyx_string_tab[2]
-#define __pyx_kp_u_forward_search_supports_ambient __pyx_string_tab[3]
-#define __pyx_kp_u_src_gf2matroid__kernels_pyx __pyx_string_tab[4]
-#define __pyx_kp_u_subset_oracle_supports_at_most_6 __pyx_string_tab[5]
-#define __pyx_kp_u_subspace_test_supports_ambient_r __pyx_string_tab[6]
-#define __pyx_n_u_BACKEND_NAME __pyx_string_tab[7]
-#define __pyx_n_u_KERNEL_RANK_MAX __pyx_string_tab[8]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[9]
-#define __pyx_n_u_T __pyx_string_tab[10]
-#define __pyx_n_u_all __pyx_string_tab[11]
-#define __pyx_n_u_annotate __pyx_string_tab[12]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[13]
-#define __pyx_n_u_best_mask __pyx_string_tab[14]
-#define __pyx_n_u_budget __pyx_string_tab[15]
-#define __pyx_n_u_buf __pyx_string_tab[16]
-#define __pyx_n_u_c __pyx_string_tab[17]
-#define __pyx_n_u_chosen __pyx_string_tab[18]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[19]
-#define __pyx_n_u_complement_search __pyx_string_tab[20]
-#define __pyx_n_u_covers __pyx_string_tab[21]
-#define __pyx_n_u_d __pyx_string_tab[22]
-#define __pyx_n_u_dead __pyx_string_tab[23]
-#define __pyx_n_u_depth __pyx_string_tab[24]
-#define __pyx_n_u_enumerate __pyx_string_tab[25]
-#define __pyx_n_u_feas __pyx_string_tab[26]
-#define __pyx_n_u_forbidden_dim __pyx_string_tab[27]
-#define __pyx_n_u_forced_in __pyx_string_tab[28]
-#define __pyx_n_u_forced_out_mask __pyx_string_tab[29]
-#define __pyx_n_u_forward_search __pyx_string_tab[30]
-#define __pyx_n_u_full_rank __pyx_string_tab[31]
-#define __pyx_n_u_func __pyx_string_tab[32]
-#define __pyx_n_u_gf2matroid__kernels __pyx_string_tab[33]
-#define __pyx_n_u_has_subspace_mask __pyx_string_tab[34]
-#define __pyx_n_u_i __pyx_string_tab[35]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[36]
-#define __pyx_n_u_items __pyx_string_tab[37]
-#define __pyx_n_u_levels __pyx_string_tab[38]
-#define __pyx_n_u_m __pyx_string_tab[39]
-#define __pyx_n_u_main __pyx_string_tab[40]
-#define __pyx_n_u_mask __pyx_string_tab[41]
-#define __pyx_n_u_mask_obj __pyx_string_tab[42]
-#define __pyx_n_u_mask_word __pyx_string_tab[43]
-#define __pyx_n_u_max_blocker __pyx_string_tab[44]
-#define __pyx_n_u_maxd __pyx_string_tab[45]
-#define __pyx_n_u_mc __pyx_string_tab[46]
-#define __pyx_n_u_min_critical __pyx_string_tab[47]
-#define __pyx_n_u_min_odd_girth __pyx_string_tab[48]
-#define __pyx_n_u_min_odd_zero_subset __pyx_string_tab[49]
-#define __pyx_n_u_module __pyx_string_tab[50]
-#define __pyx_n_u_monotonic __pyx_string_tab[51]
-#define __pyx_n_u_n_all __pyx_string_tab[52]
-#define __pyx_n_u_n_subs __pyx_string_tab[53]
-#define __pyx_n_u_name __pyx_string_tab[54]
-#define __pyx_n_u_nf __pyx_string_tab[55]
-#define __pyx_n_u_nv __pyx_string_tab[56]
-#define __pyx_n_u_nw __pyx_string_tab[57]
-#define __pyx_n_u_out __pyx_string_tab[58]
-#define __pyx_n_u_pg_free_order __pyx_string_tab[59]
-#define __pyx_n_u_piv __pyx_string_tab[60]
-#define __pyx_n_u_points __pyx_string_tab[61]
-#define __pyx_n_u_pop __pyx_string_tab[62]
-#define __pyx_n_u_prune __pyx_string_tab[63]
-#define __pyx_n_u_pts __pyx_string_tab[64]
-#define __pyx_n_u_pts_list __pyx_string_tab[65]
-#define __pyx_n_u_qualname __pyx_string_tab[66]
-#define __pyx_n_u_r __pyx_string_tab[67]
-#define __pyx_n_u_rank __pyx_string_tab[68]
-#define __pyx_n_u_s __pyx_string_tab[69]
-#define __pyx_n_u_set_name __pyx_string_tab[70]
-#define __pyx_n_u_setdefault __pyx_string_tab[71]
-#define __pyx_n_u_size __pyx_string_tab[72]
-#define __pyx_n_u_sizes __pyx_string_tab[73]
-#define __pyx_n_u_snap __pyx_string_tab[74]
-#define __pyx_n_u_subspace_masks __pyx_string_tab[75]
-#define __pyx_n_u_sums __pyx_string_tab[76]
-#define __pyx_n_u_symmetry __pyx_string_tab[77]
-#define __pyx_n_u_table __pyx_string_tab[78]
-#define __pyx_n_u_test __pyx_string_tab[79]
-#define __pyx_n_u_time __pyx_string_tab[80]
-#define __pyx_n_u_tw __pyx_string_tab[81]
-#define __pyx_n_u_v __pyx_string_tab[82]
-#define __pyx_n_u_values __pyx_string_tab[83]
-#define __pyx_n_u_vv __pyx_string_tab[84]
-#define __pyx_n_u_wi __pyx_string_tab[85]
-#define __pyx_n_u_x __pyx_string_tab[86]
-#define __pyx_kp_b_iso88591_Qa_AQ_r_1_j_I_r_1_q_S_har_1_q_U __pyx_string_tab[87]
-#define __pyx_kp_b_iso88591_r_1_j_B_1_d_Cs_Q_e2Rwa_HF_Cr_2S __pyx_string_tab[88]
-#define __pyx_kp_b_iso88591_r_1_j_C1A_Rs_c_s_r_nCwa_F_Cq_2Q __pyx_string_tab[89]
-#define __pyx_kp_b_iso88591_r_1_j_Faq_Rs_c_s_c_d_4s_L_2Rr_r __pyx_string_tab[90]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_1 __pyx_number_tab[1]
-#define __pyx_int_12 __pyx_number_tab[2]
-#define __pyx_int_64 __pyx_number_tab[3]
-#define __pyx_int_0xffffffffffffffff __pyx_number_tab[4]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  for (int i=0; i<4; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<91; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<5; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  for (int i=0; i<4; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<91; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<5; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "gf2matroid/_kernels.pyx":55
- * # ---------------------------------------------------------------- bitsets
- * 
- * cdef inline void bs_translate(u64 *dst, u64 *src, int s, int nw) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """dst = src with every element XOR-translated by s."""
- *     cdef int j, i, sh, stride
-*/
-
-static CYTHON_INLINE void __pyx_f_10gf2matroid_8_kernels_bs_translate(__pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_dst, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_src, int __pyx_v_s, int __pyx_v_nw) {
-  int __pyx_v_j;
-  int __pyx_v_i;
-  int __pyx_v_sh;
-  int __pyx_v_stride;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_w;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_pat;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-
-  /* "gf2matroid/_kernels.pyx":59
- *     cdef int j, i, sh, stride
- *     cdef u64 w, pat
- *     memcpy(dst, src, nw * sizeof(u64))             # <<<<<<<<<<<<<<
- *     for j in range(6):
- *         if (s >> j) & 1:
-*/
-  (void)(memcpy(__pyx_v_dst, __pyx_v_src, (__pyx_v_nw * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-  /* "gf2matroid/_kernels.pyx":60
- *     cdef u64 w, pat
- *     memcpy(dst, src, nw * sizeof(u64))
- *     for j in range(6):             # <<<<<<<<<<<<<<
- *         if (s >> j) & 1:
- *             sh = 1 << j
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 6; __pyx_t_1+=1) {
-    __pyx_v_j = __pyx_t_1;
-
-    /* "gf2matroid/_kernels.pyx":61
- *     memcpy(dst, src, nw * sizeof(u64))
- *     for j in range(6):
- *         if (s >> j) & 1:             # <<<<<<<<<<<<<<
- *             sh = 1 << j
- *             pat = LOWPAT[j]
-*/
-    __pyx_t_2 = (((__pyx_v_s >> __pyx_v_j) & 1) != 0);
-    if (__pyx_t_2) {
-
-      /* "gf2matroid/_kernels.pyx":62
- *     for j in range(6):
- *         if (s >> j) & 1:
- *             sh = 1 << j             # <<<<<<<<<<<<<<
- *             pat = LOWPAT[j]
- *             for i in range(nw):
-*/
-      __pyx_v_sh = (1 << __pyx_v_j);
-
-      /* "gf2matroid/_kernels.pyx":63
- *         if (s >> j) & 1:
- *             sh = 1 << j
- *             pat = LOWPAT[j]             # <<<<<<<<<<<<<<
- *             for i in range(nw):
- *                 w = dst[i]
-*/
-      __pyx_v_pat = (__pyx_v_10gf2matroid_8_kernels_LOWPAT[__pyx_v_j]);
-
-      /* "gf2matroid/_kernels.pyx":64
- *             sh = 1 << j
- *             pat = LOWPAT[j]
- *             for i in range(nw):             # <<<<<<<<<<<<<<
- *                 w = dst[i]
- *                 dst[i] = ((w & pat) << sh) | ((w >> sh) & pat)
-*/
-      __pyx_t_3 = __pyx_v_nw;
-      __pyx_t_4 = __pyx_t_3;
-      for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-        __pyx_v_i = __pyx_t_5;
-
-        /* "gf2matroid/_kernels.pyx":65
- *             pat = LOWPAT[j]
- *             for i in range(nw):
- *                 w = dst[i]             # <<<<<<<<<<<<<<
- *                 dst[i] = ((w & pat) << sh) | ((w >> sh) & pat)
- *     j = 6
-*/
-        __pyx_v_w = (__pyx_v_dst[__pyx_v_i]);
-
-        /* "gf2matroid/_kernels.pyx":66
- *             for i in range(nw):
- *                 w = dst[i]
- *                 dst[i] = ((w & pat) << sh) | ((w >> sh) & pat)             # <<<<<<<<<<<<<<
- *     j = 6
- *     while (s >> j) != 0:
-*/
-        (__pyx_v_dst[__pyx_v_i]) = (((__pyx_v_w & __pyx_v_pat) << __pyx_v_sh) | ((__pyx_v_w >> __pyx_v_sh) & __pyx_v_pat));
-      }
-
-      /* "gf2matroid/_kernels.pyx":61
- *     memcpy(dst, src, nw * sizeof(u64))
- *     for j in range(6):
- *         if (s >> j) & 1:             # <<<<<<<<<<<<<<
- *             sh = 1 << j
- *             pat = LOWPAT[j]
-*/
-    }
-  }
-
-  /* "gf2matroid/_kernels.pyx":67
- *                 w = dst[i]
- *                 dst[i] = ((w & pat) << sh) | ((w >> sh) & pat)
- *     j = 6             # <<<<<<<<<<<<<<
- *     while (s >> j) != 0:
- *         if (s >> j) & 1:
-*/
-  __pyx_v_j = 6;
-
-  /* "gf2matroid/_kernels.pyx":68
- *                 dst[i] = ((w & pat) << sh) | ((w >> sh) & pat)
- *     j = 6
- *     while (s >> j) != 0:             # <<<<<<<<<<<<<<
- *         if (s >> j) & 1:
- *             stride = 1 << (j - 6)
-*/
-  while (1) {
-    __pyx_t_2 = ((__pyx_v_s >> __pyx_v_j) != 0);
-    if (!__pyx_t_2) break;
-
-    /* "gf2matroid/_kernels.pyx":69
- *     j = 6
- *     while (s >> j) != 0:
- *         if (s >> j) & 1:             # <<<<<<<<<<<<<<
- *             stride = 1 << (j - 6)
- *             for i in range(nw):
-*/
-    __pyx_t_2 = (((__pyx_v_s >> __pyx_v_j) & 1) != 0);
-    if (__pyx_t_2) {
-
-      /* "gf2matroid/_kernels.pyx":70
- *     while (s >> j) != 0:
- *         if (s >> j) & 1:
- *             stride = 1 << (j - 6)             # <<<<<<<<<<<<<<
- *             for i in range(nw):
- *                 if (i & stride) == 0:
-*/
-      __pyx_v_stride = (1 << (__pyx_v_j - 6));
-
-      /* "gf2matroid/_kernels.pyx":71
- *         if (s >> j) & 1:
- *             stride = 1 << (j - 6)
- *             for i in range(nw):             # <<<<<<<<<<<<<<
- *                 if (i & stride) == 0:
- *                     w = dst[i]
-*/
-      __pyx_t_1 = __pyx_v_nw;
-      __pyx_t_3 = __pyx_t_1;
-      for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-        __pyx_v_i = __pyx_t_4;
-
-        /* "gf2matroid/_kernels.pyx":72
- *             stride = 1 << (j - 6)
- *             for i in range(nw):
- *                 if (i & stride) == 0:             # <<<<<<<<<<<<<<
- *                     w = dst[i]
- *                     dst[i] = dst[i | stride]
-*/
-        __pyx_t_2 = ((__pyx_v_i & __pyx_v_stride) == 0);
-        if (__pyx_t_2) {
-
-          /* "gf2matroid/_kernels.pyx":73
- *             for i in range(nw):
- *                 if (i & stride) == 0:
- *                     w = dst[i]             # <<<<<<<<<<<<<<
- *                     dst[i] = dst[i | stride]
- *                     dst[i | stride] = w
-*/
-          __pyx_v_w = (__pyx_v_dst[__pyx_v_i]);
-
-          /* "gf2matroid/_kernels.pyx":74
- *                 if (i & stride) == 0:
- *                     w = dst[i]
- *                     dst[i] = dst[i | stride]             # <<<<<<<<<<<<<<
- *                     dst[i | stride] = w
- *         j += 1
-*/
-          (__pyx_v_dst[__pyx_v_i]) = (__pyx_v_dst[(__pyx_v_i | __pyx_v_stride)]);
-
-          /* "gf2matroid/_kernels.pyx":75
- *                     w = dst[i]
- *                     dst[i] = dst[i | stride]
- *                     dst[i | stride] = w             # <<<<<<<<<<<<<<
- *         j += 1
- * 
-*/
-          (__pyx_v_dst[(__pyx_v_i | __pyx_v_stride)]) = __pyx_v_w;
-
-          /* "gf2matroid/_kernels.pyx":72
- *             stride = 1 << (j - 6)
- *             for i in range(nw):
- *                 if (i & stride) == 0:             # <<<<<<<<<<<<<<
- *                     w = dst[i]
- *                     dst[i] = dst[i | stride]
-*/
-        }
-      }
-
-      /* "gf2matroid/_kernels.pyx":69
- *     j = 6
- *     while (s >> j) != 0:
- *         if (s >> j) & 1:             # <<<<<<<<<<<<<<
- *             stride = 1 << (j - 6)
- *             for i in range(nw):
-*/
-    }
-
-    /* "gf2matroid/_kernels.pyx":76
- *                     dst[i] = dst[i | stride]
- *                     dst[i | stride] = w
- *         j += 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_v_j = (__pyx_v_j + 1);
-  }
-
-  /* "gf2matroid/_kernels.pyx":55
- * # ---------------------------------------------------------------- bitsets
- * 
- * cdef inline void bs_translate(u64 *dst, u64 *src, int s, int nw) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """dst = src with every element XOR-translated by s."""
- *     cdef int j, i, sh, stride
-*/
-
-  /* function exit code */
-}
-
-/* "gf2matroid/_kernels.pyx":79
- * 
- * 
- * cdef inline int bs_popcount(u64 *a, int nw) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i, c = 0
- *     for i in range(nw):
-*/
-
-static CYTHON_INLINE int __pyx_f_10gf2matroid_8_kernels_bs_popcount(__pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_a, int __pyx_v_nw) {
-  int __pyx_v_i;
-  int __pyx_v_c;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "gf2matroid/_kernels.pyx":80
- * 
- * cdef inline int bs_popcount(u64 *a, int nw) noexcept nogil:
- *     cdef int i, c = 0             # <<<<<<<<<<<<<<
- *     for i in range(nw):
- *         c += popcnt64(a[i])
-*/
-  __pyx_v_c = 0;
-
-  /* "gf2matroid/_kernels.pyx":81
- * cdef inline int bs_popcount(u64 *a, int nw) noexcept nogil:
- *     cdef int i, c = 0
- *     for i in range(nw):             # <<<<<<<<<<<<<<
- *         c += popcnt64(a[i])
- *     return c
-*/
-  __pyx_t_1 = __pyx_v_nw;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "gf2matroid/_kernels.pyx":82
- *     cdef int i, c = 0
- *     for i in range(nw):
- *         c += popcnt64(a[i])             # <<<<<<<<<<<<<<
- *     return c
- * 
-*/
-    __pyx_v_c = (__pyx_v_c + popcnt64((__pyx_v_a[__pyx_v_i])));
-  }
-
-  /* "gf2matroid/_kernels.pyx":83
- *     for i in range(nw):
- *         c += popcnt64(a[i])
- *     return c             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_c;
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":79
- * 
- * 
- * cdef inline int bs_popcount(u64 *a, int nw) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i, c = 0
- *     for i in range(nw):
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":86
- * 
- * 
- * cdef inline bint bs_isempty(u64 *a, int nw) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i
- *     for i in range(nw):
-*/
-
-static CYTHON_INLINE int __pyx_f_10gf2matroid_8_kernels_bs_isempty(__pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_a, int __pyx_v_nw) {
-  int __pyx_v_i;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "gf2matroid/_kernels.pyx":88
- * cdef inline bint bs_isempty(u64 *a, int nw) noexcept nogil:
- *     cdef int i
- *     for i in range(nw):             # <<<<<<<<<<<<<<
- *         if a[i]:
- *             return False
-*/
-  __pyx_t_1 = __pyx_v_nw;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "gf2matroid/_kernels.pyx":89
- *     cdef int i
- *     for i in range(nw):
- *         if a[i]:             # <<<<<<<<<<<<<<
- *             return False
- *     return True
-*/
-    __pyx_t_4 = ((__pyx_v_a[__pyx_v_i]) != 0);
-    if (__pyx_t_4) {
-
-      /* "gf2matroid/_kernels.pyx":90
- *     for i in range(nw):
- *         if a[i]:
- *             return False             # <<<<<<<<<<<<<<
- *     return True
- * 
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "gf2matroid/_kernels.pyx":89
- *     cdef int i
- *     for i in range(nw):
- *         if a[i]:             # <<<<<<<<<<<<<<
- *             return False
- *     return True
-*/
-    }
-  }
-
-  /* "gf2matroid/_kernels.pyx":91
- *         if a[i]:
- *             return False
- *     return True             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":86
- * 
- * 
- * cdef inline bint bs_isempty(u64 *a, int nw) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i
- *     for i in range(nw):
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":94
- * 
- * 
- * cdef inline bint bs_get(u64 *a, int v) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return (a[v >> 6] >> (v & 63)) & 1ULL
- * 
-*/
-
-static CYTHON_INLINE int __pyx_f_10gf2matroid_8_kernels_bs_get(__pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_a, int __pyx_v_v) {
-  int __pyx_r;
-
-  /* "gf2matroid/_kernels.pyx":95
- * 
- * cdef inline bint bs_get(u64 *a, int v) noexcept nogil:
- *     return (a[v >> 6] >> (v & 63)) & 1ULL             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (((__pyx_v_a[(__pyx_v_v >> 6)]) >> (__pyx_v_v & 63)) & 1ULL);
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":94
- * 
- * 
- * cdef inline bint bs_get(u64 *a, int v) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return (a[v >> 6] >> (v & 63)) & 1ULL
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":98
- * 
- * 
- * cdef inline void bs_set(u64 *a, int v) noexcept nogil:             # <<<<<<<<<<<<<<
- *     a[v >> 6] |= 1ULL << (v & 63)
- * 
-*/
-
-static CYTHON_INLINE void __pyx_f_10gf2matroid_8_kernels_bs_set(__pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_a, int __pyx_v_v) {
-  long __pyx_t_1;
-
-  /* "gf2matroid/_kernels.pyx":99
- * 
- * cdef inline void bs_set(u64 *a, int v) noexcept nogil:
- *     a[v >> 6] |= 1ULL << (v & 63)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = (__pyx_v_v >> 6);
-  (__pyx_v_a[__pyx_t_1]) = ((__pyx_v_a[__pyx_t_1]) | (1ULL << (__pyx_v_v & 63)));
-
-  /* "gf2matroid/_kernels.pyx":98
- * 
- * 
- * cdef inline void bs_set(u64 *a, int v) noexcept nogil:             # <<<<<<<<<<<<<<
- *     a[v >> 6] |= 1ULL << (v & 63)
- * 
-*/
-
-  /* function exit code */
-}
-
-/* "gf2matroid/_kernels.pyx":102
- * 
- * 
- * cdef inline void bs_clear_through(u64 *a, int v) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Clear bits 0..v inclusive."""
- *     cdef int w = v >> 6, i
-*/
-
-static CYTHON_INLINE void __pyx_f_10gf2matroid_8_kernels_bs_clear_through(__pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_a, int __pyx_v_v) {
-  int __pyx_v_w;
-  int __pyx_v_i;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "gf2matroid/_kernels.pyx":104
- * cdef inline void bs_clear_through(u64 *a, int v) noexcept nogil:
- *     """Clear bits 0..v inclusive."""
- *     cdef int w = v >> 6, i             # <<<<<<<<<<<<<<
- *     for i in range(w):
- *         a[i] = 0
-*/
-  __pyx_v_w = (__pyx_v_v >> 6);
-
-  /* "gf2matroid/_kernels.pyx":105
- *     """Clear bits 0..v inclusive."""
- *     cdef int w = v >> 6, i
- *     for i in range(w):             # <<<<<<<<<<<<<<
- *         a[i] = 0
- *     a[w] &= ~(((1ULL << (v & 63)) << 1) - 1)
-*/
-  __pyx_t_1 = __pyx_v_w;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "gf2matroid/_kernels.pyx":106
- *     cdef int w = v >> 6, i
- *     for i in range(w):
- *         a[i] = 0             # <<<<<<<<<<<<<<
- *     a[w] &= ~(((1ULL << (v & 63)) << 1) - 1)
- * 
-*/
-    (__pyx_v_a[__pyx_v_i]) = 0;
-  }
-
-  /* "gf2matroid/_kernels.pyx":107
- *     for i in range(w):
- *         a[i] = 0
- *     a[w] &= ~(((1ULL << (v & 63)) << 1) - 1)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = __pyx_v_w;
-  (__pyx_v_a[__pyx_t_1]) = ((__pyx_v_a[__pyx_t_1]) & (~(((1ULL << (__pyx_v_v & 63)) << 1) - 1)));
-
-  /* "gf2matroid/_kernels.pyx":102
- * 
- * 
- * cdef inline void bs_clear_through(u64 *a, int v) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Clear bits 0..v inclusive."""
- *     cdef int w = v >> 6, i
-*/
-
-  /* function exit code */
-}
-
-/* "gf2matroid/_kernels.pyx":112
- * # ------------------------------------------------------- subspace testing
- * 
- * cdef bint c_has_subspace(u64 *mask, int d, int r, int nw, u64 *scratch) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """scratch needs 2*nw words per remaining level, d levels."""
- *     cdef int v, i, wi
-*/
-
-static int __pyx_f_10gf2matroid_8_kernels_c_has_subspace(__pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_mask, int __pyx_v_d, int __pyx_v_r, int __pyx_v_nw, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_scratch) {
-  int __pyx_v_v;
-  int __pyx_v_i;
-  int __pyx_v_wi;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_m;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_rest;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_tmp;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-
-  /* "gf2matroid/_kernels.pyx":116
- *     cdef int v, i, wi
- *     cdef u64 m
- *     cdef u64 *rest = scratch             # <<<<<<<<<<<<<<
- *     cdef u64 *tmp = scratch + nw
- *     if d <= 0:
-*/
-  __pyx_v_rest = __pyx_v_scratch;
-
-  /* "gf2matroid/_kernels.pyx":117
- *     cdef u64 m
- *     cdef u64 *rest = scratch
- *     cdef u64 *tmp = scratch + nw             # <<<<<<<<<<<<<<
- *     if d <= 0:
- *         return True
-*/
-  __pyx_v_tmp = (__pyx_v_scratch + __pyx_v_nw);
-
-  /* "gf2matroid/_kernels.pyx":118
- *     cdef u64 *rest = scratch
- *     cdef u64 *tmp = scratch + nw
- *     if d <= 0:             # <<<<<<<<<<<<<<
- *         return True
- *     if bs_popcount(mask, nw) < (1 << d) - 1:
-*/
-  __pyx_t_1 = (__pyx_v_d <= 0);
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":119
- *     cdef u64 *tmp = scratch + nw
- *     if d <= 0:
- *         return True             # <<<<<<<<<<<<<<
- *     if bs_popcount(mask, nw) < (1 << d) - 1:
- *         return False
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":118
- *     cdef u64 *rest = scratch
- *     cdef u64 *tmp = scratch + nw
- *     if d <= 0:             # <<<<<<<<<<<<<<
- *         return True
- *     if bs_popcount(mask, nw) < (1 << d) - 1:
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":120
- *     if d <= 0:
- *         return True
- *     if bs_popcount(mask, nw) < (1 << d) - 1:             # <<<<<<<<<<<<<<
- *         return False
- *     if d == 1:
-*/
-  __pyx_t_1 = (__pyx_f_10gf2matroid_8_kernels_bs_popcount(__pyx_v_mask, __pyx_v_nw) < ((1 << __pyx_v_d) - 1));
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":121
- *         return True
- *     if bs_popcount(mask, nw) < (1 << d) - 1:
- *         return False             # <<<<<<<<<<<<<<
- *     if d == 1:
- *         return not bs_isempty(mask, nw)
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":120
- *     if d <= 0:
- *         return True
- *     if bs_popcount(mask, nw) < (1 << d) - 1:             # <<<<<<<<<<<<<<
- *         return False
- *     if d == 1:
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":122
- *     if bs_popcount(mask, nw) < (1 << d) - 1:
- *         return False
- *     if d == 1:             # <<<<<<<<<<<<<<
- *         return not bs_isempty(mask, nw)
- *     for wi in range(nw):
-*/
-  __pyx_t_1 = (__pyx_v_d == 1);
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":123
- *         return False
- *     if d == 1:
- *         return not bs_isempty(mask, nw)             # <<<<<<<<<<<<<<
- *     for wi in range(nw):
- *         m = mask[wi]
-*/
-    __pyx_r = (!__pyx_f_10gf2matroid_8_kernels_bs_isempty(__pyx_v_mask, __pyx_v_nw));
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":122
- *     if bs_popcount(mask, nw) < (1 << d) - 1:
- *         return False
- *     if d == 1:             # <<<<<<<<<<<<<<
- *         return not bs_isempty(mask, nw)
- *     for wi in range(nw):
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":124
- *     if d == 1:
- *         return not bs_isempty(mask, nw)
- *     for wi in range(nw):             # <<<<<<<<<<<<<<
- *         m = mask[wi]
- *         while m:
-*/
-  __pyx_t_2 = __pyx_v_nw;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_wi = __pyx_t_4;
-
-    /* "gf2matroid/_kernels.pyx":125
- *         return not bs_isempty(mask, nw)
- *     for wi in range(nw):
- *         m = mask[wi]             # <<<<<<<<<<<<<<
- *         while m:
- *             v = (wi << 6) + ctz64(m)
-*/
-    __pyx_v_m = (__pyx_v_mask[__pyx_v_wi]);
-
-    /* "gf2matroid/_kernels.pyx":126
- *     for wi in range(nw):
- *         m = mask[wi]
- *         while m:             # <<<<<<<<<<<<<<
- *             v = (wi << 6) + ctz64(m)
- *             m &= m - 1
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_m != 0);
-      if (!__pyx_t_1) break;
-
-      /* "gf2matroid/_kernels.pyx":127
- *         m = mask[wi]
- *         while m:
- *             v = (wi << 6) + ctz64(m)             # <<<<<<<<<<<<<<
- *             m &= m - 1
- *             bs_translate(tmp, mask, v, nw)
-*/
-      __pyx_v_v = ((__pyx_v_wi << 6) + ctz64(__pyx_v_m));
-
-      /* "gf2matroid/_kernels.pyx":128
- *         while m:
- *             v = (wi << 6) + ctz64(m)
- *             m &= m - 1             # <<<<<<<<<<<<<<
- *             bs_translate(tmp, mask, v, nw)
- *             for i in range(nw):
-*/
-      __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-      /* "gf2matroid/_kernels.pyx":129
- *             v = (wi << 6) + ctz64(m)
- *             m &= m - 1
- *             bs_translate(tmp, mask, v, nw)             # <<<<<<<<<<<<<<
- *             for i in range(nw):
- *                 rest[i] = mask[i] & tmp[i]
-*/
-      __pyx_f_10gf2matroid_8_kernels_bs_translate(__pyx_v_tmp, __pyx_v_mask, __pyx_v_v, __pyx_v_nw);
-
-      /* "gf2matroid/_kernels.pyx":130
- *             m &= m - 1
- *             bs_translate(tmp, mask, v, nw)
- *             for i in range(nw):             # <<<<<<<<<<<<<<
- *                 rest[i] = mask[i] & tmp[i]
- *             bs_clear_through(rest, v)
-*/
-      __pyx_t_5 = __pyx_v_nw;
-      __pyx_t_6 = __pyx_t_5;
-      for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-        __pyx_v_i = __pyx_t_7;
-
-        /* "gf2matroid/_kernels.pyx":131
- *             bs_translate(tmp, mask, v, nw)
- *             for i in range(nw):
- *                 rest[i] = mask[i] & tmp[i]             # <<<<<<<<<<<<<<
- *             bs_clear_through(rest, v)
- *             if c_has_subspace(rest, d - 1, r, nw, scratch + 2 * nw):
-*/
-        (__pyx_v_rest[__pyx_v_i]) = ((__pyx_v_mask[__pyx_v_i]) & (__pyx_v_tmp[__pyx_v_i]));
-      }
-
-      /* "gf2matroid/_kernels.pyx":132
- *             for i in range(nw):
- *                 rest[i] = mask[i] & tmp[i]
- *             bs_clear_through(rest, v)             # <<<<<<<<<<<<<<
- *             if c_has_subspace(rest, d - 1, r, nw, scratch + 2 * nw):
- *                 return True
-*/
-      __pyx_f_10gf2matroid_8_kernels_bs_clear_through(__pyx_v_rest, __pyx_v_v);
-
-      /* "gf2matroid/_kernels.pyx":133
- *                 rest[i] = mask[i] & tmp[i]
- *             bs_clear_through(rest, v)
- *             if c_has_subspace(rest, d - 1, r, nw, scratch + 2 * nw):             # <<<<<<<<<<<<<<
- *                 return True
- *     return False
-*/
-      __pyx_t_1 = __pyx_f_10gf2matroid_8_kernels_c_has_subspace(__pyx_v_rest, (__pyx_v_d - 1), __pyx_v_r, __pyx_v_nw, (__pyx_v_scratch + (2 * __pyx_v_nw)));
-      if (__pyx_t_1) {
-
-        /* "gf2matroid/_kernels.pyx":134
- *             bs_clear_through(rest, v)
- *             if c_has_subspace(rest, d - 1, r, nw, scratch + 2 * nw):
- *                 return True             # <<<<<<<<<<<<<<
- *     return False
- * 
-*/
-        __pyx_r = 1;
-        goto __pyx_L0;
-
-        /* "gf2matroid/_kernels.pyx":133
- *                 rest[i] = mask[i] & tmp[i]
- *             bs_clear_through(rest, v)
- *             if c_has_subspace(rest, d - 1, r, nw, scratch + 2 * nw):             # <<<<<<<<<<<<<<
- *                 return True
- *     return False
-*/
-      }
-    }
-  }
-
-  /* "gf2matroid/_kernels.pyx":135
- *             if c_has_subspace(rest, d - 1, r, nw, scratch + 2 * nw):
- *                 return True
- *     return False             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":112
- * # ------------------------------------------------------- subspace testing
- * 
- * cdef bint c_has_subspace(u64 *mask, int d, int r, int nw, u64 *scratch) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """scratch needs 2*nw words per remaining level, d levels."""
- *     cdef int v, i, wi
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":138
- * 
- * 
- * cdef void int_to_words(obj, u64 *dst, int nw):             # <<<<<<<<<<<<<<
- *     cdef int i
- *     for i in range(nw):
-*/
-
-static void __pyx_f_10gf2matroid_8_kernels_int_to_words(PyObject *__pyx_v_obj, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_dst, int __pyx_v_nw) {
-  int __pyx_v_i;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("int_to_words", 0);
-
-  /* "gf2matroid/_kernels.pyx":140
- * cdef void int_to_words(obj, u64 *dst, int nw):
- *     cdef int i
- *     for i in range(nw):             # <<<<<<<<<<<<<<
- *         dst[i] = <u64> ((obj >> (64 * i)) & 0xFFFFFFFFFFFFFFFF)
- * 
-*/
-  __pyx_t_1 = __pyx_v_nw;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "gf2matroid/_kernels.pyx":141
- *     cdef int i
- *     for i in range(nw):
- *         dst[i] = <u64> ((obj >> (64 * i)) & 0xFFFFFFFFFFFFFFFF)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_t_4 = __Pyx_PyLong_From_long((64 * __pyx_v_i)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 141, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = PyNumber_Rshift(__pyx_v_obj, __pyx_t_4); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 141, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __pyx_t_4 = PyNumber_And(__pyx_t_5, __pyx_mstate_global->__pyx_int_0xffffffffffffffff); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 141, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_6 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_4); if (unlikely((__pyx_t_6 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 141, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    (__pyx_v_dst[__pyx_v_i]) = ((__pyx_t_10gf2matroid_8_kernels_u64)__pyx_t_6);
-  }
-
-  /* "gf2matroid/_kernels.pyx":138
- * 
- * 
- * cdef void int_to_words(obj, u64 *dst, int nw):             # <<<<<<<<<<<<<<
- *     cdef int i
- *     for i in range(nw):
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("gf2matroid._kernels.int_to_words", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-}
-
-/* "gf2matroid/_kernels.pyx":144
- * 
- * 
- * cdef object words_to_int(u64 *src, int nw):             # <<<<<<<<<<<<<<
- *     cdef int i
- *     out = 0
-*/
-
-static PyObject *__pyx_f_10gf2matroid_8_kernels_words_to_int(__pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_src, int __pyx_v_nw) {
-  int __pyx_v_i;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("words_to_int", 0);
-
-  /* "gf2matroid/_kernels.pyx":146
- * cdef object words_to_int(u64 *src, int nw):
- *     cdef int i
- *     out = 0             # <<<<<<<<<<<<<<
- *     for i in range(nw - 1, -1, -1):
- *         out = (out << 64) | int(src[i])
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __pyx_v_out = __pyx_mstate_global->__pyx_int_0;
-
-  /* "gf2matroid/_kernels.pyx":147
- *     cdef int i
- *     out = 0
- *     for i in range(nw - 1, -1, -1):             # <<<<<<<<<<<<<<
- *         out = (out << 64) | int(src[i])
- *     return out
-*/
-  for (__pyx_t_1 = (__pyx_v_nw - 1); __pyx_t_1 > -1; __pyx_t_1-=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "gf2matroid/_kernels.pyx":148
- *     out = 0
- *     for i in range(nw - 1, -1, -1):
- *         out = (out << 64) | int(src[i])             # <<<<<<<<<<<<<<
- *     return out
- * 
-*/
-    __pyx_t_2 = PyNumber_Lshift(__pyx_v_out, __pyx_mstate_global->__pyx_int_64); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 148, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_v_src[__pyx_v_i])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 148, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_5};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(&PyLong_Type), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 148, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __pyx_t_5 = PyNumber_Or(__pyx_t_2, __pyx_t_3); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 148, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF_SET(__pyx_v_out, __pyx_t_5);
-    __pyx_t_5 = 0;
-  }
-
-  /* "gf2matroid/_kernels.pyx":149
- *     for i in range(nw - 1, -1, -1):
- *         out = (out << 64) | int(src[i])
- *     return out             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_out);
-  __pyx_r = __pyx_v_out;
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":144
- * 
- * 
- * cdef object words_to_int(u64 *src, int nw):             # <<<<<<<<<<<<<<
- *     cdef int i
- *     out = 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("gf2matroid._kernels.words_to_int", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":152
- * 
- * 
- * def has_subspace_mask(mask, int d, int r):             # <<<<<<<<<<<<<<
- *     """True iff some d-dimensional subspace has all nonzero vectors in mask."""
- *     if r > KERNEL_RANK_MAX:
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10gf2matroid_8_kernels_1has_subspace_mask(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_10gf2matroid_8_kernels_has_subspace_mask, "True iff some d-dimensional subspace has all nonzero vectors in mask.");
-static PyMethodDef __pyx_mdef_10gf2matroid_8_kernels_1has_subspace_mask = {"has_subspace_mask", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10gf2matroid_8_kernels_1has_subspace_mask, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10gf2matroid_8_kernels_has_subspace_mask};
-static PyObject *__pyx_pw_10gf2matroid_8_kernels_1has_subspace_mask(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_mask = 0;
-  int __pyx_v_d;
-  int __pyx_v_r;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("has_subspace_mask (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_mask,&__pyx_mstate_global->__pyx_n_u_d,&__pyx_mstate_global->__pyx_n_u_r,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 152, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 152, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 152, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 152, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "has_subspace_mask", 0) < (0)) __PYX_ERR(0, 152, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("has_subspace_mask", 1, 3, 3, i); __PYX_ERR(0, 152, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 152, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 152, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 152, __pyx_L3_error)
-    }
-    __pyx_v_mask = values[0];
-    __pyx_v_d = __Pyx_PyLong_As_int(values[1]); if (unlikely((__pyx_v_d == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 152, __pyx_L3_error)
-    __pyx_v_r = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_r == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 152, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("has_subspace_mask", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 152, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gf2matroid._kernels.has_subspace_mask", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_10gf2matroid_8_kernels_has_subspace_mask(__pyx_self, __pyx_v_mask, __pyx_v_d, __pyx_v_r);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10gf2matroid_8_kernels_has_subspace_mask(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_mask, int __pyx_v_d, int __pyx_v_r) {
-  int __pyx_v_nw;
-  int __pyx_v_levels;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_buf;
-  int __pyx_v_out;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  long __pyx_t_7;
-  long __pyx_t_8;
-  long __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  char const *__pyx_t_12;
-  PyObject *__pyx_t_13 = NULL;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("has_subspace_mask", 0);
-
-  /* "gf2matroid/_kernels.pyx":154
- * def has_subspace_mask(mask, int d, int r):
- *     """True iff some d-dimensional subspace has all nonzero vectors in mask."""
- *     if r > KERNEL_RANK_MAX:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"subspace test supports ambient rank <= {KERNEL_RANK_MAX}")
- *     cdef int nw = max(1, (1 << r) >> 6)
-*/
-  __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_r); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 154, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_KERNEL_RANK_MAX); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 154, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = PyObject_RichCompare(__pyx_t_1, __pyx_t_2, Py_GT); __Pyx_XGOTREF(__pyx_t_3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 154, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_3); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 154, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  if (unlikely(__pyx_t_4)) {
-
-    /* "gf2matroid/_kernels.pyx":155
- *     """True iff some d-dimensional subspace has all nonzero vectors in mask."""
- *     if r > KERNEL_RANK_MAX:
- *         raise ValueError(f"subspace test supports ambient rank <= {KERNEL_RANK_MAX}")             # <<<<<<<<<<<<<<
- *     cdef int nw = max(1, (1 << r) >> 6)
- *     cdef int levels = d if d > 0 else 1
-*/
-    __pyx_t_2 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_KERNEL_RANK_MAX); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 155, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_5 = __Pyx_PyObject_FormatSimple(__pyx_t_1, __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 155, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_1 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_subspace_test_supports_ambient_r, __pyx_t_5); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 155, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_t_1};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 155, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 155, __pyx_L1_error)
-
-    /* "gf2matroid/_kernels.pyx":154
- * def has_subspace_mask(mask, int d, int r):
- *     """True iff some d-dimensional subspace has all nonzero vectors in mask."""
- *     if r > KERNEL_RANK_MAX:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"subspace test supports ambient rank <= {KERNEL_RANK_MAX}")
- *     cdef int nw = max(1, (1 << r) >> 6)
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":156
- *     if r > KERNEL_RANK_MAX:
- *         raise ValueError(f"subspace test supports ambient rank <= {KERNEL_RANK_MAX}")
- *     cdef int nw = max(1, (1 << r) >> 6)             # <<<<<<<<<<<<<<
- *     cdef int levels = d if d > 0 else 1
- *     cdef u64 *buf = <u64 *> malloc((nw + 2 * nw * levels) * sizeof(u64))
-*/
-  __pyx_t_7 = ((1 << __pyx_v_r) >> 6);
-  __pyx_t_8 = 1;
-  __pyx_t_4 = (__pyx_t_7 > __pyx_t_8);
-  if (__pyx_t_4) {
-    __pyx_t_9 = __pyx_t_7;
-  } else {
-    __pyx_t_9 = __pyx_t_8;
-  }
-  __pyx_v_nw = __pyx_t_9;
-
-  /* "gf2matroid/_kernels.pyx":157
- *         raise ValueError(f"subspace test supports ambient rank <= {KERNEL_RANK_MAX}")
- *     cdef int nw = max(1, (1 << r) >> 6)
- *     cdef int levels = d if d > 0 else 1             # <<<<<<<<<<<<<<
- *     cdef u64 *buf = <u64 *> malloc((nw + 2 * nw * levels) * sizeof(u64))
- *     if buf == NULL:
-*/
-  __pyx_t_4 = (__pyx_v_d > 0);
-  if (__pyx_t_4) {
-    __pyx_t_10 = __pyx_v_d;
-  } else {
-    __pyx_t_10 = 1;
-  }
-  __pyx_v_levels = __pyx_t_10;
-
-  /* "gf2matroid/_kernels.pyx":158
- *     cdef int nw = max(1, (1 << r) >> 6)
- *     cdef int levels = d if d > 0 else 1
- *     cdef u64 *buf = <u64 *> malloc((nw + 2 * nw * levels) * sizeof(u64))             # <<<<<<<<<<<<<<
- *     if buf == NULL:
- *         raise MemoryError
-*/
-  __pyx_v_buf = ((__pyx_t_10gf2matroid_8_kernels_u64 *)malloc(((__pyx_v_nw + ((2 * __pyx_v_nw) * __pyx_v_levels)) * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-  /* "gf2matroid/_kernels.pyx":159
- *     cdef int levels = d if d > 0 else 1
- *     cdef u64 *buf = <u64 *> malloc((nw + 2 * nw * levels) * sizeof(u64))
- *     if buf == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError
- *     cdef bint out
-*/
-  __pyx_t_4 = (__pyx_v_buf == NULL);
-  if (unlikely(__pyx_t_4)) {
-
-    /* "gf2matroid/_kernels.pyx":160
- *     cdef u64 *buf = <u64 *> malloc((nw + 2 * nw * levels) * sizeof(u64))
- *     if buf == NULL:
- *         raise MemoryError             # <<<<<<<<<<<<<<
- *     cdef bint out
- *     try:
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 160, __pyx_L1_error)
-
-    /* "gf2matroid/_kernels.pyx":159
- *     cdef int levels = d if d > 0 else 1
- *     cdef u64 *buf = <u64 *> malloc((nw + 2 * nw * levels) * sizeof(u64))
- *     if buf == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError
- *     cdef bint out
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":162
- *         raise MemoryError
- *     cdef bint out
- *     try:             # <<<<<<<<<<<<<<
- *         int_to_words(mask, buf, nw)
- *         out = c_has_subspace(buf, d, r, nw, buf + nw)
-*/
-  /*try:*/ {
-
-    /* "gf2matroid/_kernels.pyx":163
- *     cdef bint out
- *     try:
- *         int_to_words(mask, buf, nw)             # <<<<<<<<<<<<<<
- *         out = c_has_subspace(buf, d, r, nw, buf + nw)
- *     finally:
-*/
-    __pyx_f_10gf2matroid_8_kernels_int_to_words(__pyx_v_mask, __pyx_v_buf, __pyx_v_nw); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 163, __pyx_L6_error)
-
-    /* "gf2matroid/_kernels.pyx":164
- *     try:
- *         int_to_words(mask, buf, nw)
- *         out = c_has_subspace(buf, d, r, nw, buf + nw)             # <<<<<<<<<<<<<<
- *     finally:
- *         free(buf)
-*/
-    __pyx_v_out = __pyx_f_10gf2matroid_8_kernels_c_has_subspace(__pyx_v_buf, __pyx_v_d, __pyx_v_r, __pyx_v_nw, (__pyx_v_buf + __pyx_v_nw));
-  }
-
-  /* "gf2matroid/_kernels.pyx":166
- *         out = c_has_subspace(buf, d, r, nw, buf + nw)
- *     finally:
- *         free(buf)             # <<<<<<<<<<<<<<
- *     return bool(out)
- * 
-*/
-  /*finally:*/ {
-    /*normal exit:*/{
-      free(__pyx_v_buf);
-      goto __pyx_L7;
-    }
-    __pyx_L6_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_13 = 0; __pyx_t_14 = 0; __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0;
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_16, &__pyx_t_17, &__pyx_t_18);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_13, &__pyx_t_14, &__pyx_t_15) < 0)) __Pyx_ErrFetch(&__pyx_t_13, &__pyx_t_14, &__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_13);
-      __Pyx_XGOTREF(__pyx_t_14);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __pyx_t_10 = __pyx_lineno; __pyx_t_11 = __pyx_clineno; __pyx_t_12 = __pyx_filename;
-      {
-        free(__pyx_v_buf);
-      }
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_ExceptionReset(__pyx_t_16, __pyx_t_17, __pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_13);
-      __Pyx_XGIVEREF(__pyx_t_14);
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_ErrRestore(__pyx_t_13, __pyx_t_14, __pyx_t_15);
-      __pyx_t_13 = 0; __pyx_t_14 = 0; __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0;
-      __pyx_lineno = __pyx_t_10; __pyx_clineno = __pyx_t_11; __pyx_filename = __pyx_t_12;
-      goto __pyx_L1_error;
-    }
-    __pyx_L7:;
-  }
-
-  /* "gf2matroid/_kernels.pyx":167
- *     finally:
- *         free(buf)
- *     return bool(out)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_4 = __pyx_v_out;
-  __pyx_t_3 = __Pyx_PyBool_FromLong((!(!__pyx_t_4))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 167, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":152
- * 
- * 
- * def has_subspace_mask(mask, int d, int r):             # <<<<<<<<<<<<<<
- *     """True iff some d-dimensional subspace has all nonzero vectors in mask."""
- *     if r > KERNEL_RANK_MAX:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("gf2matroid._kernels.has_subspace_mask", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":172
- * # --------------------------------------------------- smallest odd circuit
- * 
- * def min_odd_zero_subset(points):             # <<<<<<<<<<<<<<
- *     """Smallest odd t >= 3 with a t-subset of points XOR-ing to zero, else 0.
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10gf2matroid_8_kernels_3min_odd_zero_subset(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_10gf2matroid_8_kernels_2min_odd_zero_subset, "Smallest odd t >= 3 with a t-subset of points XOR-ing to zero, else 0.\n\n    Straight from the definition: one point at a time, grow the table\n    of every (XOR value, exact subset size) pair over genuine subsets,\n    then read the smallest odd size landing on zero.  No span\n    reduction and no walk shortcut.  Supports up to 63 points.\n    ");
-static PyMethodDef __pyx_mdef_10gf2matroid_8_kernels_3min_odd_zero_subset = {"min_odd_zero_subset", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10gf2matroid_8_kernels_3min_odd_zero_subset, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10gf2matroid_8_kernels_2min_odd_zero_subset};
-static PyObject *__pyx_pw_10gf2matroid_8_kernels_3min_odd_zero_subset(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_points = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("min_odd_zero_subset (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_points,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 172, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 172, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "min_odd_zero_subset", 0) < (0)) __PYX_ERR(0, 172, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("min_odd_zero_subset", 1, 1, 1, i); __PYX_ERR(0, 172, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 172, __pyx_L3_error)
-    }
-    __pyx_v_points = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("min_odd_zero_subset", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 172, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gf2matroid._kernels.min_odd_zero_subset", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_10gf2matroid_8_kernels_2min_odd_zero_subset(__pyx_self, __pyx_v_points);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10gf2matroid_8_kernels_2min_odd_zero_subset(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_points) {
-  PyObject *__pyx_v_pts_list = NULL;
-  int __pyx_v_m;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_nv;
-  __pyx_t_10gf2matroid_8_kernels_u32 __pyx_v_pts[63];
-  int __pyx_v_i;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_table;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_snap;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_x;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_sizes;
-  int __pyx_v_s;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  size_t __pyx_t_7;
-  long __pyx_t_8;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  __pyx_t_10gf2matroid_8_kernels_u32 __pyx_t_13;
-  int __pyx_t_14;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_t_15;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_t_16;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_t_17;
-  char const *__pyx_t_18;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  PyObject *__pyx_t_24 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("min_odd_zero_subset", 0);
-
-  /* "gf2matroid/_kernels.pyx":180
- *     reduction and no walk shortcut.  Supports up to 63 points.
- *     """
- *     pts_list = sorted(points)             # <<<<<<<<<<<<<<
- *     cdef int m = len(pts_list)
- *     if m > 63:
-*/
-  __pyx_t_1 = PySequence_List(__pyx_v_points); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 180, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  if (unlikely((PyList_Sort(__pyx_t_1) < 0))) __PYX_ERR(0, 180, __pyx_L1_error)
-  __pyx_v_pts_list = __pyx_t_1;
-  __pyx_t_1 = 0;
-
-  /* "gf2matroid/_kernels.pyx":181
- *     """
- *     pts_list = sorted(points)
- *     cdef int m = len(pts_list)             # <<<<<<<<<<<<<<
- *     if m > 63:
- *         raise ValueError(f"subset oracle supports at most 63 points, got {m}")
-*/
-  __pyx_t_2 = __Pyx_PyList_GET_SIZE(__pyx_v_pts_list); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 181, __pyx_L1_error)
-  __pyx_v_m = __pyx_t_2;
-
-  /* "gf2matroid/_kernels.pyx":182
- *     pts_list = sorted(points)
- *     cdef int m = len(pts_list)
- *     if m > 63:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"subset oracle supports at most 63 points, got {m}")
- *     if m < 3:
-*/
-  __pyx_t_3 = (__pyx_v_m > 63);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "gf2matroid/_kernels.pyx":183
- *     cdef int m = len(pts_list)
- *     if m > 63:
- *         raise ValueError(f"subset oracle supports at most 63 points, got {m}")             # <<<<<<<<<<<<<<
- *     if m < 3:
- *         return 0
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = __Pyx_PyUnicode_From_int(__pyx_v_m, 0, ' ', 'd'); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 183, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_subset_oracle_supports_at_most_6, __pyx_t_5); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 183, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_7 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_6};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 183, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 183, __pyx_L1_error)
-
-    /* "gf2matroid/_kernels.pyx":182
- *     pts_list = sorted(points)
- *     cdef int m = len(pts_list)
- *     if m > 63:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"subset oracle supports at most 63 points, got {m}")
- *     if m < 3:
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":184
- *     if m > 63:
- *         raise ValueError(f"subset oracle supports at most 63 points, got {m}")
- *     if m < 3:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef u64 nv = 1
-*/
-  __pyx_t_3 = (__pyx_v_m < 3);
-  if (__pyx_t_3) {
-
-    /* "gf2matroid/_kernels.pyx":185
- *         raise ValueError(f"subset oracle supports at most 63 points, got {m}")
- *     if m < 3:
- *         return 0             # <<<<<<<<<<<<<<
- *     cdef u64 nv = 1
- *     while nv <= <u64> pts_list[m - 1]:
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-    __pyx_r = __pyx_mstate_global->__pyx_int_0;
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":184
- *     if m > 63:
- *         raise ValueError(f"subset oracle supports at most 63 points, got {m}")
- *     if m < 3:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef u64 nv = 1
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":186
- *     if m < 3:
- *         return 0
- *     cdef u64 nv = 1             # <<<<<<<<<<<<<<
- *     while nv <= <u64> pts_list[m - 1]:
- *         nv <<= 1
-*/
-  __pyx_v_nv = 1;
-
-  /* "gf2matroid/_kernels.pyx":187
- *         return 0
- *     cdef u64 nv = 1
- *     while nv <= <u64> pts_list[m - 1]:             # <<<<<<<<<<<<<<
- *         nv <<= 1
- *     cdef u32 pts[63]
-*/
-  while (1) {
-    __pyx_t_8 = (__pyx_v_m - 1);
-    __pyx_t_9 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__Pyx_PyList_GET_ITEM(__pyx_v_pts_list, __pyx_t_8)); if (unlikely((__pyx_t_9 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 187, __pyx_L1_error)
-    __pyx_t_3 = (__pyx_v_nv <= ((__pyx_t_10gf2matroid_8_kernels_u64)__pyx_t_9));
-    if (!__pyx_t_3) break;
-
-    /* "gf2matroid/_kernels.pyx":188
- *     cdef u64 nv = 1
- *     while nv <= <u64> pts_list[m - 1]:
- *         nv <<= 1             # <<<<<<<<<<<<<<
- *     cdef u32 pts[63]
- *     cdef int i
-*/
-    __pyx_v_nv = (__pyx_v_nv << 1);
-  }
-
-  /* "gf2matroid/_kernels.pyx":191
- *     cdef u32 pts[63]
- *     cdef int i
- *     for i in range(m):             # <<<<<<<<<<<<<<
- *         pts[i] = <u32> pts_list[i]
- *     cdef u64 *table = <u64 *> calloc(nv, sizeof(u64))
-*/
-  __pyx_t_10 = __pyx_v_m;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "gf2matroid/_kernels.pyx":192
- *     cdef int i
- *     for i in range(m):
- *         pts[i] = <u32> pts_list[i]             # <<<<<<<<<<<<<<
- *     cdef u64 *table = <u64 *> calloc(nv, sizeof(u64))
- *     cdef u64 *snap = <u64 *> malloc(nv * sizeof(u64))
-*/
-    __pyx_t_13 = __Pyx_PyLong_As_unsigned_int(__Pyx_PyList_GET_ITEM(__pyx_v_pts_list, __pyx_v_i)); if (unlikely((__pyx_t_13 == (unsigned int)-1) && PyErr_Occurred())) __PYX_ERR(0, 192, __pyx_L1_error)
-    (__pyx_v_pts[__pyx_v_i]) = ((__pyx_t_10gf2matroid_8_kernels_u32)__pyx_t_13);
-  }
-
-  /* "gf2matroid/_kernels.pyx":193
- *     for i in range(m):
- *         pts[i] = <u32> pts_list[i]
- *     cdef u64 *table = <u64 *> calloc(nv, sizeof(u64))             # <<<<<<<<<<<<<<
- *     cdef u64 *snap = <u64 *> malloc(nv * sizeof(u64))
- *     if table == NULL or snap == NULL:
-*/
-  __pyx_v_table = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc(__pyx_v_nv, (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":194
- *         pts[i] = <u32> pts_list[i]
- *     cdef u64 *table = <u64 *> calloc(nv, sizeof(u64))
- *     cdef u64 *snap = <u64 *> malloc(nv * sizeof(u64))             # <<<<<<<<<<<<<<
- *     if table == NULL or snap == NULL:
- *         free(table)
-*/
-  __pyx_v_snap = ((__pyx_t_10gf2matroid_8_kernels_u64 *)malloc((__pyx_v_nv * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-  /* "gf2matroid/_kernels.pyx":195
- *     cdef u64 *table = <u64 *> calloc(nv, sizeof(u64))
- *     cdef u64 *snap = <u64 *> malloc(nv * sizeof(u64))
- *     if table == NULL or snap == NULL:             # <<<<<<<<<<<<<<
- *         free(table)
- *         free(snap)
-*/
-  __pyx_t_14 = (__pyx_v_table == NULL);
-  if (!__pyx_t_14) {
-  } else {
-    __pyx_t_3 = __pyx_t_14;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_14 = (__pyx_v_snap == NULL);
-  __pyx_t_3 = __pyx_t_14;
-  __pyx_L10_bool_binop_done:;
-  if (unlikely(__pyx_t_3)) {
-
-    /* "gf2matroid/_kernels.pyx":196
- *     cdef u64 *snap = <u64 *> malloc(nv * sizeof(u64))
- *     if table == NULL or snap == NULL:
- *         free(table)             # <<<<<<<<<<<<<<
- *         free(snap)
- *         raise MemoryError
-*/
-    free(__pyx_v_table);
-
-    /* "gf2matroid/_kernels.pyx":197
- *     if table == NULL or snap == NULL:
- *         free(table)
- *         free(snap)             # <<<<<<<<<<<<<<
- *         raise MemoryError
- *     cdef u64 x, sizes
-*/
-    free(__pyx_v_snap);
-
-    /* "gf2matroid/_kernels.pyx":198
- *         free(table)
- *         free(snap)
- *         raise MemoryError             # <<<<<<<<<<<<<<
- *     cdef u64 x, sizes
- *     cdef int s
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 198, __pyx_L1_error)
-
-    /* "gf2matroid/_kernels.pyx":195
- *     cdef u64 *table = <u64 *> calloc(nv, sizeof(u64))
- *     cdef u64 *snap = <u64 *> malloc(nv * sizeof(u64))
- *     if table == NULL or snap == NULL:             # <<<<<<<<<<<<<<
- *         free(table)
- *         free(snap)
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":201
- *     cdef u64 x, sizes
- *     cdef int s
- *     try:             # <<<<<<<<<<<<<<
- *         with nogil:
- *             table[0] = 1  # xor value -> bitmask of achievable subset sizes
-*/
-  /*try:*/ {
-
-    /* "gf2matroid/_kernels.pyx":202
- *     cdef int s
- *     try:
- *         with nogil:             # <<<<<<<<<<<<<<
- *             table[0] = 1  # xor value -> bitmask of achievable subset sizes
- *             for i in range(m):
-*/
-    {
-        PyThreadState * _save;
-        _save = PyEval_SaveThread();
-        __Pyx_FastGIL_Remember();
-        /*try:*/ {
-
-          /* "gf2matroid/_kernels.pyx":203
- *     try:
- *         with nogil:
- *             table[0] = 1  # xor value -> bitmask of achievable subset sizes             # <<<<<<<<<<<<<<
- *             for i in range(m):
- *                 memcpy(snap, table, nv * sizeof(u64))
-*/
-          (__pyx_v_table[0]) = 1;
-
-          /* "gf2matroid/_kernels.pyx":204
- *         with nogil:
- *             table[0] = 1  # xor value -> bitmask of achievable subset sizes
- *             for i in range(m):             # <<<<<<<<<<<<<<
- *                 memcpy(snap, table, nv * sizeof(u64))
- *                 for x in range(nv):
-*/
-          __pyx_t_10 = __pyx_v_m;
-          __pyx_t_11 = __pyx_t_10;
-          for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-            __pyx_v_i = __pyx_t_12;
-
-            /* "gf2matroid/_kernels.pyx":205
- *             table[0] = 1  # xor value -> bitmask of achievable subset sizes
- *             for i in range(m):
- *                 memcpy(snap, table, nv * sizeof(u64))             # <<<<<<<<<<<<<<
- *                 for x in range(nv):
- *                     if snap[x]:
-*/
-            (void)(memcpy(__pyx_v_snap, __pyx_v_table, (__pyx_v_nv * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-            /* "gf2matroid/_kernels.pyx":206
- *             for i in range(m):
- *                 memcpy(snap, table, nv * sizeof(u64))
- *                 for x in range(nv):             # <<<<<<<<<<<<<<
- *                     if snap[x]:
- *                         table[x ^ pts[i]] |= snap[x] << 1
-*/
-            __pyx_t_9 = __pyx_v_nv;
-            __pyx_t_15 = __pyx_t_9;
-            for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-              __pyx_v_x = __pyx_t_16;
-
-              /* "gf2matroid/_kernels.pyx":207
- *                 memcpy(snap, table, nv * sizeof(u64))
- *                 for x in range(nv):
- *                     if snap[x]:             # <<<<<<<<<<<<<<
- *                         table[x ^ pts[i]] |= snap[x] << 1
- *             sizes = table[0]
-*/
-              __pyx_t_3 = ((__pyx_v_snap[__pyx_v_x]) != 0);
-              if (__pyx_t_3) {
-
-                /* "gf2matroid/_kernels.pyx":208
- *                 for x in range(nv):
- *                     if snap[x]:
- *                         table[x ^ pts[i]] |= snap[x] << 1             # <<<<<<<<<<<<<<
- *             sizes = table[0]
- *         s = 3
-*/
-                __pyx_t_17 = (__pyx_v_x ^ (__pyx_v_pts[__pyx_v_i]));
-                (__pyx_v_table[__pyx_t_17]) = ((__pyx_v_table[__pyx_t_17]) | ((__pyx_v_snap[__pyx_v_x]) << 1));
-
-                /* "gf2matroid/_kernels.pyx":207
- *                 memcpy(snap, table, nv * sizeof(u64))
- *                 for x in range(nv):
- *                     if snap[x]:             # <<<<<<<<<<<<<<
- *                         table[x ^ pts[i]] |= snap[x] << 1
- *             sizes = table[0]
-*/
-              }
-            }
-          }
-
-          /* "gf2matroid/_kernels.pyx":209
- *                     if snap[x]:
- *                         table[x ^ pts[i]] |= snap[x] << 1
- *             sizes = table[0]             # <<<<<<<<<<<<<<
- *         s = 3
- *         while s <= m:
-*/
-          __pyx_v_sizes = (__pyx_v_table[0]);
-        }
-
-        /* "gf2matroid/_kernels.pyx":202
- *     cdef int s
- *     try:
- *         with nogil:             # <<<<<<<<<<<<<<
- *             table[0] = 1  # xor value -> bitmask of achievable subset sizes
- *             for i in range(m):
-*/
-        /*finally:*/ {
-          /*normal exit:*/{
-            __Pyx_FastGIL_Forget();
-            PyEval_RestoreThread(_save);
-            goto __pyx_L17;
-          }
-          __pyx_L17:;
-        }
-    }
-
-    /* "gf2matroid/_kernels.pyx":210
- *                         table[x ^ pts[i]] |= snap[x] << 1
- *             sizes = table[0]
- *         s = 3             # <<<<<<<<<<<<<<
- *         while s <= m:
- *             if (sizes >> s) & 1:
-*/
-    __pyx_v_s = 3;
-
-    /* "gf2matroid/_kernels.pyx":211
- *             sizes = table[0]
- *         s = 3
- *         while s <= m:             # <<<<<<<<<<<<<<
- *             if (sizes >> s) & 1:
- *                 return s
-*/
-    while (1) {
-      __pyx_t_3 = (__pyx_v_s <= __pyx_v_m);
-      if (!__pyx_t_3) break;
-
-      /* "gf2matroid/_kernels.pyx":212
- *         s = 3
- *         while s <= m:
- *             if (sizes >> s) & 1:             # <<<<<<<<<<<<<<
- *                 return s
- *             s += 2
-*/
-      __pyx_t_3 = (((__pyx_v_sizes >> __pyx_v_s) & 1) != 0);
-      if (__pyx_t_3) {
-
-        /* "gf2matroid/_kernels.pyx":213
- *         while s <= m:
- *             if (sizes >> s) & 1:
- *                 return s             # <<<<<<<<<<<<<<
- *             s += 2
- *         return 0
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_s); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 213, __pyx_L13_error)
-        __Pyx_GOTREF(__pyx_t_1);
-        __pyx_r = __pyx_t_1;
-        __pyx_t_1 = 0;
-        goto __pyx_L12_return;
-
-        /* "gf2matroid/_kernels.pyx":212
- *         s = 3
- *         while s <= m:
- *             if (sizes >> s) & 1:             # <<<<<<<<<<<<<<
- *                 return s
- *             s += 2
-*/
-      }
-
-      /* "gf2matroid/_kernels.pyx":214
- *             if (sizes >> s) & 1:
- *                 return s
- *             s += 2             # <<<<<<<<<<<<<<
- *         return 0
- *     finally:
-*/
-      __pyx_v_s = (__pyx_v_s + 2);
-    }
-
-    /* "gf2matroid/_kernels.pyx":215
- *                 return s
- *             s += 2
- *         return 0             # <<<<<<<<<<<<<<
- *     finally:
- *         free(table)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-    __pyx_r = __pyx_mstate_global->__pyx_int_0;
-    goto __pyx_L12_return;
-  }
-
-  /* "gf2matroid/_kernels.pyx":217
- *         return 0
- *     finally:
- *         free(table)             # <<<<<<<<<<<<<<
- *         free(snap)
- * 
-*/
-  /*finally:*/ {
-    __pyx_L13_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0;
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_22, &__pyx_t_23, &__pyx_t_24);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_19, &__pyx_t_20, &__pyx_t_21) < 0)) __Pyx_ErrFetch(&__pyx_t_19, &__pyx_t_20, &__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __pyx_t_10 = __pyx_lineno; __pyx_t_11 = __pyx_clineno; __pyx_t_18 = __pyx_filename;
-      {
-        free(__pyx_v_table);
-
-        /* "gf2matroid/_kernels.pyx":218
- *     finally:
- *         free(table)
- *         free(snap)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_snap);
-      }
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_ExceptionReset(__pyx_t_22, __pyx_t_23, __pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_ErrRestore(__pyx_t_19, __pyx_t_20, __pyx_t_21);
-      __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0;
-      __pyx_lineno = __pyx_t_10; __pyx_clineno = __pyx_t_11; __pyx_filename = __pyx_t_18;
-      goto __pyx_L1_error;
-    }
-    __pyx_L12_return: {
-      __pyx_t_24 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "gf2matroid/_kernels.pyx":217
- *         return 0
- *     finally:
- *         free(table)             # <<<<<<<<<<<<<<
- *         free(snap)
- * 
-*/
-      free(__pyx_v_table);
-
-      /* "gf2matroid/_kernels.pyx":218
- *     finally:
- *         free(table)
- *         free(snap)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      free(__pyx_v_snap);
-      __pyx_r = __pyx_t_24;
-      __pyx_t_24 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "gf2matroid/_kernels.pyx":172
- * # --------------------------------------------------- smallest odd circuit
- * 
- * def min_odd_zero_subset(points):             # <<<<<<<<<<<<<<
- *     """Smallest odd t >= 3 with a t-subset of points XOR-ing to zero, else 0.
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("gf2matroid._kernels.min_odd_zero_subset", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_pts_list);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":240
- * 
- * 
- * cdef bint fwd_check_deadline(FwdCtx *c) noexcept:             # <<<<<<<<<<<<<<
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:
- *         if monotonic() > c.deadline:
-*/
-
-static int __pyx_f_10gf2matroid_8_kernels_fwd_check_deadline(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *__pyx_v_c) {
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("fwd_check_deadline", 0);
-
-  /* "gf2matroid/_kernels.pyx":241
- * 
- * cdef bint fwd_check_deadline(FwdCtx *c) noexcept:
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:             # <<<<<<<<<<<<<<
- *         if monotonic() > c.deadline:
- *             c.timed_out = True
-*/
-  if (__pyx_v_c->use_deadline) {
-  } else {
-    __pyx_t_1 = __pyx_v_c->use_deadline;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = ((__pyx_v_c->nodes % __pyx_v_10gf2matroid_8_kernels_CHECK_INTERVAL) == 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":242
- * cdef bint fwd_check_deadline(FwdCtx *c) noexcept:
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:
- *         if monotonic() > c.deadline:             # <<<<<<<<<<<<<<
- *             c.timed_out = True
- *             return True
-*/
-    __pyx_t_4 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_monotonic); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 242, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_5))) {
-      __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-      assert(__pyx_t_4);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-      __Pyx_INCREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-      __pyx_t_6 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, NULL};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_6, (1-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 242, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __pyx_t_5 = PyFloat_FromDouble(__pyx_v_c->deadline); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 242, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_4 = PyObject_RichCompare(__pyx_t_3, __pyx_t_5, Py_GT); __Pyx_XGOTREF(__pyx_t_4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 242, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_1 = __Pyx_PyObject_IsTrue(__pyx_t_4); if (unlikely((__pyx_t_1 < 0))) __PYX_ERR(0, 242, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (__pyx_t_1) {
-
-      /* "gf2matroid/_kernels.pyx":243
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:
- *         if monotonic() > c.deadline:
- *             c.timed_out = True             # <<<<<<<<<<<<<<
- *             return True
- *     return False
-*/
-      __pyx_v_c->timed_out = 1;
-
-      /* "gf2matroid/_kernels.pyx":244
- *         if monotonic() > c.deadline:
- *             c.timed_out = True
- *             return True             # <<<<<<<<<<<<<<
- *     return False
- * 
-*/
-      __pyx_r = 1;
-      goto __pyx_L0;
-
-      /* "gf2matroid/_kernels.pyx":242
- * cdef bint fwd_check_deadline(FwdCtx *c) noexcept:
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:
- *         if monotonic() > c.deadline:             # <<<<<<<<<<<<<<
- *             c.timed_out = True
- *             return True
-*/
-    }
-
-    /* "gf2matroid/_kernels.pyx":241
- * 
- * cdef bint fwd_check_deadline(FwdCtx *c) noexcept:
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:             # <<<<<<<<<<<<<<
- *         if monotonic() > c.deadline:
- *             c.timed_out = True
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":245
- *             c.timed_out = True
- *             return True
- *     return False             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":240
- * 
- * 
- * cdef bint fwd_check_deadline(FwdCtx *c) noexcept:             # <<<<<<<<<<<<<<
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:
- *         if monotonic() > c.deadline:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_WriteUnraisable("gf2matroid._kernels.fwd_check_deadline", __pyx_clineno, __pyx_lineno, __pyx_filename, 1, 0);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":248
- * 
- * 
- * cdef bint fwd_feasible(FwdCtx *c, int v, u64 *chosen, u64 *sums) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int t = 2, i
- *     cdef u64 *tmp = c.scratch
-*/
-
-static int __pyx_f_10gf2matroid_8_kernels_fwd_feasible(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *__pyx_v_c, int __pyx_v_v, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_chosen, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_sums) {
-  int __pyx_v_t;
-  int __pyx_v_i;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_tmp;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_rest;
-  int __pyx_r;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-
-  /* "gf2matroid/_kernels.pyx":249
- * 
- * cdef bint fwd_feasible(FwdCtx *c, int v, u64 *chosen, u64 *sums) noexcept nogil:
- *     cdef int t = 2, i             # <<<<<<<<<<<<<<
- *     cdef u64 *tmp = c.scratch
- *     cdef u64 *rest = c.scratch + c.nw
-*/
-  __pyx_v_t = 2;
-
-  /* "gf2matroid/_kernels.pyx":250
- * cdef bint fwd_feasible(FwdCtx *c, int v, u64 *chosen, u64 *sums) noexcept nogil:
- *     cdef int t = 2, i
- *     cdef u64 *tmp = c.scratch             # <<<<<<<<<<<<<<
- *     cdef u64 *rest = c.scratch + c.nw
- *     while t <= c.T:
-*/
-  __pyx_t_1 = __pyx_v_c->scratch;
-  __pyx_v_tmp = __pyx_t_1;
-
-  /* "gf2matroid/_kernels.pyx":251
- *     cdef int t = 2, i
- *     cdef u64 *tmp = c.scratch
- *     cdef u64 *rest = c.scratch + c.nw             # <<<<<<<<<<<<<<
- *     while t <= c.T:
- *         if bs_get(sums + t * c.nw, v):
-*/
-  __pyx_v_rest = (__pyx_v_c->scratch + __pyx_v_c->nw);
-
-  /* "gf2matroid/_kernels.pyx":252
- *     cdef u64 *tmp = c.scratch
- *     cdef u64 *rest = c.scratch + c.nw
- *     while t <= c.T:             # <<<<<<<<<<<<<<
- *         if bs_get(sums + t * c.nw, v):
- *             return False
-*/
-  while (1) {
-    __pyx_t_2 = (__pyx_v_t <= __pyx_v_c->T);
-    if (!__pyx_t_2) break;
-
-    /* "gf2matroid/_kernels.pyx":253
- *     cdef u64 *rest = c.scratch + c.nw
- *     while t <= c.T:
- *         if bs_get(sums + t * c.nw, v):             # <<<<<<<<<<<<<<
- *             return False
- *         t += 2
-*/
-    __pyx_t_2 = __pyx_f_10gf2matroid_8_kernels_bs_get((__pyx_v_sums + (__pyx_v_t * __pyx_v_c->nw)), __pyx_v_v);
-    if (__pyx_t_2) {
-
-      /* "gf2matroid/_kernels.pyx":254
- *     while t <= c.T:
- *         if bs_get(sums + t * c.nw, v):
- *             return False             # <<<<<<<<<<<<<<
- *         t += 2
- *     if c.pg_n == 1:
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "gf2matroid/_kernels.pyx":253
- *     cdef u64 *rest = c.scratch + c.nw
- *     while t <= c.T:
- *         if bs_get(sums + t * c.nw, v):             # <<<<<<<<<<<<<<
- *             return False
- *         t += 2
-*/
-    }
-
-    /* "gf2matroid/_kernels.pyx":255
- *         if bs_get(sums + t * c.nw, v):
- *             return False
- *         t += 2             # <<<<<<<<<<<<<<
- *     if c.pg_n == 1:
- *         return False
-*/
-    __pyx_v_t = (__pyx_v_t + 2);
-  }
-
-  /* "gf2matroid/_kernels.pyx":256
- *             return False
- *         t += 2
- *     if c.pg_n == 1:             # <<<<<<<<<<<<<<
- *         return False
- *     if c.pg_n >= 3:
-*/
-  __pyx_t_2 = (__pyx_v_c->pg_n == 1);
-  if (__pyx_t_2) {
-
-    /* "gf2matroid/_kernels.pyx":257
- *         t += 2
- *     if c.pg_n == 1:
- *         return False             # <<<<<<<<<<<<<<
- *     if c.pg_n >= 3:
- *         bs_translate(tmp, chosen, v, c.nw)
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":256
- *             return False
- *         t += 2
- *     if c.pg_n == 1:             # <<<<<<<<<<<<<<
- *         return False
- *     if c.pg_n >= 3:
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":258
- *     if c.pg_n == 1:
- *         return False
- *     if c.pg_n >= 3:             # <<<<<<<<<<<<<<
- *         bs_translate(tmp, chosen, v, c.nw)
- *         for i in range(c.nw):
-*/
-  __pyx_t_2 = (__pyx_v_c->pg_n >= 3);
-  if (__pyx_t_2) {
-
-    /* "gf2matroid/_kernels.pyx":259
- *         return False
- *     if c.pg_n >= 3:
- *         bs_translate(tmp, chosen, v, c.nw)             # <<<<<<<<<<<<<<
- *         for i in range(c.nw):
- *             rest[i] = chosen[i] & tmp[i]
-*/
-    __pyx_f_10gf2matroid_8_kernels_bs_translate(__pyx_v_tmp, __pyx_v_chosen, __pyx_v_v, __pyx_v_c->nw);
-
-    /* "gf2matroid/_kernels.pyx":260
- *     if c.pg_n >= 3:
- *         bs_translate(tmp, chosen, v, c.nw)
- *         for i in range(c.nw):             # <<<<<<<<<<<<<<
- *             rest[i] = chosen[i] & tmp[i]
- *         if c_has_subspace(rest, c.pg_n - 1, c.r, c.nw, c.scratch + 3 * c.nw):
-*/
-    __pyx_t_3 = __pyx_v_c->nw;
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_i = __pyx_t_5;
-
-      /* "gf2matroid/_kernels.pyx":261
- *         bs_translate(tmp, chosen, v, c.nw)
- *         for i in range(c.nw):
- *             rest[i] = chosen[i] & tmp[i]             # <<<<<<<<<<<<<<
- *         if c_has_subspace(rest, c.pg_n - 1, c.r, c.nw, c.scratch + 3 * c.nw):
- *             return False
-*/
-      (__pyx_v_rest[__pyx_v_i]) = ((__pyx_v_chosen[__pyx_v_i]) & (__pyx_v_tmp[__pyx_v_i]));
-    }
-
-    /* "gf2matroid/_kernels.pyx":262
- *         for i in range(c.nw):
- *             rest[i] = chosen[i] & tmp[i]
- *         if c_has_subspace(rest, c.pg_n - 1, c.r, c.nw, c.scratch + 3 * c.nw):             # <<<<<<<<<<<<<<
- *             return False
- *     return True
-*/
-    __pyx_t_2 = __pyx_f_10gf2matroid_8_kernels_c_has_subspace(__pyx_v_rest, (__pyx_v_c->pg_n - 1), __pyx_v_c->r, __pyx_v_c->nw, (__pyx_v_c->scratch + (3 * __pyx_v_c->nw)));
-    if (__pyx_t_2) {
-
-      /* "gf2matroid/_kernels.pyx":263
- *             rest[i] = chosen[i] & tmp[i]
- *         if c_has_subspace(rest, c.pg_n - 1, c.r, c.nw, c.scratch + 3 * c.nw):
- *             return False             # <<<<<<<<<<<<<<
- *     return True
- * 
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "gf2matroid/_kernels.pyx":262
- *         for i in range(c.nw):
- *             rest[i] = chosen[i] & tmp[i]
- *         if c_has_subspace(rest, c.pg_n - 1, c.r, c.nw, c.scratch + 3 * c.nw):             # <<<<<<<<<<<<<<
- *             return False
- *     return True
-*/
-    }
-
-    /* "gf2matroid/_kernels.pyx":258
- *     if c.pg_n == 1:
- *         return False
- *     if c.pg_n >= 3:             # <<<<<<<<<<<<<<
- *         bs_translate(tmp, chosen, v, c.nw)
- *         for i in range(c.nw):
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":264
- *         if c_has_subspace(rest, c.pg_n - 1, c.r, c.nw, c.scratch + 3 * c.nw):
- *             return False
- *     return True             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":248
- * 
- * 
- * cdef bint fwd_feasible(FwdCtx *c, int v, u64 *chosen, u64 *sums) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int t = 2, i
- *     cdef u64 *tmp = c.scratch
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":267
- * 
- * 
- * cdef bint fwd_passes_extra(FwdCtx *c, u64 *chosen, u64 *covers, int rank) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i
- *     cdef u64 *freebuf = c.scratch + 2 * c.nw
-*/
-
-static int __pyx_f_10gf2matroid_8_kernels_fwd_passes_extra(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *__pyx_v_c, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_chosen, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_covers, int __pyx_v_rank) {
-  int __pyx_v_i;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_freebuf;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-
-  /* "gf2matroid/_kernels.pyx":269
- * cdef bint fwd_passes_extra(FwdCtx *c, u64 *chosen, u64 *covers, int rank) noexcept nogil:
- *     cdef int i
- *     cdef u64 *freebuf = c.scratch + 2 * c.nw             # <<<<<<<<<<<<<<
- *     if c.min_critical >= 2 and not bs_isempty(covers, c.nw):
- *         return False
-*/
-  __pyx_v_freebuf = (__pyx_v_c->scratch + (2 * __pyx_v_c->nw));
-
-  /* "gf2matroid/_kernels.pyx":270
- *     cdef int i
- *     cdef u64 *freebuf = c.scratch + 2 * c.nw
- *     if c.min_critical >= 2 and not bs_isempty(covers, c.nw):             # <<<<<<<<<<<<<<
- *         return False
- *     if c.min_critical >= 3:
-*/
-  __pyx_t_2 = (__pyx_v_c->min_critical >= 2);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (!__pyx_f_10gf2matroid_8_kernels_bs_isempty(__pyx_v_covers, __pyx_v_c->nw));
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":271
- *     cdef u64 *freebuf = c.scratch + 2 * c.nw
- *     if c.min_critical >= 2 and not bs_isempty(covers, c.nw):
- *         return False             # <<<<<<<<<<<<<<
- *     if c.min_critical >= 3:
- *         for i in range(c.nw):
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":270
- *     cdef int i
- *     cdef u64 *freebuf = c.scratch + 2 * c.nw
- *     if c.min_critical >= 2 and not bs_isempty(covers, c.nw):             # <<<<<<<<<<<<<<
- *         return False
- *     if c.min_critical >= 3:
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":272
- *     if c.min_critical >= 2 and not bs_isempty(covers, c.nw):
- *         return False
- *     if c.min_critical >= 3:             # <<<<<<<<<<<<<<
- *         for i in range(c.nw):
- *             freebuf[i] = c.nonzero[i] & ~chosen[i]
-*/
-  __pyx_t_1 = (__pyx_v_c->min_critical >= 3);
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":273
- *         return False
- *     if c.min_critical >= 3:
- *         for i in range(c.nw):             # <<<<<<<<<<<<<<
- *             freebuf[i] = c.nonzero[i] & ~chosen[i]
- *         if c_has_subspace(freebuf, c.r - c.min_critical + 1, c.r, c.nw,
-*/
-    __pyx_t_3 = __pyx_v_c->nw;
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_i = __pyx_t_5;
-
-      /* "gf2matroid/_kernels.pyx":274
- *     if c.min_critical >= 3:
- *         for i in range(c.nw):
- *             freebuf[i] = c.nonzero[i] & ~chosen[i]             # <<<<<<<<<<<<<<
- *         if c_has_subspace(freebuf, c.r - c.min_critical + 1, c.r, c.nw,
- *                           c.scratch + 3 * c.nw):
-*/
-      (__pyx_v_freebuf[__pyx_v_i]) = ((__pyx_v_c->nonzero[__pyx_v_i]) & (~(__pyx_v_chosen[__pyx_v_i])));
-    }
-
-    /* "gf2matroid/_kernels.pyx":275
- *         for i in range(c.nw):
- *             freebuf[i] = c.nonzero[i] & ~chosen[i]
- *         if c_has_subspace(freebuf, c.r - c.min_critical + 1, c.r, c.nw,             # <<<<<<<<<<<<<<
- *                           c.scratch + 3 * c.nw):
- *             return False
-*/
-    __pyx_t_1 = __pyx_f_10gf2matroid_8_kernels_c_has_subspace(__pyx_v_freebuf, ((__pyx_v_c->r - __pyx_v_c->min_critical) + 1), __pyx_v_c->r, __pyx_v_c->nw, (__pyx_v_c->scratch + (3 * __pyx_v_c->nw)));
-    if (__pyx_t_1) {
-
-      /* "gf2matroid/_kernels.pyx":277
- *         if c_has_subspace(freebuf, c.r - c.min_critical + 1, c.r, c.nw,
- *                           c.scratch + 3 * c.nw):
- *             return False             # <<<<<<<<<<<<<<
- *     if c.full_rank and rank != c.r:
- *         return False
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "gf2matroid/_kernels.pyx":275
- *         for i in range(c.nw):
- *             freebuf[i] = c.nonzero[i] & ~chosen[i]
- *         if c_has_subspace(freebuf, c.r - c.min_critical + 1, c.r, c.nw,             # <<<<<<<<<<<<<<
- *                           c.scratch + 3 * c.nw):
- *             return False
-*/
-    }
-
-    /* "gf2matroid/_kernels.pyx":272
- *     if c.min_critical >= 2 and not bs_isempty(covers, c.nw):
- *         return False
- *     if c.min_critical >= 3:             # <<<<<<<<<<<<<<
- *         for i in range(c.nw):
- *             freebuf[i] = c.nonzero[i] & ~chosen[i]
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":278
- *                           c.scratch + 3 * c.nw):
- *             return False
- *     if c.full_rank and rank != c.r:             # <<<<<<<<<<<<<<
- *         return False
- *     return True
-*/
-  if (__pyx_v_c->full_rank) {
-  } else {
-    __pyx_t_1 = __pyx_v_c->full_rank;
-    goto __pyx_L11_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_rank != __pyx_v_c->r);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L11_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":279
- *             return False
- *     if c.full_rank and rank != c.r:
- *         return False             # <<<<<<<<<<<<<<
- *     return True
- * 
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":278
- *                           c.scratch + 3 * c.nw):
- *             return False
- *     if c.full_rank and rank != c.r:             # <<<<<<<<<<<<<<
- *         return False
- *     return True
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":280
- *     if c.full_rank and rank != c.r:
- *         return False
- *     return True             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":267
- * 
- * 
- * cdef bint fwd_passes_extra(FwdCtx *c, u64 *chosen, u64 *covers, int rank) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i
- *     cdef u64 *freebuf = c.scratch + 2 * c.nw
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":283
- * 
- * 
- * cdef int fwd_include(FwdCtx *c, int v, int depth,             # <<<<<<<<<<<<<<
- *                      u64 *chosen, u64 *sums, u64 *covers, u16 *piv,
- *                      int rank) noexcept nogil:
-*/
-
-static int __pyx_f_10gf2matroid_8_kernels_fwd_include(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *__pyx_v_c, int __pyx_v_v, int __pyx_v_depth, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_chosen, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_sums, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_covers, __pyx_t_10gf2matroid_8_kernels_u16 *__pyx_v_piv, int __pyx_v_rank) {
-  int __pyx_v_nw;
-  int __pyx_v_t;
-  int __pyx_v_i;
-  int __pyx_v_p;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_w;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_nc;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_ns;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_ncov;
-  __pyx_t_10gf2matroid_8_kernels_u16 *__pyx_v_npiv;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_tmp;
-  int __pyx_r;
-  int __pyx_t_1;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-
-  /* "gf2matroid/_kernels.pyx":287
- *                      int rank) noexcept nogil:
- *     """Write the state with v added into slab slot depth+1; return new rank."""
- *     cdef int nw = c.nw, t, i, p             # <<<<<<<<<<<<<<
- *     cdef u64 w
- *     cdef u64 *nc = c.slab_chosen + (depth + 1) * nw
-*/
-  __pyx_t_1 = __pyx_v_c->nw;
-  __pyx_v_nw = __pyx_t_1;
-
-  /* "gf2matroid/_kernels.pyx":289
- *     cdef int nw = c.nw, t, i, p
- *     cdef u64 w
- *     cdef u64 *nc = c.slab_chosen + (depth + 1) * nw             # <<<<<<<<<<<<<<
- *     cdef u64 *ns = c.slab_sums + (depth + 1) * (c.T + 1) * nw
- *     cdef u64 *ncov = c.slab_covers + (depth + 1) * nw
-*/
-  __pyx_v_nc = (__pyx_v_c->slab_chosen + ((__pyx_v_depth + 1) * __pyx_v_nw));
-
-  /* "gf2matroid/_kernels.pyx":290
- *     cdef u64 w
- *     cdef u64 *nc = c.slab_chosen + (depth + 1) * nw
- *     cdef u64 *ns = c.slab_sums + (depth + 1) * (c.T + 1) * nw             # <<<<<<<<<<<<<<
- *     cdef u64 *ncov = c.slab_covers + (depth + 1) * nw
- *     cdef u16 *npiv = c.slab_piv + (depth + 1) * c.r
-*/
-  __pyx_v_ns = (__pyx_v_c->slab_sums + (((__pyx_v_depth + 1) * (__pyx_v_c->T + 1)) * __pyx_v_nw));
-
-  /* "gf2matroid/_kernels.pyx":291
- *     cdef u64 *nc = c.slab_chosen + (depth + 1) * nw
- *     cdef u64 *ns = c.slab_sums + (depth + 1) * (c.T + 1) * nw
- *     cdef u64 *ncov = c.slab_covers + (depth + 1) * nw             # <<<<<<<<<<<<<<
- *     cdef u16 *npiv = c.slab_piv + (depth + 1) * c.r
- *     cdef u64 *tmp = c.scratch
-*/
-  __pyx_v_ncov = (__pyx_v_c->slab_covers + ((__pyx_v_depth + 1) * __pyx_v_nw));
-
-  /* "gf2matroid/_kernels.pyx":292
- *     cdef u64 *ns = c.slab_sums + (depth + 1) * (c.T + 1) * nw
- *     cdef u64 *ncov = c.slab_covers + (depth + 1) * nw
- *     cdef u16 *npiv = c.slab_piv + (depth + 1) * c.r             # <<<<<<<<<<<<<<
- *     cdef u64 *tmp = c.scratch
- *     memcpy(nc, chosen, nw * sizeof(u64))
-*/
-  __pyx_v_npiv = (__pyx_v_c->slab_piv + ((__pyx_v_depth + 1) * __pyx_v_c->r));
-
-  /* "gf2matroid/_kernels.pyx":293
- *     cdef u64 *ncov = c.slab_covers + (depth + 1) * nw
- *     cdef u16 *npiv = c.slab_piv + (depth + 1) * c.r
- *     cdef u64 *tmp = c.scratch             # <<<<<<<<<<<<<<
- *     memcpy(nc, chosen, nw * sizeof(u64))
- *     bs_set(nc, v)
-*/
-  __pyx_t_2 = __pyx_v_c->scratch;
-  __pyx_v_tmp = __pyx_t_2;
-
-  /* "gf2matroid/_kernels.pyx":294
- *     cdef u16 *npiv = c.slab_piv + (depth + 1) * c.r
- *     cdef u64 *tmp = c.scratch
- *     memcpy(nc, chosen, nw * sizeof(u64))             # <<<<<<<<<<<<<<
- *     bs_set(nc, v)
- *     memcpy(ns, sums, (c.T + 1) * nw * sizeof(u64))
-*/
-  (void)(memcpy(__pyx_v_nc, __pyx_v_chosen, (__pyx_v_nw * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-  /* "gf2matroid/_kernels.pyx":295
- *     cdef u64 *tmp = c.scratch
- *     memcpy(nc, chosen, nw * sizeof(u64))
- *     bs_set(nc, v)             # <<<<<<<<<<<<<<
- *     memcpy(ns, sums, (c.T + 1) * nw * sizeof(u64))
- *     t = c.T
-*/
-  __pyx_f_10gf2matroid_8_kernels_bs_set(__pyx_v_nc, __pyx_v_v);
-
-  /* "gf2matroid/_kernels.pyx":296
- *     memcpy(nc, chosen, nw * sizeof(u64))
- *     bs_set(nc, v)
- *     memcpy(ns, sums, (c.T + 1) * nw * sizeof(u64))             # <<<<<<<<<<<<<<
- *     t = c.T
- *     while t >= 2:
-*/
-  (void)(memcpy(__pyx_v_ns, __pyx_v_sums, (((__pyx_v_c->T + 1) * __pyx_v_nw) * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-  /* "gf2matroid/_kernels.pyx":297
- *     bs_set(nc, v)
- *     memcpy(ns, sums, (c.T + 1) * nw * sizeof(u64))
- *     t = c.T             # <<<<<<<<<<<<<<
- *     while t >= 2:
- *         bs_translate(tmp, ns + (t - 1) * nw, v, nw)
-*/
-  __pyx_t_1 = __pyx_v_c->T;
-  __pyx_v_t = __pyx_t_1;
-
-  /* "gf2matroid/_kernels.pyx":298
- *     memcpy(ns, sums, (c.T + 1) * nw * sizeof(u64))
- *     t = c.T
- *     while t >= 2:             # <<<<<<<<<<<<<<
- *         bs_translate(tmp, ns + (t - 1) * nw, v, nw)
- *         for i in range(nw):
-*/
-  while (1) {
-    __pyx_t_3 = (__pyx_v_t >= 2);
-    if (!__pyx_t_3) break;
-
-    /* "gf2matroid/_kernels.pyx":299
- *     t = c.T
- *     while t >= 2:
- *         bs_translate(tmp, ns + (t - 1) * nw, v, nw)             # <<<<<<<<<<<<<<
- *         for i in range(nw):
- *             ns[t * nw + i] |= tmp[i]
-*/
-    __pyx_f_10gf2matroid_8_kernels_bs_translate(__pyx_v_tmp, (__pyx_v_ns + ((__pyx_v_t - 1) * __pyx_v_nw)), __pyx_v_v, __pyx_v_nw);
-
-    /* "gf2matroid/_kernels.pyx":300
- *     while t >= 2:
- *         bs_translate(tmp, ns + (t - 1) * nw, v, nw)
- *         for i in range(nw):             # <<<<<<<<<<<<<<
- *             ns[t * nw + i] |= tmp[i]
- *         t -= 1
-*/
-    __pyx_t_1 = __pyx_v_nw;
-    __pyx_t_4 = __pyx_t_1;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_i = __pyx_t_5;
-
-      /* "gf2matroid/_kernels.pyx":301
- *         bs_translate(tmp, ns + (t - 1) * nw, v, nw)
- *         for i in range(nw):
- *             ns[t * nw + i] |= tmp[i]             # <<<<<<<<<<<<<<
- *         t -= 1
- *     if c.T >= 1:
-*/
-      __pyx_t_6 = ((__pyx_v_t * __pyx_v_nw) + __pyx_v_i);
-      (__pyx_v_ns[__pyx_t_6]) = ((__pyx_v_ns[__pyx_t_6]) | (__pyx_v_tmp[__pyx_v_i]));
-    }
-
-    /* "gf2matroid/_kernels.pyx":302
- *         for i in range(nw):
- *             ns[t * nw + i] |= tmp[i]
- *         t -= 1             # <<<<<<<<<<<<<<
- *     if c.T >= 1:
- *         bs_set(ns + nw, v)
-*/
-    __pyx_v_t = (__pyx_v_t - 1);
-  }
-
-  /* "gf2matroid/_kernels.pyx":303
- *             ns[t * nw + i] |= tmp[i]
- *         t -= 1
- *     if c.T >= 1:             # <<<<<<<<<<<<<<
- *         bs_set(ns + nw, v)
- *     for i in range(nw):
-*/
-  __pyx_t_3 = (__pyx_v_c->T >= 1);
-  if (__pyx_t_3) {
-
-    /* "gf2matroid/_kernels.pyx":304
- *         t -= 1
- *     if c.T >= 1:
- *         bs_set(ns + nw, v)             # <<<<<<<<<<<<<<
- *     for i in range(nw):
- *         ncov[i] = covers[i] & (c.hit + v * nw)[i]
-*/
-    __pyx_f_10gf2matroid_8_kernels_bs_set((__pyx_v_ns + __pyx_v_nw), __pyx_v_v);
-
-    /* "gf2matroid/_kernels.pyx":303
- *             ns[t * nw + i] |= tmp[i]
- *         t -= 1
- *     if c.T >= 1:             # <<<<<<<<<<<<<<
- *         bs_set(ns + nw, v)
- *     for i in range(nw):
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":305
- *     if c.T >= 1:
- *         bs_set(ns + nw, v)
- *     for i in range(nw):             # <<<<<<<<<<<<<<
- *         ncov[i] = covers[i] & (c.hit + v * nw)[i]
- *     memcpy(npiv, piv, c.r * sizeof(u16))
-*/
-  __pyx_t_1 = __pyx_v_nw;
-  __pyx_t_4 = __pyx_t_1;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "gf2matroid/_kernels.pyx":306
- *         bs_set(ns + nw, v)
- *     for i in range(nw):
- *         ncov[i] = covers[i] & (c.hit + v * nw)[i]             # <<<<<<<<<<<<<<
- *     memcpy(npiv, piv, c.r * sizeof(u16))
- *     w = <u64> v
-*/
-    (__pyx_v_ncov[__pyx_v_i]) = ((__pyx_v_covers[__pyx_v_i]) & ((__pyx_v_c->hit + (__pyx_v_v * __pyx_v_nw))[__pyx_v_i]));
-  }
-
-  /* "gf2matroid/_kernels.pyx":307
- *     for i in range(nw):
- *         ncov[i] = covers[i] & (c.hit + v * nw)[i]
- *     memcpy(npiv, piv, c.r * sizeof(u16))             # <<<<<<<<<<<<<<
- *     w = <u64> v
- *     while w:
-*/
-  (void)(memcpy(__pyx_v_npiv, __pyx_v_piv, (__pyx_v_c->r * (sizeof(__pyx_t_10gf2matroid_8_kernels_u16)))));
-
-  /* "gf2matroid/_kernels.pyx":308
- *         ncov[i] = covers[i] & (c.hit + v * nw)[i]
- *     memcpy(npiv, piv, c.r * sizeof(u16))
- *     w = <u64> v             # <<<<<<<<<<<<<<
- *     while w:
- *         p = msb64(w)
-*/
-  __pyx_v_w = ((__pyx_t_10gf2matroid_8_kernels_u64)__pyx_v_v);
-
-  /* "gf2matroid/_kernels.pyx":309
- *     memcpy(npiv, piv, c.r * sizeof(u16))
- *     w = <u64> v
- *     while w:             # <<<<<<<<<<<<<<
- *         p = msb64(w)
- *         if npiv[p] == 0:
-*/
-  while (1) {
-    __pyx_t_3 = (__pyx_v_w != 0);
-    if (!__pyx_t_3) break;
-
-    /* "gf2matroid/_kernels.pyx":310
- *     w = <u64> v
- *     while w:
- *         p = msb64(w)             # <<<<<<<<<<<<<<
- *         if npiv[p] == 0:
- *             npiv[p] = <u16> w
-*/
-    __pyx_v_p = msb64(__pyx_v_w);
-
-    /* "gf2matroid/_kernels.pyx":311
- *     while w:
- *         p = msb64(w)
- *         if npiv[p] == 0:             # <<<<<<<<<<<<<<
- *             npiv[p] = <u16> w
- *             return rank + 1
-*/
-    __pyx_t_3 = ((__pyx_v_npiv[__pyx_v_p]) == 0);
-    if (__pyx_t_3) {
-
-      /* "gf2matroid/_kernels.pyx":312
- *         p = msb64(w)
- *         if npiv[p] == 0:
- *             npiv[p] = <u16> w             # <<<<<<<<<<<<<<
- *             return rank + 1
- *         w ^= npiv[p]
-*/
-      (__pyx_v_npiv[__pyx_v_p]) = ((__pyx_t_10gf2matroid_8_kernels_u16)__pyx_v_w);
-
-      /* "gf2matroid/_kernels.pyx":313
- *         if npiv[p] == 0:
- *             npiv[p] = <u16> w
- *             return rank + 1             # <<<<<<<<<<<<<<
- *         w ^= npiv[p]
- *     return rank
-*/
-      __pyx_r = (__pyx_v_rank + 1);
-      goto __pyx_L0;
-
-      /* "gf2matroid/_kernels.pyx":311
- *     while w:
- *         p = msb64(w)
- *         if npiv[p] == 0:             # <<<<<<<<<<<<<<
- *             npiv[p] = <u16> w
- *             return rank + 1
-*/
-    }
-
-    /* "gf2matroid/_kernels.pyx":314
- *             npiv[p] = <u16> w
- *             return rank + 1
- *         w ^= npiv[p]             # <<<<<<<<<<<<<<
- *     return rank
- * 
-*/
-    __pyx_v_w = (__pyx_v_w ^ (__pyx_v_npiv[__pyx_v_p]));
-  }
-
-  /* "gf2matroid/_kernels.pyx":315
- *             return rank + 1
- *         w ^= npiv[p]
- *     return rank             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_rank;
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":283
- * 
- * 
- * cdef int fwd_include(FwdCtx *c, int v, int depth,             # <<<<<<<<<<<<<<
- *                      u64 *chosen, u64 *sums, u64 *covers, u16 *piv,
- *                      int rank) noexcept nogil:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":318
- * 
- * 
- * cdef void fwd_dfs(FwdCtx *c, int depth, u16 *feas, int nf,             # <<<<<<<<<<<<<<
- *                   u64 *chosen, u64 *sums, u64 *covers, u16 *piv,
- *                   int rank, int size) noexcept:
-*/
-
-static void __pyx_f_10gf2matroid_8_kernels_fwd_dfs(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *__pyx_v_c, int __pyx_v_depth, __pyx_t_10gf2matroid_8_kernels_u16 *__pyx_v_feas, int __pyx_v_nf, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_chosen, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_sums, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_covers, __pyx_t_10gf2matroid_8_kernels_u16 *__pyx_v_piv, int __pyx_v_rank, int __pyx_v_size) {
-  int __pyx_v_i;
-  int __pyx_v_v;
-  int __pyx_v_w;
-  int __pyx_v_nrank;
-  int __pyx_v_cnf;
-  int __pyx_v_nonempty;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_reach;
-  __pyx_t_10gf2matroid_8_kernels_u16 *__pyx_v_cfeas;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-
-  /* "gf2matroid/_kernels.pyx":325
- *     cdef u64 *reach
- *     cdef u16 *cfeas
- *     c.nodes += 1             # <<<<<<<<<<<<<<
- *     if fwd_check_deadline(c):
- *         return
-*/
-  __pyx_v_c->nodes = (__pyx_v_c->nodes + 1);
-
-  /* "gf2matroid/_kernels.pyx":326
- *     cdef u16 *cfeas
- *     c.nodes += 1
- *     if fwd_check_deadline(c):             # <<<<<<<<<<<<<<
- *         return
- *     if size > c.best and fwd_passes_extra(c, chosen, covers, rank):
-*/
-  __pyx_t_1 = __pyx_f_10gf2matroid_8_kernels_fwd_check_deadline(__pyx_v_c);
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":327
- *     c.nodes += 1
- *     if fwd_check_deadline(c):
- *         return             # <<<<<<<<<<<<<<
- *     if size > c.best and fwd_passes_extra(c, chosen, covers, rank):
- *         c.best = size
-*/
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":326
- *     cdef u16 *cfeas
- *     c.nodes += 1
- *     if fwd_check_deadline(c):             # <<<<<<<<<<<<<<
- *         return
- *     if size > c.best and fwd_passes_extra(c, chosen, covers, rank):
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":328
- *     if fwd_check_deadline(c):
- *         return
- *     if size > c.best and fwd_passes_extra(c, chosen, covers, rank):             # <<<<<<<<<<<<<<
- *         c.best = size
- *         memcpy(c.best_mask, chosen, c.nw * sizeof(u64))
-*/
-  __pyx_t_2 = (__pyx_v_size > __pyx_v_c->best);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_2 = __pyx_f_10gf2matroid_8_kernels_fwd_passes_extra(__pyx_v_c, __pyx_v_chosen, __pyx_v_covers, __pyx_v_rank);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L5_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":329
- *         return
- *     if size > c.best and fwd_passes_extra(c, chosen, covers, rank):
- *         c.best = size             # <<<<<<<<<<<<<<
- *         memcpy(c.best_mask, chosen, c.nw * sizeof(u64))
- *     if nf == 0:
-*/
-    __pyx_v_c->best = __pyx_v_size;
-
-    /* "gf2matroid/_kernels.pyx":330
- *     if size > c.best and fwd_passes_extra(c, chosen, covers, rank):
- *         c.best = size
- *         memcpy(c.best_mask, chosen, c.nw * sizeof(u64))             # <<<<<<<<<<<<<<
- *     if nf == 0:
- *         return
-*/
-    (void)(memcpy(__pyx_v_c->best_mask, __pyx_v_chosen, (__pyx_v_c->nw * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-    /* "gf2matroid/_kernels.pyx":328
- *     if fwd_check_deadline(c):
- *         return
- *     if size > c.best and fwd_passes_extra(c, chosen, covers, rank):             # <<<<<<<<<<<<<<
- *         c.best = size
- *         memcpy(c.best_mask, chosen, c.nw * sizeof(u64))
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":331
- *         c.best = size
- *         memcpy(c.best_mask, chosen, c.nw * sizeof(u64))
- *     if nf == 0:             # <<<<<<<<<<<<<<
- *         return
- *     if c.prune and size + nf <= c.best:
-*/
-  __pyx_t_1 = (__pyx_v_nf == 0);
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":332
- *         memcpy(c.best_mask, chosen, c.nw * sizeof(u64))
- *     if nf == 0:
- *         return             # <<<<<<<<<<<<<<
- *     if c.prune and size + nf <= c.best:
- *         return
-*/
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":331
- *         c.best = size
- *         memcpy(c.best_mask, chosen, c.nw * sizeof(u64))
- *     if nf == 0:             # <<<<<<<<<<<<<<
- *         return
- *     if c.prune and size + nf <= c.best:
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":333
- *     if nf == 0:
- *         return
- *     if c.prune and size + nf <= c.best:             # <<<<<<<<<<<<<<
- *         return
- *     if c.prune and c.min_critical >= 2:
-*/
-  if (__pyx_v_c->prune) {
-  } else {
-    __pyx_t_1 = __pyx_v_c->prune;
-    goto __pyx_L9_bool_binop_done;
-  }
-  __pyx_t_2 = ((__pyx_v_size + __pyx_v_nf) <= __pyx_v_c->best);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L9_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":334
- *         return
- *     if c.prune and size + nf <= c.best:
- *         return             # <<<<<<<<<<<<<<
- *     if c.prune and c.min_critical >= 2:
- *         reach = c.scratch + 2 * c.nw
-*/
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":333
- *     if nf == 0:
- *         return
- *     if c.prune and size + nf <= c.best:             # <<<<<<<<<<<<<<
- *         return
- *     if c.prune and c.min_critical >= 2:
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":335
- *     if c.prune and size + nf <= c.best:
- *         return
- *     if c.prune and c.min_critical >= 2:             # <<<<<<<<<<<<<<
- *         reach = c.scratch + 2 * c.nw
- *         memcpy(reach, covers, c.nw * sizeof(u64))
-*/
-  if (__pyx_v_c->prune) {
-  } else {
-    __pyx_t_1 = __pyx_v_c->prune;
-    goto __pyx_L12_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_c->min_critical >= 2);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L12_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":336
- *         return
- *     if c.prune and c.min_critical >= 2:
- *         reach = c.scratch + 2 * c.nw             # <<<<<<<<<<<<<<
- *         memcpy(reach, covers, c.nw * sizeof(u64))
- *         nonempty = not bs_isempty(reach, c.nw)
-*/
-    __pyx_v_reach = (__pyx_v_c->scratch + (2 * __pyx_v_c->nw));
-
-    /* "gf2matroid/_kernels.pyx":337
- *     if c.prune and c.min_critical >= 2:
- *         reach = c.scratch + 2 * c.nw
- *         memcpy(reach, covers, c.nw * sizeof(u64))             # <<<<<<<<<<<<<<
- *         nonempty = not bs_isempty(reach, c.nw)
- *         for i in range(nf):
-*/
-    (void)(memcpy(__pyx_v_reach, __pyx_v_covers, (__pyx_v_c->nw * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-    /* "gf2matroid/_kernels.pyx":338
- *         reach = c.scratch + 2 * c.nw
- *         memcpy(reach, covers, c.nw * sizeof(u64))
- *         nonempty = not bs_isempty(reach, c.nw)             # <<<<<<<<<<<<<<
- *         for i in range(nf):
- *             if not nonempty:
-*/
-    __pyx_v_nonempty = (!__pyx_f_10gf2matroid_8_kernels_bs_isempty(__pyx_v_reach, __pyx_v_c->nw));
-
-    /* "gf2matroid/_kernels.pyx":339
- *         memcpy(reach, covers, c.nw * sizeof(u64))
- *         nonempty = not bs_isempty(reach, c.nw)
- *         for i in range(nf):             # <<<<<<<<<<<<<<
- *             if not nonempty:
- *                 break
-*/
-    __pyx_t_3 = __pyx_v_nf;
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_i = __pyx_t_5;
-
-      /* "gf2matroid/_kernels.pyx":340
- *         nonempty = not bs_isempty(reach, c.nw)
- *         for i in range(nf):
- *             if not nonempty:             # <<<<<<<<<<<<<<
- *                 break
- *             w = feas[i]
-*/
-      __pyx_t_1 = (!__pyx_v_nonempty);
-      if (__pyx_t_1) {
-
-        /* "gf2matroid/_kernels.pyx":341
- *         for i in range(nf):
- *             if not nonempty:
- *                 break             # <<<<<<<<<<<<<<
- *             w = feas[i]
- *             nonempty = False
-*/
-        goto __pyx_L15_break;
-
-        /* "gf2matroid/_kernels.pyx":340
- *         nonempty = not bs_isempty(reach, c.nw)
- *         for i in range(nf):
- *             if not nonempty:             # <<<<<<<<<<<<<<
- *                 break
- *             w = feas[i]
-*/
-      }
-
-      /* "gf2matroid/_kernels.pyx":342
- *             if not nonempty:
- *                 break
- *             w = feas[i]             # <<<<<<<<<<<<<<
- *             nonempty = False
- *             for v in range(c.nw):
-*/
-      __pyx_v_w = (__pyx_v_feas[__pyx_v_i]);
-
-      /* "gf2matroid/_kernels.pyx":343
- *                 break
- *             w = feas[i]
- *             nonempty = False             # <<<<<<<<<<<<<<
- *             for v in range(c.nw):
- *                 reach[v] &= (c.hit + w * c.nw)[v]
-*/
-      __pyx_v_nonempty = 0;
-
-      /* "gf2matroid/_kernels.pyx":344
- *             w = feas[i]
- *             nonempty = False
- *             for v in range(c.nw):             # <<<<<<<<<<<<<<
- *                 reach[v] &= (c.hit + w * c.nw)[v]
- *                 if reach[v]:
-*/
-      __pyx_t_6 = __pyx_v_c->nw;
-      __pyx_t_7 = __pyx_t_6;
-      for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-        __pyx_v_v = __pyx_t_8;
-
-        /* "gf2matroid/_kernels.pyx":345
- *             nonempty = False
- *             for v in range(c.nw):
- *                 reach[v] &= (c.hit + w * c.nw)[v]             # <<<<<<<<<<<<<<
- *                 if reach[v]:
- *                     nonempty = True
-*/
-        __pyx_t_9 = __pyx_v_v;
-        (__pyx_v_reach[__pyx_t_9]) = ((__pyx_v_reach[__pyx_t_9]) & ((__pyx_v_c->hit + (__pyx_v_w * __pyx_v_c->nw))[__pyx_v_v]));
-
-        /* "gf2matroid/_kernels.pyx":346
- *             for v in range(c.nw):
- *                 reach[v] &= (c.hit + w * c.nw)[v]
- *                 if reach[v]:             # <<<<<<<<<<<<<<
- *                     nonempty = True
- *         if nonempty:
-*/
-        __pyx_t_1 = ((__pyx_v_reach[__pyx_v_v]) != 0);
-        if (__pyx_t_1) {
-
-          /* "gf2matroid/_kernels.pyx":347
- *                 reach[v] &= (c.hit + w * c.nw)[v]
- *                 if reach[v]:
- *                     nonempty = True             # <<<<<<<<<<<<<<
- *         if nonempty:
- *             return  # every completion stays affine
-*/
-          __pyx_v_nonempty = 1;
-
-          /* "gf2matroid/_kernels.pyx":346
- *             for v in range(c.nw):
- *                 reach[v] &= (c.hit + w * c.nw)[v]
- *                 if reach[v]:             # <<<<<<<<<<<<<<
- *                     nonempty = True
- *         if nonempty:
-*/
-        }
-      }
-    }
-    __pyx_L15_break:;
-
-    /* "gf2matroid/_kernels.pyx":348
- *                 if reach[v]:
- *                     nonempty = True
- *         if nonempty:             # <<<<<<<<<<<<<<
- *             return  # every completion stays affine
- *     v = feas[0]
-*/
-    if (__pyx_v_nonempty) {
-
-      /* "gf2matroid/_kernels.pyx":349
- *                     nonempty = True
- *         if nonempty:
- *             return  # every completion stays affine             # <<<<<<<<<<<<<<
- *     v = feas[0]
- *     nrank = fwd_include(c, v, depth, chosen, sums, covers, piv, rank)
-*/
-      goto __pyx_L0;
-
-      /* "gf2matroid/_kernels.pyx":348
- *                 if reach[v]:
- *                     nonempty = True
- *         if nonempty:             # <<<<<<<<<<<<<<
- *             return  # every completion stays affine
- *     v = feas[0]
-*/
-    }
-
-    /* "gf2matroid/_kernels.pyx":335
- *     if c.prune and size + nf <= c.best:
- *         return
- *     if c.prune and c.min_critical >= 2:             # <<<<<<<<<<<<<<
- *         reach = c.scratch + 2 * c.nw
- *         memcpy(reach, covers, c.nw * sizeof(u64))
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":350
- *         if nonempty:
- *             return  # every completion stays affine
- *     v = feas[0]             # <<<<<<<<<<<<<<
- *     nrank = fwd_include(c, v, depth, chosen, sums, covers, piv, rank)
- *     cfeas = c.slab_feas + (depth + 1) * c.n_all
-*/
-  __pyx_v_v = (__pyx_v_feas[0]);
-
-  /* "gf2matroid/_kernels.pyx":351
- *             return  # every completion stays affine
- *     v = feas[0]
- *     nrank = fwd_include(c, v, depth, chosen, sums, covers, piv, rank)             # <<<<<<<<<<<<<<
- *     cfeas = c.slab_feas + (depth + 1) * c.n_all
- *     cnf = 0
-*/
-  __pyx_v_nrank = __pyx_f_10gf2matroid_8_kernels_fwd_include(__pyx_v_c, __pyx_v_v, __pyx_v_depth, __pyx_v_chosen, __pyx_v_sums, __pyx_v_covers, __pyx_v_piv, __pyx_v_rank);
-
-  /* "gf2matroid/_kernels.pyx":352
- *     v = feas[0]
- *     nrank = fwd_include(c, v, depth, chosen, sums, covers, piv, rank)
- *     cfeas = c.slab_feas + (depth + 1) * c.n_all             # <<<<<<<<<<<<<<
- *     cnf = 0
- *     for i in range(1, nf):
-*/
-  __pyx_v_cfeas = (__pyx_v_c->slab_feas + ((__pyx_v_depth + 1) * __pyx_v_c->n_all));
-
-  /* "gf2matroid/_kernels.pyx":353
- *     nrank = fwd_include(c, v, depth, chosen, sums, covers, piv, rank)
- *     cfeas = c.slab_feas + (depth + 1) * c.n_all
- *     cnf = 0             # <<<<<<<<<<<<<<
- *     for i in range(1, nf):
- *         if fwd_feasible(c, feas[i],
-*/
-  __pyx_v_cnf = 0;
-
-  /* "gf2matroid/_kernels.pyx":354
- *     cfeas = c.slab_feas + (depth + 1) * c.n_all
- *     cnf = 0
- *     for i in range(1, nf):             # <<<<<<<<<<<<<<
- *         if fwd_feasible(c, feas[i],
- *                         c.slab_chosen + (depth + 1) * c.nw,
-*/
-  __pyx_t_3 = __pyx_v_nf;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 1; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "gf2matroid/_kernels.pyx":355
- *     cnf = 0
- *     for i in range(1, nf):
- *         if fwd_feasible(c, feas[i],             # <<<<<<<<<<<<<<
- *                         c.slab_chosen + (depth + 1) * c.nw,
- *                         c.slab_sums + (depth + 1) * (c.T + 1) * c.nw):
-*/
-    __pyx_t_1 = __pyx_f_10gf2matroid_8_kernels_fwd_feasible(__pyx_v_c, (__pyx_v_feas[__pyx_v_i]), (__pyx_v_c->slab_chosen + ((__pyx_v_depth + 1) * __pyx_v_c->nw)), (__pyx_v_c->slab_sums + (((__pyx_v_depth + 1) * (__pyx_v_c->T + 1)) * __pyx_v_c->nw)));
-    if (__pyx_t_1) {
-
-      /* "gf2matroid/_kernels.pyx":358
- *                         c.slab_chosen + (depth + 1) * c.nw,
- *                         c.slab_sums + (depth + 1) * (c.T + 1) * c.nw):
- *             cfeas[cnf] = feas[i]             # <<<<<<<<<<<<<<
- *             cnf += 1
- *     fwd_dfs(c, depth + 1, cfeas, cnf,
-*/
-      (__pyx_v_cfeas[__pyx_v_cnf]) = (__pyx_v_feas[__pyx_v_i]);
-
-      /* "gf2matroid/_kernels.pyx":359
- *                         c.slab_sums + (depth + 1) * (c.T + 1) * c.nw):
- *             cfeas[cnf] = feas[i]
- *             cnf += 1             # <<<<<<<<<<<<<<
- *     fwd_dfs(c, depth + 1, cfeas, cnf,
- *             c.slab_chosen + (depth + 1) * c.nw,
-*/
-      __pyx_v_cnf = (__pyx_v_cnf + 1);
-
-      /* "gf2matroid/_kernels.pyx":355
- *     cnf = 0
- *     for i in range(1, nf):
- *         if fwd_feasible(c, feas[i],             # <<<<<<<<<<<<<<
- *                         c.slab_chosen + (depth + 1) * c.nw,
- *                         c.slab_sums + (depth + 1) * (c.T + 1) * c.nw):
-*/
-    }
-  }
-
-  /* "gf2matroid/_kernels.pyx":360
- *             cfeas[cnf] = feas[i]
- *             cnf += 1
- *     fwd_dfs(c, depth + 1, cfeas, cnf,             # <<<<<<<<<<<<<<
- *             c.slab_chosen + (depth + 1) * c.nw,
- *             c.slab_sums + (depth + 1) * (c.T + 1) * c.nw,
-*/
-  __pyx_f_10gf2matroid_8_kernels_fwd_dfs(__pyx_v_c, (__pyx_v_depth + 1), __pyx_v_cfeas, __pyx_v_cnf, (__pyx_v_c->slab_chosen + ((__pyx_v_depth + 1) * __pyx_v_c->nw)), (__pyx_v_c->slab_sums + (((__pyx_v_depth + 1) * (__pyx_v_c->T + 1)) * __pyx_v_c->nw)), (__pyx_v_c->slab_covers + ((__pyx_v_depth + 1) * __pyx_v_c->nw)), (__pyx_v_c->slab_piv + ((__pyx_v_depth + 1) * __pyx_v_c->r)), __pyx_v_nrank, (__pyx_v_size + 1));
-
-  /* "gf2matroid/_kernels.pyx":366
- *             c.slab_piv + (depth + 1) * c.r,
- *             nrank, size + 1)
- *     if c.timed_out:             # <<<<<<<<<<<<<<
- *         return
- *     fwd_dfs(c, depth + 1, feas + 1, nf - 1, chosen, sums, covers, piv, rank, size)
-*/
-  if (__pyx_v_c->timed_out) {
-
-    /* "gf2matroid/_kernels.pyx":367
- *             nrank, size + 1)
- *     if c.timed_out:
- *         return             # <<<<<<<<<<<<<<
- *     fwd_dfs(c, depth + 1, feas + 1, nf - 1, chosen, sums, covers, piv, rank, size)
- * 
-*/
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":366
- *             c.slab_piv + (depth + 1) * c.r,
- *             nrank, size + 1)
- *     if c.timed_out:             # <<<<<<<<<<<<<<
- *         return
- *     fwd_dfs(c, depth + 1, feas + 1, nf - 1, chosen, sums, covers, piv, rank, size)
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":368
- *     if c.timed_out:
- *         return
- *     fwd_dfs(c, depth + 1, feas + 1, nf - 1, chosen, sums, covers, piv, rank, size)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_f_10gf2matroid_8_kernels_fwd_dfs(__pyx_v_c, (__pyx_v_depth + 1), (__pyx_v_feas + 1), (__pyx_v_nf - 1), __pyx_v_chosen, __pyx_v_sums, __pyx_v_covers, __pyx_v_piv, __pyx_v_rank, __pyx_v_size);
-
-  /* "gf2matroid/_kernels.pyx":318
- * 
- * 
- * cdef void fwd_dfs(FwdCtx *c, int depth, u16 *feas, int nf,             # <<<<<<<<<<<<<<
- *                   u64 *chosen, u64 *sums, u64 *covers, u16 *piv,
- *                   int rank, int size) noexcept:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-}
-
-/* "gf2matroid/_kernels.pyx":371
- * 
- * 
- * cdef void _fwd_free(FwdCtx *c) noexcept:             # <<<<<<<<<<<<<<
- *     free(c.best_mask)
- *     free(c.hit)
-*/
-
-static void __pyx_f_10gf2matroid_8_kernels__fwd_free(struct __pyx_t_10gf2matroid_8_kernels_FwdCtx *__pyx_v_c) {
-
-  /* "gf2matroid/_kernels.pyx":372
- * 
- * cdef void _fwd_free(FwdCtx *c) noexcept:
- *     free(c.best_mask)             # <<<<<<<<<<<<<<
- *     free(c.hit)
- *     free(c.nonzero)
-*/
-  free(__pyx_v_c->best_mask);
-
-  /* "gf2matroid/_kernels.pyx":373
- * cdef void _fwd_free(FwdCtx *c) noexcept:
- *     free(c.best_mask)
- *     free(c.hit)             # <<<<<<<<<<<<<<
- *     free(c.nonzero)
- *     free(c.slab_chosen)
-*/
-  free(__pyx_v_c->hit);
-
-  /* "gf2matroid/_kernels.pyx":374
- *     free(c.best_mask)
- *     free(c.hit)
- *     free(c.nonzero)             # <<<<<<<<<<<<<<
- *     free(c.slab_chosen)
- *     free(c.slab_sums)
-*/
-  free(__pyx_v_c->nonzero);
-
-  /* "gf2matroid/_kernels.pyx":375
- *     free(c.hit)
- *     free(c.nonzero)
- *     free(c.slab_chosen)             # <<<<<<<<<<<<<<
- *     free(c.slab_sums)
- *     free(c.slab_covers)
-*/
-  free(__pyx_v_c->slab_chosen);
-
-  /* "gf2matroid/_kernels.pyx":376
- *     free(c.nonzero)
- *     free(c.slab_chosen)
- *     free(c.slab_sums)             # <<<<<<<<<<<<<<
- *     free(c.slab_covers)
- *     free(c.slab_piv)
-*/
-  free(__pyx_v_c->slab_sums);
-
-  /* "gf2matroid/_kernels.pyx":377
- *     free(c.slab_chosen)
- *     free(c.slab_sums)
- *     free(c.slab_covers)             # <<<<<<<<<<<<<<
- *     free(c.slab_piv)
- *     free(c.slab_feas)
-*/
-  free(__pyx_v_c->slab_covers);
-
-  /* "gf2matroid/_kernels.pyx":378
- *     free(c.slab_sums)
- *     free(c.slab_covers)
- *     free(c.slab_piv)             # <<<<<<<<<<<<<<
- *     free(c.slab_feas)
- *     free(c.scratch)
-*/
-  free(__pyx_v_c->slab_piv);
-
-  /* "gf2matroid/_kernels.pyx":379
- *     free(c.slab_covers)
- *     free(c.slab_piv)
- *     free(c.slab_feas)             # <<<<<<<<<<<<<<
- *     free(c.scratch)
- * 
-*/
-  free(__pyx_v_c->slab_feas);
-
-  /* "gf2matroid/_kernels.pyx":380
- *     free(c.slab_piv)
- *     free(c.slab_feas)
- *     free(c.scratch)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  free(__pyx_v_c->scratch);
-
-  /* "gf2matroid/_kernels.pyx":371
- * 
- * 
- * cdef void _fwd_free(FwdCtx *c) noexcept:             # <<<<<<<<<<<<<<
- *     free(c.best_mask)
- *     free(c.hit)
-*/
-
-  /* function exit code */
-}
-
-/* "gf2matroid/_kernels.pyx":383
- * 
- * 
- * def forward_search(int r, int min_odd_girth, int pg_free_order, int min_critical,             # <<<<<<<<<<<<<<
- *                    bint full_rank, forced_in, forced_out_mask, budget,
- *                    bint prune=True):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10gf2matroid_8_kernels_5forward_search(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_10gf2matroid_8_kernels_4forward_search, "Maximum point set under the given constraints, include-first DFS.\n\n    Returns (best_size or -1, witness_mask, nodes, completed); see the\n    pure twin for the contract details.\n    ");
-static PyMethodDef __pyx_mdef_10gf2matroid_8_kernels_5forward_search = {"forward_search", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10gf2matroid_8_kernels_5forward_search, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10gf2matroid_8_kernels_4forward_search};
-static PyObject *__pyx_pw_10gf2matroid_8_kernels_5forward_search(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_r;
-  int __pyx_v_min_odd_girth;
-  int __pyx_v_pg_free_order;
-  int __pyx_v_min_critical;
-  int __pyx_v_full_rank;
-  PyObject *__pyx_v_forced_in = 0;
-  PyObject *__pyx_v_forced_out_mask = 0;
-  PyObject *__pyx_v_budget = 0;
-  int __pyx_v_prune;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[9] = {0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("forward_search (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_r,&__pyx_mstate_global->__pyx_n_u_min_odd_girth,&__pyx_mstate_global->__pyx_n_u_pg_free_order,&__pyx_mstate_global->__pyx_n_u_min_critical,&__pyx_mstate_global->__pyx_n_u_full_rank,&__pyx_mstate_global->__pyx_n_u_forced_in,&__pyx_mstate_global->__pyx_n_u_forced_out_mask,&__pyx_mstate_global->__pyx_n_u_budget,&__pyx_mstate_global->__pyx_n_u_prune,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 383, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 383, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 383, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 383, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 383, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 383, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 383, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 383, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 383, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 383, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "forward_search", 0) < (0)) __PYX_ERR(0, 383, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 8; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("forward_search", 0, 8, 9, i); __PYX_ERR(0, 383, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 383, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 383, __pyx_L3_error)
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 383, __pyx_L3_error)
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 383, __pyx_L3_error)
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 383, __pyx_L3_error)
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 383, __pyx_L3_error)
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 383, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 383, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 383, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-    }
-    __pyx_v_r = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_r == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 383, __pyx_L3_error)
-    __pyx_v_min_odd_girth = __Pyx_PyLong_As_int(values[1]); if (unlikely((__pyx_v_min_odd_girth == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 383, __pyx_L3_error)
-    __pyx_v_pg_free_order = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_pg_free_order == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 383, __pyx_L3_error)
-    __pyx_v_min_critical = __Pyx_PyLong_As_int(values[3]); if (unlikely((__pyx_v_min_critical == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 383, __pyx_L3_error)
-    __pyx_v_full_rank = __Pyx_PyObject_IsTrue(values[4]); if (unlikely((__pyx_v_full_rank == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 384, __pyx_L3_error)
-    __pyx_v_forced_in = values[5];
-    __pyx_v_forced_out_mask = values[6];
-    __pyx_v_budget = values[7];
-    if (values[8]) {
-      __pyx_v_prune = __Pyx_PyObject_IsTrue(values[8]); if (unlikely((__pyx_v_prune == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 385, __pyx_L3_error)
-    } else {
-
-      /* "gf2matroid/_kernels.pyx":385
- * def forward_search(int r, int min_odd_girth, int pg_free_order, int min_critical,
- *                    bint full_rank, forced_in, forced_out_mask, budget,
- *                    bint prune=True):             # <<<<<<<<<<<<<<
- *     """Maximum point set under the given constraints, include-first DFS.
- * 
-*/
-      __pyx_v_prune = ((int)((int)1));
-    }
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("forward_search", 0, 8, 9, __pyx_nargs); __PYX_ERR(0, 383, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gf2matroid._kernels.forward_search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_10gf2matroid_8_kernels_4forward_search(__pyx_self, __pyx_v_r, __pyx_v_min_odd_girth, __pyx_v_pg_free_order, __pyx_v_min_critical, __pyx_v_full_rank, __pyx_v_forced_in, __pyx_v_forced_out_mask, __pyx_v_budget, __pyx_v_prune);
-
-  /* "gf2matroid/_kernels.pyx":383
- * 
- * 
- * def forward_search(int r, int min_odd_girth, int pg_free_order, int min_critical,             # <<<<<<<<<<<<<<
- *                    bint full_rank, forced_in, forced_out_mask, budget,
- *                    bint prune=True):
-*/
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10gf2matroid_8_kernels_4forward_search(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_r, int __pyx_v_min_odd_girth, int __pyx_v_pg_free_order, int __pyx_v_min_critical, int __pyx_v_full_rank, PyObject *__pyx_v_forced_in, PyObject *__pyx_v_forced_out_mask, PyObject *__pyx_v_budget, int __pyx_v_prune) {
-  struct __pyx_t_10gf2matroid_8_kernels_FwdCtx __pyx_v_c;
-  int __pyx_v_n_all;
-  int __pyx_v_nw;
-  int __pyx_v_T;
-  int __pyx_v_maxd;
-  int __pyx_v_v;
-  int __pyx_v_x;
-  int __pyx_v_size;
-  int __pyx_v_rank;
-  int __pyx_v_depth;
-  int __pyx_v_nf;
-  int __pyx_v_dead;
-  __pyx_t_10gf2matroid_8_kernels_u16 *__pyx_v_feas;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_chosen;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_sums;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_covers;
-  __pyx_t_10gf2matroid_8_kernels_u16 *__pyx_v_piv;
-  PyObject *__pyx_v_vv = NULL;
-  PyObject *__pyx_v_best_mask = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  long __pyx_t_7;
-  long __pyx_t_8;
-  long __pyx_t_9;
-  Py_ssize_t __pyx_t_10;
-  double __pyx_t_11;
-  double __pyx_t_12;
-  int __pyx_t_13;
-  int __pyx_t_14;
-  int __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_t_17;
-  int __pyx_t_18;
-  int __pyx_t_19;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_t_20;
-  __pyx_t_10gf2matroid_8_kernels_u16 *__pyx_t_21;
-  PyObject *(*__pyx_t_22)(PyObject *);
-  char const *__pyx_t_23;
-  PyObject *__pyx_t_24 = NULL;
-  PyObject *__pyx_t_25 = NULL;
-  PyObject *__pyx_t_26 = NULL;
-  PyObject *__pyx_t_27 = NULL;
-  PyObject *__pyx_t_28 = NULL;
-  PyObject *__pyx_t_29 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("forward_search", 0);
-
-  /* "gf2matroid/_kernels.pyx":391
- *     pure twin for the contract details.
- *     """
- *     if r > KERNEL_RANK_MAX:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"forward search supports ambient rank <= {KERNEL_RANK_MAX}")
- *     cdef FwdCtx c
-*/
-  __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_r); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_KERNEL_RANK_MAX); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = PyObject_RichCompare(__pyx_t_1, __pyx_t_2, Py_GT); __Pyx_XGOTREF(__pyx_t_3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_3); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  if (unlikely(__pyx_t_4)) {
-
-    /* "gf2matroid/_kernels.pyx":392
- *     """
- *     if r > KERNEL_RANK_MAX:
- *         raise ValueError(f"forward search supports ambient rank <= {KERNEL_RANK_MAX}")             # <<<<<<<<<<<<<<
- *     cdef FwdCtx c
- *     cdef int n_all = 1 << r
-*/
-    __pyx_t_2 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_KERNEL_RANK_MAX); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 392, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_5 = __Pyx_PyObject_FormatSimple(__pyx_t_1, __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 392, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_1 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_forward_search_supports_ambient, __pyx_t_5); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 392, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_t_1};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 392, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 392, __pyx_L1_error)
-
-    /* "gf2matroid/_kernels.pyx":391
- *     pure twin for the contract details.
- *     """
- *     if r > KERNEL_RANK_MAX:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"forward search supports ambient rank <= {KERNEL_RANK_MAX}")
- *     cdef FwdCtx c
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":394
- *         raise ValueError(f"forward search supports ambient rank <= {KERNEL_RANK_MAX}")
- *     cdef FwdCtx c
- *     cdef int n_all = 1 << r             # <<<<<<<<<<<<<<
- *     cdef int nw = max(1, n_all >> 6)
- *     cdef int T = min_odd_girth - 3 if min_odd_girth >= 5 else 0
-*/
-  __pyx_v_n_all = (1 << __pyx_v_r);
-
-  /* "gf2matroid/_kernels.pyx":395
- *     cdef FwdCtx c
- *     cdef int n_all = 1 << r
- *     cdef int nw = max(1, n_all >> 6)             # <<<<<<<<<<<<<<
- *     cdef int T = min_odd_girth - 3 if min_odd_girth >= 5 else 0
- *     cdef int maxd = n_all + len(forced_in) + 4
-*/
-  __pyx_t_7 = (__pyx_v_n_all >> 6);
-  __pyx_t_8 = 1;
-  __pyx_t_4 = (__pyx_t_7 > __pyx_t_8);
-  if (__pyx_t_4) {
-    __pyx_t_9 = __pyx_t_7;
-  } else {
-    __pyx_t_9 = __pyx_t_8;
-  }
-  __pyx_v_nw = __pyx_t_9;
-
-  /* "gf2matroid/_kernels.pyx":396
- *     cdef int n_all = 1 << r
- *     cdef int nw = max(1, n_all >> 6)
- *     cdef int T = min_odd_girth - 3 if min_odd_girth >= 5 else 0             # <<<<<<<<<<<<<<
- *     cdef int maxd = n_all + len(forced_in) + 4
- *     cdef int v, x, size, rank, depth, nf
-*/
-  __pyx_t_4 = (__pyx_v_min_odd_girth >= 5);
-  if (__pyx_t_4) {
-    __pyx_t_9 = (__pyx_v_min_odd_girth - 3);
-  } else {
-    __pyx_t_9 = 0;
-  }
-  __pyx_v_T = __pyx_t_9;
-
-  /* "gf2matroid/_kernels.pyx":397
- *     cdef int nw = max(1, n_all >> 6)
- *     cdef int T = min_odd_girth - 3 if min_odd_girth >= 5 else 0
- *     cdef int maxd = n_all + len(forced_in) + 4             # <<<<<<<<<<<<<<
- *     cdef int v, x, size, rank, depth, nf
- *     cdef bint dead = False
-*/
-  __pyx_t_10 = PyObject_Length(__pyx_v_forced_in); if (unlikely(__pyx_t_10 == ((Py_ssize_t)-1))) __PYX_ERR(0, 397, __pyx_L1_error)
-  __pyx_v_maxd = ((__pyx_v_n_all + __pyx_t_10) + 4);
-
-  /* "gf2matroid/_kernels.pyx":399
- *     cdef int maxd = n_all + len(forced_in) + 4
- *     cdef int v, x, size, rank, depth, nf
- *     cdef bint dead = False             # <<<<<<<<<<<<<<
- *     cdef u16 *feas
- *     cdef u64 *chosen
-*/
-  __pyx_v_dead = 0;
-
-  /* "gf2matroid/_kernels.pyx":406
- *     cdef u16 *piv
- * 
- *     c.r = r             # <<<<<<<<<<<<<<
- *     c.n_all = n_all
- *     c.nw = nw
-*/
-  __pyx_v_c.r = __pyx_v_r;
-
-  /* "gf2matroid/_kernels.pyx":407
- * 
- *     c.r = r
- *     c.n_all = n_all             # <<<<<<<<<<<<<<
- *     c.nw = nw
- *     c.T = T
-*/
-  __pyx_v_c.n_all = __pyx_v_n_all;
-
-  /* "gf2matroid/_kernels.pyx":408
- *     c.r = r
- *     c.n_all = n_all
- *     c.nw = nw             # <<<<<<<<<<<<<<
- *     c.T = T
- *     c.pg_n = pg_free_order
-*/
-  __pyx_v_c.nw = __pyx_v_nw;
-
-  /* "gf2matroid/_kernels.pyx":409
- *     c.n_all = n_all
- *     c.nw = nw
- *     c.T = T             # <<<<<<<<<<<<<<
- *     c.pg_n = pg_free_order
- *     c.min_critical = min_critical
-*/
-  __pyx_v_c.T = __pyx_v_T;
-
-  /* "gf2matroid/_kernels.pyx":410
- *     c.nw = nw
- *     c.T = T
- *     c.pg_n = pg_free_order             # <<<<<<<<<<<<<<
- *     c.min_critical = min_critical
- *     c.full_rank = full_rank
-*/
-  __pyx_v_c.pg_n = __pyx_v_pg_free_order;
-
-  /* "gf2matroid/_kernels.pyx":411
- *     c.T = T
- *     c.pg_n = pg_free_order
- *     c.min_critical = min_critical             # <<<<<<<<<<<<<<
- *     c.full_rank = full_rank
- *     c.prune = prune
-*/
-  __pyx_v_c.min_critical = __pyx_v_min_critical;
-
-  /* "gf2matroid/_kernels.pyx":412
- *     c.pg_n = pg_free_order
- *     c.min_critical = min_critical
- *     c.full_rank = full_rank             # <<<<<<<<<<<<<<
- *     c.prune = prune
- *     c.use_deadline = budget is not None
-*/
-  __pyx_v_c.full_rank = __pyx_v_full_rank;
-
-  /* "gf2matroid/_kernels.pyx":413
- *     c.min_critical = min_critical
- *     c.full_rank = full_rank
- *     c.prune = prune             # <<<<<<<<<<<<<<
- *     c.use_deadline = budget is not None
- *     c.deadline = (monotonic() + budget) if budget is not None else 0.0
-*/
-  __pyx_v_c.prune = __pyx_v_prune;
-
-  /* "gf2matroid/_kernels.pyx":414
- *     c.full_rank = full_rank
- *     c.prune = prune
- *     c.use_deadline = budget is not None             # <<<<<<<<<<<<<<
- *     c.deadline = (monotonic() + budget) if budget is not None else 0.0
- *     c.timed_out = False
-*/
-  __pyx_t_4 = (__pyx_v_budget != Py_None);
-  __pyx_v_c.use_deadline = __pyx_t_4;
-
-  /* "gf2matroid/_kernels.pyx":415
- *     c.prune = prune
- *     c.use_deadline = budget is not None
- *     c.deadline = (monotonic() + budget) if budget is not None else 0.0             # <<<<<<<<<<<<<<
- *     c.timed_out = False
- *     c.nodes = 0
-*/
-  __pyx_t_4 = (__pyx_v_budget != Py_None);
-  if (__pyx_t_4) {
-    __pyx_t_1 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_monotonic); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 415, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_6 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_2))) {
-      __pyx_t_1 = PyMethod_GET_SELF(__pyx_t_2);
-      assert(__pyx_t_1);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_2);
-      __Pyx_INCREF(__pyx_t_1);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_2, __pyx__function);
-      __pyx_t_6 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_1, NULL};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_2, __pyx_callargs+__pyx_t_6, (1-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 415, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __pyx_t_2 = PyNumber_Add(__pyx_t_3, __pyx_v_budget); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 415, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_12 = __Pyx_PyFloat_AsDouble(__pyx_t_2); if (unlikely((__pyx_t_12 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 415, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_t_11 = __pyx_t_12;
-  } else {
-    __pyx_t_11 = 0.0;
-  }
-  __pyx_v_c.deadline = __pyx_t_11;
-
-  /* "gf2matroid/_kernels.pyx":416
- *     c.use_deadline = budget is not None
- *     c.deadline = (monotonic() + budget) if budget is not None else 0.0
- *     c.timed_out = False             # <<<<<<<<<<<<<<
- *     c.nodes = 0
- *     c.best = -1
-*/
-  __pyx_v_c.timed_out = 0;
-
-  /* "gf2matroid/_kernels.pyx":417
- *     c.deadline = (monotonic() + budget) if budget is not None else 0.0
- *     c.timed_out = False
- *     c.nodes = 0             # <<<<<<<<<<<<<<
- *     c.best = -1
- * 
-*/
-  __pyx_v_c.nodes = 0;
-
-  /* "gf2matroid/_kernels.pyx":418
- *     c.timed_out = False
- *     c.nodes = 0
- *     c.best = -1             # <<<<<<<<<<<<<<
- * 
- *     c.best_mask = <u64 *> calloc(nw, sizeof(u64))
-*/
-  __pyx_v_c.best = -1;
-
-  /* "gf2matroid/_kernels.pyx":420
- *     c.best = -1
- * 
- *     c.best_mask = <u64 *> calloc(nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.hit = <u64 *> calloc(<size_t> n_all * nw, sizeof(u64))
- *     c.nonzero = <u64 *> calloc(nw, sizeof(u64))
-*/
-  __pyx_v_c.best_mask = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc(__pyx_v_nw, (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":421
- * 
- *     c.best_mask = <u64 *> calloc(nw, sizeof(u64))
- *     c.hit = <u64 *> calloc(<size_t> n_all * nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.nonzero = <u64 *> calloc(nw, sizeof(u64))
- *     c.slab_chosen = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
-*/
-  __pyx_v_c.hit = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc((((size_t)__pyx_v_n_all) * __pyx_v_nw), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":422
- *     c.best_mask = <u64 *> calloc(nw, sizeof(u64))
- *     c.hit = <u64 *> calloc(<size_t> n_all * nw, sizeof(u64))
- *     c.nonzero = <u64 *> calloc(nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.slab_chosen = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_sums = <u64 *> calloc(<size_t> maxd * (T + 1) * nw, sizeof(u64))
-*/
-  __pyx_v_c.nonzero = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc(__pyx_v_nw, (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":423
- *     c.hit = <u64 *> calloc(<size_t> n_all * nw, sizeof(u64))
- *     c.nonzero = <u64 *> calloc(nw, sizeof(u64))
- *     c.slab_chosen = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.slab_sums = <u64 *> calloc(<size_t> maxd * (T + 1) * nw, sizeof(u64))
- *     c.slab_covers = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
-*/
-  __pyx_v_c.slab_chosen = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc((((size_t)__pyx_v_maxd) * __pyx_v_nw), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":424
- *     c.nonzero = <u64 *> calloc(nw, sizeof(u64))
- *     c.slab_chosen = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_sums = <u64 *> calloc(<size_t> maxd * (T + 1) * nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.slab_covers = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_piv = <u16 *> calloc(<size_t> maxd * r, sizeof(u16))
-*/
-  __pyx_v_c.slab_sums = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc(((((size_t)__pyx_v_maxd) * (__pyx_v_T + 1)) * __pyx_v_nw), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":425
- *     c.slab_chosen = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_sums = <u64 *> calloc(<size_t> maxd * (T + 1) * nw, sizeof(u64))
- *     c.slab_covers = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.slab_piv = <u16 *> calloc(<size_t> maxd * r, sizeof(u16))
- *     c.slab_feas = <u16 *> calloc(<size_t> maxd * n_all, sizeof(u16))
-*/
-  __pyx_v_c.slab_covers = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc((((size_t)__pyx_v_maxd) * __pyx_v_nw), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":426
- *     c.slab_sums = <u64 *> calloc(<size_t> maxd * (T + 1) * nw, sizeof(u64))
- *     c.slab_covers = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_piv = <u16 *> calloc(<size_t> maxd * r, sizeof(u16))             # <<<<<<<<<<<<<<
- *     c.slab_feas = <u16 *> calloc(<size_t> maxd * n_all, sizeof(u16))
- *     c.scratch = <u64 *> calloc(3 * nw + 2 * nw * (r + 1), sizeof(u64))
-*/
-  __pyx_v_c.slab_piv = ((__pyx_t_10gf2matroid_8_kernels_u16 *)calloc((((size_t)__pyx_v_maxd) * __pyx_v_r), (sizeof(__pyx_t_10gf2matroid_8_kernels_u16))));
-
-  /* "gf2matroid/_kernels.pyx":427
- *     c.slab_covers = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_piv = <u16 *> calloc(<size_t> maxd * r, sizeof(u16))
- *     c.slab_feas = <u16 *> calloc(<size_t> maxd * n_all, sizeof(u16))             # <<<<<<<<<<<<<<
- *     c.scratch = <u64 *> calloc(3 * nw + 2 * nw * (r + 1), sizeof(u64))
- *     if (c.best_mask == NULL or c.hit == NULL or c.nonzero == NULL
-*/
-  __pyx_v_c.slab_feas = ((__pyx_t_10gf2matroid_8_kernels_u16 *)calloc((((size_t)__pyx_v_maxd) * __pyx_v_n_all), (sizeof(__pyx_t_10gf2matroid_8_kernels_u16))));
-
-  /* "gf2matroid/_kernels.pyx":428
- *     c.slab_piv = <u16 *> calloc(<size_t> maxd * r, sizeof(u16))
- *     c.slab_feas = <u16 *> calloc(<size_t> maxd * n_all, sizeof(u16))
- *     c.scratch = <u64 *> calloc(3 * nw + 2 * nw * (r + 1), sizeof(u64))             # <<<<<<<<<<<<<<
- *     if (c.best_mask == NULL or c.hit == NULL or c.nonzero == NULL
- *             or c.slab_chosen == NULL or c.slab_sums == NULL
-*/
-  __pyx_v_c.scratch = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc(((3 * __pyx_v_nw) + ((2 * __pyx_v_nw) * (__pyx_v_r + 1))), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":429
- *     c.slab_feas = <u16 *> calloc(<size_t> maxd * n_all, sizeof(u16))
- *     c.scratch = <u64 *> calloc(3 * nw + 2 * nw * (r + 1), sizeof(u64))
- *     if (c.best_mask == NULL or c.hit == NULL or c.nonzero == NULL             # <<<<<<<<<<<<<<
- *             or c.slab_chosen == NULL or c.slab_sums == NULL
- *             or c.slab_covers == NULL or c.slab_piv == NULL
-*/
-  __pyx_t_13 = (__pyx_v_c.best_mask == NULL);
-  if (!__pyx_t_13) {
-  } else {
-    __pyx_t_4 = __pyx_t_13;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_13 = (__pyx_v_c.hit == NULL);
-  if (!__pyx_t_13) {
-  } else {
-    __pyx_t_4 = __pyx_t_13;
-    goto __pyx_L5_bool_binop_done;
-  }
-
-  /* "gf2matroid/_kernels.pyx":430
- *     c.scratch = <u64 *> calloc(3 * nw + 2 * nw * (r + 1), sizeof(u64))
- *     if (c.best_mask == NULL or c.hit == NULL or c.nonzero == NULL
- *             or c.slab_chosen == NULL or c.slab_sums == NULL             # <<<<<<<<<<<<<<
- *             or c.slab_covers == NULL or c.slab_piv == NULL
- *             or c.slab_feas == NULL or c.scratch == NULL):
-*/
-  __pyx_t_13 = (__pyx_v_c.nonzero == NULL);
-  if (!__pyx_t_13) {
-  } else {
-    __pyx_t_4 = __pyx_t_13;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_13 = (__pyx_v_c.slab_chosen == NULL);
-  if (!__pyx_t_13) {
-  } else {
-    __pyx_t_4 = __pyx_t_13;
-    goto __pyx_L5_bool_binop_done;
-  }
-
-  /* "gf2matroid/_kernels.pyx":431
- *     if (c.best_mask == NULL or c.hit == NULL or c.nonzero == NULL
- *             or c.slab_chosen == NULL or c.slab_sums == NULL
- *             or c.slab_covers == NULL or c.slab_piv == NULL             # <<<<<<<<<<<<<<
- *             or c.slab_feas == NULL or c.scratch == NULL):
- *         _fwd_free(&c)
-*/
-  __pyx_t_13 = (__pyx_v_c.slab_sums == NULL);
-  if (!__pyx_t_13) {
-  } else {
-    __pyx_t_4 = __pyx_t_13;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_13 = (__pyx_v_c.slab_covers == NULL);
-  if (!__pyx_t_13) {
-  } else {
-    __pyx_t_4 = __pyx_t_13;
-    goto __pyx_L5_bool_binop_done;
-  }
-
-  /* "gf2matroid/_kernels.pyx":432
- *             or c.slab_chosen == NULL or c.slab_sums == NULL
- *             or c.slab_covers == NULL or c.slab_piv == NULL
- *             or c.slab_feas == NULL or c.scratch == NULL):             # <<<<<<<<<<<<<<
- *         _fwd_free(&c)
- *         raise MemoryError
-*/
-  __pyx_t_13 = (__pyx_v_c.slab_piv == NULL);
-  if (!__pyx_t_13) {
-  } else {
-    __pyx_t_4 = __pyx_t_13;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_13 = (__pyx_v_c.slab_feas == NULL);
-  if (!__pyx_t_13) {
-  } else {
-    __pyx_t_4 = __pyx_t_13;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_13 = (__pyx_v_c.scratch == NULL);
-  __pyx_t_4 = __pyx_t_13;
-  __pyx_L5_bool_binop_done:;
-
-  /* "gf2matroid/_kernels.pyx":429
- *     c.slab_feas = <u16 *> calloc(<size_t> maxd * n_all, sizeof(u16))
- *     c.scratch = <u64 *> calloc(3 * nw + 2 * nw * (r + 1), sizeof(u64))
- *     if (c.best_mask == NULL or c.hit == NULL or c.nonzero == NULL             # <<<<<<<<<<<<<<
- *             or c.slab_chosen == NULL or c.slab_sums == NULL
- *             or c.slab_covers == NULL or c.slab_piv == NULL
-*/
-  if (unlikely(__pyx_t_4)) {
-
-    /* "gf2matroid/_kernels.pyx":433
- *             or c.slab_covers == NULL or c.slab_piv == NULL
- *             or c.slab_feas == NULL or c.scratch == NULL):
- *         _fwd_free(&c)             # <<<<<<<<<<<<<<
- *         raise MemoryError
- * 
-*/
-    __pyx_f_10gf2matroid_8_kernels__fwd_free((&__pyx_v_c));
-
-    /* "gf2matroid/_kernels.pyx":434
- *             or c.slab_feas == NULL or c.scratch == NULL):
- *         _fwd_free(&c)
- *         raise MemoryError             # <<<<<<<<<<<<<<
- * 
- *     try:
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 434, __pyx_L1_error)
-
-    /* "gf2matroid/_kernels.pyx":429
- *     c.slab_feas = <u16 *> calloc(<size_t> maxd * n_all, sizeof(u16))
- *     c.scratch = <u64 *> calloc(3 * nw + 2 * nw * (r + 1), sizeof(u64))
- *     if (c.best_mask == NULL or c.hit == NULL or c.nonzero == NULL             # <<<<<<<<<<<<<<
- *             or c.slab_chosen == NULL or c.slab_sums == NULL
- *             or c.slab_covers == NULL or c.slab_piv == NULL
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":436
- *         raise MemoryError
- * 
- *     try:             # <<<<<<<<<<<<<<
- *         for v in range(1, n_all):
- *             for x in range(1, n_all):
-*/
-  /*try:*/ {
-
-    /* "gf2matroid/_kernels.pyx":437
- * 
- *     try:
- *         for v in range(1, n_all):             # <<<<<<<<<<<<<<
- *             for x in range(1, n_all):
- *                 if popcnt64(<u64> (v & x)) & 1:
-*/
-    __pyx_t_14 = __pyx_v_n_all;
-    __pyx_t_15 = __pyx_t_14;
-    for (__pyx_t_16 = 1; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-      __pyx_v_v = __pyx_t_16;
-
-      /* "gf2matroid/_kernels.pyx":438
- *     try:
- *         for v in range(1, n_all):
- *             for x in range(1, n_all):             # <<<<<<<<<<<<<<
- *                 if popcnt64(<u64> (v & x)) & 1:
- *                     bs_set(c.hit + v * nw, x)
-*/
-      __pyx_t_17 = __pyx_v_n_all;
-      __pyx_t_18 = __pyx_t_17;
-      for (__pyx_t_19 = 1; __pyx_t_19 < __pyx_t_18; __pyx_t_19+=1) {
-        __pyx_v_x = __pyx_t_19;
-
-        /* "gf2matroid/_kernels.pyx":439
- *         for v in range(1, n_all):
- *             for x in range(1, n_all):
- *                 if popcnt64(<u64> (v & x)) & 1:             # <<<<<<<<<<<<<<
- *                     bs_set(c.hit + v * nw, x)
- *             bs_set(c.nonzero, v)
-*/
-        __pyx_t_4 = ((popcnt64(((__pyx_t_10gf2matroid_8_kernels_u64)(__pyx_v_v & __pyx_v_x))) & 1) != 0);
-        if (__pyx_t_4) {
-
-          /* "gf2matroid/_kernels.pyx":440
- *             for x in range(1, n_all):
- *                 if popcnt64(<u64> (v & x)) & 1:
- *                     bs_set(c.hit + v * nw, x)             # <<<<<<<<<<<<<<
- *             bs_set(c.nonzero, v)
- * 
-*/
-          __pyx_f_10gf2matroid_8_kernels_bs_set((__pyx_v_c.hit + (__pyx_v_v * __pyx_v_nw)), __pyx_v_x);
-
-          /* "gf2matroid/_kernels.pyx":439
- *         for v in range(1, n_all):
- *             for x in range(1, n_all):
- *                 if popcnt64(<u64> (v & x)) & 1:             # <<<<<<<<<<<<<<
- *                     bs_set(c.hit + v * nw, x)
- *             bs_set(c.nonzero, v)
-*/
-        }
-      }
-
-      /* "gf2matroid/_kernels.pyx":441
- *                 if popcnt64(<u64> (v & x)) & 1:
- *                     bs_set(c.hit + v * nw, x)
- *             bs_set(c.nonzero, v)             # <<<<<<<<<<<<<<
- * 
- *         # root state in slab slot 0
-*/
-      __pyx_f_10gf2matroid_8_kernels_bs_set(__pyx_v_c.nonzero, __pyx_v_v);
-    }
-
-    /* "gf2matroid/_kernels.pyx":444
- * 
- *         # root state in slab slot 0
- *         chosen = c.slab_chosen             # <<<<<<<<<<<<<<
- *         sums = c.slab_sums
- *         covers = c.slab_covers
-*/
-    __pyx_t_20 = __pyx_v_c.slab_chosen;
-    __pyx_v_chosen = __pyx_t_20;
-
-    /* "gf2matroid/_kernels.pyx":445
- *         # root state in slab slot 0
- *         chosen = c.slab_chosen
- *         sums = c.slab_sums             # <<<<<<<<<<<<<<
- *         covers = c.slab_covers
- *         piv = c.slab_piv
-*/
-    __pyx_t_20 = __pyx_v_c.slab_sums;
-    __pyx_v_sums = __pyx_t_20;
-
-    /* "gf2matroid/_kernels.pyx":446
- *         chosen = c.slab_chosen
- *         sums = c.slab_sums
- *         covers = c.slab_covers             # <<<<<<<<<<<<<<
- *         piv = c.slab_piv
- *         bs_set(sums, 0)  # the empty subset sums to zero
-*/
-    __pyx_t_20 = __pyx_v_c.slab_covers;
-    __pyx_v_covers = __pyx_t_20;
-
-    /* "gf2matroid/_kernels.pyx":447
- *         sums = c.slab_sums
- *         covers = c.slab_covers
- *         piv = c.slab_piv             # <<<<<<<<<<<<<<
- *         bs_set(sums, 0)  # the empty subset sums to zero
- *         memcpy(covers, c.nonzero, nw * sizeof(u64))
-*/
-    __pyx_t_21 = __pyx_v_c.slab_piv;
-    __pyx_v_piv = __pyx_t_21;
-
-    /* "gf2matroid/_kernels.pyx":448
- *         covers = c.slab_covers
- *         piv = c.slab_piv
- *         bs_set(sums, 0)  # the empty subset sums to zero             # <<<<<<<<<<<<<<
- *         memcpy(covers, c.nonzero, nw * sizeof(u64))
- *         size = 0
-*/
-    __pyx_f_10gf2matroid_8_kernels_bs_set(__pyx_v_sums, 0);
-
-    /* "gf2matroid/_kernels.pyx":449
- *         piv = c.slab_piv
- *         bs_set(sums, 0)  # the empty subset sums to zero
- *         memcpy(covers, c.nonzero, nw * sizeof(u64))             # <<<<<<<<<<<<<<
- *         size = 0
- *         rank = 0
-*/
-    (void)(memcpy(__pyx_v_covers, __pyx_v_c.nonzero, (__pyx_v_nw * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-    /* "gf2matroid/_kernels.pyx":450
- *         bs_set(sums, 0)  # the empty subset sums to zero
- *         memcpy(covers, c.nonzero, nw * sizeof(u64))
- *         size = 0             # <<<<<<<<<<<<<<
- *         rank = 0
- *         depth = 0
-*/
-    __pyx_v_size = 0;
-
-    /* "gf2matroid/_kernels.pyx":451
- *         memcpy(covers, c.nonzero, nw * sizeof(u64))
- *         size = 0
- *         rank = 0             # <<<<<<<<<<<<<<
- *         depth = 0
- *         for vv in forced_in:
-*/
-    __pyx_v_rank = 0;
-
-    /* "gf2matroid/_kernels.pyx":452
- *         size = 0
- *         rank = 0
- *         depth = 0             # <<<<<<<<<<<<<<
- *         for vv in forced_in:
- *             v = vv
-*/
-    __pyx_v_depth = 0;
-
-    /* "gf2matroid/_kernels.pyx":453
- *         rank = 0
- *         depth = 0
- *         for vv in forced_in:             # <<<<<<<<<<<<<<
- *             v = vv
- *             if not fwd_feasible(&c, v, chosen, sums):
-*/
-    if (likely(PyList_CheckExact(__pyx_v_forced_in)) || PyTuple_CheckExact(__pyx_v_forced_in)) {
-      __pyx_t_2 = __pyx_v_forced_in; __Pyx_INCREF(__pyx_t_2);
-      __pyx_t_10 = 0;
-      __pyx_t_22 = NULL;
-    } else {
-      __pyx_t_10 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_v_forced_in); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 453, __pyx_L15_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_22 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_22)) __PYX_ERR(0, 453, __pyx_L15_error)
-    }
-    for (;;) {
-      if (likely(!__pyx_t_22)) {
-        if (likely(PyList_CheckExact(__pyx_t_2))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 453, __pyx_L15_error)
-            #endif
-            if (__pyx_t_10 >= __pyx_temp) break;
-          }
-          __pyx_t_3 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_10, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_10;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 453, __pyx_L15_error)
-            #endif
-            if (__pyx_t_10 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_3 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_10));
-          #else
-          __pyx_t_3 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_10);
-          #endif
-          ++__pyx_t_10;
-        }
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 453, __pyx_L15_error)
-      } else {
-        __pyx_t_3 = __pyx_t_22(__pyx_t_2);
-        if (unlikely(!__pyx_t_3)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 453, __pyx_L15_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_3);
-      __Pyx_XDECREF_SET(__pyx_v_vv, __pyx_t_3);
-      __pyx_t_3 = 0;
-
-      /* "gf2matroid/_kernels.pyx":454
- *         depth = 0
- *         for vv in forced_in:
- *             v = vv             # <<<<<<<<<<<<<<
- *             if not fwd_feasible(&c, v, chosen, sums):
- *                 dead = True
-*/
-      __pyx_t_14 = __Pyx_PyLong_As_int(__pyx_v_vv); if (unlikely((__pyx_t_14 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 454, __pyx_L15_error)
-      __pyx_v_v = __pyx_t_14;
-
-      /* "gf2matroid/_kernels.pyx":455
- *         for vv in forced_in:
- *             v = vv
- *             if not fwd_feasible(&c, v, chosen, sums):             # <<<<<<<<<<<<<<
- *                 dead = True
- *                 break
-*/
-      __pyx_t_4 = (!__pyx_f_10gf2matroid_8_kernels_fwd_feasible((&__pyx_v_c), __pyx_v_v, __pyx_v_chosen, __pyx_v_sums));
-      if (__pyx_t_4) {
-
-        /* "gf2matroid/_kernels.pyx":456
- *             v = vv
- *             if not fwd_feasible(&c, v, chosen, sums):
- *                 dead = True             # <<<<<<<<<<<<<<
- *                 break
- *             rank = fwd_include(&c, v, depth, chosen, sums, covers, piv, rank)
-*/
-        __pyx_v_dead = 1;
-
-        /* "gf2matroid/_kernels.pyx":457
- *             if not fwd_feasible(&c, v, chosen, sums):
- *                 dead = True
- *                 break             # <<<<<<<<<<<<<<
- *             rank = fwd_include(&c, v, depth, chosen, sums, covers, piv, rank)
- *             depth += 1
-*/
-        goto __pyx_L23_break;
-
-        /* "gf2matroid/_kernels.pyx":455
- *         for vv in forced_in:
- *             v = vv
- *             if not fwd_feasible(&c, v, chosen, sums):             # <<<<<<<<<<<<<<
- *                 dead = True
- *                 break
-*/
-      }
-
-      /* "gf2matroid/_kernels.pyx":458
- *                 dead = True
- *                 break
- *             rank = fwd_include(&c, v, depth, chosen, sums, covers, piv, rank)             # <<<<<<<<<<<<<<
- *             depth += 1
- *             chosen = c.slab_chosen + depth * nw
-*/
-      __pyx_v_rank = __pyx_f_10gf2matroid_8_kernels_fwd_include((&__pyx_v_c), __pyx_v_v, __pyx_v_depth, __pyx_v_chosen, __pyx_v_sums, __pyx_v_covers, __pyx_v_piv, __pyx_v_rank);
-
-      /* "gf2matroid/_kernels.pyx":459
- *                 break
- *             rank = fwd_include(&c, v, depth, chosen, sums, covers, piv, rank)
- *             depth += 1             # <<<<<<<<<<<<<<
- *             chosen = c.slab_chosen + depth * nw
- *             sums = c.slab_sums + depth * (T + 1) * nw
-*/
-      __pyx_v_depth = (__pyx_v_depth + 1);
-
-      /* "gf2matroid/_kernels.pyx":460
- *             rank = fwd_include(&c, v, depth, chosen, sums, covers, piv, rank)
- *             depth += 1
- *             chosen = c.slab_chosen + depth * nw             # <<<<<<<<<<<<<<
- *             sums = c.slab_sums + depth * (T + 1) * nw
- *             covers = c.slab_covers + depth * nw
-*/
-      __pyx_v_chosen = (__pyx_v_c.slab_chosen + (__pyx_v_depth * __pyx_v_nw));
-
-      /* "gf2matroid/_kernels.pyx":461
- *             depth += 1
- *             chosen = c.slab_chosen + depth * nw
- *             sums = c.slab_sums + depth * (T + 1) * nw             # <<<<<<<<<<<<<<
- *             covers = c.slab_covers + depth * nw
- *             piv = c.slab_piv + depth * r
-*/
-      __pyx_v_sums = (__pyx_v_c.slab_sums + ((__pyx_v_depth * (__pyx_v_T + 1)) * __pyx_v_nw));
-
-      /* "gf2matroid/_kernels.pyx":462
- *             chosen = c.slab_chosen + depth * nw
- *             sums = c.slab_sums + depth * (T + 1) * nw
- *             covers = c.slab_covers + depth * nw             # <<<<<<<<<<<<<<
- *             piv = c.slab_piv + depth * r
- *             size += 1
-*/
-      __pyx_v_covers = (__pyx_v_c.slab_covers + (__pyx_v_depth * __pyx_v_nw));
-
-      /* "gf2matroid/_kernels.pyx":463
- *             sums = c.slab_sums + depth * (T + 1) * nw
- *             covers = c.slab_covers + depth * nw
- *             piv = c.slab_piv + depth * r             # <<<<<<<<<<<<<<
- *             size += 1
- *         if not dead:
-*/
-      __pyx_v_piv = (__pyx_v_c.slab_piv + (__pyx_v_depth * __pyx_v_r));
-
-      /* "gf2matroid/_kernels.pyx":464
- *             covers = c.slab_covers + depth * nw
- *             piv = c.slab_piv + depth * r
- *             size += 1             # <<<<<<<<<<<<<<
- *         if not dead:
- *             feas = c.slab_feas + depth * n_all
-*/
-      __pyx_v_size = (__pyx_v_size + 1);
-
-      /* "gf2matroid/_kernels.pyx":453
- *         rank = 0
- *         depth = 0
- *         for vv in forced_in:             # <<<<<<<<<<<<<<
- *             v = vv
- *             if not fwd_feasible(&c, v, chosen, sums):
-*/
-    }
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    goto __pyx_L25_for_end;
-    __pyx_L23_break:;
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    goto __pyx_L25_for_end;
-    __pyx_L25_for_end:;
-
-    /* "gf2matroid/_kernels.pyx":465
- *             piv = c.slab_piv + depth * r
- *             size += 1
- *         if not dead:             # <<<<<<<<<<<<<<
- *             feas = c.slab_feas + depth * n_all
- *             nf = 0
-*/
-    __pyx_t_4 = (!__pyx_v_dead);
-    if (__pyx_t_4) {
-
-      /* "gf2matroid/_kernels.pyx":466
- *             size += 1
- *         if not dead:
- *             feas = c.slab_feas + depth * n_all             # <<<<<<<<<<<<<<
- *             nf = 0
- *             for v in range(n_all - 1, 0, -1):
-*/
-      __pyx_v_feas = (__pyx_v_c.slab_feas + (__pyx_v_depth * __pyx_v_n_all));
-
-      /* "gf2matroid/_kernels.pyx":467
- *         if not dead:
- *             feas = c.slab_feas + depth * n_all
- *             nf = 0             # <<<<<<<<<<<<<<
- *             for v in range(n_all - 1, 0, -1):
- *                 if bs_get(chosen, v):
-*/
-      __pyx_v_nf = 0;
-
-      /* "gf2matroid/_kernels.pyx":468
- *             feas = c.slab_feas + depth * n_all
- *             nf = 0
- *             for v in range(n_all - 1, 0, -1):             # <<<<<<<<<<<<<<
- *                 if bs_get(chosen, v):
- *                     continue
-*/
-      for (__pyx_t_14 = (__pyx_v_n_all - 1); __pyx_t_14 > 0; __pyx_t_14-=1) {
-        __pyx_v_v = __pyx_t_14;
-
-        /* "gf2matroid/_kernels.pyx":469
- *             nf = 0
- *             for v in range(n_all - 1, 0, -1):
- *                 if bs_get(chosen, v):             # <<<<<<<<<<<<<<
- *                     continue
- *                 if (forced_out_mask >> v) & 1:
-*/
-        __pyx_t_4 = __pyx_f_10gf2matroid_8_kernels_bs_get(__pyx_v_chosen, __pyx_v_v);
-        if (__pyx_t_4) {
-
-          /* "gf2matroid/_kernels.pyx":470
- *             for v in range(n_all - 1, 0, -1):
- *                 if bs_get(chosen, v):
- *                     continue             # <<<<<<<<<<<<<<
- *                 if (forced_out_mask >> v) & 1:
- *                     continue
-*/
-          goto __pyx_L27_continue;
-
-          /* "gf2matroid/_kernels.pyx":469
- *             nf = 0
- *             for v in range(n_all - 1, 0, -1):
- *                 if bs_get(chosen, v):             # <<<<<<<<<<<<<<
- *                     continue
- *                 if (forced_out_mask >> v) & 1:
-*/
-        }
-
-        /* "gf2matroid/_kernels.pyx":471
- *                 if bs_get(chosen, v):
- *                     continue
- *                 if (forced_out_mask >> v) & 1:             # <<<<<<<<<<<<<<
- *                     continue
- *                 if fwd_feasible(&c, v, chosen, sums):
-*/
-        __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_v); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 471, __pyx_L15_error)
-        __Pyx_GOTREF(__pyx_t_2);
-        __pyx_t_3 = PyNumber_Rshift(__pyx_v_forced_out_mask, __pyx_t_2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 471, __pyx_L15_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-        __pyx_t_2 = __Pyx_PyLong_AndObjC(__pyx_t_3, __pyx_mstate_global->__pyx_int_1, 1, 0, 0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 471, __pyx_L15_error)
-        __Pyx_GOTREF(__pyx_t_2);
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-        __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_2); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 471, __pyx_L15_error)
-        __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-        if (__pyx_t_4) {
-
-          /* "gf2matroid/_kernels.pyx":472
- *                     continue
- *                 if (forced_out_mask >> v) & 1:
- *                     continue             # <<<<<<<<<<<<<<
- *                 if fwd_feasible(&c, v, chosen, sums):
- *                     feas[nf] = <u16> v
-*/
-          goto __pyx_L27_continue;
-
-          /* "gf2matroid/_kernels.pyx":471
- *                 if bs_get(chosen, v):
- *                     continue
- *                 if (forced_out_mask >> v) & 1:             # <<<<<<<<<<<<<<
- *                     continue
- *                 if fwd_feasible(&c, v, chosen, sums):
-*/
-        }
-
-        /* "gf2matroid/_kernels.pyx":473
- *                 if (forced_out_mask >> v) & 1:
- *                     continue
- *                 if fwd_feasible(&c, v, chosen, sums):             # <<<<<<<<<<<<<<
- *                     feas[nf] = <u16> v
- *                     nf += 1
-*/
-        __pyx_t_4 = __pyx_f_10gf2matroid_8_kernels_fwd_feasible((&__pyx_v_c), __pyx_v_v, __pyx_v_chosen, __pyx_v_sums);
-        if (__pyx_t_4) {
-
-          /* "gf2matroid/_kernels.pyx":474
- *                     continue
- *                 if fwd_feasible(&c, v, chosen, sums):
- *                     feas[nf] = <u16> v             # <<<<<<<<<<<<<<
- *                     nf += 1
- *             fwd_dfs(&c, depth, feas, nf, chosen, sums, covers, piv, rank, size)
-*/
-          (__pyx_v_feas[__pyx_v_nf]) = ((__pyx_t_10gf2matroid_8_kernels_u16)__pyx_v_v);
-
-          /* "gf2matroid/_kernels.pyx":475
- *                 if fwd_feasible(&c, v, chosen, sums):
- *                     feas[nf] = <u16> v
- *                     nf += 1             # <<<<<<<<<<<<<<
- *             fwd_dfs(&c, depth, feas, nf, chosen, sums, covers, piv, rank, size)
- *         best_mask = words_to_int(c.best_mask, nw) if c.best >= 0 else 0
-*/
-          __pyx_v_nf = (__pyx_v_nf + 1);
-
-          /* "gf2matroid/_kernels.pyx":473
- *                 if (forced_out_mask >> v) & 1:
- *                     continue
- *                 if fwd_feasible(&c, v, chosen, sums):             # <<<<<<<<<<<<<<
- *                     feas[nf] = <u16> v
- *                     nf += 1
-*/
-        }
-        __pyx_L27_continue:;
-      }
-
-      /* "gf2matroid/_kernels.pyx":476
- *                     feas[nf] = <u16> v
- *                     nf += 1
- *             fwd_dfs(&c, depth, feas, nf, chosen, sums, covers, piv, rank, size)             # <<<<<<<<<<<<<<
- *         best_mask = words_to_int(c.best_mask, nw) if c.best >= 0 else 0
- *         return c.best, best_mask, int(c.nodes), not c.timed_out
-*/
-      __pyx_f_10gf2matroid_8_kernels_fwd_dfs((&__pyx_v_c), __pyx_v_depth, __pyx_v_feas, __pyx_v_nf, __pyx_v_chosen, __pyx_v_sums, __pyx_v_covers, __pyx_v_piv, __pyx_v_rank, __pyx_v_size);
-
-      /* "gf2matroid/_kernels.pyx":465
- *             piv = c.slab_piv + depth * r
- *             size += 1
- *         if not dead:             # <<<<<<<<<<<<<<
- *             feas = c.slab_feas + depth * n_all
- *             nf = 0
-*/
-    }
-
-    /* "gf2matroid/_kernels.pyx":477
- *                     nf += 1
- *             fwd_dfs(&c, depth, feas, nf, chosen, sums, covers, piv, rank, size)
- *         best_mask = words_to_int(c.best_mask, nw) if c.best >= 0 else 0             # <<<<<<<<<<<<<<
- *         return c.best, best_mask, int(c.nodes), not c.timed_out
- *     finally:
-*/
-    __pyx_t_4 = (__pyx_v_c.best >= 0);
-    if (__pyx_t_4) {
-      __pyx_t_3 = __pyx_f_10gf2matroid_8_kernels_words_to_int(__pyx_v_c.best_mask, __pyx_v_nw); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 477, __pyx_L15_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_2 = __pyx_t_3;
-      __pyx_t_3 = 0;
-    } else {
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-      __pyx_t_2 = __pyx_mstate_global->__pyx_int_0;
-    }
-    __pyx_v_best_mask = __pyx_t_2;
-    __pyx_t_2 = 0;
-
-    /* "gf2matroid/_kernels.pyx":478
- *             fwd_dfs(&c, depth, feas, nf, chosen, sums, covers, piv, rank, size)
- *         best_mask = words_to_int(c.best_mask, nw) if c.best >= 0 else 0
- *         return c.best, best_mask, int(c.nodes), not c.timed_out             # <<<<<<<<<<<<<<
- *     finally:
- *         _fwd_free(&c)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_c.best); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 478, __pyx_L15_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_1 = NULL;
-    __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_c.nodes); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 478, __pyx_L15_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_1, __pyx_t_5};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(&PyLong_Type), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 478, __pyx_L15_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __pyx_t_5 = __Pyx_PyBool_FromLong((!__pyx_v_c.timed_out)); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 478, __pyx_L15_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_1 = PyTuple_New(4); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 478, __pyx_L15_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_GIVEREF(__pyx_t_2);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 478, __pyx_L15_error);
-    __Pyx_INCREF(__pyx_v_best_mask);
-    __Pyx_GIVEREF(__pyx_v_best_mask);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 1, __pyx_v_best_mask) != (0)) __PYX_ERR(0, 478, __pyx_L15_error);
-    __Pyx_GIVEREF(__pyx_t_3);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 478, __pyx_L15_error);
-    __Pyx_GIVEREF(__pyx_t_5);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 3, __pyx_t_5) != (0)) __PYX_ERR(0, 478, __pyx_L15_error);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = 0;
-    __pyx_t_5 = 0;
-    __pyx_r = __pyx_t_1;
-    __pyx_t_1 = 0;
-    goto __pyx_L14_return;
-  }
-
-  /* "gf2matroid/_kernels.pyx":480
- *         return c.best, best_mask, int(c.nodes), not c.timed_out
- *     finally:
- *         _fwd_free(&c)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  /*finally:*/ {
-    __pyx_L15_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_24 = 0; __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0; __pyx_t_28 = 0; __pyx_t_29 = 0;
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_27, &__pyx_t_28, &__pyx_t_29);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_24, &__pyx_t_25, &__pyx_t_26) < 0)) __Pyx_ErrFetch(&__pyx_t_24, &__pyx_t_25, &__pyx_t_26);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __Pyx_XGOTREF(__pyx_t_25);
-      __Pyx_XGOTREF(__pyx_t_26);
-      __Pyx_XGOTREF(__pyx_t_27);
-      __Pyx_XGOTREF(__pyx_t_28);
-      __Pyx_XGOTREF(__pyx_t_29);
-      __pyx_t_14 = __pyx_lineno; __pyx_t_15 = __pyx_clineno; __pyx_t_23 = __pyx_filename;
-      {
-        __pyx_f_10gf2matroid_8_kernels__fwd_free((&__pyx_v_c));
-      }
-      __Pyx_XGIVEREF(__pyx_t_27);
-      __Pyx_XGIVEREF(__pyx_t_28);
-      __Pyx_XGIVEREF(__pyx_t_29);
-      __Pyx_ExceptionReset(__pyx_t_27, __pyx_t_28, __pyx_t_29);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_25);
-      __Pyx_XGIVEREF(__pyx_t_26);
-      __Pyx_ErrRestore(__pyx_t_24, __pyx_t_25, __pyx_t_26);
-      __pyx_t_24 = 0; __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0; __pyx_t_28 = 0; __pyx_t_29 = 0;
-      __pyx_lineno = __pyx_t_14; __pyx_clineno = __pyx_t_15; __pyx_filename = __pyx_t_23;
-      goto __pyx_L1_error;
-    }
-    __pyx_L14_return: {
-      __pyx_t_29 = __pyx_r;
-      __pyx_r = 0;
-      __pyx_f_10gf2matroid_8_kernels__fwd_free((&__pyx_v_c));
-      __pyx_r = __pyx_t_29;
-      __pyx_t_29 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "gf2matroid/_kernels.pyx":383
- * 
- * 
- * def forward_search(int r, int min_odd_girth, int pg_free_order, int min_critical,             # <<<<<<<<<<<<<<
- *                    bint full_rank, forced_in, forced_out_mask, budget,
- *                    bint prune=True):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("gf2matroid._kernels.forward_search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_vv);
-  __Pyx_XDECREF(__pyx_v_best_mask);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":503
- * 
- * 
- * cdef bint cmp_check_deadline(CmpCtx *c) noexcept:             # <<<<<<<<<<<<<<
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:
- *         if monotonic() > c.deadline:
-*/
-
-static int __pyx_f_10gf2matroid_8_kernels_cmp_check_deadline(struct __pyx_t_10gf2matroid_8_kernels_CmpCtx *__pyx_v_c) {
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("cmp_check_deadline", 0);
-
-  /* "gf2matroid/_kernels.pyx":504
- * 
- * cdef bint cmp_check_deadline(CmpCtx *c) noexcept:
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:             # <<<<<<<<<<<<<<
- *         if monotonic() > c.deadline:
- *             c.timed_out = True
-*/
-  if (__pyx_v_c->use_deadline) {
-  } else {
-    __pyx_t_1 = __pyx_v_c->use_deadline;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = ((__pyx_v_c->nodes % __pyx_v_10gf2matroid_8_kernels_CHECK_INTERVAL) == 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":505
- * cdef bint cmp_check_deadline(CmpCtx *c) noexcept:
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:
- *         if monotonic() > c.deadline:             # <<<<<<<<<<<<<<
- *             c.timed_out = True
- *             return True
-*/
-    __pyx_t_4 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_monotonic); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 505, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_5))) {
-      __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-      assert(__pyx_t_4);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-      __Pyx_INCREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-      __pyx_t_6 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, NULL};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_6, (1-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 505, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __pyx_t_5 = PyFloat_FromDouble(__pyx_v_c->deadline); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 505, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_4 = PyObject_RichCompare(__pyx_t_3, __pyx_t_5, Py_GT); __Pyx_XGOTREF(__pyx_t_4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 505, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_1 = __Pyx_PyObject_IsTrue(__pyx_t_4); if (unlikely((__pyx_t_1 < 0))) __PYX_ERR(0, 505, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (__pyx_t_1) {
-
-      /* "gf2matroid/_kernels.pyx":506
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:
- *         if monotonic() > c.deadline:
- *             c.timed_out = True             # <<<<<<<<<<<<<<
- *             return True
- *     return False
-*/
-      __pyx_v_c->timed_out = 1;
-
-      /* "gf2matroid/_kernels.pyx":507
- *         if monotonic() > c.deadline:
- *             c.timed_out = True
- *             return True             # <<<<<<<<<<<<<<
- *     return False
- * 
-*/
-      __pyx_r = 1;
-      goto __pyx_L0;
-
-      /* "gf2matroid/_kernels.pyx":505
- * cdef bint cmp_check_deadline(CmpCtx *c) noexcept:
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:
- *         if monotonic() > c.deadline:             # <<<<<<<<<<<<<<
- *             c.timed_out = True
- *             return True
-*/
-    }
-
-    /* "gf2matroid/_kernels.pyx":504
- * 
- * cdef bint cmp_check_deadline(CmpCtx *c) noexcept:
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:             # <<<<<<<<<<<<<<
- *         if monotonic() > c.deadline:
- *             c.timed_out = True
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":508
- *             c.timed_out = True
- *             return True
- *     return False             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":503
- * 
- * 
- * cdef bint cmp_check_deadline(CmpCtx *c) noexcept:             # <<<<<<<<<<<<<<
- *     if c.use_deadline and c.nodes % CHECK_INTERVAL == 0:
- *         if monotonic() > c.deadline:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_WriteUnraisable("gf2matroid._kernels.cmp_check_deadline", __pyx_clineno, __pyx_lineno, __pyx_filename, 1, 0);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":511
- * 
- * 
- * cdef int cmp_lower_bound(CmpCtx *c, u64 *uncov) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int u = bs_popcount(uncov, c.tw)
- *     cdef int bound, packed, wi, i, k
-*/
-
-static int __pyx_f_10gf2matroid_8_kernels_cmp_lower_bound(struct __pyx_t_10gf2matroid_8_kernels_CmpCtx *__pyx_v_c, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_uncov) {
-  int __pyx_v_u;
-  int __pyx_v_bound;
-  int __pyx_v_packed;
-  int __pyx_v_wi;
-  int __pyx_v_i;
-  int __pyx_v_k;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_m;
-  int __pyx_v_disjoint;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-
-  /* "gf2matroid/_kernels.pyx":512
- * 
- * cdef int cmp_lower_bound(CmpCtx *c, u64 *uncov) noexcept nogil:
- *     cdef int u = bs_popcount(uncov, c.tw)             # <<<<<<<<<<<<<<
- *     cdef int bound, packed, wi, i, k
- *     cdef u64 m
-*/
-  __pyx_v_u = __pyx_f_10gf2matroid_8_kernels_bs_popcount(__pyx_v_uncov, __pyx_v_c->tw);
-
-  /* "gf2matroid/_kernels.pyx":516
- *     cdef u64 m
- *     cdef bint disjoint
- *     if u == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     bound = (u + c.maxcov - 1) // c.maxcov
-*/
-  __pyx_t_1 = (__pyx_v_u == 0);
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":517
- *     cdef bint disjoint
- *     if u == 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     bound = (u + c.maxcov - 1) // c.maxcov
- *     packed = 0
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":516
- *     cdef u64 m
- *     cdef bint disjoint
- *     if u == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     bound = (u + c.maxcov - 1) // c.maxcov
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":518
- *     if u == 0:
- *         return 0
- *     bound = (u + c.maxcov - 1) // c.maxcov             # <<<<<<<<<<<<<<
- *     packed = 0
- *     memset(c.taken, 0, c.nw * sizeof(u64))
-*/
-  __pyx_v_bound = (((__pyx_v_u + __pyx_v_c->maxcov) - 1) / __pyx_v_c->maxcov);
-
-  /* "gf2matroid/_kernels.pyx":519
- *         return 0
- *     bound = (u + c.maxcov - 1) // c.maxcov
- *     packed = 0             # <<<<<<<<<<<<<<
- *     memset(c.taken, 0, c.nw * sizeof(u64))
- *     for wi in range(c.tw):
-*/
-  __pyx_v_packed = 0;
-
-  /* "gf2matroid/_kernels.pyx":520
- *     bound = (u + c.maxcov - 1) // c.maxcov
- *     packed = 0
- *     memset(c.taken, 0, c.nw * sizeof(u64))             # <<<<<<<<<<<<<<
- *     for wi in range(c.tw):
- *         m = uncov[wi]
-*/
-  (void)(memset(__pyx_v_c->taken, 0, (__pyx_v_c->nw * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-  /* "gf2matroid/_kernels.pyx":521
- *     packed = 0
- *     memset(c.taken, 0, c.nw * sizeof(u64))
- *     for wi in range(c.tw):             # <<<<<<<<<<<<<<
- *         m = uncov[wi]
- *         while m:
-*/
-  __pyx_t_2 = __pyx_v_c->tw;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_wi = __pyx_t_4;
-
-    /* "gf2matroid/_kernels.pyx":522
- *     memset(c.taken, 0, c.nw * sizeof(u64))
- *     for wi in range(c.tw):
- *         m = uncov[wi]             # <<<<<<<<<<<<<<
- *         while m:
- *             i = (wi << 6) + ctz64(m)
-*/
-    __pyx_v_m = (__pyx_v_uncov[__pyx_v_wi]);
-
-    /* "gf2matroid/_kernels.pyx":523
- *     for wi in range(c.tw):
- *         m = uncov[wi]
- *         while m:             # <<<<<<<<<<<<<<
- *             i = (wi << 6) + ctz64(m)
- *             m &= m - 1
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_m != 0);
-      if (!__pyx_t_1) break;
-
-      /* "gf2matroid/_kernels.pyx":524
- *         m = uncov[wi]
- *         while m:
- *             i = (wi << 6) + ctz64(m)             # <<<<<<<<<<<<<<
- *             m &= m - 1
- *             disjoint = True
-*/
-      __pyx_v_i = ((__pyx_v_wi << 6) + ctz64(__pyx_v_m));
-
-      /* "gf2matroid/_kernels.pyx":525
- *         while m:
- *             i = (wi << 6) + ctz64(m)
- *             m &= m - 1             # <<<<<<<<<<<<<<
- *             disjoint = True
- *             for k in range(c.nw):
-*/
-      __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-      /* "gf2matroid/_kernels.pyx":526
- *             i = (wi << 6) + ctz64(m)
- *             m &= m - 1
- *             disjoint = True             # <<<<<<<<<<<<<<
- *             for k in range(c.nw):
- *                 if (c.subs + i * c.nw)[k] & c.taken[k]:
-*/
-      __pyx_v_disjoint = 1;
-
-      /* "gf2matroid/_kernels.pyx":527
- *             m &= m - 1
- *             disjoint = True
- *             for k in range(c.nw):             # <<<<<<<<<<<<<<
- *                 if (c.subs + i * c.nw)[k] & c.taken[k]:
- *                     disjoint = False
-*/
-      __pyx_t_5 = __pyx_v_c->nw;
-      __pyx_t_6 = __pyx_t_5;
-      for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-        __pyx_v_k = __pyx_t_7;
-
-        /* "gf2matroid/_kernels.pyx":528
- *             disjoint = True
- *             for k in range(c.nw):
- *                 if (c.subs + i * c.nw)[k] & c.taken[k]:             # <<<<<<<<<<<<<<
- *                     disjoint = False
- *                     break
-*/
-        __pyx_t_1 = ((((__pyx_v_c->subs + (__pyx_v_i * __pyx_v_c->nw))[__pyx_v_k]) & (__pyx_v_c->taken[__pyx_v_k])) != 0);
-        if (__pyx_t_1) {
-
-          /* "gf2matroid/_kernels.pyx":529
- *             for k in range(c.nw):
- *                 if (c.subs + i * c.nw)[k] & c.taken[k]:
- *                     disjoint = False             # <<<<<<<<<<<<<<
- *                     break
- *             if disjoint:
-*/
-          __pyx_v_disjoint = 0;
-
-          /* "gf2matroid/_kernels.pyx":530
- *                 if (c.subs + i * c.nw)[k] & c.taken[k]:
- *                     disjoint = False
- *                     break             # <<<<<<<<<<<<<<
- *             if disjoint:
- *                 for k in range(c.nw):
-*/
-          goto __pyx_L9_break;
-
-          /* "gf2matroid/_kernels.pyx":528
- *             disjoint = True
- *             for k in range(c.nw):
- *                 if (c.subs + i * c.nw)[k] & c.taken[k]:             # <<<<<<<<<<<<<<
- *                     disjoint = False
- *                     break
-*/
-        }
-      }
-      __pyx_L9_break:;
-
-      /* "gf2matroid/_kernels.pyx":531
- *                     disjoint = False
- *                     break
- *             if disjoint:             # <<<<<<<<<<<<<<
- *                 for k in range(c.nw):
- *                     c.taken[k] |= (c.subs + i * c.nw)[k]
-*/
-      if (__pyx_v_disjoint) {
-
-        /* "gf2matroid/_kernels.pyx":532
- *                     break
- *             if disjoint:
- *                 for k in range(c.nw):             # <<<<<<<<<<<<<<
- *                     c.taken[k] |= (c.subs + i * c.nw)[k]
- *                 packed += 1
-*/
-        __pyx_t_5 = __pyx_v_c->nw;
-        __pyx_t_6 = __pyx_t_5;
-        for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-          __pyx_v_k = __pyx_t_7;
-
-          /* "gf2matroid/_kernels.pyx":533
- *             if disjoint:
- *                 for k in range(c.nw):
- *                     c.taken[k] |= (c.subs + i * c.nw)[k]             # <<<<<<<<<<<<<<
- *                 packed += 1
- *     return bound if bound > packed else packed
-*/
-          __pyx_t_8 = __pyx_v_k;
-          (__pyx_v_c->taken[__pyx_t_8]) = ((__pyx_v_c->taken[__pyx_t_8]) | ((__pyx_v_c->subs + (__pyx_v_i * __pyx_v_c->nw))[__pyx_v_k]));
-        }
-
-        /* "gf2matroid/_kernels.pyx":534
- *                 for k in range(c.nw):
- *                     c.taken[k] |= (c.subs + i * c.nw)[k]
- *                 packed += 1             # <<<<<<<<<<<<<<
- *     return bound if bound > packed else packed
- * 
-*/
-        __pyx_v_packed = (__pyx_v_packed + 1);
-
-        /* "gf2matroid/_kernels.pyx":531
- *                     disjoint = False
- *                     break
- *             if disjoint:             # <<<<<<<<<<<<<<
- *                 for k in range(c.nw):
- *                     c.taken[k] |= (c.subs + i * c.nw)[k]
-*/
-      }
-    }
-  }
-
-  /* "gf2matroid/_kernels.pyx":535
- *                     c.taken[k] |= (c.subs + i * c.nw)[k]
- *                 packed += 1
- *     return bound if bound > packed else packed             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = (__pyx_v_bound > __pyx_v_packed);
-  if (__pyx_t_1) {
-    __pyx_t_2 = __pyx_v_bound;
-  } else {
-    __pyx_t_2 = __pyx_v_packed;
-  }
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":511
- * 
- * 
- * cdef int cmp_lower_bound(CmpCtx *c, u64 *uncov) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int u = bs_popcount(uncov, c.tw)
- *     cdef int bound, packed, wi, i, k
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":538
- * 
- * 
- * cdef bint cmp_closes_forbidden(CmpCtx *c, u64 *b_mask, int p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i
- *     cdef u64 *tmp = c.scratch
-*/
-
-static int __pyx_f_10gf2matroid_8_kernels_cmp_closes_forbidden(struct __pyx_t_10gf2matroid_8_kernels_CmpCtx *__pyx_v_c, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_b_mask, int __pyx_v_p) {
-  int __pyx_v_i;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_tmp;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_rest;
-  int __pyx_r;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "gf2matroid/_kernels.pyx":540
- * cdef bint cmp_closes_forbidden(CmpCtx *c, u64 *b_mask, int p) noexcept nogil:
- *     cdef int i
- *     cdef u64 *tmp = c.scratch             # <<<<<<<<<<<<<<
- *     cdef u64 *rest = c.scratch + c.nw
- *     bs_translate(tmp, b_mask, p, c.nw)
-*/
-  __pyx_t_1 = __pyx_v_c->scratch;
-  __pyx_v_tmp = __pyx_t_1;
-
-  /* "gf2matroid/_kernels.pyx":541
- *     cdef int i
- *     cdef u64 *tmp = c.scratch
- *     cdef u64 *rest = c.scratch + c.nw             # <<<<<<<<<<<<<<
- *     bs_translate(tmp, b_mask, p, c.nw)
- *     for i in range(c.nw):
-*/
-  __pyx_v_rest = (__pyx_v_c->scratch + __pyx_v_c->nw);
-
-  /* "gf2matroid/_kernels.pyx":542
- *     cdef u64 *tmp = c.scratch
- *     cdef u64 *rest = c.scratch + c.nw
- *     bs_translate(tmp, b_mask, p, c.nw)             # <<<<<<<<<<<<<<
- *     for i in range(c.nw):
- *         rest[i] = b_mask[i] & tmp[i]
-*/
-  __pyx_f_10gf2matroid_8_kernels_bs_translate(__pyx_v_tmp, __pyx_v_b_mask, __pyx_v_p, __pyx_v_c->nw);
-
-  /* "gf2matroid/_kernels.pyx":543
- *     cdef u64 *rest = c.scratch + c.nw
- *     bs_translate(tmp, b_mask, p, c.nw)
- *     for i in range(c.nw):             # <<<<<<<<<<<<<<
- *         rest[i] = b_mask[i] & tmp[i]
- *     return c_has_subspace(rest, c.forbidden_dim - 1, c.r, c.nw, c.scratch + 2 * c.nw)
-*/
-  __pyx_t_2 = __pyx_v_c->nw;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "gf2matroid/_kernels.pyx":544
- *     bs_translate(tmp, b_mask, p, c.nw)
- *     for i in range(c.nw):
- *         rest[i] = b_mask[i] & tmp[i]             # <<<<<<<<<<<<<<
- *     return c_has_subspace(rest, c.forbidden_dim - 1, c.r, c.nw, c.scratch + 2 * c.nw)
- * 
-*/
-    (__pyx_v_rest[__pyx_v_i]) = ((__pyx_v_b_mask[__pyx_v_i]) & (__pyx_v_tmp[__pyx_v_i]));
-  }
-
-  /* "gf2matroid/_kernels.pyx":545
- *     for i in range(c.nw):
- *         rest[i] = b_mask[i] & tmp[i]
- *     return c_has_subspace(rest, c.forbidden_dim - 1, c.r, c.nw, c.scratch + 2 * c.nw)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_f_10gf2matroid_8_kernels_c_has_subspace(__pyx_v_rest, (__pyx_v_c->forbidden_dim - 1), __pyx_v_c->r, __pyx_v_c->nw, (__pyx_v_c->scratch + (2 * __pyx_v_c->nw)));
-  goto __pyx_L0;
-
-  /* "gf2matroid/_kernels.pyx":538
- * 
- * 
- * cdef bint cmp_closes_forbidden(CmpCtx *c, u64 *b_mask, int p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i
- *     cdef u64 *tmp = c.scratch
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "gf2matroid/_kernels.pyx":548
- * 
- * 
- * cdef void cmp_dfs(CmpCtx *c, int depth, u64 *b_mask, int b_size,             # <<<<<<<<<<<<<<
- *                   u64 *uncov, u64 *avail, bint at_root) noexcept:
- *     cdef int i, k, wi, p, window, sel, sel_count, cnt, rank, pp
-*/
-
-static void __pyx_f_10gf2matroid_8_kernels_cmp_dfs(struct __pyx_t_10gf2matroid_8_kernels_CmpCtx *__pyx_v_c, int __pyx_v_depth, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_b_mask, int __pyx_v_b_size, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_uncov, __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_avail, int __pyx_v_at_root) {
-  int __pyx_v_i;
-  int __pyx_v_k;
-  int __pyx_v_wi;
-  int __pyx_v_p;
-  int __pyx_v_window;
-  int __pyx_v_sel;
-  int __pyx_v_sel_count;
-  int __pyx_v_cnt;
-  int __pyx_v_rank;
-  int __pyx_v_pp;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_m;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_mm;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_w;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_pts;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_removed;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_cb;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_cu;
-  __pyx_t_10gf2matroid_8_kernels_u64 *__pyx_v_ca;
-  __pyx_t_10gf2matroid_8_kernels_u16 __pyx_v_piv[16];
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  long __pyx_t_5;
-  long __pyx_t_6;
-  long __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-
-  /* "gf2matroid/_kernels.pyx":558
- *     cdef u64 *ca
- *     cdef u16 piv[16]
- *     c.nodes += 1             # <<<<<<<<<<<<<<
- *     if cmp_check_deadline(c):
- *         return
-*/
-  __pyx_v_c->nodes = (__pyx_v_c->nodes + 1);
-
-  /* "gf2matroid/_kernels.pyx":559
- *     cdef u16 piv[16]
- *     c.nodes += 1
- *     if cmp_check_deadline(c):             # <<<<<<<<<<<<<<
- *         return
- *     if bs_isempty(uncov, c.tw):
-*/
-  __pyx_t_1 = __pyx_f_10gf2matroid_8_kernels_cmp_check_deadline(__pyx_v_c);
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":560
- *     c.nodes += 1
- *     if cmp_check_deadline(c):
- *         return             # <<<<<<<<<<<<<<
- *     if bs_isempty(uncov, c.tw):
- *         if c.full_rank:
-*/
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":559
- *     cdef u16 piv[16]
- *     c.nodes += 1
- *     if cmp_check_deadline(c):             # <<<<<<<<<<<<<<
- *         return
- *     if bs_isempty(uncov, c.tw):
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":561
- *     if cmp_check_deadline(c):
- *         return
- *     if bs_isempty(uncov, c.tw):             # <<<<<<<<<<<<<<
- *         if c.full_rank:
- *             memset(piv, 0, sizeof(piv))
-*/
-  __pyx_t_1 = __pyx_f_10gf2matroid_8_kernels_bs_isempty(__pyx_v_uncov, __pyx_v_c->tw);
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":562
- *         return
- *     if bs_isempty(uncov, c.tw):
- *         if c.full_rank:             # <<<<<<<<<<<<<<
- *             memset(piv, 0, sizeof(piv))
- *             rank = 0
-*/
-    if (__pyx_v_c->full_rank) {
-
-      /* "gf2matroid/_kernels.pyx":563
- *     if bs_isempty(uncov, c.tw):
- *         if c.full_rank:
- *             memset(piv, 0, sizeof(piv))             # <<<<<<<<<<<<<<
- *             rank = 0
- *             for wi in range(c.nw):
-*/
-      (void)(memset(__pyx_v_piv, 0, (sizeof(__pyx_v_piv))));
-
-      /* "gf2matroid/_kernels.pyx":564
- *         if c.full_rank:
- *             memset(piv, 0, sizeof(piv))
- *             rank = 0             # <<<<<<<<<<<<<<
- *             for wi in range(c.nw):
- *                 m = c.nonzero[wi] & ~b_mask[wi]
-*/
-      __pyx_v_rank = 0;
-
-      /* "gf2matroid/_kernels.pyx":565
- *             memset(piv, 0, sizeof(piv))
- *             rank = 0
- *             for wi in range(c.nw):             # <<<<<<<<<<<<<<
- *                 m = c.nonzero[wi] & ~b_mask[wi]
- *                 while m:
-*/
-      __pyx_t_2 = __pyx_v_c->nw;
-      __pyx_t_3 = __pyx_t_2;
-      for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-        __pyx_v_wi = __pyx_t_4;
-
-        /* "gf2matroid/_kernels.pyx":566
- *             rank = 0
- *             for wi in range(c.nw):
- *                 m = c.nonzero[wi] & ~b_mask[wi]             # <<<<<<<<<<<<<<
- *                 while m:
- *                     w = <u64> ((wi << 6) + ctz64(m))
-*/
-        __pyx_v_m = ((__pyx_v_c->nonzero[__pyx_v_wi]) & (~(__pyx_v_b_mask[__pyx_v_wi])));
-
-        /* "gf2matroid/_kernels.pyx":567
- *             for wi in range(c.nw):
- *                 m = c.nonzero[wi] & ~b_mask[wi]
- *                 while m:             # <<<<<<<<<<<<<<
- *                     w = <u64> ((wi << 6) + ctz64(m))
- *                     m &= m - 1
-*/
-        while (1) {
-          __pyx_t_1 = (__pyx_v_m != 0);
-          if (!__pyx_t_1) break;
-
-          /* "gf2matroid/_kernels.pyx":568
- *                 m = c.nonzero[wi] & ~b_mask[wi]
- *                 while m:
- *                     w = <u64> ((wi << 6) + ctz64(m))             # <<<<<<<<<<<<<<
- *                     m &= m - 1
- *                     while w:
-*/
-          __pyx_v_w = ((__pyx_t_10gf2matroid_8_kernels_u64)((__pyx_v_wi << 6) + ctz64(__pyx_v_m)));
-
-          /* "gf2matroid/_kernels.pyx":569
- *                 while m:
- *                     w = <u64> ((wi << 6) + ctz64(m))
- *                     m &= m - 1             # <<<<<<<<<<<<<<
- *                     while w:
- *                         pp = msb64(w)
-*/
-          __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-          /* "gf2matroid/_kernels.pyx":570
- *                     w = <u64> ((wi << 6) + ctz64(m))
- *                     m &= m - 1
- *                     while w:             # <<<<<<<<<<<<<<
- *                         pp = msb64(w)
- *                         if piv[pp] == 0:
-*/
-          while (1) {
-            __pyx_t_1 = (__pyx_v_w != 0);
-            if (!__pyx_t_1) break;
-
-            /* "gf2matroid/_kernels.pyx":571
- *                     m &= m - 1
- *                     while w:
- *                         pp = msb64(w)             # <<<<<<<<<<<<<<
- *                         if piv[pp] == 0:
- *                             piv[pp] = <u16> w
-*/
-            __pyx_v_pp = msb64(__pyx_v_w);
-
-            /* "gf2matroid/_kernels.pyx":572
- *                     while w:
- *                         pp = msb64(w)
- *                         if piv[pp] == 0:             # <<<<<<<<<<<<<<
- *                             piv[pp] = <u16> w
- *                             rank += 1
-*/
-            __pyx_t_1 = ((__pyx_v_piv[__pyx_v_pp]) == 0);
-            if (__pyx_t_1) {
-
-              /* "gf2matroid/_kernels.pyx":573
- *                         pp = msb64(w)
- *                         if piv[pp] == 0:
- *                             piv[pp] = <u16> w             # <<<<<<<<<<<<<<
- *                             rank += 1
- *                             break
-*/
-              (__pyx_v_piv[__pyx_v_pp]) = ((__pyx_t_10gf2matroid_8_kernels_u16)__pyx_v_w);
-
-              /* "gf2matroid/_kernels.pyx":574
- *                         if piv[pp] == 0:
- *                             piv[pp] = <u16> w
- *                             rank += 1             # <<<<<<<<<<<<<<
- *                             break
- *                         w ^= piv[pp]
-*/
-              __pyx_v_rank = (__pyx_v_rank + 1);
-
-              /* "gf2matroid/_kernels.pyx":575
- *                             piv[pp] = <u16> w
- *                             rank += 1
- *                             break             # <<<<<<<<<<<<<<
- *                         w ^= piv[pp]
- *             if rank != c.r:
-*/
-              goto __pyx_L11_break;
-
-              /* "gf2matroid/_kernels.pyx":572
- *                     while w:
- *                         pp = msb64(w)
- *                         if piv[pp] == 0:             # <<<<<<<<<<<<<<
- *                             piv[pp] = <u16> w
- *                             rank += 1
-*/
-            }
-
-            /* "gf2matroid/_kernels.pyx":576
- *                             rank += 1
- *                             break
- *                         w ^= piv[pp]             # <<<<<<<<<<<<<<
- *             if rank != c.r:
- *                 return
-*/
-            __pyx_v_w = (__pyx_v_w ^ (__pyx_v_piv[__pyx_v_pp]));
-          }
-          __pyx_L11_break:;
-        }
-      }
-
-      /* "gf2matroid/_kernels.pyx":577
- *                             break
- *                         w ^= piv[pp]
- *             if rank != c.r:             # <<<<<<<<<<<<<<
- *                 return
- *         c.best = b_size
-*/
-      __pyx_t_1 = (__pyx_v_rank != __pyx_v_c->r);
-      if (__pyx_t_1) {
-
-        /* "gf2matroid/_kernels.pyx":578
- *                         w ^= piv[pp]
- *             if rank != c.r:
- *                 return             # <<<<<<<<<<<<<<
- *         c.best = b_size
- *         memcpy(c.best_mask, b_mask, c.nw * sizeof(u64))
-*/
-        goto __pyx_L0;
-
-        /* "gf2matroid/_kernels.pyx":577
- *                             break
- *                         w ^= piv[pp]
- *             if rank != c.r:             # <<<<<<<<<<<<<<
- *                 return
- *         c.best = b_size
-*/
-      }
-
-      /* "gf2matroid/_kernels.pyx":562
- *         return
- *     if bs_isempty(uncov, c.tw):
- *         if c.full_rank:             # <<<<<<<<<<<<<<
- *             memset(piv, 0, sizeof(piv))
- *             rank = 0
-*/
-    }
-
-    /* "gf2matroid/_kernels.pyx":579
- *             if rank != c.r:
- *                 return
- *         c.best = b_size             # <<<<<<<<<<<<<<
- *         memcpy(c.best_mask, b_mask, c.nw * sizeof(u64))
- *         return
-*/
-    __pyx_v_c->best = __pyx_v_b_size;
-
-    /* "gf2matroid/_kernels.pyx":580
- *                 return
- *         c.best = b_size
- *         memcpy(c.best_mask, b_mask, c.nw * sizeof(u64))             # <<<<<<<<<<<<<<
- *         return
- *     window = c.max_blocker if c.best < 0 else min(c.max_blocker, c.best - 1)
-*/
-    (void)(memcpy(__pyx_v_c->best_mask, __pyx_v_b_mask, (__pyx_v_c->nw * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-    /* "gf2matroid/_kernels.pyx":581
- *         c.best = b_size
- *         memcpy(c.best_mask, b_mask, c.nw * sizeof(u64))
- *         return             # <<<<<<<<<<<<<<
- *     window = c.max_blocker if c.best < 0 else min(c.max_blocker, c.best - 1)
- *     if b_size + cmp_lower_bound(c, uncov) > window:
-*/
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":561
- *     if cmp_check_deadline(c):
- *         return
- *     if bs_isempty(uncov, c.tw):             # <<<<<<<<<<<<<<
- *         if c.full_rank:
- *             memset(piv, 0, sizeof(piv))
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":582
- *         memcpy(c.best_mask, b_mask, c.nw * sizeof(u64))
- *         return
- *     window = c.max_blocker if c.best < 0 else min(c.max_blocker, c.best - 1)             # <<<<<<<<<<<<<<
- *     if b_size + cmp_lower_bound(c, uncov) > window:
- *         return
-*/
-  __pyx_t_1 = (__pyx_v_c->best < 0);
-  if (__pyx_t_1) {
-    __pyx_t_5 = __pyx_v_c->max_blocker;
-  } else {
-    __pyx_t_6 = (__pyx_v_c->best - 1);
-    __pyx_t_2 = __pyx_v_c->max_blocker;
-    __pyx_t_8 = (__pyx_t_6 < __pyx_t_2);
-    if (__pyx_t_8) {
-      __pyx_t_7 = __pyx_t_6;
-    } else {
-      __pyx_t_7 = __pyx_t_2;
-    }
-    __pyx_t_5 = __pyx_t_7;
-  }
-  __pyx_v_window = __pyx_t_5;
-
-  /* "gf2matroid/_kernels.pyx":583
- *         return
- *     window = c.max_blocker if c.best < 0 else min(c.max_blocker, c.best - 1)
- *     if b_size + cmp_lower_bound(c, uncov) > window:             # <<<<<<<<<<<<<<
- *         return
- *     # fail-first: uncovered subspace with fewest available points
-*/
-  __pyx_t_1 = ((__pyx_v_b_size + __pyx_f_10gf2matroid_8_kernels_cmp_lower_bound(__pyx_v_c, __pyx_v_uncov)) > __pyx_v_window);
-  if (__pyx_t_1) {
-
-    /* "gf2matroid/_kernels.pyx":584
- *     window = c.max_blocker if c.best < 0 else min(c.max_blocker, c.best - 1)
- *     if b_size + cmp_lower_bound(c, uncov) > window:
- *         return             # <<<<<<<<<<<<<<
- *     # fail-first: uncovered subspace with fewest available points
- *     sel = -1
-*/
-    goto __pyx_L0;
-
-    /* "gf2matroid/_kernels.pyx":583
- *         return
- *     window = c.max_blocker if c.best < 0 else min(c.max_blocker, c.best - 1)
- *     if b_size + cmp_lower_bound(c, uncov) > window:             # <<<<<<<<<<<<<<
- *         return
- *     # fail-first: uncovered subspace with fewest available points
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":586
- *         return
- *     # fail-first: uncovered subspace with fewest available points
- *     sel = -1             # <<<<<<<<<<<<<<
- *     sel_count = 1 << 30
- *     for wi in range(c.tw):
-*/
-  __pyx_v_sel = -1;
-
-  /* "gf2matroid/_kernels.pyx":587
- *     # fail-first: uncovered subspace with fewest available points
- *     sel = -1
- *     sel_count = 1 << 30             # <<<<<<<<<<<<<<
- *     for wi in range(c.tw):
- *         m = uncov[wi]
-*/
-  __pyx_v_sel_count = 0x40000000;
-
-  /* "gf2matroid/_kernels.pyx":588
- *     sel = -1
- *     sel_count = 1 << 30
- *     for wi in range(c.tw):             # <<<<<<<<<<<<<<
- *         m = uncov[wi]
- *         while m:
-*/
-  __pyx_t_2 = __pyx_v_c->tw;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_wi = __pyx_t_4;
-
-    /* "gf2matroid/_kernels.pyx":589
- *     sel_count = 1 << 30
- *     for wi in range(c.tw):
- *         m = uncov[wi]             # <<<<<<<<<<<<<<
- *         while m:
- *             i = (wi << 6) + ctz64(m)
-*/
-    __pyx_v_m = (__pyx_v_uncov[__pyx_v_wi]);
-
-    /* "gf2matroid/_kernels.pyx":590
- *     for wi in range(c.tw):
- *         m = uncov[wi]
- *         while m:             # <<<<<<<<<<<<<<
- *             i = (wi << 6) + ctz64(m)
- *             m &= m - 1
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_m != 0);
-      if (!__pyx_t_1) break;
-
-      /* "gf2matroid/_kernels.pyx":591
- *         m = uncov[wi]
- *         while m:
- *             i = (wi << 6) + ctz64(m)             # <<<<<<<<<<<<<<
- *             m &= m - 1
- *             cnt = 0
-*/
-      __pyx_v_i = ((__pyx_v_wi << 6) + ctz64(__pyx_v_m));
-
-      /* "gf2matroid/_kernels.pyx":592
- *         while m:
- *             i = (wi << 6) + ctz64(m)
- *             m &= m - 1             # <<<<<<<<<<<<<<
- *             cnt = 0
- *             for k in range(c.nw):
-*/
-      __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-      /* "gf2matroid/_kernels.pyx":593
- *             i = (wi << 6) + ctz64(m)
- *             m &= m - 1
- *             cnt = 0             # <<<<<<<<<<<<<<
- *             for k in range(c.nw):
- *                 cnt += popcnt64((c.subs + i * c.nw)[k] & avail[k])
-*/
-      __pyx_v_cnt = 0;
-
-      /* "gf2matroid/_kernels.pyx":594
- *             m &= m - 1
- *             cnt = 0
- *             for k in range(c.nw):             # <<<<<<<<<<<<<<
- *                 cnt += popcnt64((c.subs + i * c.nw)[k] & avail[k])
- *             if cnt == 0:
-*/
-      __pyx_t_9 = __pyx_v_c->nw;
-      __pyx_t_10 = __pyx_t_9;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_k = __pyx_t_11;
-
-        /* "gf2matroid/_kernels.pyx":595
- *             cnt = 0
- *             for k in range(c.nw):
- *                 cnt += popcnt64((c.subs + i * c.nw)[k] & avail[k])             # <<<<<<<<<<<<<<
- *             if cnt == 0:
- *                 return  # unhittable in this branch
-*/
-        __pyx_v_cnt = (__pyx_v_cnt + popcnt64((((__pyx_v_c->subs + (__pyx_v_i * __pyx_v_c->nw))[__pyx_v_k]) & (__pyx_v_avail[__pyx_v_k]))));
-      }
-
-      /* "gf2matroid/_kernels.pyx":596
- *             for k in range(c.nw):
- *                 cnt += popcnt64((c.subs + i * c.nw)[k] & avail[k])
- *             if cnt == 0:             # <<<<<<<<<<<<<<
- *                 return  # unhittable in this branch
- *             if cnt < sel_count:
-*/
-      __pyx_t_1 = (__pyx_v_cnt == 0);
-      if (__pyx_t_1) {
-
-        /* "gf2matroid/_kernels.pyx":597
- *                 cnt += popcnt64((c.subs + i * c.nw)[k] & avail[k])
- *             if cnt == 0:
- *                 return  # unhittable in this branch             # <<<<<<<<<<<<<<
- *             if cnt < sel_count:
- *                 sel = i
-*/
-        goto __pyx_L0;
-
-        /* "gf2matroid/_kernels.pyx":596
- *             for k in range(c.nw):
- *                 cnt += popcnt64((c.subs + i * c.nw)[k] & avail[k])
- *             if cnt == 0:             # <<<<<<<<<<<<<<
- *                 return  # unhittable in this branch
- *             if cnt < sel_count:
-*/
-      }
-
-      /* "gf2matroid/_kernels.pyx":598
- *             if cnt == 0:
- *                 return  # unhittable in this branch
- *             if cnt < sel_count:             # <<<<<<<<<<<<<<
- *                 sel = i
- *                 sel_count = cnt
-*/
-      __pyx_t_1 = (__pyx_v_cnt < __pyx_v_sel_count);
-      if (__pyx_t_1) {
-
-        /* "gf2matroid/_kernels.pyx":599
- *                 return  # unhittable in this branch
- *             if cnt < sel_count:
- *                 sel = i             # <<<<<<<<<<<<<<
- *                 sel_count = cnt
- *     removed = c.slab_removed + depth * c.nw
-*/
-        __pyx_v_sel = __pyx_v_i;
-
-        /* "gf2matroid/_kernels.pyx":600
- *             if cnt < sel_count:
- *                 sel = i
- *                 sel_count = cnt             # <<<<<<<<<<<<<<
- *     removed = c.slab_removed + depth * c.nw
- *     memset(removed, 0, c.nw * sizeof(u64))
-*/
-        __pyx_v_sel_count = __pyx_v_cnt;
-
-        /* "gf2matroid/_kernels.pyx":598
- *             if cnt == 0:
- *                 return  # unhittable in this branch
- *             if cnt < sel_count:             # <<<<<<<<<<<<<<
- *                 sel = i
- *                 sel_count = cnt
-*/
-      }
-    }
-  }
-
-  /* "gf2matroid/_kernels.pyx":601
- *                 sel = i
- *                 sel_count = cnt
- *     removed = c.slab_removed + depth * c.nw             # <<<<<<<<<<<<<<
- *     memset(removed, 0, c.nw * sizeof(u64))
- *     pts = c.subs + sel * c.nw
-*/
-  __pyx_v_removed = (__pyx_v_c->slab_removed + (__pyx_v_depth * __pyx_v_c->nw));
-
-  /* "gf2matroid/_kernels.pyx":602
- *                 sel_count = cnt
- *     removed = c.slab_removed + depth * c.nw
- *     memset(removed, 0, c.nw * sizeof(u64))             # <<<<<<<<<<<<<<
- *     pts = c.subs + sel * c.nw
- *     cb = c.slab_b + (depth + 1) * c.nw
-*/
-  (void)(memset(__pyx_v_removed, 0, (__pyx_v_c->nw * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-  /* "gf2matroid/_kernels.pyx":603
- *     removed = c.slab_removed + depth * c.nw
- *     memset(removed, 0, c.nw * sizeof(u64))
- *     pts = c.subs + sel * c.nw             # <<<<<<<<<<<<<<
- *     cb = c.slab_b + (depth + 1) * c.nw
- *     cu = c.slab_uncov + (depth + 1) * c.tw
-*/
-  __pyx_v_pts = (__pyx_v_c->subs + (__pyx_v_sel * __pyx_v_c->nw));
-
-  /* "gf2matroid/_kernels.pyx":604
- *     memset(removed, 0, c.nw * sizeof(u64))
- *     pts = c.subs + sel * c.nw
- *     cb = c.slab_b + (depth + 1) * c.nw             # <<<<<<<<<<<<<<
- *     cu = c.slab_uncov + (depth + 1) * c.tw
- *     ca = c.slab_avail + (depth + 1) * c.nw
-*/
-  __pyx_v_cb = (__pyx_v_c->slab_b + ((__pyx_v_depth + 1) * __pyx_v_c->nw));
-
-  /* "gf2matroid/_kernels.pyx":605
- *     pts = c.subs + sel * c.nw
- *     cb = c.slab_b + (depth + 1) * c.nw
- *     cu = c.slab_uncov + (depth + 1) * c.tw             # <<<<<<<<<<<<<<
- *     ca = c.slab_avail + (depth + 1) * c.nw
- *     for wi in range(c.nw):
-*/
-  __pyx_v_cu = (__pyx_v_c->slab_uncov + ((__pyx_v_depth + 1) * __pyx_v_c->tw));
-
-  /* "gf2matroid/_kernels.pyx":606
- *     cb = c.slab_b + (depth + 1) * c.nw
- *     cu = c.slab_uncov + (depth + 1) * c.tw
- *     ca = c.slab_avail + (depth + 1) * c.nw             # <<<<<<<<<<<<<<
- *     for wi in range(c.nw):
- *         mm = pts[wi] & avail[wi]
-*/
-  __pyx_v_ca = (__pyx_v_c->slab_avail + ((__pyx_v_depth + 1) * __pyx_v_c->nw));
-
-  /* "gf2matroid/_kernels.pyx":607
- *     cu = c.slab_uncov + (depth + 1) * c.tw
- *     ca = c.slab_avail + (depth + 1) * c.nw
- *     for wi in range(c.nw):             # <<<<<<<<<<<<<<
- *         mm = pts[wi] & avail[wi]
- *         while mm:
-*/
-  __pyx_t_2 = __pyx_v_c->nw;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_wi = __pyx_t_4;
-
-    /* "gf2matroid/_kernels.pyx":608
- *     ca = c.slab_avail + (depth + 1) * c.nw
- *     for wi in range(c.nw):
- *         mm = pts[wi] & avail[wi]             # <<<<<<<<<<<<<<
- *         while mm:
- *             p = (wi << 6) + ctz64(mm)
-*/
-    __pyx_v_mm = ((__pyx_v_pts[__pyx_v_wi]) & (__pyx_v_avail[__pyx_v_wi]));
-
-    /* "gf2matroid/_kernels.pyx":609
- *     for wi in range(c.nw):
- *         mm = pts[wi] & avail[wi]
- *         while mm:             # <<<<<<<<<<<<<<
- *             p = (wi << 6) + ctz64(mm)
- *             mm &= mm - 1
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_mm != 0);
-      if (!__pyx_t_1) break;
-
-      /* "gf2matroid/_kernels.pyx":610
- *         mm = pts[wi] & avail[wi]
- *         while mm:
- *             p = (wi << 6) + ctz64(mm)             # <<<<<<<<<<<<<<
- *             mm &= mm - 1
- *             bs_set(removed, p)
-*/
-      __pyx_v_p = ((__pyx_v_wi << 6) + ctz64(__pyx_v_mm));
-
-      /* "gf2matroid/_kernels.pyx":611
- *         while mm:
- *             p = (wi << 6) + ctz64(mm)
- *             mm &= mm - 1             # <<<<<<<<<<<<<<
- *             bs_set(removed, p)
- *             if c.forbidden_dim and cmp_closes_forbidden(c, b_mask, p):
-*/
-      __pyx_v_mm = (__pyx_v_mm & (__pyx_v_mm - 1));
-
-      /* "gf2matroid/_kernels.pyx":612
- *             p = (wi << 6) + ctz64(mm)
- *             mm &= mm - 1
- *             bs_set(removed, p)             # <<<<<<<<<<<<<<
- *             if c.forbidden_dim and cmp_closes_forbidden(c, b_mask, p):
- *                 continue
-*/
-      __pyx_f_10gf2matroid_8_kernels_bs_set(__pyx_v_removed, __pyx_v_p);
-
-      /* "gf2matroid/_kernels.pyx":613
- *             mm &= mm - 1
- *             bs_set(removed, p)
- *             if c.forbidden_dim and cmp_closes_forbidden(c, b_mask, p):             # <<<<<<<<<<<<<<
- *                 continue
- *             memcpy(cb, b_mask, c.nw * sizeof(u64))
-*/
-      __pyx_t_8 = (__pyx_v_c->forbidden_dim != 0);
-      if (__pyx_t_8) {
-      } else {
-        __pyx_t_1 = __pyx_t_8;
-        goto __pyx_L28_bool_binop_done;
-      }
-      __pyx_t_8 = __pyx_f_10gf2matroid_8_kernels_cmp_closes_forbidden(__pyx_v_c, __pyx_v_b_mask, __pyx_v_p);
-      __pyx_t_1 = __pyx_t_8;
-      __pyx_L28_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "gf2matroid/_kernels.pyx":614
- *             bs_set(removed, p)
- *             if c.forbidden_dim and cmp_closes_forbidden(c, b_mask, p):
- *                 continue             # <<<<<<<<<<<<<<
- *             memcpy(cb, b_mask, c.nw * sizeof(u64))
- *             bs_set(cb, p)
-*/
-        goto __pyx_L25_continue;
-
-        /* "gf2matroid/_kernels.pyx":613
- *             mm &= mm - 1
- *             bs_set(removed, p)
- *             if c.forbidden_dim and cmp_closes_forbidden(c, b_mask, p):             # <<<<<<<<<<<<<<
- *                 continue
- *             memcpy(cb, b_mask, c.nw * sizeof(u64))
-*/
-      }
-
-      /* "gf2matroid/_kernels.pyx":615
- *             if c.forbidden_dim and cmp_closes_forbidden(c, b_mask, p):
- *                 continue
- *             memcpy(cb, b_mask, c.nw * sizeof(u64))             # <<<<<<<<<<<<<<
- *             bs_set(cb, p)
- *             for k in range(c.tw):
-*/
-      (void)(memcpy(__pyx_v_cb, __pyx_v_b_mask, (__pyx_v_c->nw * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-      /* "gf2matroid/_kernels.pyx":616
- *                 continue
- *             memcpy(cb, b_mask, c.nw * sizeof(u64))
- *             bs_set(cb, p)             # <<<<<<<<<<<<<<
- *             for k in range(c.tw):
- *                 cu[k] = uncov[k] & ~(c.through + p * c.tw)[k]
-*/
-      __pyx_f_10gf2matroid_8_kernels_bs_set(__pyx_v_cb, __pyx_v_p);
-
-      /* "gf2matroid/_kernels.pyx":617
- *             memcpy(cb, b_mask, c.nw * sizeof(u64))
- *             bs_set(cb, p)
- *             for k in range(c.tw):             # <<<<<<<<<<<<<<
- *                 cu[k] = uncov[k] & ~(c.through + p * c.tw)[k]
- *             for k in range(c.nw):
-*/
-      __pyx_t_9 = __pyx_v_c->tw;
-      __pyx_t_10 = __pyx_t_9;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_k = __pyx_t_11;
-
-        /* "gf2matroid/_kernels.pyx":618
- *             bs_set(cb, p)
- *             for k in range(c.tw):
- *                 cu[k] = uncov[k] & ~(c.through + p * c.tw)[k]             # <<<<<<<<<<<<<<
- *             for k in range(c.nw):
- *                 ca[k] = avail[k] & ~removed[k]
-*/
-        (__pyx_v_cu[__pyx_v_k]) = ((__pyx_v_uncov[__pyx_v_k]) & (~((__pyx_v_c->through + (__pyx_v_p * __pyx_v_c->tw))[__pyx_v_k])));
-      }
-
-      /* "gf2matroid/_kernels.pyx":619
- *             for k in range(c.tw):
- *                 cu[k] = uncov[k] & ~(c.through + p * c.tw)[k]
- *             for k in range(c.nw):             # <<<<<<<<<<<<<<
- *                 ca[k] = avail[k] & ~removed[k]
- *             cmp_dfs(c, depth + 1, cb, b_size + 1, cu, ca, False)
-*/
-      __pyx_t_9 = __pyx_v_c->nw;
-      __pyx_t_10 = __pyx_t_9;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_k = __pyx_t_11;
-
-        /* "gf2matroid/_kernels.pyx":620
- *                 cu[k] = uncov[k] & ~(c.through + p * c.tw)[k]
- *             for k in range(c.nw):
- *                 ca[k] = avail[k] & ~removed[k]             # <<<<<<<<<<<<<<
- *             cmp_dfs(c, depth + 1, cb, b_size + 1, cu, ca, False)
- *             if c.timed_out:
-*/
-        (__pyx_v_ca[__pyx_v_k]) = ((__pyx_v_avail[__pyx_v_k]) & (~(__pyx_v_removed[__pyx_v_k])));
-      }
-
-      /* "gf2matroid/_kernels.pyx":621
- *             for k in range(c.nw):
- *                 ca[k] = avail[k] & ~removed[k]
- *             cmp_dfs(c, depth + 1, cb, b_size + 1, cu, ca, False)             # <<<<<<<<<<<<<<
- *             if c.timed_out:
- *                 return
-*/
-      __pyx_f_10gf2matroid_8_kernels_cmp_dfs(__pyx_v_c, (__pyx_v_depth + 1), __pyx_v_cb, (__pyx_v_b_size + 1), __pyx_v_cu, __pyx_v_ca, 0);
-
-      /* "gf2matroid/_kernels.pyx":622
- *                 ca[k] = avail[k] & ~removed[k]
- *             cmp_dfs(c, depth + 1, cb, b_size + 1, cu, ca, False)
- *             if c.timed_out:             # <<<<<<<<<<<<<<
- *                 return
- *             if at_root and c.symmetry:
-*/
-      if (__pyx_v_c->timed_out) {
-
-        /* "gf2matroid/_kernels.pyx":623
- *             cmp_dfs(c, depth + 1, cb, b_size + 1, cu, ca, False)
- *             if c.timed_out:
- *                 return             # <<<<<<<<<<<<<<
- *             if at_root and c.symmetry:
- *                 return  # remaining root branches are images under a flat stabilizer
-*/
-        goto __pyx_L0;
-
-        /* "gf2matroid/_kernels.pyx":622
- *                 ca[k] = avail[k] & ~removed[k]
- *             cmp_dfs(c, depth + 1, cb, b_size + 1, cu, ca, False)
- *             if c.timed_out:             # <<<<<<<<<<<<<<
- *                 return
- *             if at_root and c.symmetry:
-*/
-      }
-
-      /* "gf2matroid/_kernels.pyx":624
- *             if c.timed_out:
- *                 return
- *             if at_root and c.symmetry:             # <<<<<<<<<<<<<<
- *                 return  # remaining root branches are images under a flat stabilizer
- * 
-*/
-      if (__pyx_v_at_root) {
-      } else {
-        __pyx_t_1 = __pyx_v_at_root;
-        goto __pyx_L36_bool_binop_done;
-      }
-      __pyx_t_1 = __pyx_v_c->symmetry;
-      __pyx_L36_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "gf2matroid/_kernels.pyx":625
- *                 return
- *             if at_root and c.symmetry:
- *                 return  # remaining root branches are images under a flat stabilizer             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        goto __pyx_L0;
-
-        /* "gf2matroid/_kernels.pyx":624
- *             if c.timed_out:
- *                 return
- *             if at_root and c.symmetry:             # <<<<<<<<<<<<<<
- *                 return  # remaining root branches are images under a flat stabilizer
- * 
-*/
-      }
-      __pyx_L25_continue:;
-    }
-  }
-
-  /* "gf2matroid/_kernels.pyx":548
- * 
- * 
- * cdef void cmp_dfs(CmpCtx *c, int depth, u64 *b_mask, int b_size,             # <<<<<<<<<<<<<<
- *                   u64 *uncov, u64 *avail, bint at_root) noexcept:
- *     cdef int i, k, wi, p, window, sel, sel_count, cnt, rank, pp
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-}
-
-/* "gf2matroid/_kernels.pyx":628
- * 
- * 
- * cdef void _cmp_free(CmpCtx *c) noexcept:             # <<<<<<<<<<<<<<
- *     free(c.best_mask)
- *     free(c.subs)
-*/
-
-static void __pyx_f_10gf2matroid_8_kernels__cmp_free(struct __pyx_t_10gf2matroid_8_kernels_CmpCtx *__pyx_v_c) {
-
-  /* "gf2matroid/_kernels.pyx":629
- * 
- * cdef void _cmp_free(CmpCtx *c) noexcept:
- *     free(c.best_mask)             # <<<<<<<<<<<<<<
- *     free(c.subs)
- *     free(c.through)
-*/
-  free(__pyx_v_c->best_mask);
-
-  /* "gf2matroid/_kernels.pyx":630
- * cdef void _cmp_free(CmpCtx *c) noexcept:
- *     free(c.best_mask)
- *     free(c.subs)             # <<<<<<<<<<<<<<
- *     free(c.through)
- *     free(c.nonzero)
-*/
-  free(__pyx_v_c->subs);
-
-  /* "gf2matroid/_kernels.pyx":631
- *     free(c.best_mask)
- *     free(c.subs)
- *     free(c.through)             # <<<<<<<<<<<<<<
- *     free(c.nonzero)
- *     free(c.slab_b)
-*/
-  free(__pyx_v_c->through);
-
-  /* "gf2matroid/_kernels.pyx":632
- *     free(c.subs)
- *     free(c.through)
- *     free(c.nonzero)             # <<<<<<<<<<<<<<
- *     free(c.slab_b)
- *     free(c.slab_uncov)
-*/
-  free(__pyx_v_c->nonzero);
-
-  /* "gf2matroid/_kernels.pyx":633
- *     free(c.through)
- *     free(c.nonzero)
- *     free(c.slab_b)             # <<<<<<<<<<<<<<
- *     free(c.slab_uncov)
- *     free(c.slab_avail)
-*/
-  free(__pyx_v_c->slab_b);
-
-  /* "gf2matroid/_kernels.pyx":634
- *     free(c.nonzero)
- *     free(c.slab_b)
- *     free(c.slab_uncov)             # <<<<<<<<<<<<<<
- *     free(c.slab_avail)
- *     free(c.slab_removed)
-*/
-  free(__pyx_v_c->slab_uncov);
-
-  /* "gf2matroid/_kernels.pyx":635
- *     free(c.slab_b)
- *     free(c.slab_uncov)
- *     free(c.slab_avail)             # <<<<<<<<<<<<<<
- *     free(c.slab_removed)
- *     free(c.taken)
-*/
-  free(__pyx_v_c->slab_avail);
-
-  /* "gf2matroid/_kernels.pyx":636
- *     free(c.slab_uncov)
- *     free(c.slab_avail)
- *     free(c.slab_removed)             # <<<<<<<<<<<<<<
- *     free(c.taken)
- *     free(c.scratch)
-*/
-  free(__pyx_v_c->slab_removed);
-
-  /* "gf2matroid/_kernels.pyx":637
- *     free(c.slab_avail)
- *     free(c.slab_removed)
- *     free(c.taken)             # <<<<<<<<<<<<<<
- *     free(c.scratch)
- * 
-*/
-  free(__pyx_v_c->taken);
-
-  /* "gf2matroid/_kernels.pyx":638
- *     free(c.slab_removed)
- *     free(c.taken)
- *     free(c.scratch)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  free(__pyx_v_c->scratch);
-
-  /* "gf2matroid/_kernels.pyx":628
- * 
- * 
- * cdef void _cmp_free(CmpCtx *c) noexcept:             # <<<<<<<<<<<<<<
- *     free(c.best_mask)
- *     free(c.subs)
-*/
-
-  /* function exit code */
-}
-
-/* "gf2matroid/_kernels.pyx":641
- * 
- * 
- * def complement_search(int r, subspace_masks, int forbidden_dim, bint full_rank,             # <<<<<<<<<<<<<<
- *                       int max_blocker, budget, bint symmetry):
- *     """Smallest blocker hitting every given subspace, branch and bound.
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10gf2matroid_8_kernels_7complement_search(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_10gf2matroid_8_kernels_6complement_search, "Smallest blocker hitting every given subspace, branch and bound.\n\n    Returns (best_size or -1, blocker_mask, nodes, completed); see the\n    pure twin for the contract details.\n    ");
-static PyMethodDef __pyx_mdef_10gf2matroid_8_kernels_7complement_search = {"complement_search", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10gf2matroid_8_kernels_7complement_search, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10gf2matroid_8_kernels_6complement_search};
-static PyObject *__pyx_pw_10gf2matroid_8_kernels_7complement_search(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_r;
-  PyObject *__pyx_v_subspace_masks = 0;
-  int __pyx_v_forbidden_dim;
-  int __pyx_v_full_rank;
-  int __pyx_v_max_blocker;
-  PyObject *__pyx_v_budget = 0;
-  int __pyx_v_symmetry;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[7] = {0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("complement_search (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_r,&__pyx_mstate_global->__pyx_n_u_subspace_masks,&__pyx_mstate_global->__pyx_n_u_forbidden_dim,&__pyx_mstate_global->__pyx_n_u_full_rank,&__pyx_mstate_global->__pyx_n_u_max_blocker,&__pyx_mstate_global->__pyx_n_u_budget,&__pyx_mstate_global->__pyx_n_u_symmetry,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 641, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 641, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 641, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 641, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 641, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 641, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 641, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 641, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "complement_search", 0) < (0)) __PYX_ERR(0, 641, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 7; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("complement_search", 1, 7, 7, i); __PYX_ERR(0, 641, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 7)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 641, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 641, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 641, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 641, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 641, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 641, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 641, __pyx_L3_error)
-    }
-    __pyx_v_r = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_r == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 641, __pyx_L3_error)
-    __pyx_v_subspace_masks = values[1];
-    __pyx_v_forbidden_dim = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_forbidden_dim == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 641, __pyx_L3_error)
-    __pyx_v_full_rank = __Pyx_PyObject_IsTrue(values[3]); if (unlikely((__pyx_v_full_rank == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 641, __pyx_L3_error)
-    __pyx_v_max_blocker = __Pyx_PyLong_As_int(values[4]); if (unlikely((__pyx_v_max_blocker == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 642, __pyx_L3_error)
-    __pyx_v_budget = values[5];
-    __pyx_v_symmetry = __Pyx_PyObject_IsTrue(values[6]); if (unlikely((__pyx_v_symmetry == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 642, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("complement_search", 1, 7, 7, __pyx_nargs); __PYX_ERR(0, 641, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("gf2matroid._kernels.complement_search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_10gf2matroid_8_kernels_6complement_search(__pyx_self, __pyx_v_r, __pyx_v_subspace_masks, __pyx_v_forbidden_dim, __pyx_v_full_rank, __pyx_v_max_blocker, __pyx_v_budget, __pyx_v_symmetry);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10gf2matroid_8_kernels_6complement_search(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_r, PyObject *__pyx_v_subspace_masks, int __pyx_v_forbidden_dim, int __pyx_v_full_rank, int __pyx_v_max_blocker, PyObject *__pyx_v_budget, int __pyx_v_symmetry) {
-  struct __pyx_t_10gf2matroid_8_kernels_CmpCtx __pyx_v_c;
-  int __pyx_v_n_all;
-  int __pyx_v_nw;
-  int __pyx_v_n_subs;
-  int __pyx_v_tw;
-  int __pyx_v_maxd;
-  int __pyx_v_i;
-  int __pyx_v_v;
-  int __pyx_v_mc;
-  int __pyx_v_wi;
-  __pyx_t_10gf2matroid_8_kernels_u64 __pyx_v_mask_word;
-  PyObject *__pyx_v_mask_obj = NULL;
-  PyObject *__pyx_v_best_mask = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  long __pyx_t_7;
-  long __pyx_t_8;
-  long __pyx_t_9;
-  Py_ssize_t __pyx_t_10;
-  double __pyx_t_11;
-  double __pyx_t_12;
-  int __pyx_t_13;
-  int __pyx_t_14;
-  PyObject *(*__pyx_t_15)(PyObject *);
-  int __pyx_t_16;
-  int __pyx_t_17;
-  int __pyx_t_18;
-  char const *__pyx_t_19;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  PyObject *__pyx_t_24 = NULL;
-  PyObject *__pyx_t_25 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("complement_search", 0);
-
-  /* "gf2matroid/_kernels.pyx":648
- *     pure twin for the contract details.
- *     """
- *     if r > KERNEL_RANK_MAX:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"complement search supports ambient rank <= {KERNEL_RANK_MAX}")
- *     cdef CmpCtx c
-*/
-  __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_r); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 648, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_KERNEL_RANK_MAX); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 648, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = PyObject_RichCompare(__pyx_t_1, __pyx_t_2, Py_GT); __Pyx_XGOTREF(__pyx_t_3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 648, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_3); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 648, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  if (unlikely(__pyx_t_4)) {
-
-    /* "gf2matroid/_kernels.pyx":649
- *     """
- *     if r > KERNEL_RANK_MAX:
- *         raise ValueError(f"complement search supports ambient rank <= {KERNEL_RANK_MAX}")             # <<<<<<<<<<<<<<
- *     cdef CmpCtx c
- *     cdef int n_all = 1 << r
-*/
-    __pyx_t_2 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_KERNEL_RANK_MAX); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 649, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_5 = __Pyx_PyObject_FormatSimple(__pyx_t_1, __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 649, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_1 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_complement_search_supports_ambie, __pyx_t_5); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 649, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_t_1};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 649, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 649, __pyx_L1_error)
-
-    /* "gf2matroid/_kernels.pyx":648
- *     pure twin for the contract details.
- *     """
- *     if r > KERNEL_RANK_MAX:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"complement search supports ambient rank <= {KERNEL_RANK_MAX}")
- *     cdef CmpCtx c
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":651
- *         raise ValueError(f"complement search supports ambient rank <= {KERNEL_RANK_MAX}")
- *     cdef CmpCtx c
- *     cdef int n_all = 1 << r             # <<<<<<<<<<<<<<
- *     cdef int nw = max(1, n_all >> 6)
- *     cdef int n_subs = len(subspace_masks)
-*/
-  __pyx_v_n_all = (1 << __pyx_v_r);
-
-  /* "gf2matroid/_kernels.pyx":652
- *     cdef CmpCtx c
- *     cdef int n_all = 1 << r
- *     cdef int nw = max(1, n_all >> 6)             # <<<<<<<<<<<<<<
- *     cdef int n_subs = len(subspace_masks)
- *     cdef int tw = max(1, (n_subs + 63) >> 6)
-*/
-  __pyx_t_7 = (__pyx_v_n_all >> 6);
-  __pyx_t_8 = 1;
-  __pyx_t_4 = (__pyx_t_7 > __pyx_t_8);
-  if (__pyx_t_4) {
-    __pyx_t_9 = __pyx_t_7;
-  } else {
-    __pyx_t_9 = __pyx_t_8;
-  }
-  __pyx_v_nw = __pyx_t_9;
-
-  /* "gf2matroid/_kernels.pyx":653
- *     cdef int n_all = 1 << r
- *     cdef int nw = max(1, n_all >> 6)
- *     cdef int n_subs = len(subspace_masks)             # <<<<<<<<<<<<<<
- *     cdef int tw = max(1, (n_subs + 63) >> 6)
- *     cdef int maxd = max_blocker + 2 if max_blocker + 2 < n_all + 2 else n_all + 2
-*/
-  __pyx_t_10 = PyObject_Length(__pyx_v_subspace_masks); if (unlikely(__pyx_t_10 == ((Py_ssize_t)-1))) __PYX_ERR(0, 653, __pyx_L1_error)
-  __pyx_v_n_subs = __pyx_t_10;
-
-  /* "gf2matroid/_kernels.pyx":654
- *     cdef int nw = max(1, n_all >> 6)
- *     cdef int n_subs = len(subspace_masks)
- *     cdef int tw = max(1, (n_subs + 63) >> 6)             # <<<<<<<<<<<<<<
- *     cdef int maxd = max_blocker + 2 if max_blocker + 2 < n_all + 2 else n_all + 2
- *     cdef int i, v, mc, wi
-*/
-  __pyx_t_9 = ((__pyx_v_n_subs + 63) >> 6);
-  __pyx_t_7 = 1;
-  __pyx_t_4 = (__pyx_t_9 > __pyx_t_7);
-  if (__pyx_t_4) {
-    __pyx_t_8 = __pyx_t_9;
-  } else {
-    __pyx_t_8 = __pyx_t_7;
-  }
-  __pyx_v_tw = __pyx_t_8;
-
-  /* "gf2matroid/_kernels.pyx":655
- *     cdef int n_subs = len(subspace_masks)
- *     cdef int tw = max(1, (n_subs + 63) >> 6)
- *     cdef int maxd = max_blocker + 2 if max_blocker + 2 < n_all + 2 else n_all + 2             # <<<<<<<<<<<<<<
- *     cdef int i, v, mc, wi
- *     cdef u64 mask_word
-*/
-  __pyx_t_4 = ((__pyx_v_max_blocker + 2) < (__pyx_v_n_all + 2));
-  if (__pyx_t_4) {
-    __pyx_t_8 = (__pyx_v_max_blocker + 2);
-  } else {
-    __pyx_t_8 = (__pyx_v_n_all + 2);
-  }
-  __pyx_v_maxd = __pyx_t_8;
-
-  /* "gf2matroid/_kernels.pyx":659
- *     cdef u64 mask_word
- * 
- *     c.r = r             # <<<<<<<<<<<<<<
- *     c.n_all = n_all
- *     c.nw = nw
-*/
-  __pyx_v_c.r = __pyx_v_r;
-
-  /* "gf2matroid/_kernels.pyx":660
- * 
- *     c.r = r
- *     c.n_all = n_all             # <<<<<<<<<<<<<<
- *     c.nw = nw
- *     c.n_subs = n_subs
-*/
-  __pyx_v_c.n_all = __pyx_v_n_all;
-
-  /* "gf2matroid/_kernels.pyx":661
- *     c.r = r
- *     c.n_all = n_all
- *     c.nw = nw             # <<<<<<<<<<<<<<
- *     c.n_subs = n_subs
- *     c.tw = tw
-*/
-  __pyx_v_c.nw = __pyx_v_nw;
-
-  /* "gf2matroid/_kernels.pyx":662
- *     c.n_all = n_all
- *     c.nw = nw
- *     c.n_subs = n_subs             # <<<<<<<<<<<<<<
- *     c.tw = tw
- *     c.forbidden_dim = forbidden_dim
-*/
-  __pyx_v_c.n_subs = __pyx_v_n_subs;
-
-  /* "gf2matroid/_kernels.pyx":663
- *     c.nw = nw
- *     c.n_subs = n_subs
- *     c.tw = tw             # <<<<<<<<<<<<<<
- *     c.forbidden_dim = forbidden_dim
- *     c.max_blocker = max_blocker
-*/
-  __pyx_v_c.tw = __pyx_v_tw;
-
-  /* "gf2matroid/_kernels.pyx":664
- *     c.n_subs = n_subs
- *     c.tw = tw
- *     c.forbidden_dim = forbidden_dim             # <<<<<<<<<<<<<<
- *     c.max_blocker = max_blocker
- *     c.full_rank = full_rank
-*/
-  __pyx_v_c.forbidden_dim = __pyx_v_forbidden_dim;
-
-  /* "gf2matroid/_kernels.pyx":665
- *     c.tw = tw
- *     c.forbidden_dim = forbidden_dim
- *     c.max_blocker = max_blocker             # <<<<<<<<<<<<<<
- *     c.full_rank = full_rank
- *     c.symmetry = symmetry
-*/
-  __pyx_v_c.max_blocker = __pyx_v_max_blocker;
-
-  /* "gf2matroid/_kernels.pyx":666
- *     c.forbidden_dim = forbidden_dim
- *     c.max_blocker = max_blocker
- *     c.full_rank = full_rank             # <<<<<<<<<<<<<<
- *     c.symmetry = symmetry
- *     c.use_deadline = budget is not None
-*/
-  __pyx_v_c.full_rank = __pyx_v_full_rank;
-
-  /* "gf2matroid/_kernels.pyx":667
- *     c.max_blocker = max_blocker
- *     c.full_rank = full_rank
- *     c.symmetry = symmetry             # <<<<<<<<<<<<<<
- *     c.use_deadline = budget is not None
- *     c.deadline = (monotonic() + budget) if budget is not None else 0.0
-*/
-  __pyx_v_c.symmetry = __pyx_v_symmetry;
-
-  /* "gf2matroid/_kernels.pyx":668
- *     c.full_rank = full_rank
- *     c.symmetry = symmetry
- *     c.use_deadline = budget is not None             # <<<<<<<<<<<<<<
- *     c.deadline = (monotonic() + budget) if budget is not None else 0.0
- *     c.timed_out = False
-*/
-  __pyx_t_4 = (__pyx_v_budget != Py_None);
-  __pyx_v_c.use_deadline = __pyx_t_4;
-
-  /* "gf2matroid/_kernels.pyx":669
- *     c.symmetry = symmetry
- *     c.use_deadline = budget is not None
- *     c.deadline = (monotonic() + budget) if budget is not None else 0.0             # <<<<<<<<<<<<<<
- *     c.timed_out = False
- *     c.nodes = 0
-*/
-  __pyx_t_4 = (__pyx_v_budget != Py_None);
-  if (__pyx_t_4) {
-    __pyx_t_1 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_monotonic); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 669, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_6 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_2))) {
-      __pyx_t_1 = PyMethod_GET_SELF(__pyx_t_2);
-      assert(__pyx_t_1);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_2);
-      __Pyx_INCREF(__pyx_t_1);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_2, __pyx__function);
-      __pyx_t_6 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_1, NULL};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_2, __pyx_callargs+__pyx_t_6, (1-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 669, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __pyx_t_2 = PyNumber_Add(__pyx_t_3, __pyx_v_budget); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 669, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_12 = __Pyx_PyFloat_AsDouble(__pyx_t_2); if (unlikely((__pyx_t_12 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 669, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_t_11 = __pyx_t_12;
-  } else {
-    __pyx_t_11 = 0.0;
-  }
-  __pyx_v_c.deadline = __pyx_t_11;
-
-  /* "gf2matroid/_kernels.pyx":670
- *     c.use_deadline = budget is not None
- *     c.deadline = (monotonic() + budget) if budget is not None else 0.0
- *     c.timed_out = False             # <<<<<<<<<<<<<<
- *     c.nodes = 0
- *     c.best = -1
-*/
-  __pyx_v_c.timed_out = 0;
-
-  /* "gf2matroid/_kernels.pyx":671
- *     c.deadline = (monotonic() + budget) if budget is not None else 0.0
- *     c.timed_out = False
- *     c.nodes = 0             # <<<<<<<<<<<<<<
- *     c.best = -1
- * 
-*/
-  __pyx_v_c.nodes = 0;
-
-  /* "gf2matroid/_kernels.pyx":672
- *     c.timed_out = False
- *     c.nodes = 0
- *     c.best = -1             # <<<<<<<<<<<<<<
- * 
- *     c.best_mask = <u64 *> calloc(nw, sizeof(u64))
-*/
-  __pyx_v_c.best = -1;
-
-  /* "gf2matroid/_kernels.pyx":674
- *     c.best = -1
- * 
- *     c.best_mask = <u64 *> calloc(nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.subs = <u64 *> calloc(<size_t> max(1, n_subs) * nw, sizeof(u64))
- *     c.through = <u64 *> calloc(<size_t> n_all * tw, sizeof(u64))
-*/
-  __pyx_v_c.best_mask = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc(__pyx_v_nw, (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":675
- * 
- *     c.best_mask = <u64 *> calloc(nw, sizeof(u64))
- *     c.subs = <u64 *> calloc(<size_t> max(1, n_subs) * nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.through = <u64 *> calloc(<size_t> n_all * tw, sizeof(u64))
- *     c.nonzero = <u64 *> calloc(nw, sizeof(u64))
-*/
-  __pyx_t_13 = __pyx_v_n_subs;
-  __pyx_t_8 = 1;
-  __pyx_t_4 = (__pyx_t_13 > __pyx_t_8);
-  if (__pyx_t_4) {
-    __pyx_t_9 = __pyx_t_13;
-  } else {
-    __pyx_t_9 = __pyx_t_8;
-  }
-  __pyx_v_c.subs = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc((((size_t)__pyx_t_9) * __pyx_v_nw), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":676
- *     c.best_mask = <u64 *> calloc(nw, sizeof(u64))
- *     c.subs = <u64 *> calloc(<size_t> max(1, n_subs) * nw, sizeof(u64))
- *     c.through = <u64 *> calloc(<size_t> n_all * tw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.nonzero = <u64 *> calloc(nw, sizeof(u64))
- *     c.slab_b = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
-*/
-  __pyx_v_c.through = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc((((size_t)__pyx_v_n_all) * __pyx_v_tw), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":677
- *     c.subs = <u64 *> calloc(<size_t> max(1, n_subs) * nw, sizeof(u64))
- *     c.through = <u64 *> calloc(<size_t> n_all * tw, sizeof(u64))
- *     c.nonzero = <u64 *> calloc(nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.slab_b = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_uncov = <u64 *> calloc(<size_t> maxd * tw, sizeof(u64))
-*/
-  __pyx_v_c.nonzero = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc(__pyx_v_nw, (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":678
- *     c.through = <u64 *> calloc(<size_t> n_all * tw, sizeof(u64))
- *     c.nonzero = <u64 *> calloc(nw, sizeof(u64))
- *     c.slab_b = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.slab_uncov = <u64 *> calloc(<size_t> maxd * tw, sizeof(u64))
- *     c.slab_avail = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
-*/
-  __pyx_v_c.slab_b = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc((((size_t)__pyx_v_maxd) * __pyx_v_nw), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":679
- *     c.nonzero = <u64 *> calloc(nw, sizeof(u64))
- *     c.slab_b = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_uncov = <u64 *> calloc(<size_t> maxd * tw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.slab_avail = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_removed = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
-*/
-  __pyx_v_c.slab_uncov = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc((((size_t)__pyx_v_maxd) * __pyx_v_tw), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":680
- *     c.slab_b = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_uncov = <u64 *> calloc(<size_t> maxd * tw, sizeof(u64))
- *     c.slab_avail = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.slab_removed = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.taken = <u64 *> calloc(nw, sizeof(u64))
-*/
-  __pyx_v_c.slab_avail = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc((((size_t)__pyx_v_maxd) * __pyx_v_nw), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":681
- *     c.slab_uncov = <u64 *> calloc(<size_t> maxd * tw, sizeof(u64))
- *     c.slab_avail = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_removed = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.taken = <u64 *> calloc(nw, sizeof(u64))
- *     c.scratch = <u64 *> calloc(2 * nw + 2 * nw * (r + 1), sizeof(u64))
-*/
-  __pyx_v_c.slab_removed = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc((((size_t)__pyx_v_maxd) * __pyx_v_nw), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":682
- *     c.slab_avail = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.slab_removed = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.taken = <u64 *> calloc(nw, sizeof(u64))             # <<<<<<<<<<<<<<
- *     c.scratch = <u64 *> calloc(2 * nw + 2 * nw * (r + 1), sizeof(u64))
- *     if (c.best_mask == NULL or c.subs == NULL or c.through == NULL
-*/
-  __pyx_v_c.taken = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc(__pyx_v_nw, (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":683
- *     c.slab_removed = <u64 *> calloc(<size_t> maxd * nw, sizeof(u64))
- *     c.taken = <u64 *> calloc(nw, sizeof(u64))
- *     c.scratch = <u64 *> calloc(2 * nw + 2 * nw * (r + 1), sizeof(u64))             # <<<<<<<<<<<<<<
- *     if (c.best_mask == NULL or c.subs == NULL or c.through == NULL
- *             or c.nonzero == NULL or c.slab_b == NULL or c.slab_uncov == NULL
-*/
-  __pyx_v_c.scratch = ((__pyx_t_10gf2matroid_8_kernels_u64 *)calloc(((2 * __pyx_v_nw) + ((2 * __pyx_v_nw) * (__pyx_v_r + 1))), (sizeof(__pyx_t_10gf2matroid_8_kernels_u64))));
-
-  /* "gf2matroid/_kernels.pyx":684
- *     c.taken = <u64 *> calloc(nw, sizeof(u64))
- *     c.scratch = <u64 *> calloc(2 * nw + 2 * nw * (r + 1), sizeof(u64))
- *     if (c.best_mask == NULL or c.subs == NULL or c.through == NULL             # <<<<<<<<<<<<<<
- *             or c.nonzero == NULL or c.slab_b == NULL or c.slab_uncov == NULL
- *             or c.slab_avail == NULL or c.slab_removed == NULL
-*/
-  __pyx_t_14 = (__pyx_v_c.best_mask == NULL);
-  if (!__pyx_t_14) {
-  } else {
-    __pyx_t_4 = __pyx_t_14;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_14 = (__pyx_v_c.subs == NULL);
-  if (!__pyx_t_14) {
-  } else {
-    __pyx_t_4 = __pyx_t_14;
-    goto __pyx_L5_bool_binop_done;
-  }
-
-  /* "gf2matroid/_kernels.pyx":685
- *     c.scratch = <u64 *> calloc(2 * nw + 2 * nw * (r + 1), sizeof(u64))
- *     if (c.best_mask == NULL or c.subs == NULL or c.through == NULL
- *             or c.nonzero == NULL or c.slab_b == NULL or c.slab_uncov == NULL             # <<<<<<<<<<<<<<
- *             or c.slab_avail == NULL or c.slab_removed == NULL
- *             or c.taken == NULL or c.scratch == NULL):
-*/
-  __pyx_t_14 = (__pyx_v_c.through == NULL);
-  if (!__pyx_t_14) {
-  } else {
-    __pyx_t_4 = __pyx_t_14;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_14 = (__pyx_v_c.nonzero == NULL);
-  if (!__pyx_t_14) {
-  } else {
-    __pyx_t_4 = __pyx_t_14;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_14 = (__pyx_v_c.slab_b == NULL);
-  if (!__pyx_t_14) {
-  } else {
-    __pyx_t_4 = __pyx_t_14;
-    goto __pyx_L5_bool_binop_done;
-  }
-
-  /* "gf2matroid/_kernels.pyx":686
- *     if (c.best_mask == NULL or c.subs == NULL or c.through == NULL
- *             or c.nonzero == NULL or c.slab_b == NULL or c.slab_uncov == NULL
- *             or c.slab_avail == NULL or c.slab_removed == NULL             # <<<<<<<<<<<<<<
- *             or c.taken == NULL or c.scratch == NULL):
- *         _cmp_free(&c)
-*/
-  __pyx_t_14 = (__pyx_v_c.slab_uncov == NULL);
-  if (!__pyx_t_14) {
-  } else {
-    __pyx_t_4 = __pyx_t_14;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_14 = (__pyx_v_c.slab_avail == NULL);
-  if (!__pyx_t_14) {
-  } else {
-    __pyx_t_4 = __pyx_t_14;
-    goto __pyx_L5_bool_binop_done;
-  }
-
-  /* "gf2matroid/_kernels.pyx":687
- *             or c.nonzero == NULL or c.slab_b == NULL or c.slab_uncov == NULL
- *             or c.slab_avail == NULL or c.slab_removed == NULL
- *             or c.taken == NULL or c.scratch == NULL):             # <<<<<<<<<<<<<<
- *         _cmp_free(&c)
- *         raise MemoryError
-*/
-  __pyx_t_14 = (__pyx_v_c.slab_removed == NULL);
-  if (!__pyx_t_14) {
-  } else {
-    __pyx_t_4 = __pyx_t_14;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_14 = (__pyx_v_c.taken == NULL);
-  if (!__pyx_t_14) {
-  } else {
-    __pyx_t_4 = __pyx_t_14;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_14 = (__pyx_v_c.scratch == NULL);
-  __pyx_t_4 = __pyx_t_14;
-  __pyx_L5_bool_binop_done:;
-
-  /* "gf2matroid/_kernels.pyx":684
- *     c.taken = <u64 *> calloc(nw, sizeof(u64))
- *     c.scratch = <u64 *> calloc(2 * nw + 2 * nw * (r + 1), sizeof(u64))
- *     if (c.best_mask == NULL or c.subs == NULL or c.through == NULL             # <<<<<<<<<<<<<<
- *             or c.nonzero == NULL or c.slab_b == NULL or c.slab_uncov == NULL
- *             or c.slab_avail == NULL or c.slab_removed == NULL
-*/
-  if (unlikely(__pyx_t_4)) {
-
-    /* "gf2matroid/_kernels.pyx":688
- *             or c.slab_avail == NULL or c.slab_removed == NULL
- *             or c.taken == NULL or c.scratch == NULL):
- *         _cmp_free(&c)             # <<<<<<<<<<<<<<
- *         raise MemoryError
- * 
-*/
-    __pyx_f_10gf2matroid_8_kernels__cmp_free((&__pyx_v_c));
-
-    /* "gf2matroid/_kernels.pyx":689
- *             or c.taken == NULL or c.scratch == NULL):
- *         _cmp_free(&c)
- *         raise MemoryError             # <<<<<<<<<<<<<<
- * 
- *     try:
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 689, __pyx_L1_error)
-
-    /* "gf2matroid/_kernels.pyx":684
- *     c.taken = <u64 *> calloc(nw, sizeof(u64))
- *     c.scratch = <u64 *> calloc(2 * nw + 2 * nw * (r + 1), sizeof(u64))
- *     if (c.best_mask == NULL or c.subs == NULL or c.through == NULL             # <<<<<<<<<<<<<<
- *             or c.nonzero == NULL or c.slab_b == NULL or c.slab_uncov == NULL
- *             or c.slab_avail == NULL or c.slab_removed == NULL
-*/
-  }
-
-  /* "gf2matroid/_kernels.pyx":691
- *         raise MemoryError
- * 
- *     try:             # <<<<<<<<<<<<<<
- *         for i, mask_obj in enumerate(subspace_masks):
- *             int_to_words(mask_obj, c.subs + i * nw, nw)
-*/
-  /*try:*/ {
-
-    /* "gf2matroid/_kernels.pyx":692
- * 
- *     try:
- *         for i, mask_obj in enumerate(subspace_masks):             # <<<<<<<<<<<<<<
- *             int_to_words(mask_obj, c.subs + i * nw, nw)
- *             for wi in range(nw):
-*/
-    __pyx_t_13 = 0;
-    if (likely(PyList_CheckExact(__pyx_v_subspace_masks)) || PyTuple_CheckExact(__pyx_v_subspace_masks)) {
-      __pyx_t_2 = __pyx_v_subspace_masks; __Pyx_INCREF(__pyx_t_2);
-      __pyx_t_10 = 0;
-      __pyx_t_15 = NULL;
-    } else {
-      __pyx_t_10 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_v_subspace_masks); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 692, __pyx_L16_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_15 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 692, __pyx_L16_error)
-    }
-    for (;;) {
-      if (likely(!__pyx_t_15)) {
-        if (likely(PyList_CheckExact(__pyx_t_2))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 692, __pyx_L16_error)
-            #endif
-            if (__pyx_t_10 >= __pyx_temp) break;
-          }
-          __pyx_t_3 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_10, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_10;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 692, __pyx_L16_error)
-            #endif
-            if (__pyx_t_10 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_3 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_10));
-          #else
-          __pyx_t_3 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_10);
-          #endif
-          ++__pyx_t_10;
-        }
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 692, __pyx_L16_error)
-      } else {
-        __pyx_t_3 = __pyx_t_15(__pyx_t_2);
-        if (unlikely(!__pyx_t_3)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 692, __pyx_L16_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_3);
-      __Pyx_XDECREF_SET(__pyx_v_mask_obj, __pyx_t_3);
-      __pyx_t_3 = 0;
-      __pyx_v_i = __pyx_t_13;
-      __pyx_t_13 = (__pyx_t_13 + 1);
-
-      /* "gf2matroid/_kernels.pyx":693
- *     try:
- *         for i, mask_obj in enumerate(subspace_masks):
- *             int_to_words(mask_obj, c.subs + i * nw, nw)             # <<<<<<<<<<<<<<
- *             for wi in range(nw):
- *                 mask_word = (c.subs + i * nw)[wi]
-*/
-      __pyx_f_10gf2matroid_8_kernels_int_to_words(__pyx_v_mask_obj, (__pyx_v_c.subs + (__pyx_v_i * __pyx_v_nw)), __pyx_v_nw); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 693, __pyx_L16_error)
-
-      /* "gf2matroid/_kernels.pyx":694
- *         for i, mask_obj in enumerate(subspace_masks):
- *             int_to_words(mask_obj, c.subs + i * nw, nw)
- *             for wi in range(nw):             # <<<<<<<<<<<<<<
- *                 mask_word = (c.subs + i * nw)[wi]
- *                 while mask_word:
-*/
-      __pyx_t_16 = __pyx_v_nw;
-      __pyx_t_17 = __pyx_t_16;
-      for (__pyx_t_18 = 0; __pyx_t_18 < __pyx_t_17; __pyx_t_18+=1) {
-        __pyx_v_wi = __pyx_t_18;
-
-        /* "gf2matroid/_kernels.pyx":695
- *             int_to_words(mask_obj, c.subs + i * nw, nw)
- *             for wi in range(nw):
- *                 mask_word = (c.subs + i * nw)[wi]             # <<<<<<<<<<<<<<
- *                 while mask_word:
- *                     v = (wi << 6) + ctz64(mask_word)
-*/
-        __pyx_v_mask_word = ((__pyx_v_c.subs + (__pyx_v_i * __pyx_v_nw))[__pyx_v_wi]);
-
-        /* "gf2matroid/_kernels.pyx":696
- *             for wi in range(nw):
- *                 mask_word = (c.subs + i * nw)[wi]
- *                 while mask_word:             # <<<<<<<<<<<<<<
- *                     v = (wi << 6) + ctz64(mask_word)
- *                     mask_word &= mask_word - 1
-*/
-        while (1) {
-          __pyx_t_4 = (__pyx_v_mask_word != 0);
-          if (!__pyx_t_4) break;
-
-          /* "gf2matroid/_kernels.pyx":697
- *                 mask_word = (c.subs + i * nw)[wi]
- *                 while mask_word:
- *                     v = (wi << 6) + ctz64(mask_word)             # <<<<<<<<<<<<<<
- *                     mask_word &= mask_word - 1
- *                     bs_set(c.through + v * tw, i)
-*/
-          __pyx_v_v = ((__pyx_v_wi << 6) + ctz64(__pyx_v_mask_word));
-
-          /* "gf2matroid/_kernels.pyx":698
- *                 while mask_word:
- *                     v = (wi << 6) + ctz64(mask_word)
- *                     mask_word &= mask_word - 1             # <<<<<<<<<<<<<<
- *                     bs_set(c.through + v * tw, i)
- *         for v in range(1, n_all):
-*/
-          __pyx_v_mask_word = (__pyx_v_mask_word & (__pyx_v_mask_word - 1));
-
-          /* "gf2matroid/_kernels.pyx":699
- *                     v = (wi << 6) + ctz64(mask_word)
- *                     mask_word &= mask_word - 1
- *                     bs_set(c.through + v * tw, i)             # <<<<<<<<<<<<<<
- *         for v in range(1, n_all):
- *             bs_set(c.nonzero, v)
-*/
-          __pyx_f_10gf2matroid_8_kernels_bs_set((__pyx_v_c.through + (__pyx_v_v * __pyx_v_tw)), __pyx_v_i);
-        }
-      }
-
-      /* "gf2matroid/_kernels.pyx":692
- * 
- *     try:
- *         for i, mask_obj in enumerate(subspace_masks):             # <<<<<<<<<<<<<<
- *             int_to_words(mask_obj, c.subs + i * nw, nw)
- *             for wi in range(nw):
-*/
-    }
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "gf2matroid/_kernels.pyx":700
- *                     mask_word &= mask_word - 1
- *                     bs_set(c.through + v * tw, i)
- *         for v in range(1, n_all):             # <<<<<<<<<<<<<<
- *             bs_set(c.nonzero, v)
- *         c.maxcov = 1
-*/
-    __pyx_t_13 = __pyx_v_n_all;
-    __pyx_t_16 = __pyx_t_13;
-    for (__pyx_t_17 = 1; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_v = __pyx_t_17;
-
-      /* "gf2matroid/_kernels.pyx":701
- *                     bs_set(c.through + v * tw, i)
- *         for v in range(1, n_all):
- *             bs_set(c.nonzero, v)             # <<<<<<<<<<<<<<
- *         c.maxcov = 1
- *         for v in range(1, n_all):
-*/
-      __pyx_f_10gf2matroid_8_kernels_bs_set(__pyx_v_c.nonzero, __pyx_v_v);
-    }
-
-    /* "gf2matroid/_kernels.pyx":702
- *         for v in range(1, n_all):
- *             bs_set(c.nonzero, v)
- *         c.maxcov = 1             # <<<<<<<<<<<<<<
- *         for v in range(1, n_all):
- *             mc = bs_popcount(c.through + v * tw, tw)
-*/
-    __pyx_v_c.maxcov = 1;
-
-    /* "gf2matroid/_kernels.pyx":703
- *             bs_set(c.nonzero, v)
- *         c.maxcov = 1
- *         for v in range(1, n_all):             # <<<<<<<<<<<<<<
- *             mc = bs_popcount(c.through + v * tw, tw)
- *             if mc > c.maxcov:
-*/
-    __pyx_t_13 = __pyx_v_n_all;
-    __pyx_t_16 = __pyx_t_13;
-    for (__pyx_t_17 = 1; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_v = __pyx_t_17;
-
-      /* "gf2matroid/_kernels.pyx":704
- *         c.maxcov = 1
- *         for v in range(1, n_all):
- *             mc = bs_popcount(c.through + v * tw, tw)             # <<<<<<<<<<<<<<
- *             if mc > c.maxcov:
- *                 c.maxcov = mc
-*/
-      __pyx_v_mc = __pyx_f_10gf2matroid_8_kernels_bs_popcount((__pyx_v_c.through + (__pyx_v_v * __pyx_v_tw)), __pyx_v_tw);
-
-      /* "gf2matroid/_kernels.pyx":705
- *         for v in range(1, n_all):
- *             mc = bs_popcount(c.through + v * tw, tw)
- *             if mc > c.maxcov:             # <<<<<<<<<<<<<<
- *                 c.maxcov = mc
- *         # root: everything uncovered, every point available
-*/
-      __pyx_t_4 = (__pyx_v_mc > __pyx_v_c.maxcov);
-      if (__pyx_t_4) {
-
-        /* "gf2matroid/_kernels.pyx":706
- *             mc = bs_popcount(c.through + v * tw, tw)
- *             if mc > c.maxcov:
- *                 c.maxcov = mc             # <<<<<<<<<<<<<<
- *         # root: everything uncovered, every point available
- *         for i in range(n_subs):
-*/
-        __pyx_v_c.maxcov = __pyx_v_mc;
-
-        /* "gf2matroid/_kernels.pyx":705
- *         for v in range(1, n_all):
- *             mc = bs_popcount(c.through + v * tw, tw)
- *             if mc > c.maxcov:             # <<<<<<<<<<<<<<
- *                 c.maxcov = mc
- *         # root: everything uncovered, every point available
-*/
-      }
-    }
-
-    /* "gf2matroid/_kernels.pyx":708
- *                 c.maxcov = mc
- *         # root: everything uncovered, every point available
- *         for i in range(n_subs):             # <<<<<<<<<<<<<<
- *             bs_set(c.slab_uncov, i)
- *         memcpy(c.slab_avail, c.nonzero, nw * sizeof(u64))
-*/
-    __pyx_t_13 = __pyx_v_n_subs;
-    __pyx_t_16 = __pyx_t_13;
-    for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_i = __pyx_t_17;
-
-      /* "gf2matroid/_kernels.pyx":709
- *         # root: everything uncovered, every point available
- *         for i in range(n_subs):
- *             bs_set(c.slab_uncov, i)             # <<<<<<<<<<<<<<
- *         memcpy(c.slab_avail, c.nonzero, nw * sizeof(u64))
- *         cmp_dfs(&c, 0, c.slab_b, 0, c.slab_uncov, c.slab_avail, True)
-*/
-      __pyx_f_10gf2matroid_8_kernels_bs_set(__pyx_v_c.slab_uncov, __pyx_v_i);
-    }
-
-    /* "gf2matroid/_kernels.pyx":710
- *         for i in range(n_subs):
- *             bs_set(c.slab_uncov, i)
- *         memcpy(c.slab_avail, c.nonzero, nw * sizeof(u64))             # <<<<<<<<<<<<<<
- *         cmp_dfs(&c, 0, c.slab_b, 0, c.slab_uncov, c.slab_avail, True)
- *         best_mask = words_to_int(c.best_mask, nw) if c.best >= 0 else 0
-*/
-    (void)(memcpy(__pyx_v_c.slab_avail, __pyx_v_c.nonzero, (__pyx_v_nw * (sizeof(__pyx_t_10gf2matroid_8_kernels_u64)))));
-
-    /* "gf2matroid/_kernels.pyx":711
- *             bs_set(c.slab_uncov, i)
- *         memcpy(c.slab_avail, c.nonzero, nw * sizeof(u64))
- *         cmp_dfs(&c, 0, c.slab_b, 0, c.slab_uncov, c.slab_avail, True)             # <<<<<<<<<<<<<<
- *         best_mask = words_to_int(c.best_mask, nw) if c.best >= 0 else 0
- *         return c.best, best_mask, int(c.nodes), not c.timed_out
-*/
-    __pyx_f_10gf2matroid_8_kernels_cmp_dfs((&__pyx_v_c), 0, __pyx_v_c.slab_b, 0, __pyx_v_c.slab_uncov, __pyx_v_c.slab_avail, 1);
-
-    /* "gf2matroid/_kernels.pyx":712
- *         memcpy(c.slab_avail, c.nonzero, nw * sizeof(u64))
- *         cmp_dfs(&c, 0, c.slab_b, 0, c.slab_uncov, c.slab_avail, True)
- *         best_mask = words_to_int(c.best_mask, nw) if c.best >= 0 else 0             # <<<<<<<<<<<<<<
- *         return c.best, best_mask, int(c.nodes), not c.timed_out
- *     finally:
-*/
-    __pyx_t_4 = (__pyx_v_c.best >= 0);
-    if (__pyx_t_4) {
-      __pyx_t_3 = __pyx_f_10gf2matroid_8_kernels_words_to_int(__pyx_v_c.best_mask, __pyx_v_nw); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 712, __pyx_L16_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_2 = __pyx_t_3;
-      __pyx_t_3 = 0;
-    } else {
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-      __pyx_t_2 = __pyx_mstate_global->__pyx_int_0;
-    }
-    __pyx_v_best_mask = __pyx_t_2;
-    __pyx_t_2 = 0;
-
-    /* "gf2matroid/_kernels.pyx":713
- *         cmp_dfs(&c, 0, c.slab_b, 0, c.slab_uncov, c.slab_avail, True)
- *         best_mask = words_to_int(c.best_mask, nw) if c.best >= 0 else 0
- *         return c.best, best_mask, int(c.nodes), not c.timed_out             # <<<<<<<<<<<<<<
- *     finally:
- *         _cmp_free(&c)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_c.best); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 713, __pyx_L16_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_1 = NULL;
-    __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_c.nodes); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 713, __pyx_L16_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_1, __pyx_t_5};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(&PyLong_Type), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 713, __pyx_L16_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __pyx_t_5 = __Pyx_PyBool_FromLong((!__pyx_v_c.timed_out)); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 713, __pyx_L16_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_1 = PyTuple_New(4); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 713, __pyx_L16_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_GIVEREF(__pyx_t_2);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 713, __pyx_L16_error);
-    __Pyx_INCREF(__pyx_v_best_mask);
-    __Pyx_GIVEREF(__pyx_v_best_mask);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 1, __pyx_v_best_mask) != (0)) __PYX_ERR(0, 713, __pyx_L16_error);
-    __Pyx_GIVEREF(__pyx_t_3);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 713, __pyx_L16_error);
-    __Pyx_GIVEREF(__pyx_t_5);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 3, __pyx_t_5) != (0)) __PYX_ERR(0, 713, __pyx_L16_error);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = 0;
-    __pyx_t_5 = 0;
-    __pyx_r = __pyx_t_1;
-    __pyx_t_1 = 0;
-    goto __pyx_L15_return;
-  }
-
-  /* "gf2matroid/_kernels.pyx":715
- *         return c.best, best_mask, int(c.nodes), not c.timed_out
- *     finally:
- *         _cmp_free(&c)             # <<<<<<<<<<<<<<
-*/
-  /*finally:*/ {
-    __pyx_L16_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0;
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_23, &__pyx_t_24, &__pyx_t_25);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_20, &__pyx_t_21, &__pyx_t_22) < 0)) __Pyx_ErrFetch(&__pyx_t_20, &__pyx_t_21, &__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __Pyx_XGOTREF(__pyx_t_25);
-      __pyx_t_13 = __pyx_lineno; __pyx_t_16 = __pyx_clineno; __pyx_t_19 = __pyx_filename;
-      {
-        __pyx_f_10gf2matroid_8_kernels__cmp_free((&__pyx_v_c));
-      }
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_25);
-      __Pyx_ExceptionReset(__pyx_t_23, __pyx_t_24, __pyx_t_25);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_ErrRestore(__pyx_t_20, __pyx_t_21, __pyx_t_22);
-      __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0;
-      __pyx_lineno = __pyx_t_13; __pyx_clineno = __pyx_t_16; __pyx_filename = __pyx_t_19;
-      goto __pyx_L1_error;
-    }
-    __pyx_L15_return: {
-      __pyx_t_25 = __pyx_r;
-      __pyx_r = 0;
-      __pyx_f_10gf2matroid_8_kernels__cmp_free((&__pyx_v_c));
-      __pyx_r = __pyx_t_25;
-      __pyx_t_25 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "gf2matroid/_kernels.pyx":641
- * 
- * 
- * def complement_search(int r, subspace_masks, int forbidden_dim, bint full_rank,             # <<<<<<<<<<<<<<
- *                       int max_blocker, budget, bint symmetry):
- *     """Smallest blocker hitting every given subspace, branch and bound.
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("gf2matroid._kernels.complement_search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_mask_obj);
-  __Pyx_XDECREF(__pyx_v_best_mask);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__kernels(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__kernels},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_kernels",
-      __pyx_k_Compiled_search_kernels_Same_cal, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__kernels(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__kernels(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__kernels(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_kernels' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_kernels" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__kernels", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_gf2matroid___kernels) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "gf2matroid._kernels")) {
-      if (unlikely((PyDict_SetItemString(modules, "gf2matroid._kernels", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "gf2matroid/_kernels.pyx":13
- * from libc.string cimport memcpy, memset
- * 
- * from time import monotonic             # <<<<<<<<<<<<<<
- * 
- * ctypedef unsigned long long u64
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_monotonic};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_time, __pyx_imported_names, 1, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 13, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_monotonic};
-    __pyx_t_3 = 0; {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 13, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 13, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gf2matroid/_kernels.pyx":30
- *     int msb64(u64 x) noexcept nogil
- * 
- * __all__ = [             # <<<<<<<<<<<<<<
- *     "BACKEND_NAME",
- *     "KERNEL_RANK_MAX",
-*/
-  __pyx_t_2 = __Pyx_PyList_Pack(6, __pyx_mstate_global->__pyx_n_u_BACKEND_NAME, __pyx_mstate_global->__pyx_n_u_KERNEL_RANK_MAX, __pyx_mstate_global->__pyx_n_u_complement_search, __pyx_mstate_global->__pyx_n_u_forward_search, __pyx_mstate_global->__pyx_n_u_has_subspace_mask, __pyx_mstate_global->__pyx_n_u_min_odd_zero_subset); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 30, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_all, __pyx_t_2) < (0)) __PYX_ERR(0, 30, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gf2matroid/_kernels.pyx":39
- * ]
- * 
- * BACKEND_NAME = "c"             # <<<<<<<<<<<<<<
- * KERNEL_RANK_MAX = 12
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_BACKEND_NAME, __pyx_mstate_global->__pyx_n_u_c) < (0)) __PYX_ERR(0, 39, __pyx_L1_error)
-
-  /* "gf2matroid/_kernels.pyx":40
- * 
- * BACKEND_NAME = "c"
- * KERNEL_RANK_MAX = 12             # <<<<<<<<<<<<<<
- * 
- * cdef long long CHECK_INTERVAL = 4096
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_KERNEL_RANK_MAX, __pyx_mstate_global->__pyx_int_12) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-
-  /* "gf2matroid/_kernels.pyx":42
- * KERNEL_RANK_MAX = 12
- * 
- * cdef long long CHECK_INTERVAL = 4096             # <<<<<<<<<<<<<<
- * 
- * cdef u64 LOWPAT[6]
-*/
-  __pyx_v_10gf2matroid_8_kernels_CHECK_INTERVAL = 0x1000;
-
-  /* "gf2matroid/_kernels.pyx":45
- * 
- * cdef u64 LOWPAT[6]
- * LOWPAT[0] = 0x5555555555555555ULL             # <<<<<<<<<<<<<<
- * LOWPAT[1] = 0x3333333333333333ULL
- * LOWPAT[2] = 0x0F0F0F0F0F0F0F0FULL
-*/
-  (__pyx_v_10gf2matroid_8_kernels_LOWPAT[0]) = 0x5555555555555555ULL;
-
-  /* "gf2matroid/_kernels.pyx":46
- * cdef u64 LOWPAT[6]
- * LOWPAT[0] = 0x5555555555555555ULL
- * LOWPAT[1] = 0x3333333333333333ULL             # <<<<<<<<<<<<<<
- * LOWPAT[2] = 0x0F0F0F0F0F0F0F0FULL
- * LOWPAT[3] = 0x00FF00FF00FF00FFULL
-*/
-  (__pyx_v_10gf2matroid_8_kernels_LOWPAT[1]) = 0x3333333333333333ULL;
-
-  /* "gf2matroid/_kernels.pyx":47
- * LOWPAT[0] = 0x5555555555555555ULL
- * LOWPAT[1] = 0x3333333333333333ULL
- * LOWPAT[2] = 0x0F0F0F0F0F0F0F0FULL             # <<<<<<<<<<<<<<
- * LOWPAT[3] = 0x00FF00FF00FF00FFULL
- * LOWPAT[4] = 0x0000FFFF0000FFFFULL
-*/
-  (__pyx_v_10gf2matroid_8_kernels_LOWPAT[2]) = 0x0F0F0F0F0F0F0F0FULL;
-
-  /* "gf2matroid/_kernels.pyx":48
- * LOWPAT[1] = 0x3333333333333333ULL
- * LOWPAT[2] = 0x0F0F0F0F0F0F0F0FULL
- * LOWPAT[3] = 0x00FF00FF00FF00FFULL             # <<<<<<<<<<<<<<
- * LOWPAT[4] = 0x0000FFFF0000FFFFULL
- * LOWPAT[5] = 0x00000000FFFFFFFFULL
-*/
-  (__pyx_v_10gf2matroid_8_kernels_LOWPAT[3]) = 0x00FF00FF00FF00FFULL;
-
-  /* "gf2matroid/_kernels.pyx":49
- * LOWPAT[2] = 0x0F0F0F0F0F0F0F0FULL
- * LOWPAT[3] = 0x00FF00FF00FF00FFULL
- * LOWPAT[4] = 0x0000FFFF0000FFFFULL             # <<<<<<<<<<<<<<
- * LOWPAT[5] = 0x00000000FFFFFFFFULL
- * 
-*/
-  (__pyx_v_10gf2matroid_8_kernels_LOWPAT[4]) = 0x0000FFFF0000FFFFULL;
-
-  /* "gf2matroid/_kernels.pyx":50
- * LOWPAT[3] = 0x00FF00FF00FF00FFULL
- * LOWPAT[4] = 0x0000FFFF0000FFFFULL
- * LOWPAT[5] = 0x00000000FFFFFFFFULL             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  (__pyx_v_10gf2matroid_8_kernels_LOWPAT[5]) = 0x00000000FFFFFFFFULL;
-
-  /* "gf2matroid/_kernels.pyx":152
- * 
- * 
- * def has_subspace_mask(mask, int d, int r):             # <<<<<<<<<<<<<<
- *     """True iff some d-dimensional subspace has all nonzero vectors in mask."""
- *     if r > KERNEL_RANK_MAX:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10gf2matroid_8_kernels_1has_subspace_mask, 0, __pyx_mstate_global->__pyx_n_u_has_subspace_mask, NULL, __pyx_mstate_global->__pyx_n_u_gf2matroid__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 152, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_has_subspace_mask, __pyx_t_2) < (0)) __PYX_ERR(0, 152, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gf2matroid/_kernels.pyx":172
- * # --------------------------------------------------- smallest odd circuit
- * 
- * def min_odd_zero_subset(points):             # <<<<<<<<<<<<<<
- *     """Smallest odd t >= 3 with a t-subset of points XOR-ing to zero, else 0.
- * 
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10gf2matroid_8_kernels_3min_odd_zero_subset, 0, __pyx_mstate_global->__pyx_n_u_min_odd_zero_subset, NULL, __pyx_mstate_global->__pyx_n_u_gf2matroid__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 172, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_min_odd_zero_subset, __pyx_t_2) < (0)) __PYX_ERR(0, 172, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gf2matroid/_kernels.pyx":385
- * def forward_search(int r, int min_odd_girth, int pg_free_order, int min_critical,
- *                    bint full_rank, forced_in, forced_out_mask, budget,
- *                    bint prune=True):             # <<<<<<<<<<<<<<
- *     """Maximum point set under the given constraints, include-first DFS.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyBool_FromLong(((int)1)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 385, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-
-  /* "gf2matroid/_kernels.pyx":383
- * 
- * 
- * def forward_search(int r, int min_odd_girth, int pg_free_order, int min_critical,             # <<<<<<<<<<<<<<
- *                    bint full_rank, forced_in, forced_out_mask, budget,
- *                    bint prune=True):
-*/
-  __pyx_t_4 = PyTuple_Pack(1, __pyx_t_2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 383, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10gf2matroid_8_kernels_5forward_search, 0, __pyx_mstate_global->__pyx_n_u_forward_search, NULL, __pyx_mstate_global->__pyx_n_u_gf2matroid__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 383, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_t_4);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_forward_search, __pyx_t_2) < (0)) __PYX_ERR(0, 383, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gf2matroid/_kernels.pyx":641
- * 
- * 
- * def complement_search(int r, subspace_masks, int forbidden_dim, bint full_rank,             # <<<<<<<<<<<<<<
- *                       int max_blocker, budget, bint symmetry):
- *     """Smallest blocker hitting every given subspace, branch and bound.
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10gf2matroid_8_kernels_7complement_search, 0, __pyx_mstate_global->__pyx_n_u_complement_search, NULL, __pyx_mstate_global->__pyx_n_u_gf2matroid__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 641, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_complement_search, __pyx_t_2) < (0)) __PYX_ERR(0, 641, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "gf2matroid/_kernels.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled search kernels.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init gf2matroid._kernels", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init gf2matroid._kernels");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __pyx_builtin_enumerate = __Pyx_GetBuiltinName(__pyx_mstate->__pyx_n_u_enumerate); if (!__pyx_builtin_enumerate) __PYX_ERR(0, 692, __pyx_L1_error)
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{1},{43},{40},{27},{46},{39},{12},{15},{20},{1},{7},{12},{18},{9},{6},{3},{1},{6},{18},{17},{6},{1},{4},{5},{9},{4},{13},{9},{15},{14},{9},{8},{19},{17},{1},{13},{5},{6},{1},{8},{4},{8},{9},{11},{4},{2},{12},{13},{19},{10},{9},{5},{6},{8},{2},{2},{2},{3},{13},{3},{6},{3},{5},{3},{8},{12},{1},{4},{1},{12},{10},{4},{5},{4},{14},{4},{8},{5},{8},{4},{2},{1},{6},{2},{2},{1},{329},{143},{992},{871}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1773 bytes) */
-const char* const cstring = "BZh91AY&SY\035M`\306\000\001n\377\377\377\377\377\377\177\345\277\376\277\377\177\377\277\377\377\374@@@@@@@@@@@@@\000@\000`\006\1775\020\342\223\000\007\332\274\000x\tS!I\000\003C@\003`\323SS16D\332S\312hd\323L\236\246\232mC\324\000\006\236\241\352h\006F\324\022\210\004\320hL\2022)\372j\214\2324\000\000\000\000\000\000\000\000\000\000\000\320\004\246! \000\000\033\325\006\200\032\0314\003@\000\001\241\240\000\006\206@h\020i\211\200\000\000\000\000\000\000\000\000\000\000#\010\300\000\000\000\311S\324\201\2404\003\023@\321\240\003L\232h\003M\030F\230\2154\000\032h\320\310\300\200\323@\022\201\020\204\321\2222\000\036\221\352\000\000\000\000\000\000\000\003@\323\0204z\032\215\026j\247\001\333\t|\031\231\202\376\217\330\027\214\334\350\005\032\t*\347\337i5\360\221JP\023ws\372\"&\200\240\212\n\"*(\016\341lM\000U\305D@\263P]4\224\240\007\374\233\010\244P\214n|P\202B6\001j\252\242\250\010\242\211\002d\320\300|G\246\273\204\335\231b\022\252@\010\004\206Tq\304+\352\230\305QPT\024t\001\032\321\025\005Iic$\2014\230N\205\032\367\014f\207\261\325.\010m\254+\250G\244\222\254`\225\n\263,I\004\256@\321I\022\260h\261\033\314\363B\275\030*\326\025\306\263\200\372\225b\211\030\204JR\004\233\252\215\262\253(\016\231M\267I\330\225\026\t\222w\273\201\027\276\251\322\274\013\305\203\224\241\221\014e\231%H\030BZ\264\226\3610\322imcR\343\317D\265\003\222V\010\205\234A\004\t\001: H\210\251\212(\234\306B\010\006f kLs0\263!\262\250,(\225\tJY\201\221\212\314\357 d\036\036\273L\313\026A\000GN\211\004\220\214\030\036pD\234\253\022\246&\010N\242IC\221\216\231S\037\255\341\361\344\336!@+*\300\270Ka\272\275\323\275y(\304\340b\366ip\244\024\221IH\250R\356k\207\272\331\"\262\025\212\305t\014\301\211\205W\224\235\312\026!\207s\275R\2042\336`%\025\263\256\270&,\222\222\025\225\230\001\0039\253*4[Q\241Xe\221\353\212l\\r\261J\024V \204\200\251$Z\323JD\206\364\251BvbP\241\305\031\203_Q,\"X\210\022\030\263?\221w5\274\207\353<\277M\270Z\374\317\265o\202hha.1\330\3522\330['\231\221m\"\241(fHwj\rq\257\234;""\022\332\322\343\323-\032Qy3\257-\213u\214<\373\373t\262\224\241\316j\203\370p\032\272%zl\325\006\301K\201q\rx\027\022\354\005\33136\316S\224\310\234]Z&5\235=\212\351\250\317\265\212&\354k\2550K\223\265\263W6v\203\204\343{h\254\276?M0\346\342c\364\205\367\232\212<\337\254k/5\277\007jR\032\355gMU\305\327\\\2344\330\314\321t\270\306\230\206\247%:\307\316I\276c]Via\245\322n\264\377\0357\264\250\341\256\264\347\254\313z\355G,\014\311-\225T\316\027\355\305k\254\326s\262\177N\265m6\234e\027J\252\360\264\243\257\350\362\233\001\324\337\232_\304\361\221-\330\327\353\345\323\317\320l)\2203\020rXV1\032\265\216\343\224\307\2728AH\254mG60\313\373b\037!\236\021F*TU\236\362\353\271;K\r\332\311\317\214\234\325\312Md\305\3063\204\n\016d\026w\t\233\"\203\205\351xl\345}s\271M\r6\030\033\234\334\254H\355\210\360q\246;\261%YUZR\307H\263\007\332\031\206L\3177\257:\355 \232\316@5\267\230\3503\231\\\243\035\004k\230\350/P\363*b\225\345s\250\245\342)\305\245\341P\341\222]\255\014\224\177E\013\304\304L4e\0047p\341c\260\273FF\005\365\014!9I\250\234n\316)\002\250\331\031\266\305+\350,W*\332\017e\272\266\t\232\031\246i\010G\220.u\272\336\324\332\310o\213I\030S\01459\263$\254\211(\004\345\251\214w\026Ydd\177\230\211\262\265\341\272\227A\264`b\026\026Y\267\244\302\023\317|\341\243E\205\211h\374\347\310\376Z\034Z\005\302\373Kq%\330\340^\306\025\365&\311p\254\013\226\372D\324\275\177\014 $\010\260B\000\202\022\362\022\254{\030\334\036\347\220\206j;\010\206\n\336\345\362T.c\333\217\010f\241\331Q\225P\311\363\001uL\345e\035A\205An#\"7\244\260\204Q\372!\001\353\"\345)\224,\342\020\245\020\264\240\273Y\366\002(f\356Z\001O\241\351QE\017\216;\237\322\033\031L\254oF\365c b\372\300\262\005E\327\327d\331\252\250\311\212\214\230\255\001\3454) \"i\252\264\350\324\301~j]\025\2216Q)\333\207\236\323T'V`\223\215)\336\265\364f;r\342\022YA\220@O\021\216om\277`W\347O\203\364\226St\365\374\035G\312\035\2052.iBd\352\024\2253\\\332l\315\032\315\203&\236\r\237%V\217*\222\266\242\212&\033y\367\326\273X\365\017\221\024Q""\221\242\207\346\371#\307\217\021d\260\216\276W?`\2266t\036\347\010\r,\225\217\236\016\367Q\007\354\266\336 =\210eIdB\312\256\023\370\272\335V\333\013\026\222\336\330\232b\373\316\263Y\246\234\006m\333\220KV$\265\376\224+\261\023\304\316\340\2263\0250\332-\016G\275\302\225\243=\312X\221\\\226b\313\022$<\355\274\3274sH\331^\251\226\315E=\221\324\247\0320\216\255\307DT\271IbJ\202\246\241O&\240\271w)\263\272)E\224\272j\315\2452\250\3022\212h`\\\245\206\206E\025Cd\243C<\240)?`\353\213\221\013\020Y\223Q(\032\320\301z\204\350\031n\026\230DZ\004\353\260)jhN\325B\355\325\307$&\317\202\013d\236\231\341\t<\233\"Y\227>\362\3141\364Ix\354\321\257\037:\277+8\306\315\343\342\360\351\342\233\\,f\313%\336\317\223\r\275\371\330\345\326\346\343ng\032\322\034\335h\030\227\354\030\366\347\214\310(\207\007^\022;\003\224\022\350\255!\025\326MU\341\320\225\322\020#\031A\274\273\003T\224\014\365\007\243Q\326&\000\205z\006\201(\200\342\207\017\001bY]\215f\233Gg\016\262\250\214\222\354\207a\264\\\342\320\350\241\352\020\201d\225\224r\212\247h\203\226\017\r-x\334\177\305\334\221N\024$\007SX1\200";
-    PyObject *data = __Pyx_DecompressString(cstring, 1773, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1770 bytes) */
-const char* const cstring = "x\332\255VKS\333X\026\216\023\233G\343fl0$!3S6t\246\223\252\256t\031H\3721\3355e\034\323\311$\241\332\274B?U\327\222\014J,\311\326\303\230\236^\260\324\362.\357\362.\265\324RK/Y\262\324\222\237\300O\230\357^\001\201\320\251\251\352\032\n[\322\321\275\347|\347;\347;\327\217\376\245\332f\267\243\233\272\345\225]\2358\352^\331\365\273]\333\361\33421[\206\260;\304z[\376\346\333r\333v\366\211\243\375\317u\256\243~\276\333^4\211\347\330\206\366\271\362Vw,\275\343>\352\036\014\\\277\345\352^\331v\210\332\321/y\360\312\246\355z\345'K\345\256mX\236\373Yy\327\006 \254\356\022U/{\272\353}8\336J\255\376\242\261\366TY\253\275j\274h\254\2575^*\353\265\265\027\312\253\332\216\242|\1770\300\347\251\241z\312\232>\360\326\365\366\246\242\220NG\301\037\261,\333#\236\216;\367\300R\r\373\221j;\266\357\031\226\356\266\020R1\211\373\266\345k\273\272\327\362\333\252\272g\273\272\245v\360Z1,\305C\022z\213\250o\337Q\250\244\324\250v_w\\M\323\t>]oO\267|Sw\020\250\255\023\027,\266\014\330-E3L<\250\272\006og7\010.\203\236Q}\346\257\355\003\257\310VQ\332\276\245*\312;v\037\235\263\273G\\\345\234/\351\302P\014W\271\310\307\360t\323\355\350}\2544\025\274\007~\271J|\024\273\365F^\367mG3\311@iul\025nq\253\231\252\211\245\252cx\206J:\342\336\3264e\327p\274\275\363\207\337t\307V\322\302\302\247\255\371\035]\\A\255m\031\252%\310\266\344{E\261\210\211wV\333\352[\373\300\325\335U\332\216\256+\010\253;]\243\237\326\276kw\273\216o\2018\027\377J\307@!\224\236O:\351nG\020\001_\"\\j\301\235\246\267\211\337\361\\\3437]~\\\213t\257\260\341\272\276\351\272\007\246\251{\316\201GZ\002\243\350*|\033\260\355\367\373\244\343\353n\277\277o\014\0163\247\205\033\271Y\332\244$\311\026\3514\255\321f\222\035=t\202\251\240\232\214M\006oX\346\370\356\363\243\342Q\345\222\371/A/\311NQ\230>\n\026\202\r:B\367\030a\016\237\342\351\313\323\221\033\271\361 \027l\321\n\205e\"\250\006\r:K\007\254\3073Iv\026\253\333\274\3067\303b\222\235\241;l\233Wy\235;\342q\364\260\017\1779\272\301rl\003\213\307\362A-h^\\\306\205\347\221\344\343""\311$_\244Ez\237\366\222|\001\313\267X\205U\223\302,%\264\317^\2379+\224h\203\315\000X/)\335\246\036\253\262Zr\347o\254\311Z\374&_\340M\276\033nF\305h!\332\2103I^,.\262\212\014%\022o\321[\300\016\357#Te\323l\205\221\244p[\304C`\231\344\311\025l\207\231\223k\264\255\014+\303\252\310Wc\363\254\316\\\021T<\352l\221\255\263}\016\312K\364\031[\345\363\022\361T\270\030nD7\243\007\361|\\\023Tx\301R@\220\364I6\227\214\225P\232m\366Xp2\031X\254\306\266\340n#\314\206O\261\245r\016&;\021,\007=\232\001\234\351\322i\376Fn\354=L\365auX;\001\355\353\324E\266@\243\262Y@\253\210\362\377\0355\234\341VT\217\366c\tnU\002\357\361\t@k\212]\315\323I\024\340p+\300\372\334\341\017\200\207\3136\374\343rf\334\0210r\307\271\031\321I\271\303_\350\245\245\302\372\232}\307\345\372\237Q\301\207l\t\345\230\010\277\210>\215\347\206\325k\033\304\345D\032\037\260\177\360\014/q\351\364u\360\014\330*\354+\276\032\316\203\201\2140\376D\307\330\010\312\355\245\356\025Im\205\177\0256\242\251h9\352%\227\374\334\r\357\207n4\037\255Dj<\025/\307\275\017\356\370\231\336\001A=>\036\316\204\255\350VT}\337\215\023\335\216\257\304\027:X\342\255\360&\240\325\317\242h1\222\032\0132\301=Z\247\276\3444\207\352\345P\360Lt7^\210\233I\036=E?F\327\213\027\231\360\036\252\320{\3378\027-E$5N\2009\035q\010?\220\250\306\204 \244\334\322~\311Cr3\320\203\250\362\205F\226D\027O\323/\241\205\357\370\"_\347\236(lR\232\023\372a\r\000O\215h\374)\341\214\376\233\021Hn|J\370\226]O3g\221DG\021\314\001y\351\243\326\362f@{\354#4\346:\357\245c\"\375*P)\345U*\261dD\006\036\375F\214\003>\215\336\037\204\275T\\\205b\222\237\246\377\024\232\345\267\220\334n\270\023m\307_\016\037\037a\217h(\361EM\240\334\226\300\261\270J_\200\361Y\356\202\355\225PE\341\252\327V\211\\\276\206\344\372\022\027\244^\023C\tB\271\354@\214\014)\356\013\266\236\310BjaEp\366\004\323\341\001dR\232\301`9.}\002\330\"dM\032\246\337K\246t\207e\3205}\236r\233\206\251a\252\215\302\266\031\336\211f\243A\354\017W1U!\354\227\330Y\344\237\205\273Q3j\307\365x\177HR\256G\351\177""\344\240\0225\316F\265\250yr^e\314\355\311\353\342^\035\222a\357\217\305-n\213\251Mc\237\"\261e\300\257\010\215\277\3044\274\317\177\217\026\243\365\310\211gcgx\373h\344\250u\374}\363t\354\203Z\3771\350\275{:\306\001BR\001\325.)\030\372\376?J~'\330\301\374\253\262W\341t\370\354\\Q\357Dw\020\216@\236 \351\017&\301\217h\313>\346\276\301}\264\210\026\311\215\277B\005O@\373\303\3601\006\350'\021\371\220Q$\220\236Q\317\303-\210\371i\252\366\037\202=\332\306\030\336\344\305?!\376\021\256b\236\2508~\036\306K\361\231\244\307q\3164\320C5\276\203\271\220\023\347R\374\327\341\306Q&}\235\307N\037\r\326\013'1\265\212\251q\024\225\276/J\214\251UG\347]\037\003\365\340w\314\311\032X\314\213\256\234C\"\253R+)]\362\204\323\345\341X\020\207c\233\257H\370\013a3$\362HMJw\001L\234_\363\274\021\026\3215\245\n\237\273<8\236CW\342\374Z\026\000\256\014\236\213)\002<\301\234\200u\345u\221\336\003\205\2422\351\361\207\363X\244\345\322y\371C\244P\244s\254zr\261\247w\356\360\025HO\347\017\206c\223\275\toI8\351\200\302\257\230:\306\320\270d\362\227\250\022};\314\374I\231\375\027t\005\317\334";
-    PyObject *data = __Pyx_DecompressString(cstring, 1770, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (3124 bytes) */
-const char* const bytes = ".?complement search supports ambient rank <= forward search supports ambient rank <= src/gf2matroid/_kernels.pyxsubset oracle supports at most 63 points, got subspace test supports ambient rank <= BACKEND_NAMEKERNEL_RANK_MAX__Pyx_PyDict_NextRefT__all____annotate__asyncio.coroutinesbest_maskbudgetbufcchosencline_in_tracebackcomplement_searchcoversddeaddepthenumeratefeasforbidden_dimforced_inforced_out_maskforward_searchfull_rank__func__gf2matroid._kernelshas_subspace_maski_is_coroutineitemslevelsm__main__maskmask_objmask_wordmax_blockermaxdmcmin_criticalmin_odd_girthmin_odd_zero_subset__module__monotonicn_alln_subs__name__nfnvnwoutpg_free_orderpivpointspoppruneptspts_list__qualname__rranks__set_name__setdefaultsizesizessnapsubspace_maskssumssymmetrytable__test__timetwvvaluesvvwix\200\001\360\020\000\005\026\220Q\220a\330\004\021\220\023\220A\220Q\330\004\007\200r\210\022\2101\330\010\016\210j\230\001\320\031I\310\021\310!\330\004\007\200r\210\022\2101\330\010\017\210q\330\004\022\220!\330\004\n\210#\210S\220\006\220h\230a\230r\240\022\2401\330\010\017\210q\360\006\000\005\t\210\005\210U\220!\2201\330\010\013\2101\210E\220\026\220x\230q\240\001\330\004\026\220h\230f\240A\240T\250\021\330\004\025\220X\230V\2401\240C\240r\250\021\330\004\007\200v\210S\220\005\220S\230\005\230S\240\001\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\t\360\006\000\005\006\330\r\016\330\014\021\220\021\220%\220q\330\014\020\220\005\220U\230!\2301\330\020\026\220a\220v\230W\240C\240r\250\021\330\020\024\220E\230\025\230a\230q\330\024\027\220t\2301\230A\330\030\035\230Q\230b\240\002\240#\240Q\240g\250T\260\021\260#\260S\270\001\330\014\024\220E\230\021\230!\330\010\014\210A\330\010\016\210b\220\003\2201\330\014\020\220\006\220c\230\023\230B\230a\330\020\027\220q\330\014\021\220\021\330\010\017\210q\340\010\014\210A\210Q\330\010\014\210A\210Q\200\001\340\004\007\200r\210\022\2101\330\010\016\210j\230\001\320\031B\300!\3001\330\004\026\220d\230\"\230C\230s\240#\240Q\330\004\026\220e\2302""\230R\230w\240a\330\004\024\220H\230F\240\"\240C\240r\250\022\2502\250S\260\002\260(\270\"\270A\330\004\007\200t\2103\210a\330\010\t\340\004\005\330\010\024\220A\220V\2305\240\001\330\010\016\210n\230A\230U\240#\240S\250\004\250D\260\002\260!\340\010\014\210A\210Q\330\004\013\2104\210q\220\001\200\001\340\023\024\360\014\000\005\010\200r\210\022\2101\330\010\016\210j\230\001\320\031C\3001\300A\340\004\025\220R\220s\230!\330\004\026\220c\230\026\230s\240!\330\004\021\220\036\230r\240\025\240n\260C\260w\270a\330\004\024\220F\230\"\230C\230q\240\013\2502\250Q\340\004\025\220Q\360\016\000\005\006\200U\210!\330\004\005\200Y\210a\330\004\005\200V\2101\330\004\005\200U\210!\330\004\005\200X\210Q\330\004\005\320\005\025\220Q\330\004\005\200]\220!\330\004\005\200Y\210a\330\004\005\320\005\025\220W\230G\2401\330\004\005\200\\\220\021\220)\2303\230b\240\013\2507\260'\270\032\3001\330\004\005\200]\220!\330\004\005\200Y\210a\330\004\005\200Y\210a\340\004\005\200]\220(\230&\240\001\240\024\240Q\330\004\005\200W\210H\220F\230!\2309\240F\250\"\250D\260\001\330\004\005\200[\220\010\230\006\230a\230t\2401\330\004\005\200_\220H\230F\240!\2409\250E\260\022\2604\260q\330\004\005\200]\220(\230&\240\001\240\031\250%\250s\260\"\260B\260c\270\022\2704\270q\330\004\005\200_\220H\230F\240!\2409\250E\260\022\2604\260q\330\004\005\200\\\220\030\230\026\230q\240\t\250\025\250b\260\003\2601\330\004\005\200]\220(\230&\240\001\240\031\250%\250r\260\027\270\001\330\004\005\200[\220\010\230\006\230a\230r\240\022\2403\240b\250\002\250\"\250C\250s\260\"\260B\260d\270!\330\004\010\210\001\210\033\220C\220u\230C\230q\240\005\240S\250\005\250S\260\001\260\031\270#\270Q\330\014\017\210q\220\r\230S\240\005\240S\250\001\250\033\260C\260q\330\014\017\210q\220\r\230S\240\005\240S\250\001\250\032\2603\260a\330\014\017\210q\220\013\2303\230e\2403\240a\240y\260\003\2601\330\010\021\220\021\220!\2201\330\010\t\340\004\005\330\010\014\210E\220\025\220a\220s\230!\330\014\020\220\005\220U\230!\2303\230a\330\020\023""\2208\2301\230G\2402\240R\240t\2502\250Q\330\024\032\230!\2301\230E\240\022\2402\240R\240t\2501\330\014\022\220!\2201\220J\230a\360\006\000\t\022\220\021\220!\330\010\017\210q\220\001\330\010\021\220\021\220!\330\010\016\210a\210q\330\010\016\210a\210v\220Q\330\010\016\210a\210x\220q\230\n\240#\240R\240q\330\010\017\210q\330\010\017\210q\330\010\020\220\001\330\010\014\210F\220!\330\014\020\220\001\330\014\017\210t\220<\230q\240\001\240\023\240C\240x\250q\330\020\027\220q\330\020\021\330\014\023\220;\230a\230q\240\003\2403\240g\250X\260V\2708\3005\310\001\330\014\025\220Q\330\014\025\220Q\220m\2402\240V\2502\250Q\330\014\023\2201\220K\230r\240\026\240s\250\"\250B\250c\260\022\2601\330\014\025\220Q\220m\2402\240V\2502\250Q\330\014\022\220!\220:\230R\230v\240R\240q\330\014\024\220A\330\010\013\2104\210q\330\014\023\2201\220K\230r\240\026\240r\250\021\330\014\021\220\021\330\014\020\220\005\220U\230!\2306\240\022\2403\240d\250!\330\020\023\2206\230\021\230(\240!\330\024\025\330\020\024\320\024$\240C\240s\250\"\250A\330\024\025\330\020\023\220<\230q\240\001\240\023\240C\240x\250q\330\024\030\230\001\230\026\230v\240Q\330\024\032\230!\330\014\023\2201\220A\220S\230\007\230v\240T\250\030\260\026\260x\270u\300F\310!\330\010\024\220L\240\001\240\021\240,\250g\260Q\260f\270C\270w\300a\330\010\017\210q\220\007\220{\240#\240Q\240a\240y\260\004\260A\260Q\340\010\021\220\021\220!\2201\200\001\360\016\000\005\010\200r\210\022\2101\330\010\016\210j\230\001\320\031F\300a\300q\340\004\025\220R\220s\230!\330\004\026\220c\230\026\230s\240!\330\004\026\220c\230\021\230!\330\004\026\220d\230'\240\022\2404\240s\250!\330\004\024\220L\240\002\240%\240|\2602\260R\260r\270\026\270r\300\027\310\006\310b\320PQ\360\010\000\005\006\200U\210!\330\004\005\200Y\210a\330\004\005\200V\2101\330\004\005\200Z\210q\330\004\005\200V\2101\330\004\005\320\005\026\220a\330\004\005\200_\220A\330\004\005\200]\220!\330\004\005\200\\\220\021\330\004\005\320\005\025\220W\230G\2401\330\004\005\200\\\220\021\220)""\2303\230b\240\013\2507\260'\270\032\3001\330\004\005\200]\220!\330\004\005\200Y\210a\330\004\005\200Y\210a\340\004\005\200]\220(\230&\240\001\240\024\240Q\330\004\005\200X\210X\220V\2301\230M\250\023\250H\260B\260d\270!\330\004\005\200[\220\010\230\006\230a\230y\250\006\250b\260\004\260A\330\004\005\200[\220\010\230\006\230a\230t\2401\330\004\005\200Z\210x\220v\230Q\230i\240u\250B\250d\260!\330\004\005\200^\2208\2306\240\021\240)\2505\260\002\260$\260a\330\004\005\200^\2208\2306\240\021\240)\2505\260\002\260$\260a\330\004\005\320\005\025\220X\230V\2401\240I\250U\260\"\260D\270\001\330\004\005\200Y\210h\220f\230A\230T\240\021\330\004\005\200[\220\010\230\006\230a\230r\240\022\2403\240b\250\002\250\"\250C\250s\260\"\260B\260d\270!\330\004\010\210\001\210\033\220C\220u\230C\230q\240\006\240c\250\025\250c\260\021\260)\2703\270a\330\014\017\210q\220\t\230\023\230E\240\023\240A\240X\250S\260\005\260S\270\001\270\034\300S\310\001\330\014\017\210q\220\014\230C\230u\240C\240q\250\016\260c\270\021\330\014\017\210q\220\007\220s\230%\230s\240!\2409\250C\250q\330\010\021\220\021\220!\2201\330\010\t\340\004\005\330\010\014\210C\210|\2309\240A\240Q\330\014\030\230\001\230\032\2401\240F\250\"\250B\250b\260\004\260A\330\014\020\220\006\220e\2301\230A\330\020\035\230Q\230f\240B\240b\250\002\250#\250Q\250a\330\020\026\220a\330\024\031\230\023\230C\230s\240\"\240E\250\021\250!\330\024!\240\032\2502\250Q\330\024\032\230!\2301\230I\240R\240r\250\022\2504\250q\330\010\014\210E\220\025\220a\220s\230!\330\014\022\220!\2201\220J\230a\330\010\t\210\032\2201\330\010\014\210E\220\025\220a\220s\230!\330\014\021\220\033\230A\230Q\230i\240r\250\022\2502\250T\260\021\330\014\017\210s\220\"\220A\220Q\330\020\021\220\032\2301\340\010\014\210E\220\025\220a\220q\330\014\022\220!\2201\220M\240\021\330\010\016\210a\210q\220\r\230Q\230j\250\003\2502\250Q\330\010\017\210q\220\001\220\023\220C\220q\230\t\240\023\240A\240]\260!\260=\300\001\330\010\024\220L\240\001\240\021\240,\250g\260Q\260f\270C\270w\300a""\330\010\017\210q\220\007\220{\240#\240Q\240a\240y\260\004\260A\260Q\340\010\021\220\021\220!\2201";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 87; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 7) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 87; i < 91; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 91; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 87;
-      for (Py_ssize_t i=0; i<4; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,1,12,64};
-    for (int i = 0; i < 4; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 4;
-    const char* c_constant = "fvvvvvvvvvvvv";
-    for (int i = 0; i < 1; i++) {
-      char *end_pos;
-      numbertab[i] = PyLong_FromString(c_constant, &end_pos, 32);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-      c_constant = end_pos + 1;
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<5; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 4;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 5;
-    unsigned int flags : 10;
-    unsigned int first_line : 10;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 7, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 152};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mask, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_nw, __pyx_mstate->__pyx_n_u_levels, __pyx_mstate->__pyx_n_u_buf, __pyx_mstate->__pyx_n_u_out};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gf2matroid__kernels_pyx, __pyx_mstate->__pyx_n_u_has_subspace_mask, __pyx_mstate->__pyx_kp_b_iso88591_r_1_j_B_1_d_Cs_Q_e2Rwa_HF_Cr_2S, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 11, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 172};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_points, __pyx_mstate->__pyx_n_u_pts_list, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_nv, __pyx_mstate->__pyx_n_u_pts, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_table, __pyx_mstate->__pyx_n_u_snap, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_sizes, __pyx_mstate->__pyx_n_u_s};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gf2matroid__kernels_pyx, __pyx_mstate->__pyx_n_u_min_odd_zero_subset, __pyx_mstate->__pyx_kp_b_iso88591_Qa_AQ_r_1_j_I_r_1_q_S_har_1_q_U, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {9, 0, 0, 28, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 383};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_min_odd_girth, __pyx_mstate->__pyx_n_u_pg_free_order, __pyx_mstate->__pyx_n_u_min_critical, __pyx_mstate->__pyx_n_u_full_rank, __pyx_mstate->__pyx_n_u_forced_in, __pyx_mstate->__pyx_n_u_forced_out_mask, __pyx_mstate->__pyx_n_u_budget, __pyx_mstate->__pyx_n_u_prune, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_n_all, __pyx_mstate->__pyx_n_u_nw, __pyx_mstate->__pyx_n_u_T, __pyx_mstate->__pyx_n_u_maxd, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_size, __pyx_mstate->__pyx_n_u_rank, __pyx_mstate->__pyx_n_u_depth, __pyx_mstate->__pyx_n_u_nf, __pyx_mstate->__pyx_n_u_dead, __pyx_mstate->__pyx_n_u_feas, __pyx_mstate->__pyx_n_u_chosen, __pyx_mstate->__pyx_n_u_sums, __pyx_mstate->__pyx_n_u_covers, __pyx_mstate->__pyx_n_u_piv, __pyx_mstate->__pyx_n_u_vv, __pyx_mstate->__pyx_n_u_best_mask};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gf2matroid__kernels_pyx, __pyx_mstate->__pyx_n_u_forward_search, __pyx_mstate->__pyx_kp_b_iso88591_r_1_j_C1A_Rs_c_s_r_nCwa_F_Cq_2Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {7, 0, 0, 20, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 641};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_subspace_masks, __pyx_mstate->__pyx_n_u_forbidden_dim, __pyx_mstate->__pyx_n_u_full_rank, __pyx_mstate->__pyx_n_u_max_blocker, __pyx_mstate->__pyx_n_u_budget, __pyx_mstate->__pyx_n_u_symmetry, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_n_all, __pyx_mstate->__pyx_n_u_nw, __pyx_mstate->__pyx_n_u_n_subs, __pyx_mstate->__pyx_n_u_tw, __pyx_mstate->__pyx_n_u_maxd, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_mc, __pyx_mstate->__pyx_n_u_wi, __pyx_mstate->__pyx_n_u_mask_word, __pyx_mstate->__pyx_n_u_mask_obj, __pyx_mstate->__pyx_n_u_best_mask};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_gf2matroid__kernels_pyx, __pyx_mstate->__pyx_n_u_complement_search, __pyx_mstate->__pyx_kp_b_iso88591_r_1_j_Faq_Rs_c_s_c_d_4s_L_2Rr_r, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/* Compiled search kernels: the C twin of gf2matroid._kernels_py.
+ *
+ * Same call contracts, entry checks, traversal order, pruning rules,
+ * node counts and deadline polls as the pure module; point sets live in
+ * uint64 word arrays instead of Python big ints.  The pure module is
+ * the reference; keep the two in lockstep when changing either.
+ *
+ * Plain C99 plus the GCC/Clang bit builtins, built by setuptools:
+ *     python setup.py build_ext --inplace
+ * Python ints cross the boundary through int.to_bytes / int.from_bytes.
  */
-#pragma warning( disable : 4127 )
-#endif
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyErrFetchRestore (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* PyObjectGetAttrStr (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* GetException */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* SwapException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* CIntToDigits (used by CIntToPyUnicode) */
-static const char DIGIT_PAIRS_10[2*10*10+1] = {
-    "00010203040506070809"
-    "10111213141516171819"
-    "20212223242526272829"
-    "30313233343536373839"
-    "40414243444546474849"
-    "50515253545556575859"
-    "60616263646566676869"
-    "70717273747576777879"
-    "80818283848586878889"
-    "90919293949596979899"
-};
-static const char DIGIT_PAIRS_8[2*8*8+1] = {
-    "0001020304050607"
-    "1011121314151617"
-    "2021222324252627"
-    "3031323334353637"
-    "4041424344454647"
-    "5051525354555657"
-    "6061626364656667"
-    "7071727374757677"
-};
-static const char DIGITS_HEX[2*16+1] = {
-    "0123456789abcdef"
-    "0123456789ABCDEF"
-};
-
-/* BuildPyUnicode (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char) {
-    PyObject *uval;
-    Py_ssize_t uoffset = ulength - clength;
-#if CYTHON_USE_UNICODE_INTERNALS
-    Py_ssize_t i;
-    void *udata;
-    uval = PyUnicode_New(ulength, 127);
-    if (unlikely(!uval)) return NULL;
-    udata = PyUnicode_DATA(uval);
-    if (uoffset > 0) {
-        i = 0;
-        if (prepend_sign) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, 0, '-');
-            i++;
-        }
-        for (; i < uoffset; i++) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, i, padding_char);
-        }
-    }
-    for (i=0; i < clength; i++) {
-        __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, uoffset+i, chars[i]);
-    }
-#else
-    {
-        PyObject *sign = NULL, *padding = NULL;
-        uval = NULL;
-        if (uoffset > 0) {
-            prepend_sign = !!prepend_sign;
-            if (uoffset > prepend_sign) {
-                padding = PyUnicode_FromOrdinal(padding_char);
-                if (likely(padding) && uoffset > prepend_sign + 1) {
-                    PyObject *tmp = PySequence_Repeat(padding, uoffset - prepend_sign);
-                    Py_DECREF(padding);
-                    padding = tmp;
-                }
-                if (unlikely(!padding)) goto done_or_error;
-            }
-            if (prepend_sign) {
-                sign = PyUnicode_FromOrdinal('-');
-                if (unlikely(!sign)) goto done_or_error;
-            }
-        }
-        uval = PyUnicode_DecodeASCII(chars, clength, NULL);
-        if (likely(uval) && padding) {
-            PyObject *tmp = PyUnicode_Concat(padding, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-        if (likely(uval) && sign) {
-            PyObject *tmp = PyUnicode_Concat(sign, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-done_or_error:
-        Py_XDECREF(padding);
-        Py_XDECREF(sign);
-    }
-#endif
-    return uval;
-}
-
-/* COrdinalToPyUnicode (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value) {
-    return value <= 1114111;
-}
-static PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t ulength, char padding_char) {
-    Py_ssize_t padding_length = ulength - 1;
-    if (likely((padding_length <= 250) && (value < 0xD800 || value > 0xDFFF))) {
-        char chars[256];
-        if (value <= 255) {
-            memset(chars, padding_char, (size_t) padding_length);
-            chars[ulength-1] = (char) value;
-            return PyUnicode_DecodeLatin1(chars, ulength, NULL);
-        }
-        char *cpos = chars + sizeof(chars);
-        if (value < 0x800) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xc0 | (value & 0x1f));
-        } else if (value < 0x10000) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xe0 | (value & 0x0f));
-        } else {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xf0 | (value & 0x07));
-        }
-        cpos -= padding_length;
-        memset(cpos, padding_char, (size_t) padding_length);
-        return PyUnicode_DecodeUTF8(cpos, chars + sizeof(chars) - cpos, NULL);
-    }
-    if (value <= 127 && CYTHON_USE_UNICODE_INTERNALS) {
-        const char chars[1] = {(char) value};
-        return __Pyx_PyUnicode_BuildFromAscii(ulength, chars, 1, 0, padding_char);
-    }
-    {
-        PyObject *uchar, *padding_uchar, *padding, *result;
-        padding_uchar = PyUnicode_FromOrdinal(padding_char);
-        if (unlikely(!padding_uchar)) return NULL;
-        padding = PySequence_Repeat(padding_uchar, padding_length);
-        Py_DECREF(padding_uchar);
-        if (unlikely(!padding)) return NULL;
-        uchar = PyUnicode_FromOrdinal(value);
-        if (unlikely(!uchar)) {
-            Py_DECREF(padding);
-            return NULL;
-        }
-        result = PyUnicode_Concat(padding, uchar);
-        Py_DECREF(padding);
-        Py_DECREF(uchar);
-        return result;
-    }
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (int) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(int)*3+2];
-    char *dpos, *end = digits + sizeof(int)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    int remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (int) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (int) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (int) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* WriteUnraisableException */
-static void __Pyx_WriteUnraisable(const char *name, int clineno,
-                                  int lineno, const char *filename,
-                                  int full_traceback, int nogil) {
-    PyObject *old_exc, *old_val, *old_tb;
-    PyObject *ctx;
-    __Pyx_PyThreadState_declare
-    PyGILState_STATE state;
-    if (nogil)
-        state = PyGILState_Ensure();
-    else state = (PyGILState_STATE)0;
-    CYTHON_UNUSED_VAR(clineno);
-    CYTHON_UNUSED_VAR(lineno);
-    CYTHON_UNUSED_VAR(filename);
-    CYTHON_MAYBE_UNUSED_VAR(nogil);
-    __Pyx_PyThreadState_assign
-    __Pyx_ErrFetch(&old_exc, &old_val, &old_tb);
-    if (full_traceback) {
-        Py_XINCREF(old_exc);
-        Py_XINCREF(old_val);
-        Py_XINCREF(old_tb);
-        __Pyx_ErrRestore(old_exc, old_val, old_tb);
-        PyErr_PrintEx(0);
-    }
-    ctx = PyUnicode_FromString(name);
-    __Pyx_ErrRestore(old_exc, old_val, old_tb);
-    if (!ctx) {
-        PyErr_WriteUnraisable(Py_None);
-    } else {
-        PyErr_WriteUnraisable(ctx);
-        Py_DECREF(ctx);
-    }
-    if (nogil)
-        PyGILState_Release(state);
-}
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_AndObjC(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceAnd : PyNumber_And)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_AndObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    long a;
-    const PY_LONG_LONG llb = intval;
-    PY_LONG_LONG lla;
-    if (unlikely(__Pyx_PyLong_IsZero(op1))) {
-        return __Pyx_NewRef(op1);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op1);
-    if ((intval & PyLong_MASK) == intval) {
-        long last_digit = (long) __Pyx_PyLong_Digits(op1)[0];
-        long result = intval & (likely(is_positive) ? last_digit : (PyLong_MASK - last_digit + 1));
-        return PyLong_FromLong(result);
-    }
-    const digit* digits = __Pyx_PyLong_Digits(op1);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-    if (likely(size == 1)) {
-        a = (long) digits[0];
-        if (!is_positive) a *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT) {
-                    a = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT) {
-                    a = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT) {
-                    a = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_and(op1, op2);
-    }
-    calculate_long:
-        {
-            long x;
-            x = a & b;
-            return PyLong_FromLong(x);
-        }
-    calculate_long_long:
-        {
-            PY_LONG_LONG llx;
-            llx = lla & llb;
-            return PyLong_FromLongLong(llx);
-        }
-    
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AndObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        return __Pyx_Unpacked___Pyx_PyLong_AndObjC(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    return __Pyx_Fallback___Pyx_PyLong_AndObjC(op1, op2, inplace);
-}
-#endif
-
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
-
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
-        }
-        return 0;
-    }
-    *module = imported_module;
-    return 1;
-}
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
-
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* ImportFrom */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name) {
-    PyObject* value = __Pyx_PyObject_GetAttrStr(module, name);
-    if (unlikely(!value) && PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        const char* module_name_str = 0;
-        PyObject* module_name = 0;
-        PyObject* module_dot = 0;
-        PyObject* full_name = 0;
-        PyErr_Clear();
-        module_name_str = PyModule_GetName(module);
-        if (unlikely(!module_name_str)) { goto modbad; }
-        module_name = PyUnicode_FromString(module_name_str);
-        if (unlikely(!module_name)) { goto modbad; }
-        module_dot = PyUnicode_Concat(module_name, __pyx_mstate_global->__pyx_kp_u_);
-        if (unlikely(!module_dot)) { goto modbad; }
-        full_name = PyUnicode_Concat(module_dot, name);
-        if (unlikely(!full_name)) { goto modbad; }
-        #if (CYTHON_COMPILING_IN_PYPY && PYPY_VERSION_NUM  < 0x07030400) ||\
-                CYTHON_COMPILING_IN_GRAAL
-        {
-            PyObject *modules = PyImport_GetModuleDict();
-            if (unlikely(!modules))
-                goto modbad;
-            value = PyObject_GetItem(modules, full_name);
-        }
-        #else
-        value = PyImport_GetModule(full_name);
-        #endif
-      modbad:
-        Py_XDECREF(full_name);
-        Py_XDECREF(module_dot);
-        Py_XDECREF(module_name);
-    }
-    if (unlikely(!value)) {
-        PyErr_Format(PyExc_ImportError, "cannot import name %S", name);
-    }
-    return value;
-}
-
-/* ListPack */
-static PyObject *__Pyx_PyList_Pack(Py_ssize_t n, ...) {
-    va_list va;
-    PyObject *l = PyList_New(n);
-    va_start(va, n);
-    if (unlikely(!l)) goto end;
-    for (Py_ssize_t i=0; i<n; ++i) {
-        PyObject *arg = va_arg(va, PyObject*);
-        Py_INCREF(arg);
-        if (__Pyx_PyList_SET_ITEM(l, i, arg) != (0)) {
-            Py_CLEAR(l);
-            goto end;
-        }
-    }
-    end:
-    va_end(va);
-    return l;
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE unsigned PY_LONG_LONG __Pyx_PyLong_As_unsigned_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const unsigned PY_LONG_LONG neg_one = (unsigned PY_LONG_LONG) -1, const_zero = (unsigned PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        unsigned PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (unsigned PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (unsigned PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((unsigned PY_LONG_LONG)-1)*(((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) ((((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((unsigned PY_LONG_LONG)-1)*(((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) ((((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((unsigned PY_LONG_LONG)-1)*(((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) ((((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        unsigned PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (unsigned PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (unsigned PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (unsigned PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (unsigned PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(unsigned PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((unsigned PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(unsigned PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((unsigned PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((unsigned PY_LONG_LONG) 1) << (sizeof(unsigned PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (unsigned PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to unsigned PY_LONG_LONG");
-    return (unsigned PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to unsigned PY_LONG_LONG");
-    return (unsigned PY_LONG_LONG) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_unsigned_PY_LONG_LONG(unsigned PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const unsigned PY_LONG_LONG neg_one = (unsigned PY_LONG_LONG) -1, const_zero = (unsigned PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(unsigned PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(unsigned PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(unsigned PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(unsigned PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE unsigned int __Pyx_PyLong_As_unsigned_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const unsigned int neg_one = (unsigned int) -1, const_zero = (unsigned int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        unsigned int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (unsigned int) -1;
-        val = __Pyx_PyLong_As_unsigned_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(unsigned int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(unsigned int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned int) >= 2 * PyLong_SHIFT)) {
-                            return (unsigned int) (((((unsigned int)digits[1]) << PyLong_SHIFT) | (unsigned int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(unsigned int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned int) >= 3 * PyLong_SHIFT)) {
-                            return (unsigned int) (((((((unsigned int)digits[2]) << PyLong_SHIFT) | (unsigned int)digits[1]) << PyLong_SHIFT) | (unsigned int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(unsigned int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned int) >= 4 * PyLong_SHIFT)) {
-                            return (unsigned int) (((((((((unsigned int)digits[3]) << PyLong_SHIFT) | (unsigned int)digits[2]) << PyLong_SHIFT) | (unsigned int)digits[1]) << PyLong_SHIFT) | (unsigned int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (unsigned int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(unsigned int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(unsigned int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(unsigned int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(unsigned int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (unsigned int) (((unsigned int)-1)*(((((unsigned int)digits[1]) << PyLong_SHIFT) | (unsigned int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(unsigned int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (unsigned int) ((((((unsigned int)digits[1]) << PyLong_SHIFT) | (unsigned int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(unsigned int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (unsigned int) (((unsigned int)-1)*(((((((unsigned int)digits[2]) << PyLong_SHIFT) | (unsigned int)digits[1]) << PyLong_SHIFT) | (unsigned int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(unsigned int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (unsigned int) ((((((((unsigned int)digits[2]) << PyLong_SHIFT) | (unsigned int)digits[1]) << PyLong_SHIFT) | (unsigned int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(unsigned int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (unsigned int) (((unsigned int)-1)*(((((((((unsigned int)digits[3]) << PyLong_SHIFT) | (unsigned int)digits[2]) << PyLong_SHIFT) | (unsigned int)digits[1]) << PyLong_SHIFT) | (unsigned int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(unsigned int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (unsigned int) ((((((((((unsigned int)digits[3]) << PyLong_SHIFT) | (unsigned int)digits[2]) << PyLong_SHIFT) | (unsigned int)digits[1]) << PyLong_SHIFT) | (unsigned int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(unsigned int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned int, long, PyLong_AsLong(x))
-        } else if ((sizeof(unsigned int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        unsigned int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (unsigned int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (unsigned int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (unsigned int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (unsigned int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(unsigned int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((unsigned int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(unsigned int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((unsigned int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((unsigned int) 1) << (sizeof(unsigned int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (unsigned int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to unsigned int");
-    return (unsigned int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to unsigned int");
-    return (unsigned int) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u__2);
-    }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
+#include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
+#include <time.h>
+
+typedef uint64_t u64;
+typedef uint32_t u32;
+typedef uint16_t u16;
+
+#define KERNEL_RANK_MAX 12
+#define CHECK_INTERVAL 4096
+
+static inline int popcnt64(u64 x) { return __builtin_popcountll(x); }
+static inline int ctz64(u64 x) { return __builtin_ctzll(x); }
+static inline int msb64(u64 x) { return 63 - __builtin_clzll(x); }
+
+static const u64 LOWPAT[6] = {
+    0x5555555555555555ULL, 0x3333333333333333ULL, 0x0F0F0F0F0F0F0F0FULL,
+    0x00FF00FF00FF00FFULL, 0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL,
+};
+
+/* time.monotonic() reads the same clock on Linux */
+static double monotonic_now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
+}
+
+/* ---------------------------------------------------------------- bitsets */
+
+/* dst = src with every element XOR-translated by s. */
+static inline void bs_translate(u64 *dst, const u64 *src, int s, int nw)
+{
+    int j, i, sh, stride;
+    u64 w, pat;
+    memcpy(dst, src, nw * sizeof(u64));
+    for (j = 0; j < 6; j++) {
+        if ((s >> j) & 1) {
+            sh = 1 << j;
+            pat = LOWPAT[j];
+            for (i = 0; i < nw; i++) {
+                w = dst[i];
+                dst[i] = ((w & pat) << sh) | ((w >> sh) & pat);
+            }
+        }
+    }
+    for (j = 6; (s >> j) != 0; j++) {
+        if ((s >> j) & 1) {
+            stride = 1 << (j - 6);
+            for (i = 0; i < nw; i++) {
+                if ((i & stride) == 0) {
+                    w = dst[i];
+                    dst[i] = dst[i | stride];
+                    dst[i | stride] = w;
+                }
+            }
+        }
+    }
+}
+
+static inline int bs_popcount(const u64 *a, int nw)
+{
+    int i, c = 0;
+    for (i = 0; i < nw; i++)
+        c += popcnt64(a[i]);
+    return c;
+}
+
+static inline int bs_isempty(const u64 *a, int nw)
+{
+    int i;
+    for (i = 0; i < nw; i++)
+        if (a[i])
+            return 0;
+    return 1;
+}
+
+static inline int bs_get(const u64 *a, int v) { return (a[v >> 6] >> (v & 63)) & 1; }
+
+static inline void bs_set(u64 *a, int v) { a[v >> 6] |= 1ULL << (v & 63); }
+
+/* Clear bits 0..v inclusive. */
+static inline void bs_clear_through(u64 *a, int v)
+{
+    int w = v >> 6, i;
+    for (i = 0; i < w; i++)
+        a[i] = 0;
+    a[w] &= ~(((1ULL << (v & 63)) << 1) - 1);
+}
+
+/* ------------------------------------------------------- subspace testing */
+
+/* Unchecked body of has_subspace_mask.  scratch needs 2*nw words per
+ * level, min(d, r) levels.  d > r fails the count test below as well;
+ * testing it first keeps 1 << d defined. */
+static int subspace_in(const u64 *mask, int d, int r, int nw, u64 *scratch)
+{
+    int v, i, wi;
+    u64 m;
+    u64 *rest = scratch, *tmp = scratch + nw;
+    if (d <= 0)
+        return 1;
+    if (d > r || bs_popcount(mask, nw) < (1 << d) - 1)
+        return 0;
+    if (d == 1)
+        return !bs_isempty(mask, nw);
+    for (wi = 0; wi < nw; wi++) {
+        m = mask[wi];
+        while (m) {
+            v = (wi << 6) + ctz64(m);
+            m &= m - 1;
+            /* v plays the least element of the subspace; the rest must pair up */
+            bs_translate(tmp, mask, v, nw);
+            for (i = 0; i < nw; i++)
+                rest[i] = mask[i] & tmp[i];
+            bs_clear_through(rest, v);
+            if (subspace_in(rest, d - 1, r, nw, scratch + 2 * nw))
+                return 1;
+        }
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------ entry conversions */
+
+static int nwords(int r) { return (1 << r) > 64 ? (1 << r) >> 6 : 1; }
+
+static int check_rank(int r)
+{
+    if (r < 1 || r > KERNEL_RANK_MAX) {
+        PyErr_Format(PyExc_ValueError, "kernel rank must be in [1, %d], got %d",
+                     KERNEL_RANK_MAX, r);
         return -1;
     }
-    return (Py_ssize_t) len;
+    return 0;
 }
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
+
+/* Read a set of vectors of GF(2)^r into nw words; ValueError unless
+ * 0 <= obj < 2^(2^r). */
+static int read_mask(PyObject *obj, int r, u64 *dst, int nw)
+{
+    PyObject *bytes;
+    const unsigned char *b;
+    int i, k;
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "mask must be an int, not %.100s",
+                     Py_TYPE(obj)->tp_name);
+        return -1;
     }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
+    bytes = PyObject_CallMethod(obj, "to_bytes", "ns", (Py_ssize_t)(8 * nw), "little");
+    if (bytes == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return -1;
+        PyErr_Clear();
+        goto out_of_range;
+    }
+    b = (const unsigned char *)PyBytes_AS_STRING(bytes);
+    for (i = 0; i < nw; i++) {
+        dst[i] = 0;
+        for (k = 7; k >= 0; k--)
+            dst[i] = (dst[i] << 8) | b[8 * i + k];
+    }
+    Py_DECREF(bytes);
+    if (r < 6 && (dst[0] >> (1 << r)) != 0)
+        goto out_of_range;
+    return 0;
+out_of_range:
+    PyErr_Format(PyExc_ValueError, "mask has bits outside the 2^%d vectors of GF(2)^%d",
+                 r, r);
+    return -1;
+}
+
+static PyObject *words_to_int(const u64 *src, int nw)
+{
+    PyObject *bytes, *out;
+    unsigned char *b;
+    int i, k;
+    bytes = PyBytes_FromStringAndSize(NULL, 8 * nw);
+    if (bytes == NULL)
+        return NULL;
+    b = (unsigned char *)PyBytes_AS_STRING(bytes);
+    for (i = 0; i < nw; i++)
+        for (k = 0; k < 8; k++)
+            b[8 * i + k] = (unsigned char)(src[i] >> (8 * k));
+    out = PyObject_CallMethod((PyObject *)&PyLong_Type, "from_bytes", "Os", bytes, "little");
+    Py_DECREF(bytes);
+    return out;
+}
+
+/* The clock is read every CHECK_INTERVAL nodes, as in the pure twin. */
+static int deadline_passed(long long nodes, int use_deadline, double deadline)
+{
+    return use_deadline && nodes % CHECK_INTERVAL == 0 && monotonic_now() > deadline;
+}
+
+/* budget None -> no deadline; otherwise monotonic() + budget */
+static int read_deadline(PyObject *budget, int *use_deadline, double *deadline)
+{
+    double b;
+    *use_deadline = budget != Py_None;
+    *deadline = 0.0;
+    if (!*use_deadline)
+        return 0;
+    b = PyFloat_AsDouble(budget);
+    if (b == -1.0 && PyErr_Occurred())
+        return -1;
+    *deadline = monotonic_now() + b;
+    return 0;
+}
+
+static PyObject *search_result(int best, const u64 *best_mask, int nw, long long nodes,
+                               int timed_out)
+{
+    PyObject *mask = best >= 0 ? words_to_int(best_mask, nw) : PyLong_FromLong(0);
+    if (mask == NULL)
+        return NULL;
+    return Py_BuildValue("iNLN", best, mask, nodes, PyBool_FromLong(!timed_out));
+}
+
+PyDoc_STRVAR(has_subspace_mask_doc,
+             "has_subspace_mask(mask, d, r)\n--\n\n"
+             "True iff some d-dimensional subspace has all nonzero vectors in mask.");
+
+static PyObject *py_has_subspace_mask(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *kwlist[] = {"mask", "d", "r", NULL};
+    PyObject *mask_obj;
+    int d, r, nw, levels, out;
+    u64 *buf;
+    (void)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "Oii", kwlist, &mask_obj, &d, &r))
+        return NULL;
+    if (check_rank(r) < 0)
+        return NULL;
+    nw = nwords(r);
+    levels = d < 1 ? 1 : (d > r ? r : d);
+    buf = malloc((nw + 2 * nw * levels) * sizeof(u64));
+    if (buf == NULL)
+        return PyErr_NoMemory();
+    if (read_mask(mask_obj, r, buf, nw) < 0) {
+        free(buf);
         return NULL;
     }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
+    out = subspace_in(buf, d, r, nw, buf + nw);
+    free(buf);
+    return PyBool_FromLong(out);
 }
 
+/* --------------------------------------------------- smallest odd circuit */
 
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
+PyDoc_STRVAR(min_odd_zero_subset_doc,
+             "min_odd_zero_subset(points)\n--\n\n"
+             "Smallest odd t >= 3 with a t-subset of points XOR-ing to zero, else 0.\n\n"
+             "Straight from the definition: one point at a time, grow the table\n"
+             "of every (XOR value, exact subset size) pair over genuine subsets,\n"
+             "then read the smallest odd size landing on zero.  No span\n"
+             "reduction and no walk shortcut.  Supports up to 63 points.");
+
+static PyObject *py_min_odd_zero_subset(PyObject *self, PyObject *points)
+{
+    PyObject *seq;
+    Py_ssize_t m, i;
+    u32 pts[63], top = 0;
+    u64 nv, x, sizes, *table, *snap;
+    unsigned long val;
+    int s;
+    (void)self;
+    seq = PySequence_Fast(points, "points must be a sequence of ints");
+    if (seq == NULL)
+        return NULL;
+    m = PySequence_Fast_GET_SIZE(seq);
+    if (m > 63) {
+        Py_DECREF(seq);
+        return PyErr_Format(PyExc_ValueError,
+                            "subset oracle supports at most 63 points, got %zd", m);
+    }
+    if (m < 3) {
+        Py_DECREF(seq);
+        return PyLong_FromLong(0);
+    }
+    for (i = 0; i < m; i++) {
+        val = PyLong_AsUnsignedLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (val == (unsigned long)-1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return NULL;
+        }
+        if (val > UINT32_MAX) {
+            Py_DECREF(seq);
+            return PyErr_Format(PyExc_OverflowError, "point %lu does not fit 32 bits", val);
+        }
+        pts[i] = (u32)val;
+        if (pts[i] > top)
+            top = pts[i];
+    }
+    Py_DECREF(seq);
+    /* the table is indexed by XOR values, all below the next power of two */
+    for (nv = 1; nv <= top; nv <<= 1)
+        ;
+    table = calloc(nv, sizeof(u64));
+    snap = malloc(nv * sizeof(u64));
+    if (table == NULL || snap == NULL) {
+        free(table);
+        free(snap);
+        return PyErr_NoMemory();
+    }
+    table[0] = 1; /* xor value -> bitmask of achievable subset sizes */
+    for (i = 0; i < m; i++) {
+        memcpy(snap, table, nv * sizeof(u64));
+        for (x = 0; x < nv; x++)
+            if (snap[x])
+                table[x ^ pts[i]] |= snap[x] << 1;
+    }
+    sizes = table[0];
+    free(table);
+    free(snap);
+    for (s = 3; s <= m; s += 2)
+        if ((sizes >> s) & 1)
+            return PyLong_FromLong(s);
+    return PyLong_FromLong(0);
 }
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
+
+/* --------------------------------------------------------- forward search */
+
 typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
+    int r, n_all, nw, T, pg_n, min_critical;
+    int full_rank, prune, use_deadline, timed_out;
+    double deadline;
+    long long nodes;
+    int best;
+    u64 *best_mask;   /* nw */
+    u64 *hit;         /* n_all * nw */
+    u64 *nonzero;     /* nw */
+    u64 *slab_chosen; /* maxd * nw */
+    u64 *slab_sums;   /* maxd * (T+1) * nw */
+    u64 *slab_covers; /* maxd * nw */
+    u16 *slab_piv;    /* maxd * r */
+    u16 *slab_feas;   /* maxd * n_all */
+    u64 *scratch;     /* 3 * nw + 2 * nw * (r + 1) */
+} FwdCtx;
+
+static int fwd_feasible(FwdCtx *c, int v, const u64 *chosen, const u64 *sums)
+{
+    int t, i;
+    u64 *tmp = c->scratch, *rest = c->scratch + c->nw;
+    for (t = 2; t <= c->T; t += 2)
+        if (bs_get(sums + t * c->nw, v))
+            return 0;
+    if (c->pg_n == 1)
+        return 0;
+    if (c->pg_n >= 3) {
+        bs_translate(tmp, chosen, v, c->nw);
+        for (i = 0; i < c->nw; i++)
+            rest[i] = chosen[i] & tmp[i];
+        if (subspace_in(rest, c->pg_n - 1, c->r, c->nw, c->scratch + 3 * c->nw))
+            return 0;
     }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
+    return 1;
 }
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
+
+static int fwd_passes_extra(FwdCtx *c, const u64 *chosen, const u64 *covers, int rank)
+{
+    int i;
+    u64 *freebuf = c->scratch + 2 * c->nw;
+    if (c->min_critical >= 2 && !bs_isempty(covers, c->nw))
+        return 0;
+    if (c->min_critical >= 3) {
+        for (i = 0; i < c->nw; i++)
+            freebuf[i] = c->nonzero[i] & ~chosen[i];
+        if (subspace_in(freebuf, c->r - c->min_critical + 1, c->r, c->nw,
+                        c->scratch + 3 * c->nw))
+            return 0;
+    }
+    if (c->full_rank && rank != c->r)
+        return 0;
+    return 1;
+}
+
+/* Write the state with v added into slab slot depth+1; return the new rank. */
+static int fwd_include(FwdCtx *c, int v, int depth, const u64 *chosen, const u64 *sums,
+                       const u64 *covers, const u16 *piv, int rank)
+{
+    int nw = c->nw, t, i, p;
+    u64 w;
+    u64 *nc = c->slab_chosen + (depth + 1) * nw;
+    u64 *ns = c->slab_sums + (size_t)(depth + 1) * (c->T + 1) * nw;
+    u64 *ncov = c->slab_covers + (depth + 1) * nw;
+    u16 *npiv = c->slab_piv + (depth + 1) * c->r;
+    const u64 *hv = c->hit + (size_t)v * nw;
+    u64 *tmp = c->scratch;
+    memcpy(nc, chosen, nw * sizeof(u64));
+    bs_set(nc, v);
+    memcpy(ns, sums, (size_t)(c->T + 1) * nw * sizeof(u64));
+    for (t = c->T; t >= 2; t--) {
+        bs_translate(tmp, ns + (t - 1) * nw, v, nw);
+        for (i = 0; i < nw; i++)
+            ns[t * nw + i] |= tmp[i];
+    }
+    if (c->T >= 1)
+        bs_set(ns + nw, v);
+    for (i = 0; i < nw; i++)
+        ncov[i] = covers[i] & hv[i];
+    memcpy(npiv, piv, c->r * sizeof(u16));
+    for (w = (u64)v; w; w ^= npiv[p]) {
+        p = msb64(w);
+        if (npiv[p] == 0) {
+            npiv[p] = (u16)w;
+            return rank + 1;
+        }
+    }
+    return rank;
+}
+
+static void fwd_dfs(FwdCtx *c, int depth, const u16 *feas, int nf, const u64 *chosen,
+                    const u64 *sums, const u64 *covers, const u16 *piv, int rank, int size)
+{
+    int i, k, nrank, cnf, nonempty;
+    const u64 *hw;
+    u64 *reach, *c2, *s2;
+    u16 *cfeas;
+    c->nodes++;
+    if (deadline_passed(c->nodes, c->use_deadline, c->deadline)) {
+        c->timed_out = 1;
+        return;
+    }
+    if (size > c->best && fwd_passes_extra(c, chosen, covers, rank)) {
+        c->best = size;
+        memcpy(c->best_mask, chosen, c->nw * sizeof(u64));
+    }
+    if (nf == 0)
+        return;
+    if (c->prune && size + nf <= c->best)
+        return;
+    if (c->prune && c->min_critical >= 2) {
+        reach = c->scratch + 2 * c->nw;
+        memcpy(reach, covers, c->nw * sizeof(u64));
+        nonempty = !bs_isempty(reach, c->nw);
+        for (i = 0; i < nf && nonempty; i++) {
+            hw = c->hit + (size_t)feas[i] * c->nw;
+            nonempty = 0;
+            for (k = 0; k < c->nw; k++) {
+                reach[k] &= hw[k];
+                if (reach[k])
+                    nonempty = 1;
             }
         }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
+        if (nonempty)
+            return; /* every completion stays affine */
     }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
+    nrank = fwd_include(c, feas[0], depth, chosen, sums, covers, piv, rank);
+    c2 = c->slab_chosen + (depth + 1) * c->nw;
+    s2 = c->slab_sums + (size_t)(depth + 1) * (c->T + 1) * c->nw;
+    cfeas = c->slab_feas + (size_t)(depth + 1) * c->n_all;
+    cnf = 0;
+    for (i = 1; i < nf; i++)
+        if (fwd_feasible(c, feas[i], c2, s2))
+            cfeas[cnf++] = feas[i];
+    fwd_dfs(c, depth + 1, cfeas, cnf, c2, s2, c->slab_covers + (depth + 1) * c->nw,
+            c->slab_piv + (depth + 1) * c->r, nrank, size + 1);
+    if (c->timed_out)
+        return;
+    fwd_dfs(c, depth + 1, feas + 1, nf - 1, chosen, sums, covers, piv, rank, size);
 }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
+
+static void fwd_free(FwdCtx *c)
+{
+    free(c->best_mask);
+    free(c->hit);
+    free(c->nonzero);
+    free(c->slab_chosen);
+    free(c->slab_sums);
+    free(c->slab_covers);
+    free(c->slab_piv);
+    free(c->slab_feas);
+    free(c->scratch);
 }
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
-}
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
+
+PyDoc_STRVAR(forward_search_doc,
+             "forward_search(r, min_odd_girth, pg_free_order, min_critical, full_rank,\n"
+             "               forced_in, forced_out_mask, budget, prune=True)\n--\n\n"
+             "Maximum point set under the given constraints, include-first DFS.\n\n"
+             "Returns (best_size or -1, witness_mask, nodes, completed); see the\n"
+             "pure twin for the contract details.");
+
+static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *kwlist[] = {"r", "min_odd_girth", "pg_free_order", "min_critical",
+                             "full_rank", "forced_in", "forced_out_mask", "budget",
+                             "prune", NULL};
+    int r, girth, pg_n, min_critical, full_rank, prune = 1;
+    PyObject *forced_in_obj, *forced_out_obj, *budget, *seq = NULL, *result = NULL;
+    Py_ssize_t n_forced = 0, j;
+    FwdCtx c;
+    int n_all, nw, T, maxd, v, x, size, rank, depth, nf, dead = 0, overflow;
+    long fv;
+    int *forced = NULL;
+    u16 *feas, *piv;
+    u64 *forced_out = NULL, *chosen, *sums, *covers;
+    (void)self;
+
+    memset(&c, 0, sizeof(c));
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "iiiipOOO|p", kwlist, &r, &girth, &pg_n,
+                                     &min_critical, &full_rank, &forced_in_obj,
+                                     &forced_out_obj, &budget, &prune))
+        return NULL;
+    if (check_rank(r) < 0)
+        return NULL;
+    n_all = 1 << r;
+    nw = nwords(r);
+    T = girth >= 5 ? girth - 3 : 0;
+
+    seq = PySequence_Fast(forced_in_obj, "forced_in must be a sequence of ints");
+    if (seq == NULL)
+        return NULL;
+    n_forced = PySequence_Fast_GET_SIZE(seq);
+    forced = malloc((n_forced > 0 ? n_forced : 1) * sizeof(int));
+    forced_out = calloc(nw, sizeof(u64));
+    if (forced == NULL || forced_out == NULL) {
+        PyErr_NoMemory();
         goto done;
     }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
+    for (j = 0; j < n_forced; j++) {
+        fv = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, j), &overflow);
+        if (fv == -1 && PyErr_Occurred())
+            goto done;
+        if (overflow || fv < 1 || fv >= n_all) {
+            PyErr_Format(PyExc_ValueError, "forced_in vector outside [1, 2^%d)", r);
+            goto done;
+        }
+        forced[j] = (int)fv;
+    }
+    if (read_mask(forced_out_obj, r, forced_out, nw) < 0)
+        goto done;
+
+    maxd = n_all + (int)n_forced + 4;
+    c.r = r;
+    c.n_all = n_all;
+    c.nw = nw;
+    c.T = T;
+    c.pg_n = pg_n;
+    c.min_critical = min_critical;
+    c.full_rank = full_rank;
+    c.prune = prune;
+    c.best = -1;
+    c.best_mask = calloc(nw, sizeof(u64));
+    c.hit = calloc((size_t)n_all * nw, sizeof(u64));
+    c.nonzero = calloc(nw, sizeof(u64));
+    c.slab_chosen = calloc((size_t)maxd * nw, sizeof(u64));
+    c.slab_sums = calloc((size_t)maxd * (T + 1) * nw, sizeof(u64));
+    c.slab_covers = calloc((size_t)maxd * nw, sizeof(u64));
+    c.slab_piv = calloc((size_t)maxd * r, sizeof(u16));
+    c.slab_feas = calloc((size_t)maxd * n_all, sizeof(u16));
+    c.scratch = calloc(3 * nw + 2 * nw * (r + 1), sizeof(u64));
+    if (c.best_mask == NULL || c.hit == NULL || c.nonzero == NULL || c.slab_chosen == NULL ||
+        c.slab_sums == NULL || c.slab_covers == NULL || c.slab_piv == NULL ||
+        c.slab_feas == NULL || c.scratch == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (read_deadline(budget, &c.use_deadline, &c.deadline) < 0)
+        goto done;
+
+    /* functionals hitting v, as a bitset over f; dot is symmetric */
+    for (v = 1; v < n_all; v++) {
+        for (x = 1; x < n_all; x++)
+            if (popcnt64((u64)(v & x)) & 1)
+                bs_set(c.hit + (size_t)v * nw, x);
+        bs_set(c.nonzero, v);
+    }
+
+    /* root state in slab slot 0 */
+    chosen = c.slab_chosen;
+    sums = c.slab_sums;
+    covers = c.slab_covers;
+    piv = c.slab_piv;
+    bs_set(sums, 0); /* the empty subset sums to zero */
+    memcpy(covers, c.nonzero, nw * sizeof(u64));
+    size = 0;
+    rank = 0;
+    depth = 0;
+    for (j = 0; j < n_forced; j++) {
+        v = forced[j];
+        if (!fwd_feasible(&c, v, chosen, sums)) {
+            dead = 1;
+            break;
+        }
+        rank = fwd_include(&c, v, depth, chosen, sums, covers, piv, rank);
+        depth++;
+        chosen = c.slab_chosen + depth * nw;
+        sums = c.slab_sums + (size_t)depth * (T + 1) * nw;
+        covers = c.slab_covers + depth * nw;
+        piv = c.slab_piv + depth * r;
+        size++;
+    }
+    if (!dead) {
+        feas = c.slab_feas + (size_t)depth * n_all;
+        nf = 0;
+        for (v = n_all - 1; v > 0; v--)
+            if (!bs_get(chosen, v) && !bs_get(forced_out, v) && fwd_feasible(&c, v, chosen, sums))
+                feas[nf++] = (u16)v;
+        fwd_dfs(&c, depth, feas, nf, chosen, sums, covers, piv, rank, size);
+    }
+    result = search_result(c.best, c.best_mask, nw, c.nodes, c.timed_out);
+done:
+    fwd_free(&c);
+    free(forced);
+    free(forced_out);
+    Py_DECREF(seq);
+    return result;
+}
+
+/* ------------------------------------------------------ complement search */
+
+typedef struct {
+    int r, n_all, nw, n_subs, tw, forbidden_dim, max_blocker, maxcov;
+    int full_rank, symmetry, use_deadline, timed_out;
+    double deadline;
+    long long nodes;
+    int best;
+    u64 *best_mask;    /* nw */
+    u64 *subs;         /* n_subs * nw */
+    u64 *through;      /* n_all * tw */
+    u64 *nonzero;      /* nw */
+    u64 *slab_b;       /* maxd * nw */
+    u64 *slab_uncov;   /* maxd * tw */
+    u64 *slab_avail;   /* maxd * nw */
+    u64 *slab_removed; /* maxd * nw */
+    u64 *taken;        /* nw */
+    u64 *scratch;      /* 2 * nw + 2 * nw * (r + 1) */
+} CmpCtx;
+
+static int cmp_lower_bound(CmpCtx *c, const u64 *uncov)
+{
+    int u = bs_popcount(uncov, c->tw), bound, packed = 0, wi, i, k, disjoint;
+    const u64 *si;
+    u64 m;
+    if (u == 0)
+        return 0;
+    bound = (u + c->maxcov - 1) / c->maxcov;
+    memset(c->taken, 0, c->nw * sizeof(u64));
+    for (wi = 0; wi < c->tw; wi++) {
+        m = uncov[wi];
+        while (m) {
+            i = (wi << 6) + ctz64(m);
+            m &= m - 1;
+            si = c->subs + (size_t)i * c->nw;
+            disjoint = 1;
+            for (k = 0; k < c->nw; k++) {
+                if (si[k] & c->taken[k]) {
+                    disjoint = 0;
+                    break;
+                }
+            }
+            if (disjoint) {
+                for (k = 0; k < c->nw; k++)
+                    c->taken[k] |= si[k];
+                packed++;
+            }
         }
     }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
+    return bound > packed ? bound : packed;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+static int cmp_closes_forbidden(CmpCtx *c, const u64 *b_mask, int p)
+{
+    int i;
+    u64 *tmp = c->scratch, *rest = c->scratch + c->nw;
+    bs_translate(tmp, b_mask, p, c->nw);
+    for (i = 0; i < c->nw; i++)
+        rest[i] = b_mask[i] & tmp[i];
+    return subspace_in(rest, c->forbidden_dim - 1, c->r, c->nw, c->scratch + 2 * c->nw);
+}
 
+static void cmp_dfs(CmpCtx *c, int depth, const u64 *b_mask, int b_size, const u64 *uncov,
+                    const u64 *avail, int at_root)
+{
+    int i, k, wi, p, window, sel, sel_count, cnt, rank, pp;
+    u64 m, w;
+    const u64 *pts, *si, *tp;
+    u64 *removed, *cb, *cu, *ca;
+    u16 piv[16];
+    c->nodes++;
+    if (deadline_passed(c->nodes, c->use_deadline, c->deadline)) {
+        c->timed_out = 1;
+        return;
+    }
+    if (bs_isempty(uncov, c->tw)) {
+        if (c->full_rank) {
+            memset(piv, 0, sizeof(piv));
+            rank = 0;
+            for (wi = 0; wi < c->nw; wi++) {
+                m = c->nonzero[wi] & ~b_mask[wi];
+                while (m) {
+                    w = (u64)((wi << 6) + ctz64(m));
+                    m &= m - 1;
+                    for (; w; w ^= piv[pp]) {
+                        pp = msb64(w);
+                        if (piv[pp] == 0) {
+                            piv[pp] = (u16)w;
+                            rank++;
+                            break;
+                        }
+                    }
+                }
+            }
+            if (rank != c->r)
+                return;
+        }
+        c->best = b_size;
+        memcpy(c->best_mask, b_mask, c->nw * sizeof(u64));
+        return;
+    }
+    window = c->max_blocker;
+    if (c->best >= 0 && c->best - 1 < window)
+        window = c->best - 1;
+    if (b_size + cmp_lower_bound(c, uncov) > window)
+        return;
+    /* fail-first: uncovered subspace with fewest available points */
+    sel = -1;
+    sel_count = 1 << 30;
+    for (wi = 0; wi < c->tw; wi++) {
+        m = uncov[wi];
+        while (m) {
+            i = (wi << 6) + ctz64(m);
+            m &= m - 1;
+            si = c->subs + (size_t)i * c->nw;
+            cnt = 0;
+            for (k = 0; k < c->nw; k++)
+                cnt += popcnt64(si[k] & avail[k]);
+            if (cnt == 0)
+                return; /* unhittable in this branch */
+            if (cnt < sel_count) {
+                sel = i;
+                sel_count = cnt;
+            }
+        }
+    }
+    removed = c->slab_removed + depth * c->nw;
+    memset(removed, 0, c->nw * sizeof(u64));
+    pts = c->subs + (size_t)sel * c->nw;
+    cb = c->slab_b + (depth + 1) * c->nw;
+    cu = c->slab_uncov + (size_t)(depth + 1) * c->tw;
+    ca = c->slab_avail + (depth + 1) * c->nw;
+    for (wi = 0; wi < c->nw; wi++) {
+        m = pts[wi] & avail[wi];
+        while (m) {
+            p = (wi << 6) + ctz64(m);
+            m &= m - 1;
+            bs_set(removed, p);
+            if (c->forbidden_dim && cmp_closes_forbidden(c, b_mask, p))
+                continue;
+            memcpy(cb, b_mask, c->nw * sizeof(u64));
+            bs_set(cb, p);
+            tp = c->through + (size_t)p * c->tw;
+            for (k = 0; k < c->tw; k++)
+                cu[k] = uncov[k] & ~tp[k];
+            for (k = 0; k < c->nw; k++)
+                ca[k] = avail[k] & ~removed[k];
+            cmp_dfs(c, depth + 1, cb, b_size + 1, cu, ca, 0);
+            if (c->timed_out)
+                return;
+            if (at_root && c->symmetry)
+                return; /* remaining root branches are images under a flat stabilizer */
+        }
+    }
+}
 
+static void cmp_free(CmpCtx *c)
+{
+    free(c->best_mask);
+    free(c->subs);
+    free(c->through);
+    free(c->nonzero);
+    free(c->slab_b);
+    free(c->slab_uncov);
+    free(c->slab_avail);
+    free(c->slab_removed);
+    free(c->taken);
+    free(c->scratch);
+}
 
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+PyDoc_STRVAR(complement_search_doc,
+             "complement_search(r, subspace_masks, forbidden_dim, full_rank, max_blocker,\n"
+             "                  budget, symmetry)\n--\n\n"
+             "Smallest blocker hitting every given subspace, branch and bound.\n\n"
+             "Returns (best_size or -1, blocker_mask, nodes, completed); see the\n"
+             "pure twin for the contract details.");
+
+static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *kwlist[] = {"r", "subspace_masks", "forbidden_dim", "full_rank",
+                             "max_blocker", "budget", "symmetry", NULL};
+    int r, forbidden_dim, full_rank, max_blocker, symmetry;
+    PyObject *subs_obj, *budget, *seq, *result = NULL;
+    CmpCtx c;
+    int n_all, nw, n_subs, tw, maxd, i, v, mc, wi;
+    u64 m;
+    (void)self;
+
+    memset(&c, 0, sizeof(c));
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "iOipiOp", kwlist, &r, &subs_obj,
+                                     &forbidden_dim, &full_rank, &max_blocker, &budget,
+                                     &symmetry))
+        return NULL;
+    if (check_rank(r) < 0)
+        return NULL;
+    seq = PySequence_Fast(subs_obj, "subspace_masks must be a sequence of ints");
+    if (seq == NULL)
+        return NULL;
+    n_all = 1 << r;
+    nw = nwords(r);
+    n_subs = (int)PySequence_Fast_GET_SIZE(seq);
+    tw = n_subs > 64 ? (n_subs + 63) >> 6 : 1;
+    /* recursion stops at b_size = min(max_blocker, n_all - 1) */
+    maxd = (max_blocker < n_all ? max_blocker : n_all) + 2;
+    if (maxd < 2)
+        maxd = 2;
+
+    c.r = r;
+    c.n_all = n_all;
+    c.nw = nw;
+    c.n_subs = n_subs;
+    c.tw = tw;
+    c.forbidden_dim = forbidden_dim;
+    c.max_blocker = max_blocker;
+    c.full_rank = full_rank;
+    c.symmetry = symmetry;
+    c.best = -1;
+    c.best_mask = calloc(nw, sizeof(u64));
+    c.subs = calloc((size_t)(n_subs > 0 ? n_subs : 1) * nw, sizeof(u64));
+    c.through = calloc((size_t)n_all * tw, sizeof(u64));
+    c.nonzero = calloc(nw, sizeof(u64));
+    c.slab_b = calloc((size_t)maxd * nw, sizeof(u64));
+    c.slab_uncov = calloc((size_t)maxd * tw, sizeof(u64));
+    c.slab_avail = calloc((size_t)maxd * nw, sizeof(u64));
+    c.slab_removed = calloc((size_t)maxd * nw, sizeof(u64));
+    c.taken = calloc(nw, sizeof(u64));
+    c.scratch = calloc(2 * nw + 2 * nw * (r + 1), sizeof(u64));
+    if (c.best_mask == NULL || c.subs == NULL || c.through == NULL || c.nonzero == NULL ||
+        c.slab_b == NULL || c.slab_uncov == NULL || c.slab_avail == NULL ||
+        c.slab_removed == NULL || c.taken == NULL || c.scratch == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < n_subs; i++)
+        if (read_mask(PySequence_Fast_GET_ITEM(seq, i), r, c.subs + (size_t)i * nw, nw) < 0)
+            goto done;
+    if (read_deadline(budget, &c.use_deadline, &c.deadline) < 0)
+        goto done;
+
+    for (i = 0; i < n_subs; i++) {
+        for (wi = 0; wi < nw; wi++) {
+            m = c.subs[(size_t)i * nw + wi];
+            while (m) {
+                v = (wi << 6) + ctz64(m);
+                m &= m - 1;
+                bs_set(c.through + (size_t)v * tw, i);
+            }
+        }
+    }
+    for (v = 1; v < n_all; v++)
+        bs_set(c.nonzero, v);
+    c.maxcov = 1;
+    for (v = 1; v < n_all; v++) {
+        mc = bs_popcount(c.through + (size_t)v * tw, tw);
+        if (mc > c.maxcov)
+            c.maxcov = mc;
+    }
+    /* root: everything uncovered, every point available */
+    for (i = 0; i < n_subs; i++)
+        bs_set(c.slab_uncov, i);
+    memcpy(c.slab_avail, c.nonzero, nw * sizeof(u64));
+    cmp_dfs(&c, 0, c.slab_b, 0, c.slab_uncov, c.slab_avail, 1);
+    result = search_result(c.best, c.best_mask, nw, c.nodes, c.timed_out);
+done:
+    cmp_free(&c);
+    Py_DECREF(seq);
+    return result;
+}
+
+/* ------------------------------------------------------------ the module */
+
+static PyMethodDef kernel_methods[] = {
+    {"has_subspace_mask", (PyCFunction)(void (*)(void))py_has_subspace_mask,
+     METH_VARARGS | METH_KEYWORDS, has_subspace_mask_doc},
+    {"min_odd_zero_subset", py_min_odd_zero_subset, METH_O, min_odd_zero_subset_doc},
+    {"forward_search", (PyCFunction)(void (*)(void))py_forward_search,
+     METH_VARARGS | METH_KEYWORDS, forward_search_doc},
+    {"complement_search", (PyCFunction)(void (*)(void))py_complement_search,
+     METH_VARARGS | METH_KEYWORDS, complement_search_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    "gf2matroid._kernels",
+    "Compiled search kernels; same contracts as gf2matroid._kernels_py.",
+    -1,
+    kernel_methods,
+    NULL,
+    NULL,
+    NULL,
+    NULL,
+};
+
+PyMODINIT_FUNC PyInit__kernels(void)
+{
+    PyObject *mod = PyModule_Create(&kernel_module);
+    if (mod == NULL)
+        return NULL;
+    if (PyModule_AddStringConstant(mod, "BACKEND_NAME", "c") < 0 ||
+        PyModule_AddIntConstant(mod, "KERNEL_RANK_MAX", KERNEL_RANK_MAX) < 0) {
+        Py_DECREF(mod);
+        return NULL;
+    }
+    return mod;
+}

@@ -36,8 +36,25 @@ class _Timeout(Exception):
     pass
 
 
+def _check_rank(r: int) -> None:
+    if not 1 <= r <= KERNEL_RANK_MAX:
+        raise ValueError(f"kernel rank must be in [1, {KERNEL_RANK_MAX}], got {r}")
+
+
+def _check_mask(mask: int, r: int) -> None:
+    if mask < 0 or mask >> (1 << r):
+        raise ValueError(f"mask has bits outside the 2^{r} vectors of GF(2)^{r}")
+
+
 def has_subspace_mask(mask: int, d: int, r: int) -> bool:
     """True iff some d-dimensional subspace has all nonzero vectors in mask."""
+    _check_rank(r)
+    _check_mask(mask, r)
+    return _subspace_in(mask, d, r)
+
+
+def _subspace_in(mask: int, d: int, r: int) -> bool:
+    """Unchecked body of has_subspace_mask, for the search loops."""
     if d <= 0:
         return True
     if mask.bit_count() < (1 << d) - 1:
@@ -47,7 +64,7 @@ def has_subspace_mask(mask: int, d: int, r: int) -> bool:
     for v in iter_bits(mask):
         # v plays the least element of the subspace; the rest must pair up
         rest = mask & translate_mask(mask, v, r) & ~((1 << (v + 1)) - 1)
-        if has_subspace_mask(rest, d - 1, r):
+        if _subspace_in(rest, d - 1, r):
             return True
     return False
 
@@ -97,9 +114,12 @@ def forward_search(
     whenever the current set would improve the best.  Returns
     (best_size or -1, witness_mask, nodes, completed).
     """
-    if r > KERNEL_RANK_MAX:
-        raise ValueError(f"forward search supports ambient rank <= {KERNEL_RANK_MAX}")
+    _check_rank(r)
     n_all = 1 << r
+    for v in forced_in:
+        if not 0 < v < n_all:
+            raise ValueError(f"forced_in vector outside [1, 2^{r})")
+    _check_mask(forced_out_mask, r)
     deadline = monotonic() + budget if budget is not None else None
     # functionals hitting v, as a bitset over f; dot is symmetric
     hit = [0] * n_all
@@ -122,7 +142,7 @@ def forward_search(
             return False
         if pg_n >= 3:
             rest = chosen & translate_mask(chosen, v, r)
-            if has_subspace_mask(rest, pg_n - 1, r):
+            if _subspace_in(rest, pg_n - 1, r):
                 return False
         return True
 
@@ -131,7 +151,7 @@ def forward_search(
             return False
         if min_critical >= 3:
             free = nonzero_mask(r) & ~chosen
-            if has_subspace_mask(free, r - min_critical + 1, r):
+            if _subspace_in(free, r - min_critical + 1, r):
                 return False
         if full_rank and rank != r:
             return False
@@ -227,8 +247,9 @@ def complement_search(
     is rejected as soon as it closes.  Returns (best_size or -1,
     blocker_mask, nodes, completed).
     """
-    if r > KERNEL_RANK_MAX:
-        raise ValueError(f"complement search supports ambient rank <= {KERNEL_RANK_MAX}")
+    _check_rank(r)
+    for m in subspace_masks:
+        _check_mask(m, r)
     n_all = 1 << r
     deadline = monotonic() + budget if budget is not None else None
     n_subs = len(subspace_masks)
@@ -261,7 +282,7 @@ def complement_search(
 
     def closes_forbidden(b_mask: int, p: int) -> bool:
         rest = b_mask & translate_mask(b_mask, p, r)
-        return has_subspace_mask(rest, forbidden_dim - 1, r)
+        return _subspace_in(rest, forbidden_dim - 1, r)
 
     def dfs(b_mask, b_size, uncov, avail, at_root):
         nonlocal best, best_mask, nodes

@@ -8,6 +8,8 @@ import pytest
 from gf2matroid import backend_name, enumerate_subspaces, iter_bits, mask_from
 from gf2matroid._backend import load_kernels
 
+from helpers import random_mask
+
 rng = random.Random(0x4B31)
 
 pure = load_kernels("python")
@@ -78,6 +80,21 @@ def test_has_subspace_mask_full_geometry(kern):
         assert not kern.has_subspace_mask(0, 1, r)
 
 
+@pytest.mark.skipif(compiled is None, reason="compiled backend not built")
+def test_has_subspace_mask_backends_agree_on_multiword_masks():
+    masks = random.Random(0x5B5)
+    seen = set()
+    for r in (7, 8):
+        for density in (0.1, 0.3, 0.6, 0.9):
+            for _ in range(5):
+                mask = random_mask(masks, r, density)
+                for d in (2, 3, 4):
+                    got = pure.has_subspace_mask(mask, d, r)
+                    assert compiled.has_subspace_mask(mask, d, r) == got, (r, d, mask)
+                    seen.add(got)
+    assert seen == {True, False}
+
+
 FORWARD_CASES = [
     # r, girth, pg_free, min_critical, full_rank, forced_in, forced_out, prune
     (3, 3, 0, 0, False, (), 0, True),
@@ -90,6 +107,8 @@ FORWARD_CASES = [
     (4, 0, 3, 3, False, (15, 14), 0, True),
     (5, 5, 0, 2, False, (31, 30), 0, True),
     (5, 7, 0, 2, False, (), 0, True),
+    # r=7: two-word bitsets, translations by v >= 64 swap words
+    (7, 7, 0, 2, False, (127, 126, 125, 123, 119, 111, 95), 0, True),
 ]
 
 
@@ -111,6 +130,7 @@ COMPLEMENT_CASES = [
     (5, (3,), 3, False, 10),
     (5, (3,), 0, True, 8),
     (5, (2,), 0, False, 16),
+    (7, (6,), 0, False, 3),
 ]
 
 
@@ -233,8 +253,24 @@ def test_forward_search_infeasible_reports_negative(kern):
 
 
 def test_rank_cap_enforced():
+    subs = flats(4, (2,))
     for kern in backends:
-        with pytest.raises(ValueError):
-            kern.forward_search(
-                kern.KERNEL_RANK_MAX + 1, 5, 0, 0, False, (), 0, None, True
-            )
+        for r in (0, -1, kern.KERNEL_RANK_MAX + 1):
+            with pytest.raises(ValueError):
+                kern.forward_search(r, 5, 0, 0, False, (), 0, None, True)
+            with pytest.raises(ValueError):
+                kern.complement_search(r, [], 0, False, 3, None, True)
+            with pytest.raises(ValueError):
+                kern.has_subspace_mask(6, 1, r)
+        # forced vectors must be nonzero vectors of GF(2)^r
+        for v in (0, 16, 100, -1):
+            with pytest.raises(ValueError):
+                kern.forward_search(4, 5, 0, 0, False, (15, v), 0, None, True)
+        # every mask must be a set of vectors of GF(2)^r
+        for mask in (1 << 16, 1 << 70, -2):
+            with pytest.raises(ValueError):
+                kern.has_subspace_mask(mask, 1, 4)
+            with pytest.raises(ValueError):
+                kern.forward_search(4, 5, 0, 0, False, (), mask, None, True)
+            with pytest.raises(ValueError):
+                kern.complement_search(4, subs + [mask], 0, False, 15, None, True)
