@@ -106,23 +106,32 @@ static inline void bs_clear_through(u64 *a, int v)
 
 /* ------------------------------------------------------- subspace testing */
 
-/* Unchecked body of has_subspace_mask.  scratch needs 2*nw words per
- * level, min(d, r) levels.  d > r fails the count test below as well;
- * testing it first keeps 1 << d defined. */
+/* Unchecked body of has_subspace_mask; the twin of gf2.subspace_in,
+ * with the same prunes.  mask must not hold bit 0.  scratch needs 2*nw
+ * words per level, min(d, r) levels.  d > r fails the count test below
+ * as well; testing it first keeps 1 << d defined. */
 static int subspace_in(const u64 *mask, int d, int r, int nw, u64 *scratch)
 {
-    int v, i, wi;
+    int v, i, wi, need, left;
     u64 m;
     u64 *rest = scratch, *tmp = scratch + nw;
     if (d <= 0)
         return 1;
-    if (d > r || bs_popcount(mask, nw) < (1 << d) - 1)
+    if (d > r)
+        return 0;
+    need = (1 << d) - 1;
+    left = bs_popcount(mask, nw);
+    if (left < need)
         return 0;
     if (d == 1)
-        return !bs_isempty(mask, nw);
+        return 1;
     for (wi = 0; wi < nw; wi++) {
         m = mask[wi];
         while (m) {
+            /* fewer than 2^d - 1 points at or above v */
+            if (left < need)
+                return 0;
+            left--;
             v = (wi << 6) + ctz64(m);
             m &= m - 1;
             /* v plays the least element of the subspace; the rest must pair up */
@@ -257,6 +266,7 @@ static PyObject *py_has_subspace_mask(PyObject *self, PyObject *args, PyObject *
         free(buf);
         return NULL;
     }
+    buf[0] &= ~1ULL; /* the zero vector is in every subspace */
     out = subspace_in(buf, d, r, nw, buf + nw);
     free(buf);
     return PyBool_FromLong(out);

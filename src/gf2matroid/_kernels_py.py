@@ -6,7 +6,8 @@ order, pruning rules and node counting are identical in both, so the
 two backends return bit-identical results.
 
 All point sets are int bitsets over the 2^r vector encodings (bit v
-set iff vector v present).
+set iff vector v present).  Every flat test calls gf2.subspace_in, the
+finder the invariants use; _kernels.c has its own twin of it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import sys
 from time import monotonic
 from typing import List, Optional, Sequence, Tuple
 
-from .gf2 import hyperplane_complement, iter_bits, nonzero_mask, translate_mask
+from .gf2 import (
+    echelon_insert,
+    hyperplane_complement,
+    iter_bits,
+    nonzero_mask,
+    subspace_in,
+    translate_mask,
+)
 
 __all__ = [
     "BACKEND_NAME",
@@ -50,23 +58,7 @@ def has_subspace_mask(mask: int, d: int, r: int) -> bool:
     """True iff some d-dimensional subspace has all nonzero vectors in mask."""
     _check_rank(r)
     _check_mask(mask, r)
-    return _subspace_in(mask, d, r)
-
-
-def _subspace_in(mask: int, d: int, r: int) -> bool:
-    """Unchecked body of has_subspace_mask, for the search loops."""
-    if d <= 0:
-        return True
-    if mask.bit_count() < (1 << d) - 1:
-        return False
-    if d == 1:
-        return mask != 0
-    for v in iter_bits(mask):
-        # v plays the least element of the subspace; the rest must pair up
-        rest = mask & translate_mask(mask, v, r) & ~((1 << (v + 1)) - 1)
-        if _subspace_in(rest, d - 1, r):
-            return True
-    return False
+    return subspace_in(mask, d, r) is not None
 
 
 def min_odd_zero_subset(points: Sequence[int]) -> int:
@@ -142,7 +134,7 @@ def forward_search(
             return False
         if pg_n >= 3:
             rest = chosen & translate_mask(chosen, v, r)
-            if _subspace_in(rest, pg_n - 1, r):
+            if subspace_in(rest, pg_n - 1, r) is not None:
                 return False
         return True
 
@@ -151,7 +143,7 @@ def forward_search(
             return False
         if min_critical >= 3:
             free = nonzero_mask(r) & ~chosen
-            if _subspace_in(free, r - min_critical + 1, r):
+            if subspace_in(free, r - min_critical + 1, r) is not None:
                 return False
         if full_rank and rank != r:
             return False
@@ -166,13 +158,7 @@ def forward_search(
             sums[1] |= 1 << v
         covers &= hit[v]
         pivots = dict(pivots)
-        w = v
-        while w:
-            p = w.bit_length() - 1
-            if p not in pivots:
-                pivots[p] = w
-                break
-            w ^= pivots[p]
+        echelon_insert(pivots, v)
         return chosen, sums, covers, pivots
 
     def dfs(feas, chosen, size, sums, covers, pivots):
@@ -282,7 +268,7 @@ def complement_search(
 
     def closes_forbidden(b_mask: int, p: int) -> bool:
         rest = b_mask & translate_mask(b_mask, p, r)
-        return _subspace_in(rest, forbidden_dim - 1, r)
+        return subspace_in(rest, forbidden_dim - 1, r) is not None
 
     def dfs(b_mask, b_size, uncov, avail, at_root):
         nonlocal best, best_mask, nodes
@@ -295,13 +281,7 @@ def complement_search(
                 pts = nonzero_mask(r) & ~b_mask
                 piv: dict = {}
                 for v in iter_bits(pts):
-                    while v:
-                        p = v.bit_length() - 1
-                        if p in piv:
-                            v ^= piv[p]
-                        else:
-                            piv[p] = v
-                            break
+                    echelon_insert(piv, v)
                 if len(piv) != r:
                     return
             best = b_size

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "VECTOR_RANK_MAX",
@@ -33,6 +33,7 @@ __all__ = [
     "orthogonal_complement",
     "rank_of",
     "span",
+    "subspace_in",
     "translate_mask",
 ]
 
@@ -297,48 +298,48 @@ def translate_mask(mask: int, v: int, r: int) -> int:
     return mask
 
 
+def subspace_in(mask: int, d: int, r: int) -> Optional[Tuple[int, ...]]:
+    """Least greedy basis of a d-dimensional subspace inside mask, or None.
+
+    Only nonzero vectors must lie in mask; bit 0 is ignored.  A greedy
+    basis takes each b_{i+1} least outside span(b_1..b_i), so b_1 = v is
+    the least point, and b_2..b_d is the greedy basis of the points w
+    with v's top bit clear, each a point above v with w ^ v a point.
+    So v runs ascending, the search recurses on those w, and the first
+    find is the least basis.  A branch stops once fewer than 2^d - 1
+    points lie at or above v.  Unchecked, for the kernels' inner loops.
+    """
+    if d <= 0:
+        return ()
+    mask &= ~1
+    need = (1 << d) - 1
+    left = mask.bit_count()
+    if left < need:
+        return None
+    if d == 1:
+        return ((mask & -mask).bit_length() - 1,)
+    for v in iter_bits(mask):
+        if left < need:
+            return None  # fewer than 2^d - 1 points at or above v
+        left -= 1
+        rest = mask & translate_mask(mask, v, r) & ~((1 << (v + 1)) - 1)
+        sub = subspace_in(rest, d - 1, r)
+        if sub is not None:
+            return (v,) + sub
+    return None
+
+
 def largest_subspace_in(mask: int, r: int, lo: int, hi: int) -> Tuple[int, ...]:
     """Basis of a largest subspace of dimension in (lo, hi] inside mask.
 
-    Only the nonzero vectors of the subspace must lie in mask.  The
-    search enumerates greedy canonical bases, b_{i+1} the least element
-    of the subspace outside span(b_1..b_i): ascending, each vector the
-    least of its coset modulo the span before it.  Every subspace is
-    visited once, in lexicographic order of these bases, so the first
-    of the largest dimension found is the least.  A branch stops when
-    the mask has too few points outside the current span to beat the
-    best dimension so far, and the whole search stops at dimension hi.
-    Returns () when no subspace of dimension above lo lies in mask.
+    The subspace_in basis for the largest such d, trying d ascending;
+    () when there is none.
     """
     check_rank(r, POINTSET_RANK_MAX)
-    best = lo
-    best_basis: Tuple[int, ...] = ()
-    basis: List[int] = []
-
-    def extend(span_mask: int, start: int) -> bool:
-        nonlocal best, best_basis
-        if len(basis) > best:
-            best = len(basis)
-            best_basis = tuple(basis)
-            if best == hi:
-                return True
-        if (mask & ~span_mask).bit_count() < (1 << (best + 1)) - (1 << len(basis)):
-            return False
-        for v in iter_bits(mask >> start << start):
-            if (span_mask >> v) & 1:
-                continue
-            coset = translate_mask(span_mask, v, r)
-            if coset & ((1 << v) - 1):
-                continue  # v is not the least element of its coset
-            if coset & ~mask:
-                continue  # coset leaves the mask
-            basis.append(v)
-            done = extend(span_mask | coset, v + 1)
-            basis.pop()
-            if done:
-                return True
-        return False
-
-    if lo < hi:
-        extend(1, 1)
-    return best_basis
+    best: Tuple[int, ...] = ()
+    for d in range(lo + 1, hi + 1):
+        basis = subspace_in(mask, d, r)
+        if basis is None:
+            break
+        best = basis
+    return best

@@ -13,7 +13,8 @@ asserts their agreement.
 
 Both subspace invariants, critical_number (a largest subspace inside
 the complement of the points) and pg_restriction (a rank-n subspace
-inside the points), go through the one finder gf2.largest_subspace_in.
+inside the points), go through the one finder gf2.subspace_in, which
+the pure-Python kernels use too.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .gf2 import (
     nonzero_mask,
     orthogonal_complement,
     span,
+    subspace_in,
     translate_mask,
 )
 
@@ -293,13 +295,13 @@ def pg_restriction(m: BinaryMatroid, n: int) -> Optional[Subspace]:
     """A rank-n subspace with all nonzero vectors in m, or None.
 
     The witness is the span of the lexicographically least greedy
-    canonical basis among such subspaces (gf2.largest_subspace_in).
+    canonical basis among such subspaces (gf2.subspace_in).
     """
     r = m.ambient_rank
     if not 1 <= n <= r:
         raise ValueError(f"restriction order must be in [1, {r}], got {n}")
-    basis = largest_subspace_in(m.points, r, n - 1, n)
-    return span(basis, r) if basis else None
+    basis = subspace_in(m.points, n, r)
+    return None if basis is None else span(basis, r)
 
 
 def has_pg_restriction(m: BinaryMatroid, n: int) -> bool:

@@ -96,7 +96,12 @@ class ConstraintSet:
         return g, pg_n, c, self.full_rank
 
     def satisfied_by(self, m: BinaryMatroid) -> bool:
-        """Re-verify through the matroid-level oracles (no kernel reuse)."""
+        """Re-verify through the matroid-level oracles.
+
+        Kernel-independent on the compiled backend.  The pure kernels
+        share gf2.subspace_in; the BFS odd girth, the cover re-check,
+        the C twin and the tests' brute-force enumerations do not.
+        """
         if self.min_odd_girth is not None and odd_girth(m) < self.min_odd_girth:
             return False
         if self.forbid_affine and is_affine(m):
@@ -202,6 +207,11 @@ def _mask_lex_less(a: int, b: int) -> bool:
     return bool(a & (d & -d))
 
 
+def _check_budget(budget: Optional[float]) -> None:
+    if budget is not None and not budget >= 0:  # NaN fails every comparison
+        raise ValueError(f"budget must be >= 0 seconds, got {budget}")
+
+
 def _forward_task(args) -> Tuple[int, int, int, bool]:
     (backend, r, g, pg_n, c, full, forced_in, forced_out, deadline, prune) = args
     mod = load_kernels(backend)
@@ -254,7 +264,7 @@ def _run_forward(
             )
         )
     best, best_mask, nodes, completed = -1, 0, 0, True
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         for b, mask, n, done in pool.map(_forward_task, tasks):
             nodes += n
             completed = completed and done
@@ -290,6 +300,7 @@ def max_size(
     """
     t0 = monotonic()
     constraints.validate(r)
+    _check_budget(budget)
     norm = constraints.normalized()
     forced = _forced_basis(r) if symmetry_break and norm[1] != 1 else ()
     best, best_mask, nodes, completed = _run_forward(
@@ -341,6 +352,7 @@ def max_size_complement(
     """
     t0 = monotonic()
     constraints.validate(r)
+    _check_budget(budget)
     g, pg_n, c, full = constraints.normalized()
     if g >= 7:
         raise ValueError("complement search supports odd girth demands only up to 5")

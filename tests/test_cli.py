@@ -250,6 +250,15 @@ def test_search_budget_inconclusive_exit_two(capsys):
     assert report["exhaustive"] is False
 
 
+def test_search_rejects_a_negative_or_nan_budget(capsys):
+    for budget in ("nan", "-1"):
+        code, out, err = run(
+            capsys, "search", "-r", "3", "--min-odd-girth", "5", "--budget", budget
+        )
+        assert code == EXIT_USAGE, budget
+        assert out == "" and "budget" in err
+
+
 def test_search_empty_constraints_rejected(capsys):
     code, _, err = run(capsys, "search", "-r", "4")
     assert code == EXIT_USAGE

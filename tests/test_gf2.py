@@ -19,7 +19,7 @@ from gf2matroid import (
     span,
     translate_mask,
 )
-from gf2matroid.gf2 import largest_subspace_in
+from gf2matroid.gf2 import largest_subspace_in, subspace_in
 from helpers import random_mask
 
 rng = random.Random(0x6F32)
@@ -247,4 +247,20 @@ def test_largest_subspace_in_matches_bruteforce():
             if inside:
                 want = min(inside)
                 break
-        assert largest_subspace_in(mask, r, lo, hi) == want, (mask, r, lo, hi)
+        for m in (mask, mask | 1):  # bit 0 is the zero vector, ignored
+            assert largest_subspace_in(m, r, lo, hi) == want, (m, r, lo, hi)
+
+
+def test_subspace_in_matches_bruteforce():
+    for _ in range(100):
+        r = rng.randrange(1, 6)
+        mask = random_mask(rng, r, rng.choice((0.3, 0.6, 0.8, 0.95, 1.0)))
+        mask |= rng.randrange(2)
+        for d in range(0, r + 2):
+            inside = [
+                greedy_basis(s)
+                for s in enumerate_subspaces(r, d)
+                if s.point_mask() & ~mask == 0
+            ]
+            want = min(inside) if inside else None
+            assert subspace_in(mask, d, r) == want, (mask, d, r)

@@ -62,7 +62,7 @@ def has_subspace_mask_ref(mask, d, r):
 def test_has_subspace_mask_matches_flat_enumeration(kern):
     for _ in range(80):
         r = rng.randrange(1, 5)
-        mask = rng.randrange(1 << (1 << r)) & ~1
+        mask = rng.randrange(1 << (1 << r))
         for d in range(0, r + 1):
             assert kern.has_subspace_mask(mask, d, r) == has_subspace_mask_ref(
                 mask, d, r
@@ -80,6 +80,13 @@ def test_has_subspace_mask_full_geometry(kern):
         assert not kern.has_subspace_mask(0, 1, r)
 
 
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_has_subspace_mask_ignores_the_zero_vector(kern):
+    # {1, 2, 3} is not inside {0, 1, 2}, and {0} holds no point at all
+    assert not kern.has_subspace_mask(0b111, 2, 2)
+    assert not kern.has_subspace_mask(0b1, 1, 3)
+
+
 @pytest.mark.skipif(compiled is None, reason="compiled backend not built")
 def test_has_subspace_mask_backends_agree_on_multiword_masks():
     masks = random.Random(0x5B5)
@@ -91,6 +98,9 @@ def test_has_subspace_mask_backends_agree_on_multiword_masks():
                 for d in (2, 3, 4):
                     got = pure.has_subspace_mask(mask, d, r)
                     assert compiled.has_subspace_mask(mask, d, r) == got, (r, d, mask)
+                    # the zero vector must not change the answer
+                    for kern in (pure, compiled):
+                        assert kern.has_subspace_mask(mask | 1, d, r) == got, (r, d)
                     seen.add(got)
     assert seen == {True, False}
 

@@ -16,6 +16,7 @@ from gf2matroid import (
     odd_girth,
     verify_theorem,
 )
+from gf2matroid import search
 from gf2matroid.search import _mask_lex_less
 
 rng = random.Random(0x5EA)
@@ -235,6 +236,49 @@ def test_budget_is_a_hard_deadline_under_threads():
     rep = max_size(7, GIRTH5_NONAFFINE, budget=budget, threads=2)
     assert not rep.exhaustive
     assert rep.wall_time <= budget + slack
+
+
+def test_budget_must_be_a_nonnegative_number():
+    pg_free = ConstraintSet(pg_free_order=2)
+    for budget in (float("nan"), -1.0, float("-inf")):
+        with pytest.raises(ValueError, match="budget"):
+            max_size(3, GIRTH5_NONAFFINE, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            max_size(3, GIRTH5_NONAFFINE, budget=budget, threads=2)
+        with pytest.raises(ValueError, match="budget"):
+            max_size_complement(3, pg_free, 7, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            verify_theorem("main", {"k": 5, "r": 4}, budget=budget)
+    assert max_size(3, GIRTH5_NONAFFINE, budget=0.0).nodes > 0
+
+
+def test_pool_workers_capped_at_subtask_count(monkeypatch):
+    # a recording stand-in runs the subtasks in this process, so a large
+    # thread count starts no processes at all
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            opened.append(len(tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    single = max_size(4, GIRTH5_NONAFFINE)
+    for threads, workers, tasks in ((100_000, 64, 64), (2, 2, 4)):
+        opened.clear()
+        rep = max_size(4, GIRTH5_NONAFFINE, threads=threads)
+        assert opened == [workers, tasks], threads
+        assert rep.optimum == single.optimum and rep.exhaustive
 
 
 def test_budget_runs_are_never_exhaustive():
