@@ -24,6 +24,7 @@ typedef uint16_t u16;
 
 #define KERNEL_RANK_MAX 12
 #define CHECK_INTERVAL 4096
+#define FINDER_COST 64
 
 static inline int popcnt64(u64 x) { return __builtin_popcountll(x); }
 static inline int ctz64(u64 x) { return __builtin_ctzll(x); }
@@ -212,10 +213,11 @@ static PyObject *words_to_int(const u64 *src, int nw)
     return out;
 }
 
-/* The clock is read every CHECK_INTERVAL nodes, as in the pure twin. */
-static int deadline_passed(long long nodes, int use_deadline, double deadline)
+/* The clock is read when a poll counter, just advanced by cost, passes a
+ * multiple of CHECK_INTERVAL, as in the pure twin; cost <= CHECK_INTERVAL. */
+static int deadline_passed(long long ticks, int cost, int use_deadline, double deadline)
 {
-    return use_deadline && nodes % CHECK_INTERVAL == 0 && monotonic_now() > deadline;
+    return use_deadline && ticks % CHECK_INTERVAL < cost && monotonic_now() > deadline;
 }
 
 /* budget None -> no deadline; otherwise monotonic() + budget */
@@ -351,7 +353,7 @@ typedef struct {
     int r, n_all, nw, T, pg_n, min_critical;
     int full_rank, prune, use_deadline, timed_out;
     double deadline;
-    long long nodes;
+    long long nodes, ticks; /* ticks: the deadline poll counter */
     int best;
     u64 *best_mask;   /* nw */
     u64 *hit;         /* n_all * nw */
@@ -361,23 +363,45 @@ typedef struct {
     u64 *slab_covers; /* maxd * nw */
     u16 *slab_piv;    /* maxd * r */
     u16 *slab_feas;   /* maxd * n_all */
-    u64 *scratch;     /* 3 * nw + 2 * nw * (r + 1) */
+    u64 *scratch;     /* tmp, rest, free, pair: nw each; then 2 * nw * (r + 1) */
 } FwdCtx;
 
-static int fwd_feasible(FwdCtx *c, int v, const u64 *chosen, const u64 *sums)
+/* subspace_in(mask, d) found a subspace; the call advances the poll
+ * counter by FINDER_COST and may set timed_out. */
+static int fwd_finds(FwdCtx *c, const u64 *mask, int d)
 {
-    int t, i;
+    int found = subspace_in(mask, d, c->r, c->nw, c->scratch + 4 * c->nw);
+    c->ticks += FINDER_COST;
+    if (deadline_passed(c->ticks, FINDER_COST, c->use_deadline, c->deadline))
+        c->timed_out = 1;
+    return found;
+}
+
+/* May w join chosen?  With v != 0, w was feasible before v joined chosen,
+ * and pair is chosen & T_v(chosen): only flats through v are tested.  The
+ * argument is in the pure twin's forward_search docstring. */
+static int fwd_feasible(FwdCtx *c, int w, const u64 *chosen, const u64 *sums, int v,
+                        const u64 *pair)
+{
+    int t, i, d = c->pg_n - 1;
+    const u64 *base = chosen;
     u64 *tmp = c->scratch, *rest = c->scratch + c->nw;
     for (t = 2; t <= c->T; t += 2)
-        if (bs_get(sums + t * c->nw, v))
+        if (bs_get(sums + t * c->nw, w))
             return 0;
     if (c->pg_n == 1)
         return 0;
     if (c->pg_n >= 3) {
-        bs_translate(tmp, chosen, v, c->nw);
+        if (v) {
+            if (!bs_get(chosen, v ^ w))
+                return 1;
+            base = pair;
+            d = c->pg_n - 2;
+        }
+        bs_translate(tmp, base, w, c->nw);
         for (i = 0; i < c->nw; i++)
-            rest[i] = chosen[i] & tmp[i];
-        if (subspace_in(rest, c->pg_n - 1, c->r, c->nw, c->scratch + 3 * c->nw))
+            rest[i] = base[i] & tmp[i];
+        if (fwd_finds(c, rest, d))
             return 0;
     }
     return 1;
@@ -392,8 +416,7 @@ static int fwd_passes_extra(FwdCtx *c, const u64 *chosen, const u64 *covers, int
     if (c->min_critical >= 3) {
         for (i = 0; i < c->nw; i++)
             freebuf[i] = c->nonzero[i] & ~chosen[i];
-        if (subspace_in(freebuf, c->r - c->min_critical + 1, c->r, c->nw,
-                        c->scratch + 3 * c->nw))
+        if (fwd_finds(c, freebuf, c->r - c->min_critical + 1))
             return 0;
     }
     if (c->full_rank && rank != c->r)
@@ -439,19 +462,22 @@ static int fwd_include(FwdCtx *c, int v, int depth, const u64 *chosen, const u64
 static void fwd_dfs(FwdCtx *c, int depth, const u16 *feas, int nf, const u64 *chosen,
                     const u64 *sums, const u64 *covers, const u16 *piv, int rank, int size)
 {
-    int i, k, nrank, cnf, nonempty;
+    int i, k, v, nrank, cnf, nonempty;
     const u64 *hw;
-    u64 *reach, *c2, *s2;
+    u64 *reach, *c2, *s2, *pair;
     u16 *cfeas;
     c->nodes++;
-    if (deadline_passed(c->nodes, c->use_deadline, c->deadline)) {
+    c->ticks++;
+    if (deadline_passed(c->ticks, 1, c->use_deadline, c->deadline)) {
         c->timed_out = 1;
         return;
     }
-    if (size > c->best && fwd_passes_extra(c, chosen, covers, rank)) {
+    if (size > c->best && fwd_passes_extra(c, chosen, covers, rank) && !c->timed_out) {
         c->best = size;
         memcpy(c->best_mask, chosen, c->nw * sizeof(u64));
     }
+    if (c->timed_out)
+        return;
     if (nf == 0)
         return;
     if (c->prune && size + nf <= c->best)
@@ -472,14 +498,24 @@ static void fwd_dfs(FwdCtx *c, int depth, const u16 *feas, int nf, const u64 *ch
         if (nonempty)
             return; /* every completion stays affine */
     }
-    nrank = fwd_include(c, feas[0], depth, chosen, sums, covers, piv, rank);
+    v = feas[0];
+    nrank = fwd_include(c, v, depth, chosen, sums, covers, piv, rank);
     c2 = c->slab_chosen + (depth + 1) * c->nw;
     s2 = c->slab_sums + (size_t)(depth + 1) * (c->T + 1) * c->nw;
     cfeas = c->slab_feas + (size_t)(depth + 1) * c->n_all;
+    pair = c->scratch + 3 * c->nw;
+    if (c->pg_n >= 3) {
+        bs_translate(pair, c2, v, c->nw);
+        for (k = 0; k < c->nw; k++)
+            pair[k] &= c2[k];
+    }
     cnf = 0;
-    for (i = 1; i < nf; i++)
-        if (fwd_feasible(c, feas[i], c2, s2))
+    for (i = 1; i < nf; i++) {
+        if (fwd_feasible(c, feas[i], c2, s2, v, pair))
             cfeas[cnf++] = feas[i];
+        if (c->timed_out)
+            return;
+    }
     fwd_dfs(c, depth + 1, cfeas, cnf, c2, s2, c->slab_covers + (depth + 1) * c->nw,
             c->slab_piv + (depth + 1) * c->r, nrank, size + 1);
     if (c->timed_out)
@@ -505,7 +541,21 @@ PyDoc_STRVAR(forward_search_doc,
              "               forced_in, forced_out_mask, budget, prune=True)\n--\n\n"
              "Maximum point set under the given constraints, include-first DFS.\n\n"
              "Returns (best_size or -1, witness_mask, nodes, completed); see the\n"
-             "pure twin for the contract details.");
+             "pure twin for the contract details.\n\n"
+             "After v is included, the flat gate re-tests a surviving candidate w\n"
+             "only for flats through v and w.  Every w in feas was already feasible\n"
+             "for the chosen set without v, so any new rank-n flat F in\n"
+             "chosen + {v, w} contains both v and w.  F then contains v ^ w, which\n"
+             "must be a chosen point; this one bit test clears most w.  Otherwise\n"
+             "F = span(v, w) + U with U an (n-2)-dimensional subspace whose nonzero\n"
+             "vectors lie in chosen & T_v(chosen) & T_w(chosen) & T_{v^w}(chosen),\n"
+             "T_x being translation by x.  That set avoids span(v, w), so the test\n"
+             "is one subspace_in(rest, n-2, r) call on a much sparser mask, and\n"
+             "the verdict, the tree and the node count are those of the full test.\n"
+             "The root filter and the forced points use the full test.\n\n"
+             "The deadline is polled whenever a counter passes a multiple of\n"
+             "CHECK_INTERVAL; each node advances it by 1 and each flat-finder call\n"
+             "by FINDER_COST.");
 
 static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
 {
@@ -575,7 +625,7 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     c.slab_covers = calloc((size_t)maxd * nw, sizeof(u64));
     c.slab_piv = calloc((size_t)maxd * r, sizeof(u16));
     c.slab_feas = calloc((size_t)maxd * n_all, sizeof(u16));
-    c.scratch = calloc(3 * nw + 2 * nw * (r + 1), sizeof(u64));
+    c.scratch = calloc(4 * nw + 2 * nw * (r + 1), sizeof(u64));
     if (c.best_mask == NULL || c.hit == NULL || c.nonzero == NULL || c.slab_chosen == NULL ||
         c.slab_sums == NULL || c.slab_covers == NULL || c.slab_piv == NULL ||
         c.slab_feas == NULL || c.scratch == NULL) {
@@ -605,7 +655,7 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     depth = 0;
     for (j = 0; j < n_forced; j++) {
         v = forced[j];
-        if (!fwd_feasible(&c, v, chosen, sums)) {
+        if (!fwd_feasible(&c, v, chosen, sums, 0, NULL) || c.timed_out) {
             dead = 1;
             break;
         }
@@ -620,10 +670,12 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     if (!dead) {
         feas = c.slab_feas + (size_t)depth * n_all;
         nf = 0;
-        for (v = n_all - 1; v > 0; v--)
-            if (!bs_get(chosen, v) && !bs_get(forced_out, v) && fwd_feasible(&c, v, chosen, sums))
+        for (v = n_all - 1; v > 0 && !c.timed_out; v--)
+            if (!bs_get(chosen, v) && !bs_get(forced_out, v) &&
+                fwd_feasible(&c, v, chosen, sums, 0, NULL))
                 feas[nf++] = (u16)v;
-        fwd_dfs(&c, depth, feas, nf, chosen, sums, covers, piv, rank, size);
+        if (!c.timed_out)
+            fwd_dfs(&c, depth, feas, nf, chosen, sums, covers, piv, rank, size);
     }
     result = search_result(c.best, c.best_mask, nw, c.nodes, c.timed_out);
 done:
@@ -705,7 +757,7 @@ static void cmp_dfs(CmpCtx *c, int depth, const u64 *b_mask, int b_size, const u
     u64 *removed, *cb, *cu, *ca;
     u16 piv[16];
     c->nodes++;
-    if (deadline_passed(c->nodes, c->use_deadline, c->deadline)) {
+    if (deadline_passed(c->nodes, 1, c->use_deadline, c->deadline)) {
         c->timed_out = 1;
         return;
     }

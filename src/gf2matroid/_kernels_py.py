@@ -8,6 +8,18 @@ two backends return bit-identical results.
 All point sets are int bitsets over the 2^r vector encodings (bit v
 set iff vector v present).  Every flat test calls gf2.subspace_in, the
 finder the invariants use; _kernels.c has its own twin of it.
+
+The forward search's flat-freeness gate is incremental.  Every
+candidate w left after v joins the chosen set C was feasible for C
+without v, so a new rank-n flat F inside C + {w} must pass through
+both v and w.  F then holds v ^ w, a chosen point, and that one bit
+test clears most w.  Otherwise F = span(v, w) + U for an
+(n-2)-dimensional U whose nonzero vectors u have u, u ^ v, u ^ w and
+u ^ v ^ w all in C: they lie in P & T_w(P) with P = C & T_v(C), T_x
+translating by x, a set that misses span(v, w).  P is computed once
+per include, so each surviving w costs one translate and one
+subspace_in call on a much sparser mask.  The root filter and the
+forced points use the full test.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ BACKEND_NAME = "python"
 KERNEL_RANK_MAX = 12
 
 _CHECK_INTERVAL = 4096
+_FINDER_COST = 64
 
 
 class _Timeout(Exception):
@@ -105,6 +118,26 @@ def forward_search(
     every insertion; the others (critical number, full rank) are tested
     whenever the current set would improve the best.  Returns
     (best_size or -1, witness_mask, nodes, completed).
+
+    After v is included, the flat gate re-tests a surviving candidate
+    w only for flats through v and w.  Every w in feas was already
+    feasible for the chosen set without v, so any new rank-n flat F in
+    chosen + {v, w} contains both v and w.  F then contains v ^ w,
+    which must be a chosen point; this one bit test clears most w.
+    Otherwise F = span(v, w) + U with U an (n-2)-dimensional subspace
+    whose nonzero vectors lie in chosen & T_v(chosen) & T_w(chosen) &
+    T_{v^w}(chosen), T_x being translate_mask by x.  That set avoids
+    span(v, w), so the test is one subspace_in(rest, n-2, r) call on a
+    much sparser mask, and the verdict, the tree and the node count
+    are those of the full test.  The root filter and the forced points
+    use the full test: a rank-n flat through w in chosen + {w} is
+    span(w) + U with the nonzero vectors of U in chosen & T_w(chosen).
+
+    The deadline is polled whenever a counter passes a multiple of
+    _CHECK_INTERVAL.  Each node advances it by 1 and each flat-finder
+    call by _FINDER_COST, so a search whose flat tests cost more than
+    its nodes still stops near its budget, and one without flat tests
+    keeps polling every _CHECK_INTERVAL nodes.
     """
     _check_rank(r)
     n_all = 1 << r
@@ -123,18 +156,35 @@ def forward_search(
     best = -1
     best_mask = 0
     nodes = 0
+    ticks = 0  # the deadline poll counter
 
-    def feasible(v: int, chosen: int, sums: List[int]) -> bool:
+    def finds(mask: int, d: int) -> bool:
+        """subspace_in(mask, d, r) found a subspace; the call counts toward the poll."""
+        nonlocal ticks
+        found = subspace_in(mask, d, r) is not None
+        ticks += _FINDER_COST
+        if deadline is not None and ticks % _CHECK_INTERVAL < _FINDER_COST:
+            if monotonic() > deadline:
+                raise _Timeout
+        return found
+
+    def feasible(w: int, chosen: int, sums: List[int], v: int = 0, pair: int = 0) -> bool:
+        """May w join chosen?  With v, w was feasible before v joined chosen,
+        and pair is chosen & T_v(chosen): only flats through v are tested."""
         t = 2
         while t <= T:
-            if (sums[t] >> v) & 1:
+            if (sums[t] >> w) & 1:
                 return False
             t += 2
         if pg_n == 1:
             return False
         if pg_n >= 3:
-            rest = chosen & translate_mask(chosen, v, r)
-            if subspace_in(rest, pg_n - 1, r) is not None:
+            base, d = chosen, pg_n - 1
+            if v:
+                if not (chosen >> (v ^ w)) & 1:
+                    return True
+                base, d = pair, pg_n - 2
+            if finds(base & translate_mask(base, w, r), d):
                 return False
         return True
 
@@ -143,7 +193,7 @@ def forward_search(
             return False
         if min_critical >= 3:
             free = nonzero_mask(r) & ~chosen
-            if subspace_in(free, r - min_critical + 1, r) is not None:
+            if finds(free, r - min_critical + 1):
                 return False
         if full_rank and rank != r:
             return False
@@ -162,9 +212,10 @@ def forward_search(
         return chosen, sums, covers, pivots
 
     def dfs(feas, chosen, size, sums, covers, pivots):
-        nonlocal best, best_mask, nodes
+        nonlocal best, best_mask, nodes, ticks
         nodes += 1
-        if deadline is not None and nodes % _CHECK_INTERVAL == 0:
+        ticks += 1
+        if deadline is not None and ticks % _CHECK_INTERVAL == 0:
             if monotonic() > deadline:
                 raise _Timeout
         if size > best and passes_extra(chosen, covers, len(pivots)):
@@ -182,7 +233,15 @@ def forward_search(
                 return  # every completion stays affine
         v = feas[0]
         c2, s2, cov2, piv2 = include(v, chosen, sums, covers, pivots)
-        dfs([w for w in feas[1:] if feasible(w, c2, s2)], c2, size + 1, s2, cov2, piv2)
+        pair = c2 & translate_mask(c2, v, r) if pg_n >= 3 else 0
+        dfs(
+            [w for w in feas[1:] if feasible(w, c2, s2, v, pair)],
+            c2,
+            size + 1,
+            s2,
+            cov2,
+            piv2,
+        )
         dfs(feas[1:], chosen, size, sums, covers, pivots)
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n_all + 100))
@@ -194,25 +253,23 @@ def forward_search(
     pivots: dict = {}
     size = 0
     completed = True
-    dead = False
-    for v in forced_in:
-        if not feasible(v, chosen, sums):
-            dead = True
-            break
-        chosen, sums, covers, pivots = include(v, chosen, sums, covers, pivots)
-        size += 1
-    if not dead:
-        feas = [
-            v
-            for v in range(n_all - 1, 0, -1)
-            if not (chosen >> v) & 1
-            and not (forced_out_mask >> v) & 1
-            and feasible(v, chosen, sums)
-        ]
-        try:
+    try:
+        for v in forced_in:
+            if not feasible(v, chosen, sums):
+                break
+            chosen, sums, covers, pivots = include(v, chosen, sums, covers, pivots)
+            size += 1
+        else:
+            feas = [
+                v
+                for v in range(n_all - 1, 0, -1)
+                if not (chosen >> v) & 1
+                and not (forced_out_mask >> v) & 1
+                and feasible(v, chosen, sums)
+            ]
             dfs(feas, chosen, size, sums, covers, pivots)
-        except _Timeout:
-            completed = False
+    except _Timeout:
+        completed = False
     return best, best_mask, nodes, completed
 
 

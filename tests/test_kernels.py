@@ -1,12 +1,15 @@
 """Kernel backends: subset oracles and bit-identical compiled/pure twins."""
 
+import functools
 import itertools
 import random
+from time import monotonic
 
 import pytest
 
 from gf2matroid import backend_name, enumerate_subspaces, iter_bits, mask_from
 from gf2matroid._backend import load_kernels
+from gf2matroid.search import _forced_basis
 
 from helpers import random_mask
 
@@ -105,6 +108,10 @@ def test_has_subspace_mask_backends_agree_on_multiword_masks():
     assert seen == {True, False}
 
 
+# r=7 cut down to a two-word search that still finishes: every point in
+# [24, 104) outside the forced basis is excluded
+R7_OUT = [v for v in range(24, 104) if v not in _forced_basis(7)]
+
 FORWARD_CASES = [
     # r, girth, pg_free, min_critical, full_rank, forced_in, forced_out, prune
     (3, 3, 0, 0, False, (), 0, True),
@@ -119,7 +126,21 @@ FORWARD_CASES = [
     (5, 7, 0, 2, False, (), 0, True),
     # r=7: two-word bitsets, translations by v >= 64 swap words
     (7, 7, 0, 2, False, (127, 126, 125, 123, 119, 111, 95), 0, True),
+    # flat-free searches under the forced basis, as max_size runs them
+    (5, 0, 3, 0, False, _forced_basis(5), 0, True),
+    (5, 0, 4, 0, False, _forced_basis(5), 0, True),
+    (5, 0, 5, 0, False, _forced_basis(5), 0, True),
+    (7, 0, 4, 0, False, _forced_basis(7), mask_from(R7_OUT), True),
 ]
+
+# (best, nodes) of the flat-free FORWARD_CASES, measured with the full
+# flat test at every include; the incremental gate must give the same tree
+PINNED_TREES = {
+    (5, 3): (24, 39671),
+    (5, 4): (28, 3339),
+    (5, 5): (30, 51),
+    (7, 4): (45, 15849),
+}
 
 
 @pytest.mark.skipif(compiled is None, reason="compiled backend not built")
@@ -129,6 +150,70 @@ def test_forward_search_backends_bit_identical(case):
     got_c = compiled.forward_search(r, g, pg_n, mc, fr, fin, fout, None, prune)
     got_py = pure.forward_search(r, g, pg_n, mc, fr, fin, fout, None, prune)
     assert got_c == got_py  # best, mask, node count, completed: all four
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize(
+    "case", [c for c in FORWARD_CASES if (c[0], c[2]) in PINNED_TREES], ids=repr
+)
+def test_flat_free_search_trees_are_pinned(kern, case):
+    r, g, pg_n, mc, fr, fin, fout, prune = case
+    best, _, nodes, completed = kern.forward_search(
+        r, g, pg_n, mc, fr, fin, fout, None, prune
+    )
+    assert completed
+    assert (best, nodes) == PINNED_TREES[r, pg_n]
+
+
+@functools.cache
+def flat_masks(r, n):
+    return tuple(s.point_mask() for s in enumerate_subspaces(r, n))
+
+
+def has_flat_through(mask, w, r, n):
+    """A rank-n flat through w inside mask, by literal enumeration."""
+    return any(f >> w & 1 and f & ~mask == 0 for f in flat_masks(r, n))
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_incremental_flat_gate_matches_enumeration(kern):
+    # Force chosen minus v, where chosen has no rank-n flat, and offer
+    # only v and w, w feasible before v.  The first include takes the
+    # larger of the two; the gate then tests the other only for flats
+    # through the first, so best is len(chosen) + 1 exactly when no
+    # rank-n flat passes through w inside chosen + {w}.
+    draws = random.Random(0x6A7E)
+    verdicts = set()
+    for _ in range(300):
+        r = draws.randrange(3, 6)
+        n = draws.randrange(3, r + 1)
+        order = list(range(1, 1 << r))
+        draws.shuffle(order)
+        chosen = 0
+        for p in order[: draws.randrange(n, len(order))]:
+            if not has_flat_through(chosen | 1 << p, p, r, n):
+                chosen |= 1 << p
+        pts = list(iter_bits(chosen))
+        v = draws.choice(pts)
+        before = chosen & ~(1 << v)
+        ws = [
+            w
+            for w in order
+            if not chosen >> w & 1 and not has_flat_through(before | 1 << w, w, r, n)
+        ]
+        if not ws:
+            continue
+        w = draws.choice(ws)
+        out = ((1 << (1 << r)) - 2) & ~chosen & ~(1 << w)
+        forced = [p for p in pts if p != v]
+        best, _, _, completed = kern.forward_search(
+            r, 0, n, 0, False, forced, out, None, True
+        )
+        assert completed
+        free = not has_flat_through(chosen | 1 << w, w, r, n)
+        assert best == len(pts) + free, (r, n, bin(chosen), v, w)
+        verdicts.add(free)
+    assert verdicts == {True, False}
 
 
 COMPLEMENT_CASES = [
@@ -159,6 +244,7 @@ def test_complement_search_backends_bit_identical(case, sym):
     assert got_c == got_py
 
 
+@functools.cache
 def forward_ref(r, g, pg_n, mc, full_rank):
     """Literal maximum over all point sets of GF(2)^r.
 
@@ -204,6 +290,16 @@ def test_forward_search_exact_at_rank_three(kern):
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize("pg_n", [3, 4])
+@pytest.mark.parametrize("forced", [(), _forced_basis(4)], ids=["free", "basis"])
+def test_forward_search_exact_at_rank_four_flat_free(kern, pg_n, forced):
+    # the forced basis loses nothing: see max_size
+    got = kern.forward_search(4, 0, pg_n, 0, False, forced, 0, None, True)
+    assert got[3] is True
+    assert got[0] == forward_ref(4, 0, pg_n, 0, False)
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
 def test_forward_search_prune_toggle_same_optimum(kern):
     for g, mc in [(5, 0), (5, 2), (7, 2)]:
         fast = kern.forward_search(4, g, 0, mc, False, (), 0, None, True)
@@ -217,6 +313,22 @@ def test_forward_search_prune_toggle_same_optimum(kern):
 def test_forward_search_budget_times_out(kern):
     got = kern.forward_search(5, 5, 0, 2, False, (), 0, 1e-9, True)
     assert got[3] is False  # never claims completion
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize("r, pg_n", [(6, 5), (7, 6)])
+def test_forward_search_budget_holds_on_flat_free_searches(kern, r, pg_n):
+    # Single flat tests cost up to milliseconds here; polling on the
+    # node count alone would overshoot the budget by minutes.  The r=6 search
+    # may finish inside the budget on the compiled backend; then it
+    # must be right (Bose-Burton: 2^r - 2^(r-n+1)).
+    budget = 0.5
+    t0 = monotonic()
+    best, _, _, completed = kern.forward_search(
+        r, 0, pg_n, 0, False, _forced_basis(r), 0, budget, True
+    )
+    assert monotonic() - t0 <= budget + 1.0
+    assert not completed or best == (1 << r) - (1 << (r - pg_n + 1))
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
