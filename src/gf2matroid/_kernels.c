@@ -688,6 +688,10 @@ done:
 
 /* ------------------------------------------------------ complement search */
 
+/* The pure twin packs by memoised meets[] sets and keeps bit-sliced
+ * forbidden-flat counters; this one rescans and asks subspace_in, so the
+ * lockstep tests compare two independent versions of both tests. */
+
 typedef struct {
     int r, n_all, nw, n_subs, tw, forbidden_dim, max_blocker, maxcov;
     int full_rank, symmetry, use_deadline, timed_out;
@@ -881,6 +885,11 @@ static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *
         return NULL;
     if (check_rank(r) < 0)
         return NULL;
+    if (forbidden_dim < 0 || forbidden_dim > r) {
+        PyErr_Format(PyExc_ValueError, "forbidden_dim must be in [0, %d], got %d", r,
+                     forbidden_dim);
+        return NULL;
+    }
     seq = PySequence_Fast(subs_obj, "subspace_masks must be a sequence of ints");
     if (seq == NULL)
         return NULL;
@@ -919,9 +928,11 @@ static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < n_subs; i++)
+    for (i = 0; i < n_subs; i++) {
         if (read_mask(PySequence_Fast_GET_ITEM(seq, i), r, c.subs + (size_t)i * nw, nw) < 0)
             goto done;
+        c.subs[(size_t)i * nw] &= ~1ULL; /* the zero vector is no point */
+    }
     if (read_deadline(budget, &c.use_deadline, &c.deadline) < 0)
         goto done;
 

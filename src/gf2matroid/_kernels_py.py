@@ -6,8 +6,9 @@ order, pruning rules and node counting are identical in both, so the
 two backends return bit-identical results.
 
 All point sets are int bitsets over the 2^r vector encodings (bit v
-set iff vector v present).  Every flat test calls gf2.subspace_in, the
-finder the invariants use; _kernels.c has its own twin of it.
+set iff vector v present).  The forward search's flat tests call
+gf2.subspace_in, the finder the invariants use; _kernels.c has its own
+twin of it.
 
 The forward search's flat-freeness gate is incremental.  Every
 candidate w left after v joins the chosen set C was feasible for C
@@ -20,6 +21,18 @@ translating by x, a set that misses span(v, w).  P is computed once
 per include, so each surviving w costs one translate and one
 subspace_in call on a much sparser mask.  The root filter and the
 forced points use the full test.
+
+The complement search keeps both of its per-node tests incremental.
+The greedy packing bound takes the lowest uncovered subspace i and
+drops meets[i], every subspace sharing a point with S_i, memoised per
+call; that is the index-order packing in one step per packed subspace.
+The forbidden-flat test keeps |F \\ B| for every t-flat F as t
+bit-planes: B never holds a whole t-flat, so a point p outside B
+closes one exactly when a flat through p has count 1, and a child
+decrements the counters of the flats through p.  The t-flats are
+listed once, [r, t]_2 of them.  _kernels.c rescans and calls its
+subspace finder instead, so the lockstep tests compare two
+independent forbidden-flat tests.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .gf2 import (
     echelon_insert,
+    enumerate_subspaces,
     hyperplane_complement,
     iter_bits,
     nonzero_mask,
@@ -287,47 +301,84 @@ def complement_search(
     Branches over the points of an uncovered subspace with the fewest
     still-available points, excluding earlier siblings so each minimal
     blocker is generated once.  A t = forbidden_dim flat fully inside B
-    is rejected as soon as it closes.  Returns (best_size or -1,
-    blocker_mask, nodes, completed).
+    is rejected as soon as it closes; t must lie in [0, r], and 0
+    forbids nothing.  Bit 0 of each subspace mask is ignored: the zero
+    vector is no point.  Returns (best_size or -1, blocker_mask, nodes,
+    completed).
+
+    A node is pruned when b_size + max(ceil(u / maxcov), packed) exceeds
+    the window, u being the number of uncovered subspaces, maxcov the
+    most subspaces through one point and packed the size of a greedy
+    packing: uncovered subspaces taken in index order, each kept when
+    it is disjoint from those kept before.  The same packing comes from
+    taking the lowest index i left in the uncovered set and dropping
+    meets[i], the subspaces sharing a point with S_i (i included), so
+    it costs one step per packed subspace.  meets[i] is the OR of
+    through[v] over the points v of S_i, built the first time i is
+    packed; a table for every i would not fit at high rank.  The count
+    stops once it passes the window, which leaves the prune unchanged.
+
+    The forbidden-flat test keeps |F \\ B| for every t-flat F as t
+    bit-planes over the flats (the counters all read 2^t - 1 at the
+    root).  B never holds a whole t-flat and a branch point p is never
+    in B, so adding p closes a flat exactly when some flat through p
+    has |F \\ B| = 1: one AND of the flats through p with the count-1
+    plane, built once per node.  A child subtracts one from the
+    counters of the flats through p, a t-step borrow chain.  Listing
+    the t-flats costs [r, t]_2 subspaces up front.  Both tests give the
+    verdicts of the direct ones, so the tree and the node count stay
+    those of the compiled twin, which packs by scanning and asks its
+    subspace finder whether a t-flat closes.
     """
     _check_rank(r)
+    if not 0 <= forbidden_dim <= r:
+        raise ValueError(f"forbidden_dim must be in [0, {r}], got {forbidden_dim}")
     for m in subspace_masks:
         _check_mask(m, r)
+    subs = [m & ~1 for m in subspace_masks]
     n_all = 1 << r
     deadline = monotonic() + budget if budget is not None else None
-    n_subs = len(subspace_masks)
+    n_subs = len(subs)
     through = [0] * n_all
-    for i, m in enumerate(subspace_masks):
+    for i, m in enumerate(subs):
         for v in iter_bits(m):
             through[v] |= 1 << i
-    maxcov = max((t.bit_count() for t in through), default=1) or 1
+    maxcov = max(t.bit_count() for t in through) or 1
+    meets: dict = {}
+    # flats_through[v]: the forbidden flats through v, one bit per flat
+    flats_through = [0] * n_all
+    n_flats = 0
+    if forbidden_dim:
+        for s in enumerate_subspaces(r, forbidden_dim):
+            for v in iter_bits(s.point_mask()):
+                flats_through[v] |= 1 << n_flats
+            n_flats += 1
 
     best = -1
     best_mask = 0
     nodes = 0
 
-    def lower_bound(uncov: int) -> int:
-        u = uncov.bit_count()
-        if u == 0:
-            return 0
-        bound = -(-u // maxcov)
-        taken = 0
+    def bound_exceeds(uncov: int, slack: int) -> bool:
+        """max(ceil(u / maxcov), greedy packing of uncov) > slack."""
+        if -(-uncov.bit_count() // maxcov) > slack:
+            return True
         packed = 0
-        m = uncov
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            if not (subspace_masks[i] & taken):
-                taken |= subspace_masks[i]
-                packed += 1
-        return max(bound, packed)
+        cand = uncov
+        while cand:
+            packed += 1
+            if packed > slack:
+                return True
+            i = (cand & -cand).bit_length() - 1
+            mi = meets.get(i)
+            if mi is None:
+                mi = 1 << i
+                for v in iter_bits(subs[i]):
+                    mi |= through[v]
+                meets[i] = mi
+            cand &= ~mi
+        return False
 
-    def closes_forbidden(b_mask: int, p: int) -> bool:
-        rest = b_mask & translate_mask(b_mask, p, r)
-        return subspace_in(rest, forbidden_dim - 1, r) is not None
-
-    def dfs(b_mask, b_size, uncov, avail, at_root):
+    def dfs(b_mask, b_size, uncov, avail, planes, at_root):
         nonlocal best, best_mask, nodes
         nodes += 1
         if deadline is not None and nodes % _CHECK_INTERVAL == 0:
@@ -345,7 +396,7 @@ def complement_search(
             best_mask = b_mask
             return
         window = max_blocker if best < 0 else min(max_blocker, best - 1)
-        if b_size + lower_bound(uncov) > window:
+        if bound_exceeds(uncov, window - b_size):
             return
         # fail-first: uncovered subspace with fewest available points
         sel = -1
@@ -356,29 +407,42 @@ def complement_search(
             low = m & -m
             i = low.bit_length() - 1
             m ^= low
-            pts = subspace_masks[i] & avail
+            pts = subs[i] & avail
             c = pts.bit_count()
             if c == 0:
                 return  # unhittable in this branch
             if c < sel_count:
                 sel, sel_pts, sel_count = i, pts, c
+        one_left = 0  # flats with |F \ B| = 1
+        if planes:
+            one_left = planes[0]
+            for plane in planes[1:]:
+                one_left &= ~plane
         removed = 0
         for p in iter_bits(sel_pts):
             removed |= 1 << p
-            if forbidden_dim and closes_forbidden(b_mask, p):
-                continue
+            borrow = flats_through[p]
+            if borrow & one_left:
+                continue  # p would close a forbidden flat
+            child = []
+            for plane in planes:
+                child.append(plane ^ borrow)
+                borrow &= ~plane
             dfs(
                 b_mask | (1 << p),
                 b_size + 1,
                 uncov & ~through[p],
                 avail & ~removed,
+                child,
                 False,
             )
             if at_root and symmetry:
                 break  # remaining root branches are images under a flat stabilizer
+
     completed = True
     try:
-        dfs(0, 0, (1 << n_subs) - 1, nonzero_mask(r), True)
+        root_planes = [(1 << n_flats) - 1] * forbidden_dim
+        dfs(0, 0, (1 << n_subs) - 1, nonzero_mask(r), root_planes, True)
     except _Timeout:
         completed = False
     return best, best_mask, nodes, completed

@@ -225,6 +225,7 @@ COMPLEMENT_CASES = [
     (5, (3,), 3, False, 10),
     (5, (3,), 0, True, 8),
     (5, (2,), 0, False, 16),
+    (5, (2,), 4, False, 21),
     (7, (6,), 0, False, 3),
 ]
 
@@ -242,6 +243,85 @@ def test_complement_search_backends_bit_identical(case, sym):
     got_c = compiled.complement_search(r, subs, fd, fr, mb, None, sym)
     got_py = pure.complement_search(r, subs, fd, fr, mb, None, sym)
     assert got_c == got_py
+
+
+# (optimum, nodes) with root symmetry, measured with the packing bound
+# rescanned and the forbidden-flat test asked of the subspace finder at
+# every node; the incremental bound and counters must give the same tree
+PINNED_COMPLEMENT_TREES = [
+    # r, flat dim, forbidden_dim, full_rank, max_blocker, optimum, nodes
+    (5, 2, 4, False, 21, 21, 107588),  # verify gs n=2 r=5
+    (5, 3, 3, False, 10, 10, 97616),  # verify gs n=3 r=5
+    (6, 4, 0, False, 7, 7, 54738),  # verify bose_burton n=4 r=6
+    (6, 4, 0, True, 63, 7, 54738),  # max_size_complement r=6 pg-free 4
+    (5, 2, 0, False, 15, 15, 1502),
+    (5, 3, 0, False, 7, 7, 944),
+    (6, 5, 0, False, 3, 3, 64),
+]
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize("case", PINNED_COMPLEMENT_TREES, ids=repr)
+def test_complement_search_trees_are_pinned(kern, case):
+    r, n, fd, fr, mb, optimum, nodes = case
+    best, _, got_nodes, completed = kern.complement_search(
+        r, flat_masks(r, n), fd, fr, mb, None, True
+    )
+    assert completed
+    assert (best, got_nodes) == (optimum, nodes)
+
+
+@pytest.mark.parametrize("case", COMPLEMENT_CASES, ids=repr)
+def test_complement_search_ignores_the_zero_vector(case):
+    # bit 0 of a subspace mask is the zero vector, no point: it must not
+    # count toward any point's subspaces on either backend
+    r, dims, fd, fr, mb = case
+    subs = flats(r, dims)
+    want = pure.complement_search(r, subs, fd, fr, mb, None, True)
+    for kern in backends:
+        got = kern.complement_search(r, [m | 1 for m in subs], fd, fr, mb, None, True)
+        assert got == want, kern.BACKEND_NAME
+
+
+@functools.cache
+def complement_ref(n, t, full_rank):
+    """Smallest point set of GF(2)^4 hitting every n-flat, holding no
+    t-flat and, with full_rank, leaving a rank-4 complement; -1 if none.
+
+    Literal search over all 2^15 point subsets, smallest first.
+    """
+    from gf2matroid import BinaryMatroid
+
+    hit = flat_masks(4, n)
+    forbidden = flat_masks(4, t) if t else ()
+    for size in range(16):
+        for pts in itertools.combinations(range(1, 16), size):
+            b = mask_from(pts)
+            if not all(f & b for f in hit):
+                continue
+            if any(f & ~b == 0 for f in forbidden):
+                continue
+            if full_rank and not BinaryMatroid(4, 0xFFFE & ~b).is_full_rank:
+                continue
+            return size
+    return -1
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("t", [0, 2, 3])
+@pytest.mark.parametrize("fr", [False, True], ids=["any", "full-rank"])
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+def test_complement_search_exact_at_rank_four(kern, n, t, fr, sym):
+    best, mask, _, completed = kern.complement_search(
+        4, flat_masks(4, n), t, fr, 15, None, sym
+    )
+    assert completed
+    assert best == complement_ref(n, t, fr)
+    if best >= 0:
+        assert mask.bit_count() == best
+        assert all(f & mask for f in flat_masks(4, n))
+        assert t == 0 or not any(f & ~mask == 0 for f in flat_masks(4, t))
 
 
 @functools.cache
@@ -396,3 +476,8 @@ def test_rank_cap_enforced():
                 kern.forward_search(4, 5, 0, 0, False, (), mask, None, True)
             with pytest.raises(ValueError):
                 kern.complement_search(4, subs + [mask], 0, False, 15, None, True)
+        # the forbidden flats need a dimension in [0, r]
+        for fd in (-1, 5, -100):
+            with pytest.raises(ValueError):
+                kern.complement_search(4, subs, fd, False, 15, None, True)
+        assert kern.complement_search(4, subs, 4, False, 15, None, True)[3]
