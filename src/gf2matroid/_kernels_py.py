@@ -22,28 +22,34 @@ per include, so each surviving w costs one translate and one
 subspace_in call on a much sparser mask.  The root filter and the
 forced points use the full test.
 
-The complement search keeps both of its per-node tests incremental.
-The greedy packing bound takes the lowest uncovered subspace i and
-drops meets[i], every subspace sharing a point with S_i, memoised per
-call; that is the index-order packing in one step per packed subspace.
+The complement search keeps all three of its per-node tests
+incremental.  The greedy packing bound takes the lowest uncovered
+subspace i and drops meets[i], every subspace sharing a point with
+S_i, memoised per call; that is the index-order packing in one step
+per packed subspace.  The fail-first choice keeps |S_i & avail| for
+every subspace as bit-planes over the subspace indices: removing a
+point decrements the counters of the subspaces through it, and
+narrowing the uncovered set from the top plane down leaves those of
+least count; the node returns when that count is 0.
 The forbidden-flat test keeps |F \\ B| for every t-flat F as t
 bit-planes: B never holds a whole t-flat, so a point p outside B
 closes one exactly when a flat through p has count 1, and a child
 decrements the counters of the flats through p.  The t-flats are
-listed once, [r, t]_2 of them.  _kernels.c rescans and calls its
-subspace finder instead, so the lockstep tests compare two
-independent forbidden-flat tests.
+listed once, [r, t]_2 of them.  _kernels.c recounts, rescans and calls
+its subspace finder instead, so the lockstep tests compare two
+independent versions of each test.
 """
 
 from __future__ import annotations
 
 import sys
 from time import monotonic
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .gf2 import (
     echelon_insert,
     enumerate_subspaces,
+    gaussian_binomial,
     hyperplane_complement,
     iter_bits,
     nonzero_mask,
@@ -64,7 +70,7 @@ BACKEND_NAME = "python"
 KERNEL_RANK_MAX = 12
 
 _CHECK_INTERVAL = 4096
-_FINDER_COST = 64
+_LIST_POLL = 256  # flats listed between deadline polls
 
 
 class _Timeout(Exception):
@@ -79,6 +85,38 @@ def _check_rank(r: int) -> None:
 def _check_mask(mask: int, r: int) -> None:
     if mask < 0 or mask >> (1 << r):
         raise ValueError(f"mask has bits outside the 2^{r} vectors of GF(2)^{r}")
+
+
+def _columns(
+    rows: Iterable[Iterable[int]],
+    n_rows: int,
+    n_cols: int,
+    poll: Optional[Callable[[], None]] = None,
+) -> List[int]:
+    """Column bitmaps of a 0/1 table: bit k of column c is set iff row k holds c.
+
+    Per-column bytearrays keep this linear in the incidences; OR-ing
+    1 << k into growing ints would be quadratic in n_rows.  poll, when
+    given, runs every _LIST_POLL rows.
+    """
+    cols = [bytearray((n_rows + 7) >> 3) for _ in range(n_cols)]
+    for k, row in enumerate(rows):
+        byte, bit = k >> 3, 1 << (k & 7)
+        for c in row:
+            cols[c][byte] |= bit
+        if poll is not None and k % _LIST_POLL == 0:
+            poll()
+    return [int.from_bytes(col, "little") for col in cols]
+
+
+def _decrement(planes: List[int], borrow: int) -> List[int]:
+    """Bit-sliced counters (plane j holds bit j of every count), minus 1 where
+    borrow is set."""
+    out = []
+    for plane in planes:
+        out.append(plane ^ borrow)
+        borrow &= ~plane
+    return out
 
 
 def has_subspace_mask(mask: int, d: int, r: int) -> bool:
@@ -147,11 +185,11 @@ def forward_search(
     use the full test: a rank-n flat through w in chosen + {w} is
     span(w) + U with the nonzero vectors of U in chosen & T_w(chosen).
 
-    The deadline is polled whenever a counter passes a multiple of
-    _CHECK_INTERVAL.  Each node advances it by 1 and each flat-finder
-    call by _FINDER_COST, so a search whose flat tests cost more than
-    its nodes still stops near its budget, and one without flat tests
-    keeps polling every _CHECK_INTERVAL nodes.
+    The deadline is polled every _CHECK_INTERVAL nodes and after every
+    flat-finder call.  One call at rank 7 can cost as much as thousands
+    of nodes, and far more than a clock read, so polling only after a
+    fixed number of calls would let the search overrun its budget by
+    seconds.
     """
     _check_rank(r)
     n_all = 1 << r
@@ -170,16 +208,12 @@ def forward_search(
     best = -1
     best_mask = 0
     nodes = 0
-    ticks = 0  # the deadline poll counter
 
     def finds(mask: int, d: int) -> bool:
-        """subspace_in(mask, d, r) found a subspace; the call counts toward the poll."""
-        nonlocal ticks
+        """subspace_in(mask, d, r) found a subspace; polls the deadline after it."""
         found = subspace_in(mask, d, r) is not None
-        ticks += _FINDER_COST
-        if deadline is not None and ticks % _CHECK_INTERVAL < _FINDER_COST:
-            if monotonic() > deadline:
-                raise _Timeout
+        if deadline is not None and monotonic() > deadline:
+            raise _Timeout
         return found
 
     def feasible(w: int, chosen: int, sums: List[int], v: int = 0, pair: int = 0) -> bool:
@@ -226,10 +260,9 @@ def forward_search(
         return chosen, sums, covers, pivots
 
     def dfs(feas, chosen, size, sums, covers, pivots):
-        nonlocal best, best_mask, nodes, ticks
+        nonlocal best, best_mask, nodes
         nodes += 1
-        ticks += 1
-        if deadline is not None and ticks % _CHECK_INTERVAL == 0:
+        if deadline is not None and nodes % _CHECK_INTERVAL == 0:
             if monotonic() > deadline:
                 raise _Timeout
         if size > best and passes_extra(chosen, covers, len(pivots)):
@@ -318,17 +351,35 @@ def complement_search(
     packed; a table for every i would not fit at high rank.  The count
     stops once it passes the window, which leaves the prune unchanged.
 
+    The fail-first choice keeps |S_i & avail| for every subspace as
+    bit-planes over the subspace indices, plane j holding bit j of
+    every count; the root counts are the masks' point counts, which may
+    differ.  Only the counts of uncovered subspaces are read, and a
+    child covers every subspace through its new point p, so the child
+    takes avail and the planes as they stand; the sibling loop removes
+    p from both (a borrow chain over through[p]) only before the next
+    sibling.  Narrowing cand = uncov plane by plane from the top (keep
+    cand & ~plane whenever it is nonempty) leaves the uncovered
+    subspaces of least count, and the lowest of them is the one a scan
+    recounting each uncovered subspace keeps with a strict <.  That
+    count is 0, the subspace having no available point, exactly when
+    some uncovered subspace can no longer be hit; the node returns.
+
     The forbidden-flat test keeps |F \\ B| for every t-flat F as t
     bit-planes over the flats (the counters all read 2^t - 1 at the
     root).  B never holds a whole t-flat and a branch point p is never
     in B, so adding p closes a flat exactly when some flat through p
     has |F \\ B| = 1: one AND of the flats through p with the count-1
-    plane, built once per node.  A child subtracts one from the
-    counters of the flats through p, a t-step borrow chain.  Listing
-    the t-flats costs [r, t]_2 subspaces up front.  Both tests give the
-    verdicts of the direct ones, so the tree and the node count stay
-    those of the compiled twin, which packs by scanning and asks its
-    subspace finder whether a t-flat closes.
+    plane, built once per node.  A child that passes its bound
+    subtracts one from the counters of the flats through p, a t-step
+    borrow chain.  Listing the t-flats costs [r, t]_2 subspaces up
+    front, linear in their points, and polls the deadline every
+    _LIST_POLL flats.
+
+    All three give the verdicts of the direct tests, so the tree and
+    the node count stay those of the compiled twin, which recounts the
+    uncovered subspaces, packs by scanning and asks its subspace finder
+    whether a t-flat closes.
     """
     _check_rank(r)
     if not 0 <= forbidden_dim <= r:
@@ -339,24 +390,24 @@ def complement_search(
     n_all = 1 << r
     deadline = monotonic() + budget if budget is not None else None
     n_subs = len(subs)
-    through = [0] * n_all
-    for i, m in enumerate(subs):
-        for v in iter_bits(m):
-            through[v] |= 1 << i
+    through = _columns((iter_bits(m) for m in subs), n_subs, n_all)
     maxcov = max(t.bit_count() for t in through) or 1
     meets: dict = {}
-    # flats_through[v]: the forbidden flats through v, one bit per flat
-    flats_through = [0] * n_all
-    n_flats = 0
-    if forbidden_dim:
-        for s in enumerate_subspaces(r, forbidden_dim):
-            for v in iter_bits(s.point_mask()):
-                flats_through[v] |= 1 << n_flats
-            n_flats += 1
+    # |S_i & avail| at the root, as bit-planes over the subspace indices
+    sizes = [m.bit_count() for m in subs]
+    n_planes = max(sizes, default=0).bit_length()
+    root_counts = _columns(
+        ((j for j in range(n_planes) if c >> j & 1) for c in sizes), n_subs, n_planes
+    )
+    flats_through: List[int] = []  # the forbidden flats through v, one bit per flat
 
     best = -1
     best_mask = 0
     nodes = 0
+
+    def poll() -> None:
+        if deadline is not None and monotonic() > deadline:
+            raise _Timeout
 
     def bound_exceeds(uncov: int, slack: int) -> bool:
         """max(ceil(u / maxcov), greedy packing of uncov) > slack."""
@@ -378,12 +429,13 @@ def complement_search(
             cand &= ~mi
         return False
 
-    def dfs(b_mask, b_size, uncov, avail, planes, at_root):
+    def dfs(b_mask, b_size, uncov, avail, counts, planes, pending, at_root):
+        """pending: the forbidden flats through the point just added, not
+        yet subtracted from planes."""
         nonlocal best, best_mask, nodes
         nodes += 1
-        if deadline is not None and nodes % _CHECK_INTERVAL == 0:
-            if monotonic() > deadline:
-                raise _Timeout
+        if nodes % _CHECK_INTERVAL == 0:
+            poll()
         if uncov == 0:
             if full_rank:
                 pts = nonzero_mask(r) & ~b_mask
@@ -398,51 +450,54 @@ def complement_search(
         window = max_blocker if best < 0 else min(max_blocker, best - 1)
         if bound_exceeds(uncov, window - b_size):
             return
-        # fail-first: uncovered subspace with fewest available points
-        sel = -1
-        sel_pts = 0
-        sel_count = 1 << 30
-        m = uncov
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            pts = subs[i] & avail
-            c = pts.bit_count()
-            if c == 0:
-                return  # unhittable in this branch
-            if c < sel_count:
-                sel, sel_pts, sel_count = i, pts, c
+        # fail-first: the lowest uncovered subspace with fewest available points
+        cand = uncov
+        for plane in reversed(counts):
+            lo = cand & ~plane
+            if lo:
+                cand = lo
+        sel = (cand & -cand).bit_length() - 1
+        left = subs[sel] & avail
+        if not left:
+            return  # unhittable in this branch
+        if pending:
+            planes = _decrement(planes, pending)
         one_left = 0  # flats with |F \ B| = 1
         if planes:
             one_left = planes[0]
             for plane in planes[1:]:
                 one_left &= ~plane
-        removed = 0
-        for p in iter_bits(sel_pts):
-            removed |= 1 << p
-            borrow = flats_through[p]
-            if borrow & one_left:
-                continue  # p would close a forbidden flat
-            child = []
-            for plane in planes:
-                child.append(plane ^ borrow)
-                borrow &= ~plane
-            dfs(
-                b_mask | (1 << p),
-                b_size + 1,
-                uncov & ~through[p],
-                avail & ~removed,
-                child,
-                False,
-            )
-            if at_root and symmetry:
-                break  # remaining root branches are images under a flat stabilizer
+        while left:
+            low = left & -left
+            left ^= low
+            p = low.bit_length() - 1
+            closes = flats_through[p]
+            if not closes & one_left:  # else p would close a forbidden flat
+                dfs(
+                    b_mask | low,
+                    b_size + 1,
+                    uncov & ~through[p],
+                    avail,
+                    counts,
+                    planes,
+                    closes,
+                    False,
+                )
+                if at_root and symmetry:
+                    break  # remaining root branches are images under a flat stabilizer
+            if left:
+                avail ^= low
+                counts = _decrement(counts, through[p])
 
     completed = True
     try:
+        n_flats = gaussian_binomial(r, forbidden_dim) if forbidden_dim else 0
+        flats = enumerate_subspaces(r, forbidden_dim) if forbidden_dim else ()
+        # vectors() lists 0 first
+        flats_through = _columns((s.vectors()[1:] for s in flats), n_flats, n_all, poll)
         root_planes = [(1 << n_flats) - 1] * forbidden_dim
-        dfs(0, 0, (1 << n_subs) - 1, nonzero_mask(r), root_planes, True)
+        uncov = (1 << n_subs) - 1
+        dfs(0, 0, uncov, nonzero_mask(r), root_counts, root_planes, 0, True)
     except _Timeout:
         completed = False
     return best, best_mask, nodes, completed

@@ -302,12 +302,15 @@ def subspace_in(mask: int, d: int, r: int) -> Optional[Tuple[int, ...]]:
     """Least greedy basis of a d-dimensional subspace inside mask, or None.
 
     Only nonzero vectors must lie in mask; bit 0 is ignored.  A greedy
-    basis takes each b_{i+1} least outside span(b_1..b_i), so b_1 = v is
-    the least point, and b_2..b_d is the greedy basis of the points w
-    with v's top bit clear, each a point above v with w ^ v a point.
-    So v runs ascending, the search recurses on those w, and the first
-    find is the least basis.  A branch stops once fewer than 2^d - 1
-    points lie at or above v.  Unchecked, for the kernels' inner loops.
+    basis takes each b_{i+1} least outside span(b_1..b_i), so b_1 is
+    the least point of the subspace.  v runs over the points ascending,
+    and for each the search recurses on every point w > v with w ^ v
+    also a point: a (d-1)-dimensional subspace U of those spans with v
+    a subspace inside mask.  A subspace with least point v always
+    leaves such a U, its points with v's top bit clear, so the first v
+    with a find is the least b_1 and the first find is the least basis.
+    A branch stops once fewer than 2^d - 1 points lie at or above v.
+    Unchecked, for the kernels' inner loops.
     """
     if d <= 0:
         return ()

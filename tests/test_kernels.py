@@ -227,6 +227,11 @@ COMPLEMENT_CASES = [
     (5, (2,), 0, False, 16),
     (5, (2,), 4, False, 21),
     (7, (6,), 0, False, 3),
+    # mixed dimensions: the available-point counters start at 7 and 3
+    (5, (3, 2), 0, False, 16),
+    (5, (4, 2), 3, False, 16),
+    # the zero subspace is an empty mask, so no blocker exists
+    (4, (0, 2), 0, False, 15),
 ]
 
 
@@ -246,8 +251,10 @@ def test_complement_search_backends_bit_identical(case, sym):
 
 
 # (optimum, nodes) with root symmetry, measured with the packing bound
-# rescanned and the forbidden-flat test asked of the subspace finder at
-# every node; the incremental bound and counters must give the same tree
+# rescanned, the forbidden-flat test asked of the subspace finder and
+# the branching subspace picked by recounting every uncovered one at
+# every node; the incremental bound and both kinds of counters must
+# give the same tree
 PINNED_COMPLEMENT_TREES = [
     # r, flat dim, forbidden_dim, full_rank, max_blocker, optimum, nodes
     (5, 2, 4, False, 21, 21, 107588),  # verify gs n=2 r=5
@@ -281,6 +288,18 @@ def test_complement_search_ignores_the_zero_vector(case):
     for kern in backends:
         got = kern.complement_search(r, [m | 1 for m in subs], fd, fr, mb, None, True)
         assert got == want, kern.BACKEND_NAME
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+def test_complement_search_empty_subspace_has_no_blocker(kern, sym):
+    # a mask with no point cannot be hit, wherever it sits in the family
+    lines = list(flats(4, (2,)))
+    for family in ([0] + lines, lines + [1], lines[:3] + [0] + lines[3:]):
+        best, mask, nodes, completed = kern.complement_search(
+            4, family, 0, False, 15, None, sym
+        )
+        assert (best, mask, nodes, completed) == (-1, 0, 1, True)
 
 
 @functools.cache
@@ -415,6 +434,16 @@ def test_forward_search_budget_holds_on_flat_free_searches(kern, r, pg_n):
 def test_complement_search_budget_times_out(kern):
     subs = flats(5, (3,))
     got = kern.complement_search(5, subs, 3, False, 10, 1e-9, True)
+    assert got[3] is False
+
+
+def test_complement_search_budget_covers_the_flat_listing():
+    # the pure kernel lists all [8, 3]_2 = 97,155 forbidden 3-flats before
+    # its first node; that listing alone outlasts the budget
+    budget = 0.05
+    t0 = monotonic()
+    got = pure.complement_search(8, flat_masks(8, 7), 3, False, 255, budget, True)
+    assert monotonic() - t0 <= budget + 0.5
     assert got[3] is False
 
 
