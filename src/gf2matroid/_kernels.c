@@ -553,6 +553,9 @@ PyDoc_STRVAR(forward_search_doc,
              "is one subspace_in(rest, n-2, r) call on a much sparser mask, and\n"
              "the verdict, the tree and the node count are those of the full test.\n"
              "The root filter and the forced points use the full test.\n\n"
+             "Sums of more than r chosen points are never tested: an odd circuit\n"
+             "has at most r + 1 points, so capping girth - 3 at the largest\n"
+             "even number <= r leaves every verdict unchanged.\n\n"
              "The deadline is polled whenever a counter passes a multiple of\n"
              "CHECK_INTERVAL; each node advances it by 1 and each flat-finder call\n"
              "by FINDER_COST.");
@@ -583,6 +586,8 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     n_all = 1 << r;
     nw = nwords(r);
     T = girth >= 5 ? girth - 3 : 0;
+    if (T > (r & ~1))
+        T = r & ~1; /* see the docstring */
 
     seq = PySequence_Fast(forced_in_obj, "forced_in must be a sequence of ints");
     if (seq == NULL)

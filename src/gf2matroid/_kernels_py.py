@@ -10,17 +10,24 @@ set iff vector v present).  The forward search's flat tests call
 gf2.subspace_in, the finder the invariants use; _kernels.c has its own
 twin of it.
 
-The forward search's flat-freeness gate is incremental.  Every
+The forward search keeps its candidate frontier as a bitset, so each
+per-node rule is a few mask operations: the next point is the top
+bit, the odd-girth gate drops the sums of even size at once, the size
+bound is a bit count, and the affine-reach prune compares the
+frontier with hit[f] for each functional f the chosen set still
+leaves at 1.  A node's exclude branch is the next pass of its own
+loop, not a call.  The flat-freeness gate is incremental.  Every
 candidate w left after v joins the chosen set C was feasible for C
 without v, so a new rank-n flat F inside C + {w} must pass through
-both v and w.  F then holds v ^ w, a chosen point, and that one bit
-test clears most w.  Otherwise F = span(v, w) + U for an
-(n-2)-dimensional U whose nonzero vectors u have u, u ^ v, u ^ w and
-u ^ v ^ w all in C: they lie in P & T_w(P) with P = C & T_v(C), T_x
-translating by x, a set that misses span(v, w).  P is computed once
-per include, so each surviving w costs one translate and one
-subspace_in call on a much sparser mask.  The root filter and the
-forced points use the full test.
+both v and w.  F then holds v ^ w, a chosen point, so only the w in
+T_v(C) are tested, T_x translating by x.  For them F = span(v, w) + U
+for an (n-2)-dimensional U whose nonzero vectors u have u, u ^ v,
+u ^ w and u ^ v ^ w all in C: they lie in P & T_w(P) with
+P = C & T_v(C), a set that misses span(v, w).  P is computed once per
+include, so each tested w costs one translate and one subspace_in
+call on a much sparser mask.  The root filter and the forced points
+use the full test.  _kernels.c keeps a list frontier and recurses
+into both branches, so the lockstep tests compare the two forms.
 
 The complement search keeps all three of its per-node tests
 incremental.  The greedy packing bound takes the lowest uncovered
@@ -171,19 +178,47 @@ def forward_search(
     whenever the current set would improve the best.  Returns
     (best_size or -1, witness_mask, nodes, completed).
 
+    The candidate frontier feas is a bitset: the next point is its top
+    bit, and the odd-girth gate, the size bound and the affine-reach
+    prune are a few mask operations per node.  A node includes that
+    point and recurses; once the child returns, the exclude branch is
+    the next pass of the node's own loop.  It is the node's last step,
+    so looping visits the nodes in the order recursing would, with half
+    the Python calls and stack depth.
+
+    The odd-girth gate removes sums[2] | sums[4] | ... | sums[T] at
+    once, sums[t] being the sums of t chosen points and T = girth - 3.
+    T is capped at the largest even number <= r, which leaves every
+    verdict unchanged: an odd circuit has at most r + 1 points, since
+    its rank is one less than its size.  Once girth - 3 >= r, the gate
+    has kept the chosen set free of odd circuits, so any odd zero-sum
+    set through a new point w holds an odd circuit through w, of at
+    most r + 1 points, and that puts w in some sums[t] with even t <= r.
+
     After v is included, the flat gate re-tests a surviving candidate
     w only for flats through v and w.  Every w in feas was already
     feasible for the chosen set without v, so any new rank-n flat F in
     chosen + {v, w} contains both v and w.  F then contains v ^ w,
-    which must be a chosen point; this one bit test clears most w.
-    Otherwise F = span(v, w) + U with U an (n-2)-dimensional subspace
-    whose nonzero vectors lie in chosen & T_v(chosen) & T_w(chosen) &
-    T_{v^w}(chosen), T_x being translate_mask by x.  That set avoids
-    span(v, w), so the test is one subspace_in(rest, n-2, r) call on a
-    much sparser mask, and the verdict, the tree and the node count
-    are those of the full test.  The root filter and the forced points
-    use the full test: a rank-n flat through w in chosen + {w} is
-    span(w) + U with the nonzero vectors of U in chosen & T_w(chosen).
+    which must be a chosen point, so only the w in
+    feas & T_v(chosen) are tested, T_x being translation by x.  For
+    them F = span(v, w) + U with U an (n-2)-dimensional subspace whose
+    nonzero vectors lie in chosen & T_v(chosen) & T_w(chosen) &
+    T_{v^w}(chosen).  That set avoids span(v, w), so the test is one
+    subspace_in(rest, n-2, r) call on a much sparser mask, and the
+    verdict, the tree and the node count are those of the full test.
+    The root filter and the forced points use the full test: a rank-n
+    flat through w in chosen + {w} is span(w) + U with the nonzero
+    vectors of U in chosen & T_w(chosen).
+
+    The affine-reach prune (critical demand >= 2) stops a node when
+    some functional f in covers, those with f.c = 1 for every chosen c,
+    also has f.w = 1 for every w in feas: every completion then stays
+    affine.  hit[w], the functionals hitting w, is symmetric in f and
+    w, so that is feas & ~hit[f] == 0, one test per f in covers; covers
+    is an affine subspace that halves with each independent chosen
+    point.  The rank the full-rank test reads is kept as the span of
+    the chosen set, a bitset grown by one translation whenever a point
+    outside it joins.
 
     The deadline is polled every _CHECK_INTERVAL nodes and after every
     flat-finder call.  One call at rank 7 can cost as much as thousands
@@ -202,8 +237,11 @@ def forward_search(
     hit = [0] * n_all
     for v in range(1, n_all):
         hit[v] = hyperplane_complement(v, r)
-    T = min_odd_girth - 3 if min_odd_girth >= 5 else 0
+    # an odd circuit has at most r + 1 points: see the docstring
+    T = min(min_odd_girth - 3, r & ~1) if min_odd_girth >= 5 else 0
+    evens = range(2, T + 1, 2)
     pg_n = pg_free_order
+    whole = (1 << n_all) - 1  # the span of a full-rank set
 
     best = -1
     best_mask = 0
@@ -216,38 +254,43 @@ def forward_search(
             raise _Timeout
         return found
 
-    def feasible(w: int, chosen: int, sums: List[int], v: int = 0, pair: int = 0) -> bool:
-        """May w join chosen?  With v, w was feasible before v joined chosen,
-        and pair is chosen & T_v(chosen): only flats through v are tested."""
-        t = 2
-        while t <= T:
-            if (sums[t] >> w) & 1:
-                return False
-            t += 2
-        if pg_n == 1:
-            return False
-        if pg_n >= 3:
-            base, d = chosen, pg_n - 1
-            if v:
-                if not (chosen >> (v ^ w)) & 1:
-                    return True
-                base, d = pair, pg_n - 2
+    def closers(cands: int, base: int, d: int) -> int:
+        """The w in cands with a d-dimensional subspace in base & T_w(base)."""
+        out = 0
+        for w in iter_bits(cands):
             if finds(base & translate_mask(base, w, r), d):
-                return False
-        return True
+                out |= 1 << w
+        return out
 
-    def passes_extra(chosen: int, covers: int, rank: int) -> bool:
+    def girth_gate(sums: List[int]) -> int:
+        """The points that would close an odd circuit of at most T + 1 points."""
+        gate = 0
+        for t in evens:
+            gate |= sums[t]
+        return gate
+
+    def admit(cands: int, chosen: int, sums: List[int]) -> int:
+        """The w in cands that may join chosen, by the full test."""
+        cands &= ~girth_gate(sums)
+        if pg_n == 1:
+            return 0
+        if pg_n >= 3:
+            cands &= ~closers(cands, chosen, pg_n - 1)
+        return cands
+
+    def passes_extra(chosen: int, covers: int, span: int) -> bool:
         if min_critical >= 2 and covers != 0:
             return False
         if min_critical >= 3:
             free = nonzero_mask(r) & ~chosen
             if finds(free, r - min_critical + 1):
                 return False
-        if full_rank and rank != r:
+        if full_rank and span != whole:
             return False
         return True
 
-    def include(v, chosen, sums, covers, pivots):
+    def include(v, chosen, sums, covers, span):
+        """The state with v joined to chosen."""
         chosen |= 1 << v
         sums = list(sums)
         for t in range(T, 1, -1):
@@ -255,66 +298,59 @@ def forward_search(
         if T >= 1:
             sums[1] |= 1 << v
         covers &= hit[v]
-        pivots = dict(pivots)
-        echelon_insert(pivots, v)
-        return chosen, sums, covers, pivots
+        if not (span >> v) & 1:
+            span |= translate_mask(span, v, r)
+        return chosen, sums, covers, span
 
-    def dfs(feas, chosen, size, sums, covers, pivots):
+    def dfs(feas, chosen, size, sums, covers, span):
         nonlocal best, best_mask, nodes
-        nodes += 1
-        if deadline is not None and nodes % _CHECK_INTERVAL == 0:
-            if monotonic() > deadline:
-                raise _Timeout
-        if size > best and passes_extra(chosen, covers, len(pivots)):
-            best = size
-            best_mask = chosen
-        if not feas:
-            return
-        if prune and size + len(feas) <= best:
-            return
-        if prune and min_critical >= 2:
-            reach = covers
-            for w in feas:
-                reach &= hit[w]
-            if reach:
-                return  # every completion stays affine
-        v = feas[0]
-        c2, s2, cov2, piv2 = include(v, chosen, sums, covers, pivots)
-        pair = c2 & translate_mask(c2, v, r) if pg_n >= 3 else 0
-        dfs(
-            [w for w in feas[1:] if feasible(w, c2, s2, v, pair)],
-            c2,
-            size + 1,
-            s2,
-            cov2,
-            piv2,
-        )
-        dfs(feas[1:], chosen, size, sums, covers, pivots)
+        while True:
+            nodes += 1
+            if deadline is not None and nodes % _CHECK_INTERVAL == 0:
+                if monotonic() > deadline:
+                    raise _Timeout
+            if size > best and passes_extra(chosen, covers, span):
+                best = size
+                best_mask = chosen
+            if not feas:
+                return
+            if prune and size + feas.bit_count() <= best:
+                return
+            if prune and min_critical >= 2:
+                fs = covers
+                while fs:
+                    f = fs.bit_length() - 1
+                    if not feas & ~hit[f]:
+                        return  # every completion stays affine
+                    fs ^= 1 << f
+            v = feas.bit_length() - 1
+            feas ^= 1 << v
+            c2, s2, cov2, span2 = include(v, chosen, sums, covers, span)
+            rest = feas & ~girth_gate(s2)
+            if pg_n >= 3:
+                # a new flat through v and w holds v ^ w, a chosen point
+                tv = translate_mask(c2, v, r)
+                rest &= ~closers(rest & tv, c2 & tv, pg_n - 2)
+            dfs(rest, c2, size + 1, s2, cov2, span2)
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n_all + 100))
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n_all + 100))
     chosen = 0
     sums = [0] * (T + 1)
     if T >= 0:
         sums[0] = 1  # the empty subset sums to zero
     covers = nonzero_mask(r)
-    pivots: dict = {}
+    span = 1  # the zero vector
     size = 0
     completed = True
     try:
         for v in forced_in:
-            if not feasible(v, chosen, sums):
+            if not admit(1 << v, chosen, sums):
                 break
-            chosen, sums, covers, pivots = include(v, chosen, sums, covers, pivots)
+            chosen, sums, covers, span = include(v, chosen, sums, covers, span)
             size += 1
         else:
-            feas = [
-                v
-                for v in range(n_all - 1, 0, -1)
-                if not (chosen >> v) & 1
-                and not (forced_out_mask >> v) & 1
-                and feasible(v, chosen, sums)
-            ]
-            dfs(feas, chosen, size, sums, covers, pivots)
+            feas = admit(nonzero_mask(r) & ~chosen & ~forced_out_mask, chosen, sums)
+            dfs(feas, chosen, size, sums, covers, span)
     except _Timeout:
         completed = False
     return best, best_mask, nodes, completed

@@ -285,16 +285,18 @@ def _low_pattern(r: int, j: int) -> int:
     return p
 
 
+@lru_cache(maxsize=1 << 12)
+def _translation_steps(r: int, v: int) -> Tuple[Tuple[int, int], ...]:
+    # (shift, low pattern) for each set bit of v; bounded, since a caller
+    # at a high rank may translate by every vector once
+    bits = range(v.bit_length())
+    return tuple((1 << j, _low_pattern(r, j)) for j in bits if (v >> j) & 1)
+
+
 def translate_mask(mask: int, v: int, r: int) -> int:
     """Bitset of {x ^ v : x in mask}."""
-    j = 0
-    while v:
-        if v & 1:
-            s = 1 << j
-            low = _low_pattern(r, j)
-            mask = ((mask & low) << s) | ((mask >> s) & low)
-        v >>= 1
-        j += 1
+    for s, low in _translation_steps(r, v):
+        mask = ((mask & low) << s) | ((mask >> s) & low)
     return mask
 
 

@@ -238,7 +238,8 @@ def _run_forward(
     # split the top of the tree into 2^k independent subproblems that
     # share one absolute deadline
     deadline = None if budget is None else monotonic() + budget
-    avail = [v for v in range((1 << r) - 1, 0, -1) if v not in set(forced_in)]
+    taken = set(forced_in)
+    avail = [v for v in range((1 << r) - 1, 0, -1) if v not in taken]
     k = max(1, math.ceil(math.log2(2 * threads)))
     k = min(k, 6, len(avail))
     split = avail[:k]

@@ -1,8 +1,18 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and kernel backends for the test suite."""
 
 import random
 
 from gf2matroid import BinaryMatroid, rank_of
+from gf2matroid._backend import load_kernels
+
+pure = load_kernels("python")
+try:
+    compiled = load_kernels("c")
+except ImportError:
+    compiled = None
+
+# every kernel backend this machine can load, pure first
+backends = [pure] if compiled is None else [pure, compiled]
 
 
 def random_mask(rng: random.Random, r: int, density: float = 0.5) -> int:

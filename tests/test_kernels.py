@@ -8,20 +8,11 @@ from time import monotonic
 import pytest
 
 from gf2matroid import backend_name, enumerate_subspaces, iter_bits, mask_from
-from gf2matroid._backend import load_kernels
 from gf2matroid.search import _forced_basis
 
-from helpers import random_mask
+from helpers import backends, compiled, pure, random_mask
 
 rng = random.Random(0x4B31)
-
-pure = load_kernels("python")
-try:
-    compiled = load_kernels("c")
-except ImportError:
-    compiled = None
-
-backends = [pure] if compiled is None else [pure, compiled]
 
 
 def test_backend_name_is_known():
@@ -163,6 +154,65 @@ def test_flat_free_search_trees_are_pinned(kern, case):
     )
     assert completed
     assert (best, nodes) == PINNED_TREES[r, pg_n]
+
+
+# (best, nodes) of unforced searches, keyed (r, girth, pg_n, critical,
+# full_rank, prune), measured with the list frontier and before the
+# kernels capped girth - 3 at the largest even number <= r; the bitset
+# frontier and the cap must leave these trees as they were
+UNFORCED_TREES = {
+    # the benchmark's dominant job: max_size r=5 odd girth >= 5
+    # non-affine, without symmetry breaking
+    (5, 5, 0, 2, False, True): (10, 237367),
+    # girth - 3 above r & ~1, so the cap changes the sums tested
+    (3, 7, 0, 0, False, True): (4, 29),
+    (3, 9, 0, 2, False, True): (-1, 49),
+    (4, 9, 0, 0, False, True): (8, 283),
+    (4, 9, 0, 2, False, True): (-1, 1399),
+    (4, 9, 0, 0, True, False): (8, 5761),
+    (4, 11, 3, 2, True, True): (-1, 1399),
+}
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize("case", sorted(UNFORCED_TREES), ids=str)
+def test_unforced_search_trees_are_pinned(kern, case):
+    r, g, pg_n, mc, fr, prune = case
+    best, _, nodes, completed = kern.forward_search(
+        r, g, pg_n, mc, fr, (), 0, None, prune
+    )
+    assert completed
+    assert (best, nodes) == UNFORCED_TREES[case]
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled backend not built")
+def test_forward_search_backends_agree_on_every_rank_four_combination():
+    grid = itertools.product(
+        (0, 5, 7), (0, 1, 3, 4), (0, 2, 3), (False, True), (False, True)
+    )
+    for g, pg_n, mc, fr, prune in grid:
+        args = (4, g, pg_n, mc, fr, (), 0, None, prune)
+        assert compiled.forward_search(*args) == pure.forward_search(*args), args
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled backend not built")
+def test_forward_search_backends_agree_on_forced_rank_five_samples():
+    draws = random.Random(0x10C5)
+    outcomes = set()
+    for _ in range(30):
+        g = draws.choice((0, 5, 7))
+        pg_n = draws.choice((0, 1, 3, 4))
+        mc = draws.choice((0, 2, 3))
+        fr = draws.random() < 0.5
+        prune = draws.random() < 0.5
+        fin = tuple(draws.sample(range(1, 32), draws.randrange(2, 6)))
+        fout = mask_from(v for v in range(1, 32) if draws.random() < 0.5)
+        args = (5, g, pg_n, mc, fr, fin, fout, None, prune)
+        got = pure.forward_search(*args)
+        assert compiled.forward_search(*args) == got, args
+        outcomes.add(got[0] >= 0)
+    # some forced sets are infeasible from the start, most are not
+    assert outcomes == {True, False}
 
 
 @functools.cache
@@ -412,6 +462,21 @@ def test_forward_search_prune_toggle_same_optimum(kern):
 def test_forward_search_budget_times_out(kern):
     got = kern.forward_search(5, 5, 0, 2, False, (), 0, 1e-9, True)
     assert got[3] is False  # never claims completion
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_forward_search_stops_at_a_real_budget(kern):
+    # Unlike a 1e-9 budget, which the first poll catches, this search
+    # runs through many polls before its deadline: thousands of nodes,
+    # each an include or an exclude pass of some node's loop.
+    budget = 0.2
+    t0 = monotonic()
+    best, _, nodes, completed = kern.forward_search(
+        6, 5, 0, 2, False, (), 0, budget, True
+    )
+    assert monotonic() - t0 <= budget + 0.5
+    assert not completed
+    assert nodes > 10_000 and best > 0
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)

@@ -1,6 +1,7 @@
 """Extremal search wrappers: exactness, determinism, agreement, budgets."""
 
 import random
+from time import monotonic
 
 import pytest
 
@@ -18,6 +19,8 @@ from gf2matroid import (
 )
 from gf2matroid import search
 from gf2matroid.search import _mask_lex_less
+
+from helpers import backends
 
 rng = random.Random(0x5EA)
 
@@ -279,6 +282,19 @@ def test_pool_workers_capped_at_subtask_count(monkeypatch):
         rep = max_size(4, GIRTH5_NONAFFINE, threads=threads)
         assert opened == [workers, tasks], threads
         assert rep.optimum == single.optimum and rep.exhaustive
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_huge_odd_girth_demand_finishes_inside_its_budget(monkeypatch, kern):
+    # An odd circuit has at most r + 1 points, so the kernels test sums
+    # of at most r points however large the demand.  Odd girth >= 40001
+    # at rank 6 means affine: 2^(r-1) points.
+    monkeypatch.setattr(search, "kernels", kern)
+    budget = 0.5
+    t0 = monotonic()
+    rep = max_size(6, ConstraintSet(min_odd_girth=40001), budget=budget)
+    assert monotonic() - t0 < budget
+    assert rep.exhaustive and rep.optimum == 32
 
 
 def test_budget_runs_are_never_exhaustive():
