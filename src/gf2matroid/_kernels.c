@@ -583,6 +583,8 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
         return NULL;
     if (check_rank(r) < 0)
         return NULL;
+    if (girth >= 4 && girth % 2 == 0)
+        return PyErr_Format(PyExc_ValueError, "min_odd_girth must be odd, got %d", girth);
     n_all = 1 << r;
     nw = nwords(r);
     T = girth >= 5 ? girth - 3 : 0;
@@ -711,6 +713,7 @@ typedef struct {
     u64 *slab_uncov;   /* maxd * tw */
     u64 *slab_avail;   /* maxd * nw */
     u64 *slab_removed; /* maxd * nw */
+    u64 *slab_span;    /* maxd * nw */
     u64 *taken;        /* nw */
     u64 *scratch;      /* 2 * nw + 2 * nw * (r + 1) */
 } CmpCtx;
@@ -758,12 +761,40 @@ static int cmp_closes_forbidden(CmpCtx *c, const u64 *b_mask, int p)
 }
 
 static void cmp_dfs(CmpCtx *c, int depth, const u64 *b_mask, int b_size, const u64 *uncov,
-                    const u64 *avail, int at_root)
+                    const u64 *avail, const u64 *span);
+
+/* Branch on p unless it closes a forbidden flat: the child B + {p} sees
+ * avail minus the points this node has removed, p included, and has
+ * span(B + {p}) = span. */
+static void cmp_branch(CmpCtx *c, int depth, const u64 *b_mask, int b_size,
+                       const u64 *uncov, const u64 *avail, int p, const u64 *span)
+{
+    int k;
+    u64 *removed = c->slab_removed + depth * c->nw;
+    u64 *cb = c->slab_b + (depth + 1) * c->nw;
+    u64 *cu = c->slab_uncov + (size_t)(depth + 1) * c->tw;
+    u64 *ca = c->slab_avail + (depth + 1) * c->nw;
+    const u64 *tp = c->through + (size_t)p * c->tw;
+    bs_set(removed, p);
+    if (c->forbidden_dim && cmp_closes_forbidden(c, b_mask, p))
+        return;
+    memcpy(cb, b_mask, c->nw * sizeof(u64));
+    bs_set(cb, p);
+    for (k = 0; k < c->tw; k++)
+        cu[k] = uncov[k] & ~tp[k];
+    for (k = 0; k < c->nw; k++)
+        ca[k] = avail[k] & ~removed[k];
+    cmp_dfs(c, depth + 1, cb, b_size + 1, cu, ca, span);
+}
+
+/* span: the span of b_mask, as a bitset over the vectors. */
+static void cmp_dfs(CmpCtx *c, int depth, const u64 *b_mask, int b_size, const u64 *uncov,
+                    const u64 *avail, const u64 *span)
 {
     int i, k, wi, p, window, sel, sel_count, cnt, rank, pp;
     u64 m, w;
-    const u64 *pts, *si, *tp;
-    u64 *removed, *cb, *cu, *ca;
+    const u64 *pts, *si;
+    u64 *cspan;
     u16 piv[16];
     c->nodes++;
     if (deadline_passed(c->nodes, 1, c->use_deadline, c->deadline)) {
@@ -821,32 +852,34 @@ static void cmp_dfs(CmpCtx *c, int depth, const u64 *b_mask, int b_size, const u
             }
         }
     }
-    removed = c->slab_removed + depth * c->nw;
-    memset(removed, 0, c->nw * sizeof(u64));
+    memset(c->slab_removed + depth * c->nw, 0, c->nw * sizeof(u64));
     pts = c->subs + (size_t)sel * c->nw;
-    cb = c->slab_b + (depth + 1) * c->nw;
-    cu = c->slab_uncov + (size_t)(depth + 1) * c->tw;
-    ca = c->slab_avail + (depth + 1) * c->nw;
+    /* with symmetry, the points in span(B) first, excluding earlier siblings */
     for (wi = 0; wi < c->nw; wi++) {
         m = pts[wi] & avail[wi];
+        if (c->symmetry)
+            m &= span[wi];
         while (m) {
             p = (wi << 6) + ctz64(m);
             m &= m - 1;
-            bs_set(removed, p);
-            if (c->forbidden_dim && cmp_closes_forbidden(c, b_mask, p))
-                continue;
-            memcpy(cb, b_mask, c->nw * sizeof(u64));
-            bs_set(cb, p);
-            tp = c->through + (size_t)p * c->tw;
-            for (k = 0; k < c->tw; k++)
-                cu[k] = uncov[k] & ~tp[k];
-            for (k = 0; k < c->nw; k++)
-                ca[k] = avail[k] & ~removed[k];
-            cmp_dfs(c, depth + 1, cb, b_size + 1, cu, ca, 0);
+            cmp_branch(c, depth, b_mask, b_size, uncov, avail, p, span);
             if (c->timed_out)
                 return;
-            if (at_root && c->symmetry)
-                return; /* remaining root branches are images under a flat stabilizer */
+        }
+    }
+    if (!c->symmetry)
+        return;
+    /* then one point outside span(B), which stands for all of them */
+    for (wi = 0; wi < c->nw; wi++) {
+        m = pts[wi] & avail[wi] & ~span[wi];
+        if (m) {
+            p = (wi << 6) + ctz64(m);
+            cspan = c->slab_span + (depth + 1) * c->nw;
+            bs_translate(cspan, span, p, c->nw);
+            for (k = 0; k < c->nw; k++)
+                cspan[k] |= span[k];
+            cmp_branch(c, depth, b_mask, b_size, uncov, avail, p, cspan);
+            return;
         }
     }
 }
@@ -861,6 +894,7 @@ static void cmp_free(CmpCtx *c)
     free(c->slab_uncov);
     free(c->slab_avail);
     free(c->slab_removed);
+    free(c->slab_span);
     free(c->taken);
     free(c->scratch);
 }
@@ -870,7 +904,19 @@ PyDoc_STRVAR(complement_search_doc,
              "                  budget, symmetry)\n--\n\n"
              "Smallest blocker hitting every given subspace, branch and bound.\n\n"
              "Returns (best_size or -1, blocker_mask, nodes, completed); see the\n"
-             "pure twin for the contract details.");
+             "pure twin for the contract details.\n\n"
+             "symmetry=True needs a subspace family closed under GL(r,2).  A node\n"
+             "with blocker B, excluded points X and chosen subspace S branches on\n"
+             "each available point of S & span(B), ascending and excluding earlier\n"
+             "siblings, then once on the lowest point of S outside span(B).  Only\n"
+             "points of span(B) are ever excluded, so X lies in span(B).  The\n"
+             "pointwise stabiliser of span(B) in GL(r,2) fixes B and X, moves any\n"
+             "point outside span(B) to any other and preserves the family, the\n"
+             "forbidden flats, the full-rank test and sizes; so a valid blocker\n"
+             "meeting S only outside span(B) has an image in the last branch.\n"
+             "For forbidden_dim >= 2 that last point closes no forbidden flat.\n"
+             "At the root span(B) = {0}: a single branch.  span(B) is kept per\n"
+             "depth and grown by one translation in the last branch.");
 
 static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *kw)
 {
@@ -925,11 +971,13 @@ static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *
     c.slab_uncov = calloc((size_t)maxd * tw, sizeof(u64));
     c.slab_avail = calloc((size_t)maxd * nw, sizeof(u64));
     c.slab_removed = calloc((size_t)maxd * nw, sizeof(u64));
+    c.slab_span = calloc((size_t)maxd * nw, sizeof(u64));
     c.taken = calloc(nw, sizeof(u64));
     c.scratch = calloc(2 * nw + 2 * nw * (r + 1), sizeof(u64));
     if (c.best_mask == NULL || c.subs == NULL || c.through == NULL || c.nonzero == NULL ||
         c.slab_b == NULL || c.slab_uncov == NULL || c.slab_avail == NULL ||
-        c.slab_removed == NULL || c.taken == NULL || c.scratch == NULL) {
+        c.slab_removed == NULL || c.slab_span == NULL || c.taken == NULL ||
+        c.scratch == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -959,11 +1007,12 @@ static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *
         if (mc > c.maxcov)
             c.maxcov = mc;
     }
-    /* root: everything uncovered, every point available */
+    /* root: everything uncovered, every point available, span(B) = {0} */
     for (i = 0; i < n_subs; i++)
         bs_set(c.slab_uncov, i);
     memcpy(c.slab_avail, c.nonzero, nw * sizeof(u64));
-    cmp_dfs(&c, 0, c.slab_b, 0, c.slab_uncov, c.slab_avail, 1);
+    bs_set(c.slab_span, 0);
+    cmp_dfs(&c, 0, c.slab_b, 0, c.slab_uncov, c.slab_avail, c.slab_span);
     result = search_result(c.best, c.best_mask, nw, c.nodes, c.timed_out);
 done:
     cmp_free(&c);

@@ -44,7 +44,9 @@ closes one exactly when a flat through p has count 1, and a child
 decrements the counters of the flats through p.  The t-flats are
 listed once, [r, t]_2 of them.  _kernels.c recounts, rescans and calls
 its subspace finder instead, so the lockstep tests compare two
-independent versions of each test.
+independent versions of each test.  With symmetry on, every node
+branches on the points of its subspace inside span(B) and on one point
+outside it; complement_search gives the argument.
 """
 
 from __future__ import annotations
@@ -175,8 +177,10 @@ def forward_search(
     Candidates are offered in decreasing encoding.  Hereditary
     constraints (odd girth, no full flat of order pg_free_order) gate
     every insertion; the others (critical number, full rank) are tested
-    whenever the current set would improve the best.  Returns
-    (best_size or -1, witness_mask, nodes, completed).
+    whenever the current set would improve the best.  min_odd_girth is
+    odd, or below 4 to demand nothing; an even value >= 4 raises
+    ValueError.  Returns (best_size or -1, witness_mask, nodes,
+    completed).
 
     The candidate frontier feas is a bitset: the next point is its top
     bit, and the odd-girth gate, the size bound and the affine-reach
@@ -227,6 +231,8 @@ def forward_search(
     seconds.
     """
     _check_rank(r)
+    if min_odd_girth >= 4 and min_odd_girth % 2 == 0:
+        raise ValueError(f"min_odd_girth must be odd, got {min_odd_girth}")
     n_all = 1 << r
     for v in forced_in:
         if not 0 < v < n_all:
@@ -416,6 +422,29 @@ def complement_search(
     the node count stay those of the compiled twin, which recounts the
     uncovered subspaces, packs by scanning and asks its subspace finder
     whether a t-flat closes.
+
+    symmetry=True breaks symmetry at every node and needs a subspace
+    family closed under GL(r,2), such as all subspaces of some given
+    dimensions.  At a node with blocker B, excluded points X and chosen
+    subspace S, the node branches on each available point of
+    S & span(B), ascending and excluding earlier siblings, and then
+    once more on the lowest point of S outside span(B), with no further
+    siblings.  Nothing is lost:
+    - X lies in span(B), by induction: only points of span(B) are ever
+      excluded, and span(B) only grows down the tree.
+    - H, the pointwise stabiliser of span(B) in GL(r,2), fixes B and X,
+      maps any point outside span(B) to any other, and preserves the
+      family, the forbidden t-flats, the full-rank test and sizes.
+    - So a valid blocker extending B that meets S only outside span(B)
+      has an H-image, equally valid and as small, that contains the
+      lowest such point and avoids X and S & span(B): the last branch
+      finds it.
+    For t >= 2 that last point never closes a forbidden flat: a t-flat
+    inside B + {p} through p holds two points of B that sum to p, which
+    would put p in span(B).  At the root span(B) = {0}, so the root
+    takes a single branch.  symmetry=False branches on every available
+    point of S.  The span is a bitset, grown by one translation when
+    the last branch adds a point outside it.
     """
     _check_rank(r)
     if not 0 <= forbidden_dim <= r:
@@ -465,9 +494,9 @@ def complement_search(
             cand &= ~mi
         return False
 
-    def dfs(b_mask, b_size, uncov, avail, counts, planes, pending, at_root):
+    def dfs(b_mask, b_size, uncov, avail, counts, planes, pending, span):
         """pending: the forbidden flats through the point just added, not
-        yet subtracted from planes."""
+        yet subtracted from planes; span: the span of b_mask, a bitset."""
         nonlocal best, best_mask, nodes
         nodes += 1
         if nodes % _CHECK_INTERVAL == 0:
@@ -503,10 +532,21 @@ def complement_search(
             one_left = planes[0]
             for plane in planes[1:]:
                 one_left &= ~plane
-        while left:
-            low = left & -left
-            left ^= low
-            p = low.bit_length() - 1
+        last = 0  # one point outside span(B) stands for all of them
+        if symmetry:
+            outside = left & ~span
+            last = outside & -outside
+            left &= span
+        while left or last:
+            if left:
+                low = left & -left
+                left ^= low
+                p = low.bit_length() - 1
+                span2 = span
+            else:
+                low, last = last, 0
+                p = low.bit_length() - 1
+                span2 = span | translate_mask(span, p, r)
             closes = flats_through[p]
             if not closes & one_left:  # else p would close a forbidden flat
                 dfs(
@@ -517,11 +557,9 @@ def complement_search(
                     counts,
                     planes,
                     closes,
-                    False,
+                    span2,
                 )
-                if at_root and symmetry:
-                    break  # remaining root branches are images under a flat stabilizer
-            if left:
+            if left or last:
                 avail ^= low
                 counts = _decrement(counts, through[p])
 
@@ -533,7 +571,7 @@ def complement_search(
         flats_through = _columns((s.vectors()[1:] for s in flats), n_flats, n_all, poll)
         root_planes = [(1 << n_flats) - 1] * forbidden_dim
         uncov = (1 << n_subs) - 1
-        dfs(0, 0, uncov, nonzero_mask(r), root_counts, root_planes, 0, True)
+        dfs(0, 0, uncov, nonzero_mask(r), root_counts, root_planes, 0, 1)
     except _Timeout:
         completed = False
     return best, best_mask, nodes, completed

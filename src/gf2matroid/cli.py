@@ -97,11 +97,14 @@ def _resolve_threads(value: Optional[int]) -> int:
 
 
 def _needs_deep(theorem: str, params: Dict[str, int]) -> bool:
-    """Parameter ranges that take hours; refused unless --deep is given."""
+    """Parameter ranges that can take minutes to hours; refused unless
+    --deep is given."""
     r = params["r"]
     if theorem == "main":
         k = params["k"]
         return (k == 5 and r >= 7) or (k == 7 and r >= 8) or k >= 9
+    if theorem == "bose_burton":
+        return r >= 7
     return r >= 6
 
 

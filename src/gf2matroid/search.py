@@ -9,8 +9,13 @@ bound found and exhaustive=False.
 Symmetry breaking: the direct engine keeps only sets containing one
 fixed basis, which loses no optimum because some largest valid set has
 full rank and GL(r,2) is transitive on ordered bases (max_size gives
-the argument); the complement engine keeps only one root branch (a
-flat's stabilizer is transitive on its points).  Reported witnesses are
+the argument); the complement engine breaks symmetry at every node.
+There a node with blocker B branches on the points of its chosen
+subspace inside span(B), then on a single point outside it: the
+pointwise stabiliser of span(B) in GL(r,2) fixes B and every point
+excluded so far, and moves any point outside span(B) to any other, so
+that one branch stands for all of them (max_size_complement and the
+kernels' complement_search give the argument).  Reported witnesses are
 the canonical first find.
 """
 
@@ -350,6 +355,18 @@ def max_size_complement(
     Critical-number demands become a forbidden flat inside the blocker.
     When no blocker of size <= max_blocker exists the result is
     inconclusive: optimum None, exhaustive False.
+
+    With symmetry_break, each node of the blocker search with blocker B
+    branches on the points of its chosen subspace S inside span(B),
+    excluding earlier siblings, and then on the lowest point of S
+    outside span(B) alone.  Only points of span(B) are ever excluded,
+    and the pointwise stabiliser of span(B) in GL(r,2) fixes B and the
+    excluded points, maps any point outside span(B) to any other, and
+    preserves the family of all n-flats, the forbidden flats, the rank
+    of the complement and sizes.  So a smallest blocker meeting S only
+    outside span(B) has an image, just as small and valid, in that last
+    branch, and the optimum is kept.  The rule needs a subspace family
+    closed under GL(r,2), as the family of all n-flats is.
     """
     t0 = monotonic()
     constraints.validate(r)

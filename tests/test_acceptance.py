@@ -13,8 +13,10 @@
 Each test prints a single "criterion N: PASS" line on success; the
 failed assert is the corresponding FAIL.  The rank-6 odd-girth-5 and
 rank-7 odd-girth-7 stretch instances run by default (seconds, thanks to
-basis forcing); the rank-6 complement-engine instances are marked deep
-and run only with `pytest -m deep` (minutes to hours).
+basis forcing), and so do the rank-6 Bose-Burton n=2 and
+Govaerts-Storme n=4 confirmations (under a second, thanks to symmetry
+breaking at every node of the complement engine); Govaerts-Storme n=3
+at rank 6 is marked deep and runs only with `pytest -m deep`.
 """
 
 import functools
@@ -396,19 +398,23 @@ def test_deep_criterion_1_stretch_rank_six():
     print("criterion 1 stretch: PASS  odd-girth-5 non-affine maximum 20 at rank 6")
 
 
-@pytest.mark.deep
 def test_deep_flat_freeness_rank_six():
     rep = verify_theorem("bose_burton", {"n": 2, "r": 6})
     assert rep.passed
     assert rep.optimum == 32
 
 
+def test_deep_critical_extremum_rank_six_order_four():
+    rep = verify_theorem("gs", {"n": 4, "r": 6})
+    assert rep.passed
+    assert rep.optimum == 53
+
+
 @pytest.mark.deep
-def test_deep_critical_extrema_rank_six():
-    for n, want in ((3, 42), (4, 53)):
-        rep = verify_theorem("gs", {"n": n, "r": 6})
-        assert rep.passed
-        assert rep.optimum == want
+def test_deep_critical_extremum_rank_six_order_three():
+    rep = verify_theorem("gs", {"n": 3, "r": 6})
+    assert rep.passed
+    assert rep.optimum == 42
 
 
 def test_deep_odd_girth_seven_rank_seven():

@@ -379,6 +379,14 @@ def test_verify_deep_gate(capsys):
         capsys, "verify", "main", "--k", "5", "--r", "6", "--budget", "1e-9"
     )
     assert code == EXIT_INCONCLUSIVE
+    # so does bose_burton at r=6, in under a second
+    code, _, _ = run(
+        capsys, "verify", "bose_burton", "--n", "2", "--r", "6", "--budget", "1e-9"
+    )
+    assert code == EXIT_INCONCLUSIVE
+    code, _, err = run(capsys, "verify", "bose_burton", "--n", "2", "--r", "7")
+    assert code == EXIT_USAGE
+    assert "--deep" in err
 
 
 def test_usage_errors_exit_sixtyfour():

@@ -7,7 +7,14 @@ from time import monotonic
 
 import pytest
 
-from gf2matroid import backend_name, enumerate_subspaces, iter_bits, mask_from
+from gf2matroid import (
+    BinaryMatroid,
+    backend_name,
+    enumerate_subspaces,
+    iter_bits,
+    mask_from,
+    nonzero_mask,
+)
 from gf2matroid.search import _forced_basis
 
 from helpers import backends, compiled, pure, random_mask
@@ -300,32 +307,76 @@ def test_complement_search_backends_bit_identical(case, sym):
     assert got_c == got_py
 
 
-# (optimum, nodes) with root symmetry, measured with the packing bound
-# rescanned, the forbidden-flat test asked of the subspace finder and
-# the branching subspace picked by recounting every uncovered one at
-# every node; the incremental bound and both kinds of counters must
-# give the same tree
-PINNED_COMPLEMENT_TREES = [
-    # r, flat dim, forbidden_dim, full_rank, max_blocker, optimum, nodes
-    (5, 2, 4, False, 21, 21, 107588),  # verify gs n=2 r=5
-    (5, 3, 3, False, 10, 10, 97616),  # verify gs n=3 r=5
-    (6, 4, 0, False, 7, 7, 54738),  # verify bose_burton n=4 r=6
-    (6, 4, 0, True, 63, 7, 54738),  # max_size_complement r=6 pg-free 4
-    (5, 2, 0, False, 15, 15, 1502),
-    (5, 3, 0, False, 7, 7, 944),
-    (6, 5, 0, False, 3, 3, 64),
+# symmetry broken at every node: each key is r, flat dim, forbidden_dim,
+# full_rank, max_blocker, optimum, and the node count of the tree that broke
+# symmetry at the root only; each value is the node count of today's tree,
+# which must find the same optimum in no more nodes than the root-only tree
+PINNED_COMPLEMENT_TREES = {
+    (5, 2, 4, False, 21, 21, 107588): 18748,  # verify gs n=2 r=5
+    (5, 3, 3, False, 10, 10, 97616): 838,  # verify gs n=3 r=5
+    (6, 4, 0, False, 7, 7, 54738): 34,  # verify bose_burton n=4 r=6
+    (6, 4, 0, True, 63, 7, 54738): 34,  # max_size_complement r=6 pg-free 4
+    (5, 2, 0, False, 15, 15, 1502): 232,
+    (5, 3, 0, False, 7, 7, 944): 21,
+    (6, 5, 0, False, 3, 3, 64): 5,
+}
+
+# without symmetry: where and how symmetry is broken must not change these
+# r, flat dim, forbidden_dim, full_rank, max_blocker, optimum, nodes
+PINNED_COMPLEMENT_TREES_WITHOUT_SYMMETRY = [
+    (5, 2, 4, False, 21, 21, 163372),
+    (5, 2, 0, False, 15, 15, 2613),
+    (5, 3, 0, False, 7, 7, 3329),
+    (6, 5, 0, False, 3, 3, 94),
 ]
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
 @pytest.mark.parametrize("case", PINNED_COMPLEMENT_TREES, ids=repr)
 def test_complement_search_trees_are_pinned(kern, case):
-    r, n, fd, fr, mb, optimum, nodes = case
+    r, n, fd, fr, mb, optimum, root_only_nodes = case
     best, _, got_nodes, completed = kern.complement_search(
         r, flat_masks(r, n), fd, fr, mb, None, True
     )
     assert completed
+    assert (best, got_nodes) == (optimum, PINNED_COMPLEMENT_TREES[case])
+    assert got_nodes <= root_only_nodes
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize(
+    "case", PINNED_COMPLEMENT_TREES_WITHOUT_SYMMETRY, ids=repr
+)
+def test_complement_search_trees_without_symmetry_are_pinned(kern, case):
+    r, n, fd, fr, mb, optimum, nodes = case
+    best, _, got_nodes, completed = kern.complement_search(
+        r, flat_masks(r, n), fd, fr, mb, None, False
+    )
+    assert completed
     assert (best, got_nodes) == (optimum, nodes)
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize("dims", [(2,), (3,), (4,), (3, 2), (4, 2)], ids=str)
+@pytest.mark.parametrize("fd", [0, 2, 3, 4])
+@pytest.mark.parametrize("fr", [False, True], ids=["any", "full-rank"])
+def test_complement_symmetry_replays_literal_branching(kern, dims, fd, fr):
+    # every family here is closed under GL(5,2), as symmetry=True needs
+    subs = flats(5, dims)
+    best, mask, nodes, completed = kern.complement_search(
+        5, subs, fd, fr, 31, None, True
+    )
+    want, _, nodes_all, completed_all = kern.complement_search(
+        5, subs, fd, fr, 31, None, False
+    )
+    assert completed and completed_all
+    assert best == want
+    assert nodes <= nodes_all
+    if best >= 0:
+        assert mask.bit_count() == best
+        assert all(s & mask for s in subs)
+        assert fd == 0 or not any(f & ~mask == 0 for f in flat_masks(5, fd))
+        assert not fr or BinaryMatroid(5, nonzero_mask(5) & ~mask).is_full_rank
 
 
 @pytest.mark.parametrize("case", COMPLEMENT_CASES, ids=repr)
@@ -359,8 +410,6 @@ def complement_ref(n, t, full_rank):
 
     Literal search over all 2^15 point subsets, smallest first.
     """
-    from gf2matroid import BinaryMatroid
-
     hit = flat_masks(4, n)
     forbidden = flat_masks(4, t) if t else ()
     for size in range(16):
@@ -401,7 +450,7 @@ def forward_ref(r, g, pg_n, mc, full_rank):
     job (folded into min_odd_girth 5 by the search wrapper), so only
     orders 0, 1 and >= 3 appear here.
     """
-    from gf2matroid import BinaryMatroid, critical_number, odd_girth
+    from gf2matroid import critical_number, odd_girth
 
     best = -1
     for mask in range(0, 1 << (1 << r), 2):
@@ -497,8 +546,9 @@ def test_forward_search_budget_holds_on_flat_free_searches(kern, r, pg_n):
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
 def test_complement_search_budget_times_out(kern):
-    subs = flats(5, (3,))
-    got = kern.complement_search(5, subs, 3, False, 10, 1e-9, True)
+    # verify gs n=2 r=5: 18,748 nodes, past the first deadline poll
+    subs = flats(5, (2,))
+    got = kern.complement_search(5, subs, 4, False, 21, 1e-9, True)
     assert got[3] is False
 
 
@@ -546,6 +596,17 @@ def test_forward_search_infeasible_reports_negative(kern):
         1, 0, 0, 2, False, (), 0, None, True
     )
     assert completed and best == -1 and mask == 0
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_forward_search_rejects_even_girth(kern):
+    # the gate tests sums of even size up to girth - 3, so an even
+    # demand g would let odd circuits of g - 1 points through
+    for g in (4, 6, 8, 40000):
+        with pytest.raises(ValueError):
+            kern.forward_search(6, g, 0, 0, False, _forced_basis(6), 0, None, True)
+    for g in (0, 3, 5, 7):
+        assert kern.forward_search(4, g, 0, 0, False, (), 0, None, True)[3]
 
 
 def test_rank_cap_enforced():
