@@ -104,7 +104,9 @@ def _needs_deep(theorem: str, params: Dict[str, int]) -> bool:
         k = params["k"]
         return (k == 5 and r >= 7) or (k == 7 and r >= 8) or k >= 9
     if theorem == "bose_burton":
-        return r >= 7
+        # n >= r - 2 takes seconds up to r = 9 (n=7 r=9: about 4 s pure);
+        # n=4 r=7 is a 3.47M-node tree
+        return r >= 7 and (params["n"] <= r - 3 or r >= 10)
     return r >= 6
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
@@ -226,33 +225,38 @@ def enumerate_subspaces(r: int, d: int) -> Iterator[Subspace]:
     """All d-dimensional subspaces of GF(2)^r, ascending by basis tuple.
 
     Every subspace appears exactly once because reduced-echelon bases
-    are canonical.  The count equals gaussian_binomial(r, d).
+    are canonical.  The count equals gaussian_binomial(r, d).  Yields
+    lazily: b_1 runs ascending over the vectors whose top bit is an
+    allowed pivot, and the rest of the basis is a reduced-echelon
+    basis of dimension d - 1 whose pivots are the allowed positions
+    below b_1's top bit where b_1 is 0 (b_1 must be 0 at every later
+    pivot, and the later rows lie below its pivot).  Ascending b_1 with
+    the rest ascending below it is the ascending tuple order.
     """
     check_rank(r, POINTSET_RANK_MAX)
     if d < 0 or d > r:
         return
+    for rows in _echelon_rows(d, (1 << r) - 1, ()):
+        yield Subspace(r, rows)
+
+
+def _echelon_rows(
+    d: int, allowed: int, prefix: Tuple[int, ...]
+) -> Iterator[Tuple[int, ...]]:
+    # prefix + each reduced-echelon basis of dimension d with every
+    # pivot in allowed, ascending by tuple
     if d == 0:
-        yield Subspace(r, ())
+        yield prefix
         return
-    tuples: List[Tuple[int, ...]] = []
-    for pivots in combinations(range(r - 1, -1, -1), d):
-        pivot_set = set(pivots)
-        row_choices = []
-        for p in pivots:
-            free = [q for q in range(p) if q not in pivot_set]
-            values = []
-            for k in range(1 << len(free)):
-                v = 1 << p
-                for idx, q in enumerate(free):
-                    if (k >> idx) & 1:
-                        v |= 1 << q
-                values.append(v)
-            row_choices.append(values)
-        for rows in product(*row_choices):
-            tuples.append(rows)
-    tuples.sort()
-    for t in tuples:
-        yield Subspace(r, t)
+    for p in iter_bits(allowed):
+        below = allowed & ((1 << p) - 1)
+        if below.bit_count() < d - 1:
+            continue
+        for b in range(1 << p, 2 << p):
+            if d == 1:
+                yield prefix + (b,)
+            elif (below & ~b).bit_count() >= d - 1:
+                yield from _echelon_rows(d - 1, below & ~b, prefix + (b,))
 
 
 def hyperplane_complement(f: int, r: int) -> int:

@@ -103,18 +103,32 @@ class ConstraintSet:
     def satisfied_by(self, m: BinaryMatroid) -> bool:
         """Re-verify through the matroid-level oracles.
 
-        Kernel-independent on the compiled backend.  The pure kernels
-        share gf2.subspace_in; the BFS odd girth, the cover re-check,
-        the C twin and the tests' brute-force enumerations do not.
+        Freeness of order n is certified by the critical number cn when
+        cn < n, and searched for with has_pg_restriction only when
+        cn >= n.  Suppose cocycles f_1..f_c, c < n, cover m and U is an
+        n-dimensional subspace whose nonzero vectors lie in m.  The f_i
+        restricted to U have a common kernel of dimension >= n - c >= 1,
+        so some point of U is uncovered: a contradiction.
+        critical_number re-checks its cover with CocycleCover.covers
+        before it returns, so cn is the size of a verified cover and
+        the true critical number is at most cn; a finder that missed a
+        subspace could only raise cn and make the certificate fire less
+        often.  The verdict thus rests on that independent cover check,
+        not on gf2.subspace_in.  Every Bose-Burton extremal set has
+        cn = n - 1, so its witnesses never reach the flat search.
         """
         if self.min_odd_girth is not None and odd_girth(m) < self.min_odd_girth:
             return False
         if self.forbid_affine and is_affine(m):
             return False
-        if self.min_critical is not None and critical_number(m)[0] < self.min_critical:
-            return False
-        if self.pg_free_order is not None and self.pg_free_order <= m.ambient_rank:
-            if has_pg_restriction(m, self.pg_free_order):
+        n = self.pg_free_order
+        if self.min_critical is not None or n is not None:
+            cn = critical_number(m)[0]
+            if self.min_critical is not None and cn < self.min_critical:
+                return False
+            # cn <= rank <= ambient rank, so an order beyond the ambient
+            # rank is always certified
+            if n is not None and cn >= n and has_pg_restriction(m, n):
                 return False
         if self.full_rank and not m.is_full_rank:
             return False

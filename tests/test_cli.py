@@ -387,6 +387,16 @@ def test_verify_deep_gate(capsys):
     code, _, err = run(capsys, "verify", "bose_burton", "--n", "2", "--r", "7")
     assert code == EXIT_USAGE
     assert "--deep" in err
+    # n >= r - 2 runs without --deep up to r = 9; its witness is
+    # certified flat-free by its critical number
+    code, _, _ = run(capsys, "verify", "bose_burton", "--n", "6", "--r", "7")
+    assert code == EXIT_OK
+    for n, r in ((4, 7), (6, 9), (8, 10)):
+        code, _, err = run(
+            capsys, "verify", "bose_burton", "--n", str(n), "--r", str(r)
+        )
+        assert code == EXIT_USAGE, (n, r)
+        assert "--deep" in err
 
 
 def test_usage_errors_exit_sixtyfour():

@@ -1,6 +1,8 @@
 """GF(2) core: encodings, spans, duality, flat enumeration, bitset algebra."""
 
 import random
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 
@@ -172,6 +174,41 @@ def test_enumerate_subspaces_distinct_point_sets():
     assert len(set(masks)) == 35
     for mask in masks:
         assert bin(mask).count("1") == 3
+
+
+def all_echelon_bases_sorted(r, d):
+    """Every reduced-echelon basis, listed per pivot set and then sorted."""
+    out = []
+    for pivots in combinations(range(r - 1, -1, -1), d):
+        rows = []
+        for p in pivots:
+            free = [q for q in range(p) if q not in pivots]
+            rows.append(
+                [(1 << p) | mask_from(c) for k in range(len(free) + 1)
+                 for c in combinations(free, k)]
+            )
+        out.extend(product(*rows))
+    return sorted(out)
+
+
+def test_enumerate_subspaces_ascending_order_matches_full_sort():
+    for r in range(1, 8):
+        for d in range(0, r + 1):
+            got = [s.basis for s in enumerate_subspaces(r, d)]
+            assert got == all_echelon_bases_sorted(r, d), (r, d)
+
+
+def test_enumerate_subspaces_yields_lazily():
+    # the first of the 200,787 subspaces comes without listing the rest,
+    # which would take about 17 MB
+    tracemalloc.start()
+    try:
+        first = next(enumerate_subspaces(8, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.basis == (8, 4, 2, 1)
+    assert peak < 100_000
 
 
 def test_hyperplane_complement_matches_literal_dot():

@@ -8,19 +8,24 @@ import pytest
 from gf2matroid import (
     BinaryMatroid,
     ConstraintSet,
+    ag,
+    bose_burton,
     circuit,
     critical_number,
+    extremal_gs,
+    has_pg_restriction,
     is_affine,
     is_isomorphic,
     max_size,
     max_size_complement,
     odd_girth,
+    pg,
     verify_theorem,
 )
 from gf2matroid import search
 from gf2matroid.search import _mask_lex_less
 
-from helpers import backends
+from helpers import backends, random_matroid
 
 rng = random.Random(0x5EA)
 
@@ -123,6 +128,53 @@ def test_witness_always_re_verifies():
         assert rep.witness is not None
         assert cs.satisfied_by(rep.witness)
         assert rep.witness.size == rep.optimum
+
+
+def replay_sets():
+    """Seeded random sets at ranks 1-6 and the named families up to rank 6."""
+    local = random.Random(0xC417)
+    for r in range(1, 7):
+        for density in (0.3, 0.6, 0.85, 0.95):
+            yield random_matroid(local, r, density)
+        yield pg(r)
+        yield ag(r)
+        for c in range(1, r + 1):
+            yield bose_burton(r, c)
+        for n in range(2, r - 1):
+            yield extremal_gs(n, r)
+
+
+def test_critical_certificate_replays_the_flat_search():
+    # satisfied_by skips has_pg_restriction when the critical number is
+    # below the order; its verdicts must match the search on every order
+    certified = searched = 0
+    for m in replay_sets():
+        r = m.ambient_rank
+        cn = critical_number(m)[0]
+        for n in range(1, r + 1):
+            free = not has_pg_restriction(m, n)
+            if cn < n:
+                certified += 1
+            else:
+                searched += 1
+            for c in [None] + list(range(1, r + 1)):
+                cs = ConstraintSet(pg_free_order=n, min_critical=c)
+                want = free and (c is None or cn >= c)
+                assert cs.satisfied_by(m) == want, (r, m.points, n, c)
+    assert (certified, searched) == (99, 150)  # both routes are replayed
+
+
+def test_bose_burton_witnesses_skip_the_flat_search(monkeypatch):
+    calls = []
+
+    def counted(m, n):
+        calls.append((m.points, n))
+        return has_pg_restriction(m, n)
+
+    monkeypatch.setattr(search, "has_pg_restriction", counted)
+    rep = verify_theorem("bose_burton", {"n": 5, "r": 6})
+    assert rep.passed
+    assert calls == []
 
 
 def test_girth_seven_nonaffine_needs_rank_six():
