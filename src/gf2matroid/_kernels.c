@@ -459,6 +459,34 @@ static int fwd_include(FwdCtx *c, int v, int depth, const u64 *chosen, const u64
     return rank;
 }
 
+/* The half-space bound, for odd girth >= 5: some f in covers leaves any
+ * completion at most min(size + |one|, 2^(r-2)) + min(|zero|, 2^(r-2))
+ * <= best points.  |one| = |feas & hit[f]| is counted over the feas list on
+ * row f of hit, hit being symmetric.  The reach test before it has already
+ * returned when some zero is empty.  The argument is in the pure twin's
+ * forward_search docstring. */
+static int fwd_half_space_bound(FwdCtx *c, const u16 *feas, int nf, const u64 *covers,
+                                int size)
+{
+    int k, f, i, n_one, a, b, half = 1 << (c->r - 2);
+    u64 word;
+    const u64 *hf;
+    for (k = 0; k < c->nw; k++) {
+        for (word = covers[k]; word; word &= word - 1) {
+            f = (k << 6) + ctz64(word);
+            hf = c->hit + (size_t)f * c->nw;
+            n_one = 0;
+            for (i = 0; i < nf; i++)
+                n_one += bs_get(hf, feas[i]);
+            a = size + n_one < half ? size + n_one : half;
+            b = nf - n_one < half ? nf - n_one : half;
+            if (a + b <= c->best)
+                return 1;
+        }
+    }
+    return 0;
+}
+
 static void fwd_dfs(FwdCtx *c, int depth, const u16 *feas, int nf, const u64 *chosen,
                     const u64 *sums, const u64 *covers, const u16 *piv, int rank, int size)
 {
@@ -497,6 +525,8 @@ static void fwd_dfs(FwdCtx *c, int depth, const u16 *feas, int nf, const u64 *ch
         }
         if (nonempty)
             return; /* every completion stays affine */
+        if (c->T >= 2 && fwd_half_space_bound(c, feas, nf, covers, size))
+            return;
     }
     v = feas[0];
     nrank = fwd_include(c, v, depth, chosen, sums, covers, piv, rank);
@@ -553,6 +583,11 @@ PyDoc_STRVAR(forward_search_doc,
              "is one subspace_in(rest, n-2, r) call on a much sparser mask, and\n"
              "the verdict, the tree and the node count are those of the full test.\n"
              "The root filter and the forced points use the full test.\n\n"
+             "With odd girth >= 5 and critical demand >= 2, a node returns when\n"
+             "some functional f that is 1 on every chosen point leaves any\n"
+             "completion at most min(size + |one|, 2^(r-2)) + min(|zero|, 2^(r-2))\n"
+             "<= best points, one and zero being the candidates with f = 1 and\n"
+             "f = 0; the argument is in the pure twin's docstring.\n\n"
              "Sums of more than r chosen points are never tested: an odd circuit\n"
              "has at most r + 1 points, so capping girth - 3 at the largest\n"
              "even number <= r leaves every verdict unchanged.\n\n"
@@ -567,7 +602,7 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
                              "prune", NULL};
     int r, girth, pg_n, min_critical, full_rank, prune = 1;
     PyObject *forced_in_obj, *forced_out_obj, *budget, *seq = NULL, *result = NULL;
-    Py_ssize_t n_forced = 0, j;
+    Py_ssize_t n_forced = 0, j, k;
     FwdCtx c;
     int n_all, nw, T, maxd, v, x, size, rank, depth, nf, dead = 0, overflow;
     long fv;
@@ -610,6 +645,11 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
             goto done;
         }
         forced[j] = (int)fv;
+        for (k = 0; k < j; k++)
+            if (forced[k] == forced[j]) {
+                PyErr_SetString(PyExc_ValueError, "forced_in repeats a vector");
+                goto done;
+            }
     }
     if (read_mask(forced_out_obj, r, forced_out, nw) < 0)
         goto done;

@@ -13,21 +13,26 @@ twin of it.
 The forward search keeps its candidate frontier as a bitset, so each
 per-node rule is a few mask operations: the next point is the top
 bit, the odd-girth gate drops the sums of even size at once, the size
-bound is a bit count, and the affine-reach prune compares the
-frontier with hit[f] for each functional f the chosen set still
-leaves at 1.  A node's exclude branch is the next pass of its own
-loop, not a call.  The flat-freeness gate is incremental.  Every
-candidate w left after v joins the chosen set C was feasible for C
-without v, so a new rank-n flat F inside C + {w} must pass through
-both v and w.  F then holds v ^ w, a chosen point, so only the w in
-T_v(C) are tested, T_x translating by x.  For them F = span(v, w) + U
-for an (n-2)-dimensional U whose nonzero vectors u have u, u ^ v,
-u ^ w and u ^ v ^ w all in C: they lie in P & T_w(P) with
-P = C & T_v(C), a set that misses span(v, w).  P is computed once per
-include, so each tested w costs one translate and one subspace_in
-call on a much sparser mask.  The root filter and the forced points
-use the full test.  _kernels.c keeps a list frontier and recurses
-into both branches, so the lockstep tests compare the two forms.
+bound is a bit count, and the half-space bound splits the frontier by
+hit[f] for each functional f the chosen set still leaves at 1.  A
+completion that is not affine and has no 3-circuit holds at most
+2^(r-2) points on either side of the hyperplane f = 0, and when no
+candidate has f = 0 every completion stays affine.  _kernels.c keeps
+its reach test, an AND over the frontier, for that last case, and
+counts each side over its list frontier.  A node's exclude branch is
+the next pass of its own loop, not a call.  The flat-freeness gate is
+incremental.  Every candidate w left after v joins the chosen set C
+was feasible for C without v, so a new rank-n flat F inside C + {w}
+must pass through both v and w.  F then holds v ^ w, a chosen point,
+so only the w in T_v(C) are tested, T_x translating by x.  For them
+F = span(v, w) + U for an (n-2)-dimensional U whose nonzero vectors u
+have u, u ^ v, u ^ w and u ^ v ^ w all in C: they lie in P & T_w(P)
+with P = C & T_v(C), a set that misses span(v, w).  P is computed
+once per include, so each tested w costs one translate and one
+subspace_in call on a much sparser mask.  The root filter and the
+forced points use the full test.  _kernels.c keeps a list frontier
+and recurses into both branches, so the lockstep tests compare the
+two forms.
 
 The complement search keeps all three of its per-node tests
 incremental.  The greedy packing bound takes the lowest uncovered
@@ -214,15 +219,27 @@ def forward_search(
     flat through w in chosen + {w} is span(w) + U with the nonzero
     vectors of U in chosen & T_w(chosen).
 
-    The affine-reach prune (critical demand >= 2) stops a node when
-    some functional f in covers, those with f.c = 1 for every chosen c,
-    also has f.w = 1 for every w in feas: every completion then stays
-    affine.  hit[w], the functionals hitting w, is symmetric in f and
-    w, so that is feas & ~hit[f] == 0, one test per f in covers; covers
-    is an affine subspace that halves with each independent chosen
-    point.  The rank the full-rank test reads is kept as the span of
-    the chosen set, a bitset grown by one translation whenever a point
-    outside it joins.
+    The half-space bound (critical demand >= 2) splits feas, for each
+    functional f in covers (those with f.c = 1 for every chosen c),
+    into zero = feas & ~hit[f] and one = feas & hit[f]; hit[w], the
+    functionals hitting w, is symmetric in f and w.  covers is an
+    affine subspace that halves with each independent chosen point.
+    If zero is empty every completion stays affine, and the node
+    returns: the affine-reach prune.  With odd girth >= 5 (T >= 2) the
+    node also returns when
+        min(size + |one|, 2^(r-2)) + min(|zero|, 2^(r-2)) <= best.
+    Any valid completion M is non-affine, so it holds a point w with
+    f.w = 0, and M holds no 3-circuit.
+    - Translation by w splits the 2^(r-1) points with f = 1 into
+      2^(r-2) pairs {x, x ^ w}.  M holds at most one point of each
+      pair, since x, x ^ w and w would form a 3-circuit.
+    - M's points with f = 0 form a set S in the hyperplane ker f with
+      no 3-circuit.  For u in S, S and S ^ u are disjoint inside ker f,
+      so |S| <= 2^(r-2).
+    So M has at most the bound's number of points and cannot beat best.
+    The rank the full-rank test reads is kept as the span of the chosen
+    set, a bitset grown by one translation whenever a point outside it
+    joins.
 
     The deadline is polled every _CHECK_INTERVAL nodes and after every
     flat-finder call.  One call at rank 7 can cost as much as thousands
@@ -237,6 +254,8 @@ def forward_search(
     for v in forced_in:
         if not 0 < v < n_all:
             raise ValueError(f"forced_in vector outside [1, 2^{r})")
+    if len(set(forced_in)) != len(forced_in):
+        raise ValueError("forced_in repeats a vector")
     _check_mask(forced_out_mask, r)
     deadline = monotonic() + budget if budget is not None else None
     # functionals hitting v, as a bitset over f; dot is symmetric
@@ -246,6 +265,9 @@ def forward_search(
     # an odd circuit has at most r + 1 points: see the docstring
     T = min(min_odd_girth - 3, r & ~1) if min_odd_girth >= 5 else 0
     evens = range(2, T + 1, 2)
+    # the most points a set with no 3-circuit holds on one side of a
+    # hyperplane; a cap above 2^r leaves the half-space bound inert
+    half = 1 << (r - 2) if T >= 2 else n_all
     pg_n = pg_free_order
     whole = (1 << n_all) - 1  # the span of a full-rank set
 
@@ -323,11 +345,15 @@ def forward_search(
             if prune and size + feas.bit_count() <= best:
                 return
             if prune and min_critical >= 2:
+                n_feas = feas.bit_count()
                 fs = covers
                 while fs:
                     f = fs.bit_length() - 1
-                    if not feas & ~hit[f]:
+                    n_one = (feas & hit[f]).bit_count()
+                    if n_one == n_feas:
                         return  # every completion stays affine
+                    if min(size + n_one, half) + min(n_feas - n_one, half) <= best:
+                        return  # the half-space bound
                     fs ^= 1 << f
             v = feas.bit_length() - 1
             feas ^= 1 << v

@@ -169,8 +169,11 @@ def test_flat_free_search_trees_are_pinned(kern, case):
 # frontier and the cap must leave these trees as they were
 UNFORCED_TREES = {
     # the benchmark's dominant job: max_size r=5 odd girth >= 5
-    # non-affine, without symmetry breaking
-    (5, 5, 0, 2, False, True): (10, 237367),
+    # non-affine, without symmetry breaking; the half-space bound took
+    # it from 237,367 nodes
+    (5, 5, 0, 2, False, True): (10, 56067),
+    # the literal tree, which no bound touches
+    (4, 5, 0, 2, False, False): (5, 6097),
     # girth - 3 above r & ~1, so the cap changes the sums tested
     (3, 7, 0, 0, False, True): (4, 29),
     (3, 9, 0, 2, False, True): (-1, 49),
@@ -220,6 +223,93 @@ def test_forward_search_backends_agree_on_forced_rank_five_samples():
         outcomes.add(got[0] >= 0)
     # some forced sets are infeasible from the start, most are not
     assert outcomes == {True, False}
+
+
+def literal_replay_args(draws, r, g, pg_n, mc, fr, fin):
+    """forward_search arguments with a seeded forced_out avoiding fin."""
+    pts = [v for v in range(1, 1 << r) if v not in fin]
+    fout = mask_from(v for v in pts if draws.random() < 0.2)
+    return (r, g, pg_n, mc, fr, fin, fout, None)
+
+
+def assert_bounds_replay_literal(kern, args):
+    bounded = kern.forward_search(*args, True)
+    literal = kern.forward_search(*args, False)
+    assert bounded[3] and literal[3]
+    # same best and the same witness: a bound only cuts subtrees that
+    # cannot beat the best found so far
+    assert bounded[:2] == literal[:2], args
+    assert bounded[2] <= literal[2]
+    return bounded[0]
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_bounded_forward_search_replays_literal_search(kern, r):
+    draws = random.Random(0x4A1F + r)
+    grid = itertools.product((0, 5, 7, 9), (0, 3, 4), (0, 2, 3), (False, True))
+    bests = set()
+    for g, pg_n, mc, fr in grid:
+        fin = tuple(draws.sample(range(1, 1 << r), draws.randrange(0, 3)))
+        args = literal_replay_args(draws, r, g, pg_n, mc, fr, fin)
+        bests.add(assert_bounds_replay_literal(kern, args))
+    assert -1 in bests and max(bests) > 1
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_bounded_forward_search_replays_literal_search_at_rank_five(kern):
+    draws = random.Random(0x5B0D)
+    bests = set()
+    for _ in range(24):
+        g = draws.choice((5, 7))
+        mc = draws.choice((2, 3))
+        pg_n = draws.choice((0, 3, 4))
+        fr = draws.random() < 0.5
+        args = literal_replay_args(draws, 5, g, pg_n, mc, fr, _forced_basis(5))
+        bests.add(assert_bounds_replay_literal(kern, args))
+    assert -1 in bests and max(bests) > 5
+
+
+def no_three_circuit_sets(r):
+    """Every point set of PG(r-1, 2) with no 3-circuit, as a bitset."""
+    out = []
+
+    def grow(mask, banned, low):
+        out.append(mask)
+        for v in range(low, 1 << r):
+            if not banned >> v & 1:
+                new = 1 << v
+                for u in iter_bits(mask):
+                    new |= 1 << (u ^ v)
+                grow(mask | 1 << v, banned | new, v + 1)
+
+    grow(0, 0, 1)
+    return out
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_half_space_lemma_by_brute_force(r):
+    # The forward kernels' half-space bound: a set with no 3-circuit and
+    # a point at f = 0 holds at most 2^(r-2) points on each side of the
+    # hyperplane f = 0.  Rank 5 (2,534,530 sets) passes too, but takes
+    # about a minute.
+    sets = no_three_circuit_sets(r)
+    if r == 4:
+        assert len(sets) == 3049  # the empty set included
+    half = 1 << (r - 2)
+    ones = [
+        mask_from(v for v in range(1, 1 << r) if (f & v).bit_count() & 1)
+        for f in range(1 << r)
+    ]
+    tight = False
+    for mask in sets:
+        size = mask.bit_count()
+        for f in range(1, 1 << r):
+            n_one = (mask & ones[f]).bit_count()
+            if n_one < size:
+                assert n_one <= half and size - n_one <= half, (r, bin(mask), f)
+                tight |= half in (n_one, size - n_one)
+    assert tight
 
 
 @functools.cache
@@ -596,6 +686,15 @@ def test_forward_search_infeasible_reports_negative(kern):
         1, 0, 0, 2, False, (), 0, None, True
     )
     assert completed and best == -1 and mask == 0
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_forward_search_rejects_repeated_forced_points(kern):
+    # a repeat would count twice toward the size the bounds read
+    for forced in [(15, 14, 15), (3, 3), (1, 2, 4, 8, 1)]:
+        with pytest.raises(ValueError):
+            kern.forward_search(4, 5, 0, 2, False, forced, 0, None, True)
+    assert kern.forward_search(4, 5, 0, 2, False, (15, 14), 0, None, True)[0] == 5
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)

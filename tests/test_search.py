@@ -208,7 +208,7 @@ def test_single_thread_determinism():
     b = max_size(5, GIRTH5_NONAFFINE)
     assert a.optimum == b.optimum == 10
     assert a.witness == b.witness
-    assert a.nodes == b.nodes == 445  # frozen traversal anchor
+    assert a.nodes == b.nodes == 153  # frozen traversal anchor
 
 
 def test_symmetry_and_prune_toggles_do_not_change_optimum():
