@@ -17,10 +17,17 @@ bound is a bit count, and the half-space bound splits the frontier by
 hit[f] for each functional f the chosen set still leaves at 1.  A
 completion that is not affine and has no 3-circuit holds at most
 2^(r-2) points on either side of the hyperplane f = 0, and when no
-candidate has f = 0 every completion stays affine.  _kernels.c keeps
-its reach test, an AND over the frontier, for that last case, and
-counts each side over its list frontier.  A node's exclude branch is
-the next pass of its own loop, not a call.  The flat-freeness gate is
+candidate has f = 0 every completion stays affine; both tests are two
+thresholds on the count of one side.  _kernels.c keeps its reach test,
+an AND over the frontier, for that last case, and counts each side
+over its list frontier into the min() form.  The flat-coverage bound
+of a search with no rank-n flat keeps the n-flats lying inside the
+chosen points and the frontier as a bitset over a table of flats
+listed once: a point leaving that set drops the flats through it, and
+each flat left inside costs a completion one point, a point covering
+[r-1, n-1]_2 of them.  _kernels.c rescans its own listing of the flats
+at every node.  A node's exclude branch is the next pass of its own
+loop, not a call.  The flat-freeness gate is
 incremental.  Every candidate w left after v joins the chosen set C
 was feasible for C without v, so a new rank-n flat F inside C + {w}
 must pass through both v and w.  F then holds v ^ w, a chosen point,
@@ -85,6 +92,10 @@ KERNEL_RANK_MAX = 12
 
 _CHECK_INTERVAL = 4096
 _LIST_POLL = 256  # flats listed between deadline polls
+# The most n-flats the forward search lists for its flat-coverage bound;
+# above it the bound is off.  It exists to bound memory: the table holds
+# one column of n_flats bits per point.  _kernels.c declares the same cap.
+_FLAT_TABLE_MAX = 1 << 18
 
 
 class _Timeout(Exception):
@@ -188,12 +199,12 @@ def forward_search(
     completed).
 
     The candidate frontier feas is a bitset: the next point is its top
-    bit, and the odd-girth gate, the size bound and the affine-reach
-    prune are a few mask operations per node.  A node includes that
-    point and recurses; once the child returns, the exclude branch is
-    the next pass of the node's own loop.  It is the node's last step,
-    so looping visits the nodes in the order recursing would, with half
-    the Python calls and stack depth.
+    bit, and the odd-girth gate and the bounds are a few mask
+    operations per node.  A node includes that point and recurses; once
+    the child returns, the exclude branch is the next pass of the
+    node's own loop.  It is the node's last step, so looping visits the
+    nodes in the order recursing would, with half the Python calls and
+    stack depth.
 
     The odd-girth gate removes sums[2] | sums[4] | ... | sums[T] at
     once, sums[t] being the sums of t chosen points and T = girth - 3.
@@ -237,6 +248,31 @@ def forward_search(
       no 3-circuit.  For u in S, S and S ^ u are disjoint inside ker f,
       so |S| <= 2^(r-2).
     So M has at most the bound's number of points and cannot beat best.
+    The test runs as two thresholds on |one|, with half = 2^(r-2), or
+    2^r when T < 2, which no side reaches.  The size bound has passed,
+    so size + |feas| > best, and the test holds exactly when
+    2 * half <= best, or |zero| <= max(best - half, 0), or
+    |one| <= best - half - size: with both sides capped the sum is
+    2 * half, with neither it is size + |feas|, and with one it is half
+    plus the other side.  An empty zero side meets the second
+    threshold, which makes it the affine-reach prune as well.
+
+    The flat-coverage bound (pg_free_order = n >= 3) counts u, the
+    n-flats lying wholly inside S = chosen + feas, and returns when
+        size + |feas| - ceil(u / [r-1, n-1]_2) <= best.
+    - Every valid completion M has chosen <= M <= S.
+    - Every n-flat F inside S must lose a point.  That point is in
+      F minus chosen, which lies inside feas, because chosen holds no
+      whole flat.
+    - Each point lies on exactly [r-1, n-1]_2 n-flats.
+    So at least ceil(u / [r-1, n-1]_2) points of feas stay out of M.
+    The n-flats are listed once, polling the deadline every _LIST_POLL
+    flats, when there are at most _FLAT_TABLE_MAX of them; above that
+    the bound is off.  flats_through[p] holds the flats through p, one
+    bit per flat, and inside, the flats within S, drops
+    flats_through[p] for each point p that leaves S: the excluded v,
+    and the points the gates drop from the child's frontier.
+    _kernels.c recounts u at every node by scanning its own listing.
     The rank the full-rank test reads is kept as the span of the chosen
     set, a bitset grown by one translation whenever a point outside it
     joins.
@@ -270,16 +306,25 @@ def forward_search(
     half = 1 << (r - 2) if T >= 2 else n_all
     pg_n = pg_free_order
     whole = (1 << n_all) - 1  # the span of a full-rank set
+    # the flat-coverage bound's table of n-flats, when it is small enough
+    n_flats = gaussian_binomial(r, pg_n) if prune and pg_n >= 3 else 0
+    if n_flats > _FLAT_TABLE_MAX:
+        n_flats = 0
+    per_point = gaussian_binomial(r - 1, pg_n - 1)  # n-flats through a point
+    flats_through: List[int] = []  # the n-flats through v, one bit per flat
 
     best = -1
     best_mask = 0
     nodes = 0
 
+    def poll() -> None:
+        if deadline is not None and monotonic() > deadline:
+            raise _Timeout
+
     def finds(mask: int, d: int) -> bool:
         """subspace_in(mask, d, r) found a subspace; polls the deadline after it."""
         found = subspace_in(mask, d, r) is not None
-        if deadline is not None and monotonic() > deadline:
-            raise _Timeout
+        poll()
         return found
 
     def closers(cands: int, base: int, d: int) -> int:
@@ -330,7 +375,14 @@ def forward_search(
             span |= translate_mask(span, v, r)
         return chosen, sums, covers, span
 
-    def dfs(feas, chosen, size, sums, covers, span):
+    def drop(inside: int, gone: int) -> int:
+        """inside without the flats through any point of gone."""
+        for p in iter_bits(gone):
+            inside &= ~flats_through[p]
+        return inside
+
+    def dfs(feas, chosen, size, sums, covers, span, inside):
+        """inside: the n-flats inside chosen + feas, one bit per flat."""
         nonlocal best, best_mask, nodes
         while True:
             nodes += 1
@@ -342,19 +394,26 @@ def forward_search(
                 best_mask = chosen
             if not feas:
                 return
-            if prune and size + feas.bit_count() <= best:
-                return
-            if prune and min_critical >= 2:
+            if prune:
                 n_feas = feas.bit_count()
-                fs = covers
-                while fs:
-                    f = fs.bit_length() - 1
-                    n_one = (feas & hit[f]).bit_count()
-                    if n_one == n_feas:
-                        return  # every completion stays affine
-                    if min(size + n_one, half) + min(n_feas - n_one, half) <= best:
-                        return  # the half-space bound
-                    fs ^= 1 << f
+                slack = size + n_feas - best
+                if slack <= 0:
+                    return  # the size bound
+                if inside and -(-inside.bit_count() // per_point) >= slack:
+                    return  # the flat-coverage bound
+                if covers and min_critical >= 2:
+                    if 2 * half <= best:
+                        return  # both sides capped: the half-space bound
+                    # the half-space bound as two thresholds on |one|
+                    lo = best - half - size
+                    hi = n_feas - (best - half if best > half else 0)
+                    fs = covers
+                    while fs:
+                        f = fs.bit_length() - 1
+                        n_one = (feas & hit[f]).bit_count()
+                        if n_one <= lo or n_one >= hi:
+                            return
+                        fs ^= 1 << f
             v = feas.bit_length() - 1
             feas ^= 1 << v
             c2, s2, cov2, span2 = include(v, chosen, sums, covers, span)
@@ -363,7 +422,10 @@ def forward_search(
                 # a new flat through v and w holds v ^ w, a chosen point
                 tv = translate_mask(c2, v, r)
                 rest &= ~closers(rest & tv, c2 & tv, pg_n - 2)
-            dfs(rest, c2, size + 1, s2, cov2, span2)
+            inside2 = drop(inside, feas & ~rest) if inside else 0
+            dfs(rest, c2, size + 1, s2, cov2, span2, inside2)
+            if inside:
+                inside &= ~flats_through[v]
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n_all + 100))
     chosen = 0
@@ -382,7 +444,15 @@ def forward_search(
             size += 1
         else:
             feas = admit(nonzero_mask(r) & ~chosen & ~forced_out_mask, chosen, sums)
-            dfs(feas, chosen, size, sums, covers, span)
+            if n_flats:
+                flats = enumerate_subspaces(r, pg_n)
+                # vectors() lists 0 first
+                rows = (s.vectors()[1:] for s in flats)
+                flats_through = _columns(rows, n_flats, n_all, poll)
+                inside = drop((1 << n_flats) - 1, nonzero_mask(r) & ~chosen & ~feas)
+            else:
+                inside = 0
+            dfs(feas, chosen, size, sums, covers, span, inside)
     except _Timeout:
         completed = False
     return best, best_mask, nodes, completed
@@ -481,15 +551,8 @@ def complement_search(
     n_all = 1 << r
     deadline = monotonic() + budget if budget is not None else None
     n_subs = len(subs)
-    through = _columns((iter_bits(m) for m in subs), n_subs, n_all)
-    maxcov = max(t.bit_count() for t in through) or 1
+    through: List[int] = []  # the subspaces through v, one bit per subspace
     meets: dict = {}
-    # |S_i & avail| at the root, as bit-planes over the subspace indices
-    sizes = [m.bit_count() for m in subs]
-    n_planes = max(sizes, default=0).bit_length()
-    root_counts = _columns(
-        ((j for j in range(n_planes) if c >> j & 1) for c in sizes), n_subs, n_planes
-    )
     flats_through: List[int] = []  # the forbidden flats through v, one bit per flat
 
     best = -1
@@ -591,6 +654,17 @@ def complement_search(
 
     completed = True
     try:
+        through = _columns((iter_bits(m) for m in subs), n_subs, n_all, poll)
+        maxcov = max(t.bit_count() for t in through) or 1
+        # |S_i & avail| at the root, as bit-planes over the subspace indices
+        sizes = [m.bit_count() for m in subs]
+        n_planes = max(sizes, default=0).bit_length()
+        root_counts = _columns(
+            ((j for j in range(n_planes) if c >> j & 1) for c in sizes),
+            n_subs,
+            n_planes,
+            poll,
+        )
         n_flats = gaussian_binomial(r, forbidden_dim) if forbidden_dim else 0
         flats = enumerate_subspaces(r, forbidden_dim) if forbidden_dim else ()
         # vectors() lists 0 first

@@ -25,7 +25,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import monotonic
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._backend import kernels, load_kernels
 from .constructions import bose_burton, extremal_gs, extremal_odd_girth
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 THEOREMS = ("main", "bose_burton", "gs")
+
+_LIST_POLL = 256  # subspaces listed between deadline polls
 
 
 @dataclass(frozen=True)
@@ -293,6 +295,17 @@ def _run_forward(
     return best, best_mask, nodes, completed
 
 
+def _subspace_masks(r: int, d: int, deadline: Optional[float]) -> Optional[List[int]]:
+    """Point masks of every d-dimensional subspace, or None once the deadline passes."""
+    masks = []
+    for s in enumerate_subspaces(r, d):
+        masks.append(s.point_mask())
+        if deadline is not None and len(masks) % _LIST_POLL == 0:
+            if monotonic() > deadline:
+                return None
+    return masks
+
+
 def _forced_basis(r: int) -> Tuple[int, ...]:
     """All-ones and all-ones XOR e_i (i < r-1): a basis of GF(2)^r, largest first."""
     top = (1 << r) - 1
@@ -396,11 +409,17 @@ def max_size_complement(
         raise ValueError("complement search needs a flat-freeness constraint")
     if max_blocker < 0:
         raise ValueError("max_blocker must be nonnegative")
-    subspaces = [s.point_mask() for s in enumerate_subspaces(r, n_eff)]
+    # one deadline covers listing the hitting family and the search
+    deadline = None if budget is None else t0 + budget
+    subspaces = _subspace_masks(r, n_eff, deadline)
     t_forbidden = r - c + 1 if c >= 2 else 0
-    best, b_mask, nodes, completed = kernels.complement_search(
-        r, subspaces, t_forbidden, full, max_blocker, budget, symmetry_break
-    )
+    if subspaces is None:
+        best, b_mask, nodes, completed = -1, 0, 0, False
+    else:
+        left = None if deadline is None else max(0.0, deadline - monotonic())
+        best, b_mask, nodes, completed = kernels.complement_search(
+            r, subspaces, t_forbidden, full, max_blocker, left, symmetry_break
+        )
     wall = monotonic() - t0
     if best < 0:
         return SearchReport(

@@ -131,13 +131,15 @@ FORWARD_CASES = [
     (7, 0, 4, 0, False, _forced_basis(7), mask_from(R7_OUT), True),
 ]
 
-# (best, nodes) of the flat-free FORWARD_CASES, measured with the full
-# flat test at every include; the incremental gate must give the same tree
+# (best, nodes) of the flat-free FORWARD_CASES.  The flat-coverage bound
+# took them from (24, 39671), (28, 3339), (30, 51) and (45, 15849), the
+# trees of the full flat test at every include, which the incremental
+# gate keeps; r=5 n=5 keeps its tree.
 PINNED_TREES = {
-    (5, 3): (24, 39671),
-    (5, 4): (28, 3339),
+    (5, 3): (24, 7931),
+    (5, 4): (28, 47),
     (5, 5): (30, 51),
-    (7, 4): (45, 15849),
+    (7, 4): (45, 1341),
 }
 
 
@@ -225,10 +227,10 @@ def test_forward_search_backends_agree_on_forced_rank_five_samples():
     assert outcomes == {True, False}
 
 
-def literal_replay_args(draws, r, g, pg_n, mc, fr, fin):
+def literal_replay_args(draws, r, g, pg_n, mc, fr, fin, out_rate=0.2):
     """forward_search arguments with a seeded forced_out avoiding fin."""
     pts = [v for v in range(1, 1 << r) if v not in fin]
-    fout = mask_from(v for v in pts if draws.random() < 0.2)
+    fout = mask_from(v for v in pts if draws.random() < out_rate)
     return (r, g, pg_n, mc, fr, fin, fout, None)
 
 
@@ -267,6 +269,16 @@ def test_bounded_forward_search_replays_literal_search_at_rank_five(kern):
         fr = draws.random() < 0.5
         args = literal_replay_args(draws, 5, g, pg_n, mc, fr, _forced_basis(5))
         bests.add(assert_bounds_replay_literal(kern, args))
+    # flat-free searches, where the flat-coverage bound fires; forcing
+    # half the points out keeps the literal trees small
+    for pg_n in (3, 4, 5):
+        for _ in range(3):
+            mc = draws.choice((0, 2, 3))
+            fr = draws.random() < 0.5
+            args = literal_replay_args(
+                draws, 5, 0, pg_n, mc, fr, _forced_basis(5), out_rate=0.55
+            )
+            bests.add(assert_bounds_replay_literal(kern, args))
     assert -1 in bests and max(bests) > 5
 
 
@@ -618,19 +630,28 @@ def test_forward_search_stops_at_a_real_budget(kern):
     assert nodes > 10_000 and best > 0
 
 
+# Budgets of the flat-free searches below.  At r=8 n=4 the pure kernel
+# lists the [8, 4]_2 = 200,787 flats of its flat-coverage bound before
+# the first node, about 2 s unless the listing polls the deadline.  At
+# r=12 n=6 the [12, 6]_2 flats are far past the table's cap, so the
+# bound is off and the search starts at once.
+FLAT_FREE_BUDGETS = {(6, 5): 0.5, (7, 6): 0.5, (8, 4): 0.3, (12, 6): 0.2}
+
+
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
-@pytest.mark.parametrize("r, pg_n", [(6, 5), (7, 6)])
+@pytest.mark.parametrize("r, pg_n", sorted(FLAT_FREE_BUDGETS))
 def test_forward_search_budget_holds_on_flat_free_searches(kern, r, pg_n):
     # Single flat tests cost up to milliseconds here; polling on the
-    # node count alone would overshoot the budget by minutes.  The r=6 search
-    # may finish inside the budget on the compiled backend; then it
-    # must be right (Bose-Burton: 2^r - 2^(r-n+1)).
-    budget = 0.5
+    # node count alone would overshoot the budget by minutes.  A search
+    # that finishes must be right (Bose-Burton: 2^r - 2^(r-n+1)); the
+    # flat-coverage bound finishes r=6 n=5 in 109 nodes.
+    budget = FLAT_FREE_BUDGETS[r, pg_n]
     t0 = monotonic()
     best, _, _, completed = kern.forward_search(
         r, 0, pg_n, 0, False, _forced_basis(r), 0, budget, True
     )
     assert monotonic() - t0 <= budget + 1.0
+    assert completed or (r, pg_n) != (6, 5)
     assert not completed or best == (1 << r) - (1 << (r - pg_n + 1))
 
 
@@ -648,6 +669,18 @@ def test_complement_search_budget_covers_the_flat_listing():
     budget = 0.05
     t0 = monotonic()
     got = pure.complement_search(8, flat_masks(8, 7), 3, False, 255, budget, True)
+    assert monotonic() - t0 <= budget + 0.5
+    assert got[3] is False
+
+
+def test_complement_search_budget_covers_the_point_columns():
+    # the pure kernel turns the masks into one column per point before
+    # its first node: about 0.8 s for 20,000 dense rank-8 masks
+    draws = random.Random(0xC015)
+    masks = [draws.getrandbits(256) for _ in range(20_000)]
+    budget = 0.05
+    t0 = monotonic()
+    got = pure.complement_search(8, masks, 0, False, 255, budget, True)
     assert monotonic() - t0 <= budget + 0.5
     assert got[3] is False
 

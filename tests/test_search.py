@@ -349,6 +349,35 @@ def test_huge_odd_girth_demand_finishes_inside_its_budget(monkeypatch, kern):
     assert rep.exhaustive and rep.optimum == 32
 
 
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_complement_budget_covers_the_hitting_family(monkeypatch, kern):
+    # Listing the [8, 4]_2 = 200,787 4-flats to hit takes about 2 s,
+    # before the kernel's first node.
+    monkeypatch.setattr(search, "kernels", kern)
+    budget = 0.5
+    t0 = monotonic()
+    rep = max_size_complement(8, ConstraintSet(pg_free_order=4), 31, budget=budget)
+    assert monotonic() - t0 <= budget + 0.5
+    assert not rep.exhaustive and rep.optimum is None
+
+
+def test_complement_kernel_gets_the_budget_left(monkeypatch):
+    # the kernel's budget is what the subspace listing left of the call's
+    passed = []
+    real = search.kernels
+
+    class Spy:
+        @staticmethod
+        def complement_search(*args):
+            passed.append(args[5])
+            return real.complement_search(*args)
+
+    monkeypatch.setattr(search, "kernels", Spy)
+    rep = max_size_complement(4, ConstraintSet(pg_free_order=3), 15, budget=10.0)
+    assert rep.exhaustive
+    assert len(passed) == 1 and 0 < passed[0] < 10.0
+
+
 def test_budget_runs_are_never_exhaustive():
     rep = max_size(6, GIRTH5_NONAFFINE, budget=1e-9)
     assert not rep.exhaustive
