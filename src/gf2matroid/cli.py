@@ -103,11 +103,16 @@ def _needs_deep(theorem: str, params: Dict[str, int]) -> bool:
     if theorem == "main":
         k = params["k"]
         return (k == 5 and r >= 7) or (k == 7 and r >= 8) or k >= 9
+    n = params["n"]
     if theorem == "bose_burton":
         # n >= r - 2 takes seconds up to r = 9 (n=7 r=9: about 4 s pure);
-        # n=4 r=7 is a 3.47M-node tree
-        return r >= 7 and (params["n"] <= r - 3 or r >= 10)
-    return r >= 6
+        # n=2 r=7 takes 1,863 nodes with the basis forced, n=4 r=7 is a
+        # 3.47M-node tree and n=2 r=8 does not finish in two minutes
+        if n == 2:
+            return r >= 8
+        return r >= 7 and (n <= r - 3 or r >= 10)
+    # gs n=2 and n=4 at r=6 take under 0.1 s; n=3 r=6 is a 7.5M-node tree
+    return r >= 7 or (r == 6 and n == 3)
 
 
 def build_parser() -> _Parser:

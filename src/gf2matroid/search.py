@@ -9,14 +9,19 @@ bound found and exhaustive=False.
 Symmetry breaking: the direct engine keeps only sets containing one
 fixed basis, which loses no optimum because some largest valid set has
 full rank and GL(r,2) is transitive on ordered bases (max_size gives
-the argument); the complement engine breaks symmetry at every node.
+the argument).  The complement engine does the same when it blocks
+lines (odd girth 5, or freeness of order 2): the forced basis is
+cleared from every line, so no blocker takes a basis point, and the
+kernel runs without its per-node rule, which needs every excluded
+point inside span(B) and would not hold with the basis kept out.  For
+flats of dimension n >= 3 it breaks symmetry at every node instead.
 There a node with blocker B branches on the points of its chosen
 subspace inside span(B), then on a single point outside it: the
 pointwise stabiliser of span(B) in GL(r,2) fixes B and every point
 excluded so far, and moves any point outside span(B) to any other, so
 that one branch stands for all of them (max_size_complement and the
-kernels' complement_search give the argument).  Reported witnesses are
-the canonical first find.
+kernels' complement_search give both arguments).  Reported witnesses
+are the canonical first find.
 """
 
 from __future__ import annotations
@@ -383,22 +388,44 @@ def max_size_complement(
     When no blocker of size <= max_blocker exists the result is
     inconclusive: optimum None, exhaustive False.
 
-    With symmetry_break, each node of the blocker search with blocker B
-    branches on the points of its chosen subspace S inside span(B),
-    excluding earlier siblings, and then on the lowest point of S
-    outside span(B) alone.  Only points of span(B) are ever excluded,
-    and the pointwise stabiliser of span(B) in GL(r,2) fixes B and the
-    excluded points, maps any point outside span(B) to any other, and
-    preserves the family of all n-flats, the forbidden flats, the rank
-    of the complement and sizes.  So a smallest blocker meeting S only
-    outside span(B) has an image, just as small and valid, in that last
-    branch, and the optimum is kept.  The rule needs a subspace family
-    closed under GL(r,2), as the family of all n-flats is.
+    With symmetry_break and lines to block (n = 2), the points of
+    _forced_basis(r) are cleared from every line, so every blocker
+    avoids them and every reported set contains them.  A line holds at
+    most two of them, since a basis has no 3-circuit, so no line is
+    left empty.  Nothing is lost, by the argument of max_size: some
+    largest valid set has full rank, and GL(r,2) is transitive on
+    ordered bases, so some image of it contains the basis; its
+    complement is a smallest valid blocker that avoids the basis.
+    These runs switch the kernel's per-node rule off: that rule
+    assumes every excluded point lies in span(B), and the basis points
+    are kept out from the root on, where span(B) = {0}.
+
+    With symmetry_break and n >= 3, each node of the blocker search
+    with blocker B branches on the points of its chosen subspace S
+    inside span(B), excluding earlier siblings, and then on the lowest
+    point of S outside span(B) alone.  Only points of span(B) are ever
+    excluded, and the pointwise stabiliser of span(B) in GL(r,2) fixes
+    B and the excluded points, maps any point outside span(B) to any
+    other, and preserves the family of all n-flats, the forbidden
+    flats, the rank of the complement and sizes.  So a smallest blocker
+    meeting S only outside span(B) has an image, just as small and
+    valid, in that last branch, and the optimum is kept.  The rule
+    needs a subspace family closed under GL(r,2), as the family of all
+    n-flats is.  Forcing the basis instead is sound there too, but it
+    grew every such tree measured (gs n=3 r=5 from 838 to 18,374
+    nodes, bose_burton n=4 r=6 from 34 to 96,672), while it shrank
+    every line tree (gs n=2 r=5 from 18,748 to 68).
+
+    Freeness of order 1 is refused by name, whatever the girth: it
+    admits only the empty set, which max_size finds at once, and a
+    forced basis could never lie in it.
     """
     t0 = monotonic()
     constraints.validate(r)
     _check_budget(budget)
     g, pg_n, c, full = constraints.normalized()
+    if pg_n == 1:
+        raise ValueError("complement search does not support flat-freeness of order 1")
     if g >= 7:
         raise ValueError("complement search supports odd girth demands only up to 5")
     if g == 5:
@@ -413,12 +440,22 @@ def max_size_complement(
     deadline = None if budget is None else t0 + budget
     subspaces = _subspace_masks(r, n_eff, deadline)
     t_forbidden = r - c + 1 if c >= 2 else 0
+    force_basis = symmetry_break and n_eff == 2
     if subspaces is None:
         best, b_mask, nodes, completed = -1, 0, 0, False
     else:
+        if force_basis:
+            keep = sum(1 << v for v in _forced_basis(r))
+            subspaces = [s & ~keep for s in subspaces]
         left = None if deadline is None else max(0.0, deadline - monotonic())
         best, b_mask, nodes, completed = kernels.complement_search(
-            r, subspaces, t_forbidden, full, max_blocker, left, symmetry_break
+            r,
+            subspaces,
+            t_forbidden,
+            full,
+            max_blocker,
+            left,
+            symmetry_break and not force_basis,
         )
     wall = monotonic() - t0
     if best < 0:

@@ -14,9 +14,10 @@ Each test prints a single "criterion N: PASS" line on success; the
 failed assert is the corresponding FAIL.  The rank-6 odd-girth-5 and
 rank-7 odd-girth-7 stretch instances run by default (seconds, thanks to
 basis forcing), and so do the rank-6 Bose-Burton n=2 and
-Govaerts-Storme n=4 confirmations (under a second, thanks to symmetry
-breaking at every node of the complement engine); Govaerts-Storme n=3
-at rank 6 is marked deep and runs only with `pytest -m deep`.
+Govaerts-Storme n=2 and n=4 confirmations (under 0.1 s: the complement
+engine forces the basis when it blocks lines and breaks symmetry at
+every node otherwise); Govaerts-Storme n=3 at rank 6 is marked deep and
+runs only with `pytest -m deep`.
 """
 
 import functools
@@ -395,6 +396,10 @@ def test_deep_criterion_1_stretch_rank_six():
     assert rep.exhaustive
     assert rep.optimum == 20 == _bound_main(5, 6)
     assert extremal_odd_girth(5, 6).size == 20
+    # at n = 2 Govaerts-Storme is the same statement, proved here by the
+    # complement engine: 2^6 - 11 * 2^2 = 20
+    gs = verify_theorem("gs", {"n": 2, "r": 6})
+    assert gs.passed and gs.optimum == gs.bound == 20
     print("criterion 1 stretch: PASS  odd-girth-5 non-affine maximum 20 at rank 6")
 
 

@@ -273,6 +273,15 @@ def test_search_blocker_flag_needs_complement_method(capsys):
     assert "complement" in err
 
 
+def test_search_complement_refuses_order_one_freeness(capsys):
+    # order 1 admits only the empty set; a line family must not hide it
+    for girth in ([], ["--min-odd-girth", "5"]):
+        argv = ["search", "-r", "4", "--pg-free", "1", "--method", "complement"]
+        code, out, err = run(capsys, *argv, *girth)
+        assert code == EXIT_USAGE, girth
+        assert out == "" and "order 1" in err
+
+
 def test_search_forward_flags_need_forward_method(capsys):
     for flag in (["--threads", "2"], ["--no-prune"]):
         argv = ["search", "-r", "4", "--pg-free", "2", "--method", "complement"]
@@ -379,14 +388,21 @@ def test_verify_deep_gate(capsys):
         capsys, "verify", "main", "--k", "5", "--r", "6", "--budget", "1e-9"
     )
     assert code == EXIT_INCONCLUSIVE
-    # so does bose_burton at r=6, in under a second
-    code, _, _ = run(
-        capsys, "verify", "bose_burton", "--n", "2", "--r", "6", "--budget", "1e-9"
-    )
-    assert code == EXIT_INCONCLUSIVE
-    code, _, err = run(capsys, "verify", "bose_burton", "--n", "2", "--r", "7")
-    assert code == EXIT_USAGE
-    assert "--deep" in err
+    # so do line blocking with the basis forced (bose_burton n=2 up to
+    # r=7, gs n=2 at r=6) and gs n=4 r=6, each in under 0.1 s
+    for theorem, n, r in (
+        ("bose_burton", 2, 6),
+        ("bose_burton", 2, 7),
+        ("gs", 2, 6),
+        ("gs", 4, 6),
+    ):
+        argv = ["verify", theorem, "--n", str(n), "--r", str(r)]
+        code, _, _ = run(capsys, *argv, "--budget", "1e-9")
+        assert code == EXIT_INCONCLUSIVE, (theorem, n, r)
+    for theorem, n, r in (("bose_burton", 2, 8), ("gs", 2, 7)):
+        code, _, err = run(capsys, "verify", theorem, "--n", str(n), "--r", str(r))
+        assert code == EXIT_USAGE, (theorem, n, r)
+        assert "--deep" in err
     # n >= r - 2 runs without --deep up to r = 9; its witness is
     # certified flat-free by its critical number
     code, _, _ = run(capsys, "verify", "bose_burton", "--n", "6", "--r", "7")

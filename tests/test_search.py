@@ -393,6 +393,11 @@ def test_forward_and_complement_agree():
         (4, ConstraintSet(pg_free_order=3), 15),
         (4, ConstraintSet(pg_free_order=3, min_critical=3), 15),
         (5, ConstraintSet(pg_free_order=3), 10),
+        # lines: the complement engine forces the basis, as max_size does
+        (5, ConstraintSet(pg_free_order=2), 31),
+        (5, ConstraintSet(min_odd_girth=5, min_critical=2), 21),
+        (5, ConstraintSet(pg_free_order=2, full_rank=True), 16),
+        (5, ConstraintSet(min_odd_girth=5, full_rank=True), 31),
     ]
     for r, cs, window in cases:
         fwd = max_size(r, cs)
@@ -402,13 +407,59 @@ def test_forward_and_complement_agree():
         assert cs.satisfied_by(comp.witness)
 
 
-def test_complement_search_values():
+def test_complement_search_values(monkeypatch):
     rep = max_size_complement(4, ConstraintSet(pg_free_order=2), 15)
     assert rep.exhaustive and rep.optimum == 8
-    rep = max_size_complement(5, ConstraintSet(pg_free_order=3, min_critical=3), 10)
-    assert rep.exhaustive and rep.optimum == 21
-    assert rep.nodes == 838  # frozen traversal anchor
-    assert critical_number(rep.witness)[0] >= 3
+    # frozen traversal anchors on every backend: verify gs n=3 and n=2 at
+    # r=5, the first with symmetry at every node, the second with the
+    # basis forced
+    for kern in backends:
+        monkeypatch.setattr(search, "kernels", kern)
+        cs = ConstraintSet(pg_free_order=3, min_critical=3)
+        rep = max_size_complement(5, cs, 10)
+        assert rep.exhaustive and rep.optimum == 21
+        assert rep.nodes == 838, kern.BACKEND_NAME
+        assert critical_number(rep.witness)[0] >= 3
+        cs = ConstraintSet(pg_free_order=2, min_critical=2)
+        rep = max_size_complement(5, cs, 21)
+        assert rep.exhaustive and rep.optimum == 10
+        assert rep.nodes == 68, kern.BACKEND_NAME
+        assert critical_number(rep.witness)[0] >= 2
+
+
+def line_blocking_cases():
+    """Every line family at ranks 1-5: girth 5 or order-2 freeness, any
+    critical demand, either full-rank demand, three blocker windows."""
+    for r in range(1, 6):
+        windows = sorted({3, 1 << (r - 1), (1 << r) - 1})
+        for line in ({"min_odd_girth": 5}, {"pg_free_order": 2}):
+            for c in [None] + list(range(2, r + 1)):
+                for full in (False, True):
+                    cs = ConstraintSet(min_critical=c, full_rank=full, **line)
+                    try:
+                        cs.validate(r)
+                    except ValueError:
+                        continue
+                    for window in windows:
+                        yield r, cs, window
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_complement_basis_forcing_replays_the_literal_search(monkeypatch, kern):
+    monkeypatch.setattr(search, "kernels", kern)
+    checked = 0
+    for r, cs, window in line_blocking_cases():
+        forced = max_size_complement(r, cs, window)
+        free = max_size_complement(r, cs, window, symmetry_break=False)
+        key = (r, cs, window)
+        assert forced.optimum == free.optimum, key
+        assert forced.exhaustive == free.exhaustive, key
+        if forced.witness is not None:
+            assert cs.satisfied_by(forced.witness), key
+            basis = search._forced_basis(r)
+            assert all(forced.witness.contains(v) for v in basis), key
+        checked += 1
+    assert checked == 164
 
 
 def test_complement_requires_flat_constraint():
@@ -416,6 +467,13 @@ def test_complement_requires_flat_constraint():
         max_size_complement(4, ConstraintSet(forbid_affine=True), 15)
     with pytest.raises(ValueError):
         max_size_complement(5, ConstraintSet(min_odd_girth=7, pg_free_order=3), 10)
+    # order-1 freeness is refused by name, with or without a line family
+    for cs in (
+        ConstraintSet(pg_free_order=1),
+        ConstraintSet(min_odd_girth=5, pg_free_order=1),
+    ):
+        with pytest.raises(ValueError, match="order 1"):
+            max_size_complement(4, cs, 15)
 
 
 def test_complement_girth_five_is_order_two_freeness():
