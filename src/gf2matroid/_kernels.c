@@ -383,36 +383,6 @@ static int fwd_finds(FwdCtx *c, const u64 *mask, int d)
     return found;
 }
 
-/* May w join chosen?  With v != 0, w was feasible before v joined chosen,
- * and pair is chosen & T_v(chosen): only flats through v are tested.  The
- * argument is in the pure twin's forward_search docstring. */
-static int fwd_feasible(FwdCtx *c, int w, const u64 *chosen, const u64 *sums, int v,
-                        const u64 *pair)
-{
-    int t, i, d = c->pg_n - 1;
-    const u64 *base = chosen;
-    u64 *tmp = c->scratch, *rest = c->scratch + c->nw;
-    for (t = 2; t <= c->T; t += 2)
-        if (bs_get(sums + t * c->nw, w))
-            return 0;
-    if (c->pg_n == 1)
-        return 0;
-    if (c->pg_n >= 3) {
-        if (v) {
-            if (!bs_get(chosen, v ^ w))
-                return 1;
-            base = pair;
-            d = c->pg_n - 2;
-        }
-        bs_translate(tmp, base, w, c->nw);
-        for (i = 0; i < c->nw; i++)
-            rest[i] = base[i] & tmp[i];
-        if (fwd_finds(c, rest, d))
-            return 0;
-    }
-    return 1;
-}
-
 static int fwd_passes_extra(FwdCtx *c, const u64 *chosen, const u64 *covers, int rank)
 {
     int i;
@@ -430,21 +400,30 @@ static int fwd_passes_extra(FwdCtx *c, const u64 *chosen, const u64 *covers, int
     return 1;
 }
 
-/* Write the state with v added into slab slot depth+1; return the new rank. */
-static int fwd_include(FwdCtx *c, int v, int depth, const u64 *chosen, const u64 *sums,
-                       const u64 *covers, const u16 *piv, int rank)
+/* Join v to the state in slab slot `slot` and write the result into slot
+ * depth + 1 (depth >= slot), with the child's frontier: the w among the
+ * nf candidates feas, v not among them, that may still join.  A new flat
+ * through v and w holds v ^ w, a chosen point, and is then
+ * span(v, w) + U with the nonzero vectors of U in pair & T_w(pair),
+ * pair = chosen & T_v(chosen); the argument is in the pure twin's
+ * forward_search docstring.  Returns the child's frontier size, adds 1
+ * to *rank when v is outside the span, and stops filtering once
+ * timed_out is set. */
+static int fwd_include(FwdCtx *c, int v, int slot, int depth, const u16 *feas, int nf,
+                       int *rank)
 {
-    int nw = c->nw, t, i, p;
-    u64 w;
-    u64 *nc = c->slab_chosen + (depth + 1) * nw;
-    u64 *ns = c->slab_sums + (size_t)(depth + 1) * (c->T + 1) * nw;
-    u64 *ncov = c->slab_covers + (depth + 1) * nw;
-    u16 *npiv = c->slab_piv + (depth + 1) * c->r;
-    const u64 *hv = c->hit + (size_t)v * nw;
-    u64 *tmp = c->scratch;
-    memcpy(nc, chosen, nw * sizeof(u64));
+    int nw = c->nw, sw = (c->T + 1) * nw, t, i, j, p, w, cnf = 0;
+    u64 x;
+    u64 *nc = c->slab_chosen + (size_t)(depth + 1) * nw;
+    u64 *ns = c->slab_sums + (size_t)(depth + 1) * sw;
+    u64 *ncov = c->slab_covers + (size_t)(depth + 1) * nw;
+    u16 *npiv = c->slab_piv + (size_t)(depth + 1) * c->r;
+    u16 *cfeas = c->slab_feas + (size_t)(depth + 1) * c->n_all;
+    const u64 *hv = c->hit + (size_t)v * nw, *cov = c->slab_covers + (size_t)slot * nw;
+    u64 *tmp = c->scratch, *rest = c->scratch + nw, *pair = c->scratch + 3 * nw;
+    memcpy(nc, c->slab_chosen + (size_t)slot * nw, nw * sizeof(u64));
     bs_set(nc, v);
-    memcpy(ns, sums, (size_t)(c->T + 1) * nw * sizeof(u64));
+    memcpy(ns, c->slab_sums + (size_t)slot * sw, sw * sizeof(u64));
     for (t = c->T; t >= 2; t--) {
         bs_translate(tmp, ns + (t - 1) * nw, v, nw);
         for (i = 0; i < nw; i++)
@@ -453,16 +432,38 @@ static int fwd_include(FwdCtx *c, int v, int depth, const u64 *chosen, const u64
     if (c->T >= 1)
         bs_set(ns + nw, v);
     for (i = 0; i < nw; i++)
-        ncov[i] = covers[i] & hv[i];
-    memcpy(npiv, piv, c->r * sizeof(u16));
-    for (w = (u64)v; w; w ^= npiv[p]) {
-        p = msb64(w);
+        ncov[i] = cov[i] & hv[i];
+    memcpy(npiv, c->slab_piv + (size_t)slot * c->r, c->r * sizeof(u16));
+    for (x = (u64)v; x; x ^= npiv[p]) {
+        p = msb64(x);
         if (npiv[p] == 0) {
-            npiv[p] = (u16)w;
-            return rank + 1;
+            npiv[p] = (u16)x;
+            ++*rank;
+            break;
         }
     }
-    return rank;
+    if (c->pg_n >= 3) {
+        bs_translate(pair, nc, v, nw);
+        for (i = 0; i < nw; i++)
+            pair[i] &= nc[i];
+    }
+    for (j = 0; j < nf && !c->timed_out; j++) {
+        w = feas[j];
+        /* sums of an even number of chosen points close odd circuits */
+        for (t = 2; t <= c->T && !bs_get(ns + t * nw, w); t += 2)
+            ;
+        if (t <= c->T)
+            continue;
+        if (c->pg_n >= 3 && bs_get(nc, v ^ w)) {
+            bs_translate(tmp, pair, w, nw);
+            for (i = 0; i < nw; i++)
+                rest[i] = pair[i] & tmp[i];
+            if (fwd_finds(c, rest, c->pg_n - 2))
+                continue;
+        }
+        cfeas[cnf++] = (u16)w;
+    }
+    return cnf;
 }
 
 /* The half-space bound, for odd girth >= 5: some f in covers leaves any
@@ -563,13 +564,15 @@ static int fwd_flat_bound(FwdCtx *c, const u16 *feas, int nf, const u64 *chosen,
     return u >= need || c->timed_out;
 }
 
-static void fwd_dfs(FwdCtx *c, int depth, const u16 *feas, int nf, const u64 *chosen,
-                    const u64 *sums, const u64 *covers, const u16 *piv, int rank, int size)
+/* One node: its state is in slab slot `slot` and its frontier is the nf
+ * points feas; the include branch's state goes to slot depth + 1. */
+static void fwd_dfs(FwdCtx *c, int depth, const u16 *feas, int nf, int slot, int rank,
+                    int size)
 {
-    int i, k, v, nrank, cnf, nonempty;
-    const u64 *hw;
-    u64 *reach, *c2, *s2, *pair;
-    u16 *cfeas;
+    int i, k, cnf, nrank = rank, nonempty;
+    const u64 *hw, *chosen = c->slab_chosen + (size_t)slot * c->nw;
+    const u64 *covers = c->slab_covers + (size_t)slot * c->nw;
+    u64 *reach;
     c->nodes++;
     c->ticks++;
     if (deadline_passed(c->ticks, 1, c->use_deadline, c->deadline)) {
@@ -606,29 +609,14 @@ static void fwd_dfs(FwdCtx *c, int depth, const u16 *feas, int nf, const u64 *ch
         if (c->T >= 2 && fwd_half_space_bound(c, feas, nf, covers, size))
             return;
     }
-    v = feas[0];
-    nrank = fwd_include(c, v, depth, chosen, sums, covers, piv, rank);
-    c2 = c->slab_chosen + (depth + 1) * c->nw;
-    s2 = c->slab_sums + (size_t)(depth + 1) * (c->T + 1) * c->nw;
-    cfeas = c->slab_feas + (size_t)(depth + 1) * c->n_all;
-    pair = c->scratch + 3 * c->nw;
-    if (c->pg_n >= 3) {
-        bs_translate(pair, c2, v, c->nw);
-        for (k = 0; k < c->nw; k++)
-            pair[k] &= c2[k];
-    }
-    cnf = 0;
-    for (i = 1; i < nf; i++) {
-        if (fwd_feasible(c, feas[i], c2, s2, v, pair))
-            cfeas[cnf++] = feas[i];
-        if (c->timed_out)
-            return;
-    }
-    fwd_dfs(c, depth + 1, cfeas, cnf, c2, s2, c->slab_covers + (depth + 1) * c->nw,
-            c->slab_piv + (depth + 1) * c->r, nrank, size + 1);
+    cnf = fwd_include(c, feas[0], slot, depth, feas + 1, nf - 1, &nrank);
     if (c->timed_out)
         return;
-    fwd_dfs(c, depth + 1, feas + 1, nf - 1, chosen, sums, covers, piv, rank, size);
+    fwd_dfs(c, depth + 1, c->slab_feas + (size_t)(depth + 1) * c->n_all, cnf, depth + 1,
+            nrank, size + 1);
+    if (c->timed_out)
+        return;
+    fwd_dfs(c, depth + 1, feas + 1, nf - 1, slot, rank, size);
 }
 
 static void fwd_free(FwdCtx *c)
@@ -661,7 +649,11 @@ PyDoc_STRVAR(forward_search_doc,
              "T_x being translation by x.  That set avoids span(v, w), so the test\n"
              "is one subspace_in(rest, n-2, r) call on a much sparser mask, and\n"
              "the verdict, the tree and the node count are those of the full test.\n"
-             "The root filter and the forced points use the full test.\n\n"
+             "Every point is feasible for the empty set, none under order-1\n"
+             "freeness, and the include step keeps every frontier point feasible,\n"
+             "so the search starts from the empty set and passes each forced point\n"
+             "through that step; a forced point gone from the frontier ends the\n"
+             "search with no set found.\n\n"
              "With odd girth >= 5 and critical demand >= 2, a node returns when\n"
              "some functional f that is 1 on every chosen point leaves any\n"
              "completion at most min(size + |one|, 2^(r-2)) + min(|zero|, 2^(r-2))\n"
@@ -693,12 +685,12 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     PyObject *forced_in_obj, *forced_out_obj, *budget, *seq = NULL, *result = NULL;
     Py_ssize_t n_forced = 0, j, k;
     FwdCtx c;
-    int n_all, nw, T, maxd, v, x, size, rank, depth, nf, dead = 0, overflow;
+    int n_all, nw, T, maxd, v, x, rank, depth, nf, overflow;
     long long n_flats;
     long fv;
     int *forced = NULL;
-    u16 *feas, *piv;
-    u64 *forced_out = NULL, *chosen, *sums, *covers, *levels;
+    u16 *feas;
+    u64 *forced_out = NULL, *levels;
     (void)self;
 
     memset(&c, 0, sizeof(c));
@@ -796,39 +788,31 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
         bs_set(c.nonzero, v);
     }
 
-    /* root state in slab slot 0 */
-    chosen = c.slab_chosen;
-    sums = c.slab_sums;
-    covers = c.slab_covers;
-    piv = c.slab_piv;
-    bs_set(sums, 0); /* the empty subset sums to zero */
-    memcpy(covers, c.nonzero, nw * sizeof(u64));
-    size = 0;
+    /* the empty set in slab slot 0: every point is feasible for it (none
+     * under order-1 freeness), and fwd_include keeps every point of a
+     * frontier feasible, so a forced point gone from it would not fit */
+    bs_set(c.slab_sums, 0); /* the empty subset sums to zero */
+    memcpy(c.slab_covers, c.nonzero, nw * sizeof(u64));
+    feas = c.slab_feas;
+    nf = 0;
+    for (v = n_all - 1; v > 0 && pg_n != 1; v--)
+        feas[nf++] = (u16)v;
     rank = 0;
-    depth = 0;
-    for (j = 0; j < n_forced; j++) {
-        v = forced[j];
-        if (!fwd_feasible(&c, v, chosen, sums, 0, NULL) || c.timed_out) {
-            dead = 1;
+    for (depth = 0; depth < n_forced && !c.timed_out; depth++) {
+        for (k = 0; k < nf && feas[k] != forced[depth]; k++)
+            ;
+        if (k == nf)
             break;
-        }
-        rank = fwd_include(&c, v, depth, chosen, sums, covers, piv, rank);
-        depth++;
-        chosen = c.slab_chosen + depth * nw;
-        sums = c.slab_sums + (size_t)depth * (T + 1) * nw;
-        covers = c.slab_covers + depth * nw;
-        piv = c.slab_piv + depth * r;
-        size++;
+        memmove(feas + k, feas + k + 1, (nf - k - 1) * sizeof(u16));
+        nf = fwd_include(&c, forced[depth], depth, depth, feas, nf - 1, &rank);
+        feas = c.slab_feas + (size_t)(depth + 1) * n_all;
     }
-    if (!dead) {
-        feas = c.slab_feas + (size_t)depth * n_all;
-        nf = 0;
-        for (v = n_all - 1; v > 0 && !c.timed_out; v--)
-            if (!bs_get(chosen, v) && !bs_get(forced_out, v) &&
-                fwd_feasible(&c, v, chosen, sums, 0, NULL))
-                feas[nf++] = (u16)v;
-        if (!c.timed_out)
-            fwd_dfs(&c, depth, feas, nf, chosen, sums, covers, piv, rank, size);
+    if (depth == n_forced && !c.timed_out) {
+        /* forced_out_mask goes last: a forced point may lie in it */
+        for (k = j = 0; k < nf; k++)
+            if (!bs_get(forced_out, feas[k]))
+                feas[j++] = feas[k];
+        fwd_dfs(&c, depth, feas, (int)j, depth, rank, depth);
     }
     result = search_result(c.best, c.best_mask, nw, c.nodes, c.timed_out);
 done:

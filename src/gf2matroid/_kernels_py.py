@@ -36,8 +36,9 @@ F = span(v, w) + U for an (n-2)-dimensional U whose nonzero vectors u
 have u, u ^ v, u ^ w and u ^ v ^ w all in C: they lie in P & T_w(P)
 with P = C & T_v(C), a set that misses span(v, w).  P is computed
 once per include, so each tested w costs one translate and one
-subspace_in call on a much sparser mask.  The root filter and the
-forced points use the full test.  _kernels.c keeps a list frontier
+subspace_in call on a much sparser mask.  The forced points pass
+through include too: every point is feasible for the empty set, and
+include keeps the frontier feasible.  _kernels.c keeps a list frontier
 and recurses into both branches, so the lockstep tests compare the
 two forms.
 
@@ -226,9 +227,12 @@ def forward_search(
     T_{v^w}(chosen).  That set avoids span(v, w), so the test is one
     subspace_in(rest, n-2, r) call on a much sparser mask, and the
     verdict, the tree and the node count are those of the full test.
-    The root filter and the forced points use the full test: a rank-n
-    flat through w in chosen + {w} is span(w) + U with the nonzero
-    vectors of U in chosen & T_w(chosen).
+    Every frontier point is feasible for its chosen set, by induction:
+    every point is feasible for the empty set (none under order-1
+    freeness), and include keeps only feasible points.  So the forced
+    points go through include in turn from the empty set; one that has
+    left the frontier ends the search with best -1 and no node.
+    forced_out_mask is cleared last, so a forced point may lie in it.
 
     The half-space bound (critical demand >= 2) splits feas, for each
     functional f in covers (those with f.c = 1 for every chosen c),
@@ -271,7 +275,8 @@ def forward_search(
     the bound is off.  flats_through[p] holds the flats through p, one
     bit per flat, and inside, the flats within S, drops
     flats_through[p] for each point p that leaves S: the excluded v,
-    and the points the gates drop from the child's frontier.
+    the points include drops from the child's frontier, and the points
+    of forced_out_mask.
     _kernels.c recounts u at every node by scanning its own listing.
     The rank the full-rank test reads is kept as the span of the chosen
     set, a bitset grown by one translation whenever a point outside it
@@ -327,30 +332,6 @@ def forward_search(
         poll()
         return found
 
-    def closers(cands: int, base: int, d: int) -> int:
-        """The w in cands with a d-dimensional subspace in base & T_w(base)."""
-        out = 0
-        for w in iter_bits(cands):
-            if finds(base & translate_mask(base, w, r), d):
-                out |= 1 << w
-        return out
-
-    def girth_gate(sums: List[int]) -> int:
-        """The points that would close an odd circuit of at most T + 1 points."""
-        gate = 0
-        for t in evens:
-            gate |= sums[t]
-        return gate
-
-    def admit(cands: int, chosen: int, sums: List[int]) -> int:
-        """The w in cands that may join chosen, by the full test."""
-        cands &= ~girth_gate(sums)
-        if pg_n == 1:
-            return 0
-        if pg_n >= 3:
-            cands &= ~closers(cands, chosen, pg_n - 1)
-        return cands
-
     def passes_extra(chosen: int, covers: int, span: int) -> bool:
         if min_critical >= 2 and covers != 0:
             return False
@@ -362,8 +343,15 @@ def forward_search(
             return False
         return True
 
-    def include(v, chosen, sums, covers, span):
-        """The state with v joined to chosen."""
+    def drop(inside: int, gone: int) -> int:
+        """inside without the flats through any point of gone."""
+        for p in iter_bits(gone):
+            inside &= ~flats_through[p]
+        return inside
+
+    def include(v, feas, chosen, sums, covers, span, inside):
+        """The child's state: v joins chosen, feas (without v) keeps the
+        w still feasible, and inside the flats within chosen + feas."""
         chosen |= 1 << v
         sums = list(sums)
         for t in range(T, 1, -1):
@@ -373,13 +361,20 @@ def forward_search(
         covers &= hit[v]
         if not (span >> v) & 1:
             span |= translate_mask(span, v, r)
-        return chosen, sums, covers, span
-
-    def drop(inside: int, gone: int) -> int:
-        """inside without the flats through any point of gone."""
-        for p in iter_bits(gone):
-            inside &= ~flats_through[p]
-        return inside
+        # the sums of an even number of chosen points close odd circuits
+        rest = feas
+        for t in evens:
+            rest &= ~sums[t]
+        if pg_n >= 3:
+            # a new flat through v and w holds v ^ w, a chosen point
+            tv = translate_mask(chosen, v, r)
+            pair = chosen & tv
+            for w in iter_bits(rest & tv):
+                if finds(pair & translate_mask(pair, w, r), pg_n - 2):
+                    rest ^= 1 << w
+        if inside:
+            inside = drop(inside, feas & ~rest)
+        return rest, chosen, sums, covers, span, inside
 
     def dfs(feas, chosen, size, sums, covers, span, inside):
         """inside: the n-flats inside chosen + feas, one bit per flat."""
@@ -416,43 +411,42 @@ def forward_search(
                         fs ^= 1 << f
             v = feas.bit_length() - 1
             feas ^= 1 << v
-            c2, s2, cov2, span2 = include(v, chosen, sums, covers, span)
-            rest = feas & ~girth_gate(s2)
-            if pg_n >= 3:
-                # a new flat through v and w holds v ^ w, a chosen point
-                tv = translate_mask(c2, v, r)
-                rest &= ~closers(rest & tv, c2 & tv, pg_n - 2)
-            inside2 = drop(inside, feas & ~rest) if inside else 0
+            rest, c2, s2, cov2, span2, inside2 = include(
+                v, feas, chosen, sums, covers, span, inside
+            )
             dfs(rest, c2, size + 1, s2, cov2, span2, inside2)
             if inside:
                 inside &= ~flats_through[v]
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n_all + 100))
+    # the empty set: every point is feasible (none under order-1 freeness)
+    feas = nonzero_mask(r) if pg_n != 1 else 0
     chosen = 0
     sums = [0] * (T + 1)
     if T >= 0:
         sums[0] = 1  # the empty subset sums to zero
     covers = nonzero_mask(r)
     span = 1  # the zero vector
-    size = 0
+    inside = 0
     completed = True
     try:
+        if n_flats:
+            flats = enumerate_subspaces(r, pg_n)
+            # vectors() lists 0 first
+            rows = (s.vectors()[1:] for s in flats)
+            flats_through = _columns(rows, n_flats, n_all, poll)
+            inside = (1 << n_flats) - 1
         for v in forced_in:
-            if not admit(1 << v, chosen, sums):
-                break
-            chosen, sums, covers, span = include(v, chosen, sums, covers, span)
-            size += 1
+            if not (feas >> v) & 1:
+                break  # v is no longer feasible
+            feas, chosen, sums, covers, span, inside = include(
+                v, feas ^ (1 << v), chosen, sums, covers, span, inside
+            )
         else:
-            feas = admit(nonzero_mask(r) & ~chosen & ~forced_out_mask, chosen, sums)
-            if n_flats:
-                flats = enumerate_subspaces(r, pg_n)
-                # vectors() lists 0 first
-                rows = (s.vectors()[1:] for s in flats)
-                flats_through = _columns(rows, n_flats, n_all, poll)
-                inside = drop((1 << n_flats) - 1, nonzero_mask(r) & ~chosen & ~feas)
-            else:
-                inside = 0
-            dfs(feas, chosen, size, sums, covers, span, inside)
+            out = feas & forced_out_mask
+            if inside:
+                inside = drop(inside, out)
+            dfs(feas ^ out, chosen, len(forced_in), sums, covers, span, inside)
     except _Timeout:
         completed = False
     return best, best_mask, nodes, completed

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Dict, List, Optional
 
@@ -39,8 +38,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
-
-THREADS_ENV = "GF2MATROID_THREADS"
 
 FAMILY_ALIASES = {"bb": "bose-burton"}
 
@@ -83,17 +80,11 @@ def _emit(d: Dict) -> None:
 
 
 def _resolve_threads(value: Optional[int]) -> int:
-    if value is not None:
-        if value < 1:
-            raise ValueError(f"threads must be >= 1, got {value}")
-        return value
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"{THREADS_ENV} must be >= 1, got {env}")
-        return n
-    return 1
+    if value is None:
+        return 1
+    if value < 1:
+        raise ValueError(f"threads must be >= 1, got {value}")
+    return value
 
 
 def _needs_deep(theorem: str, params: Dict[str, int]) -> bool:

@@ -157,7 +157,9 @@ class SearchReport:
 
     optimum is exact when exhaustive is true, a lower bound when a
     witness was found before the budget ran out, and None when nothing
-    conclusive was established.
+    conclusive was established.  An exhaustive search that finds no
+    valid set, not even the empty one, reports optimum 0 and witness
+    None; an empty largest set comes with an empty witness.
     """
 
     rank: int
@@ -236,6 +238,40 @@ def _mask_lex_less(a: int, b: int) -> bool:
 def _check_budget(budget: Optional[float]) -> None:
     if budget is not None and not budget >= 0:  # NaN fails every comparison
         raise ValueError(f"budget must be >= 0 seconds, got {budget}")
+
+
+def _report(
+    r: int,
+    constraints: ConstraintSet,
+    method: str,
+    best: int,
+    mask: int,
+    nodes: int,
+    exhaustive: bool,
+    t0: float,
+    threads: int = 1,
+) -> SearchReport:
+    """The report of a search started at t0 that found the set mask of
+    best points, or none when best < 0; the oracles re-verify the
+    witness after the wall time is read."""
+    wall = monotonic() - t0
+    if best < 0:
+        optimum, witness = (0 if exhaustive else None), None
+    else:
+        optimum, witness = best, BinaryMatroid(r, mask)
+        if witness.size != best or not constraints.satisfied_by(witness):
+            raise RuntimeError("search witness failed re-verification")
+    return SearchReport(
+        rank=r,
+        constraints=constraints,
+        method=method,
+        optimum=optimum,
+        witness=witness,
+        nodes=nodes,
+        wall_time=wall,
+        exhaustive=exhaustive,
+        threads=threads,
+    )
 
 
 def _forward_task(args) -> Tuple[int, int, int, bool]:
@@ -344,32 +380,8 @@ def max_size(
     best, best_mask, nodes, completed = _run_forward(
         r, norm, forced, budget, threads, prune
     )
-    wall = monotonic() - t0
-    if best < 0:
-        return SearchReport(
-            rank=r,
-            constraints=constraints,
-            method="forward",
-            optimum=0 if completed else None,
-            witness=None,
-            nodes=nodes,
-            wall_time=wall,
-            exhaustive=completed,
-            threads=threads,
-        )
-    witness = BinaryMatroid(r, best_mask)
-    if witness.size != best or not constraints.satisfied_by(witness):
-        raise RuntimeError("search witness failed re-verification")
-    return SearchReport(
-        rank=r,
-        constraints=constraints,
-        method="forward",
-        optimum=best,
-        witness=witness,
-        nodes=nodes,
-        wall_time=wall,
-        exhaustive=completed,
-        threads=threads,
+    return _report(
+        r, constraints, "forward", best, best_mask, nodes, completed, t0, threads
     )
 
 
@@ -385,8 +397,10 @@ def max_size_complement(
     Needs a hereditary constraint expressible as flat blocking, i.e.
     pg_free_order (or odd girth 5, which equals order-2 freeness).
     Critical-number demands become a forbidden flat inside the blocker.
-    When no blocker of size <= max_blocker exists the result is
-    inconclusive: optimum None, exhaustive False.
+    When a window shorter than 2^r - 1 admits no blocker, the result is
+    inconclusive: optimum None, exhaustive False.  With the full window
+    a completed search that finds no blocker proves that no set is
+    valid, and reports it as max_size does: optimum 0, no witness.
 
     With symmetry_break and lines to block (n = 2), the points of
     _forced_basis(r) are cleared from every line, so every blocker
@@ -457,33 +471,12 @@ def max_size_complement(
             left,
             symmetry_break and not force_basis,
         )
-    wall = monotonic() - t0
-    if best < 0:
-        return SearchReport(
-            rank=r,
-            constraints=constraints,
-            method="complement",
-            optimum=None,
-            witness=None,
-            nodes=nodes,
-            wall_time=wall,
-            exhaustive=False,
-            threads=1,
-        )
-    witness = BinaryMatroid(r, nonzero_mask(r) & ~b_mask)
-    if witness.size != (1 << r) - 1 - best or not constraints.satisfied_by(witness):
-        raise RuntimeError("search witness failed re-verification")
-    return SearchReport(
-        rank=r,
-        constraints=constraints,
-        method="complement",
-        optimum=witness.size,
-        witness=witness,
-        nodes=nodes,
-        wall_time=wall,
-        exhaustive=completed,
-        threads=1,
-    )
+    # with no blocker found, the search proves that no set is valid only
+    # if its window admitted every blocker, all 2^r - 1 points included
+    exhaustive = completed and (best >= 0 or max_blocker >= (1 << r) - 1)
+    size = (1 << r) - 1 - best if best >= 0 else -1
+    kept = nonzero_mask(r) & ~b_mask
+    return _report(r, constraints, "complement", size, kept, nodes, exhaustive, t0)
 
 
 def verify_theorem(
@@ -499,9 +492,13 @@ def verify_theorem(
     gs:          largest such set with critical number >= n is
                  (1 - 11/2^(n+2))*2^r
     Each check also rebuilds the matching construction and confirms it
-    attains the bound.
+    attains the bound.  threads splits the forward search of main over
+    processes; bose_burton and gs run the complement engine in one
+    process and raise ValueError unless threads is 1.
     """
     t0 = monotonic()
+    if theorem in ("bose_burton", "gs") and threads != 1:
+        raise ValueError(f"threads apply to theorem 'main' only, not {theorem!r}")
     if theorem == "main":
         k, r = params["k"], params["r"]
         construction = extremal_odd_girth(k, r)  # validates k and r

@@ -26,7 +26,6 @@ from gf2matroid.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
-    THREADS_ENV,
     analysis_dict,
     main,
 )
@@ -282,6 +281,16 @@ def test_search_complement_refuses_order_one_freeness(capsys):
         assert out == "" and "order 1" in err
 
 
+def test_search_complement_proves_an_infeasible_demand(capsys):
+    argv = ["search", "-r", "5", "--pg-free", "2", "--min-critical", "3"]
+    code, out, _ = run(capsys, *argv, "--method", "complement")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    jsonschema.validate(report, schema("search"))
+    assert report["exhaustive"] and report["optimum"] == 0
+    assert report["witness"] is None
+
+
 def test_search_forward_flags_need_forward_method(capsys):
     for flag in (["--threads", "2"], ["--no-prune"]):
         argv = ["search", "-r", "4", "--pg-free", "2", "--method", "complement"]
@@ -290,23 +299,26 @@ def test_search_forward_flags_need_forward_method(capsys):
         assert "forward" in err
 
 
-def test_search_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "2")
-    code, out, _ = run(
-        capsys, "search", "-r", "4", "--min-odd-girth", "5", "--forbid-affine"
-    )
+def test_search_threads_must_be_positive(capsys):
+    argv = ["search", "-r", "4", "--min-odd-girth", "5", "--forbid-affine"]
+    code, out, err = run(capsys, *argv, "--threads", "0")
+    assert code == EXIT_USAGE
+    assert out == "" and "threads" in err
+    code, out, _ = run(capsys, *argv, "--threads", "2")
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["threads"] == 2 and report["optimum"] == 5
 
 
-def test_search_threads_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "0")
-    code, _, err = run(
-        capsys, "search", "-r", "4", "--min-odd-girth", "5", "--forbid-affine"
-    )
-    assert code == EXIT_USAGE
-    assert THREADS_ENV in err
+def test_verify_complement_theorems_refuse_threads(capsys):
+    # bose_burton and gs run the complement engine in one process
+    for theorem in ("gs", "bose_burton"):
+        argv = ["verify", theorem, "--n", "2", "--r", "5", "--threads", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, theorem
+        assert out == "" and "threads" in err
+    code, _, _ = run(capsys, "verify", "gs", "--n", "2", "--r", "5", "--threads", "1")
+    assert code == EXIT_OK
 
 
 def test_verify_pass_exit_zero(capsys):

@@ -712,6 +712,27 @@ def test_forced_points_respected(kern):
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_forced_points_pass_through_the_include_step(kern):
+    # a forced point that would close a line, or the plane of PG(2,2),
+    # ends the search before its first node
+    args = (4, 5, 0, 0, False, (3, 5, 6), 0, None, True)
+    assert kern.forward_search(*args) == (-1, 0, 0, True)
+    args = (3, 0, 3, 0, False, tuple(range(1, 8)), 0, None, True)
+    assert kern.forward_search(*args) == (-1, 0, 0, True)
+    # forced_out_mask is cleared last, so a forced point may lie in it
+    args = (4, 5, 0, 0, False, (15, 14), 1 << 14, None, True)
+    assert kern.forward_search(*args) == (8, 0xFF00, 51, True)
+    # the order of the forced points leaves the tree as it is
+    basis = _forced_basis(5)
+    trees = (((5, 5, 0, 2, False), 10, 153), ((5, 0, 3, 0, False), 24, 7931))
+    for head, best, nodes in trees:
+        down = kern.forward_search(*head, basis, 0, None, True)
+        up = kern.forward_search(*head, tuple(sorted(basis)), 0, None, True)
+        assert up == down, head
+        assert (down[0], down[2], down[3]) == (best, nodes, True), head
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
 def test_forward_search_infeasible_reports_negative(kern):
     # forcing two points while forbidding everything of critical >= 3
     # at rank 1 is impossible: only one nonzero point exists

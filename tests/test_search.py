@@ -488,6 +488,24 @@ def test_complement_window_too_small_is_inconclusive():
     assert rep.witness is None
 
 
+def test_engines_agree_on_an_infeasible_demand():
+    # no line-free set at rank 5 has critical number >= 3
+    cs = ConstraintSet(pg_free_order=2, min_critical=3)
+    for rep in (max_size(5, cs), max_size_complement(5, cs, 31)):
+        assert rep.exhaustive, rep.method
+        assert rep.optimum == 0 and rep.witness is None, rep.method
+    # a window short of all 31 points does not admit every blocker
+    rep = max_size_complement(5, cs, 30)
+    assert not rep.exhaustive
+    assert rep.optimum is None and rep.witness is None
+
+
+def test_verify_theorem_complement_theorems_refuse_threads():
+    for theorem in ("bose_burton", "gs"):
+        with pytest.raises(ValueError, match="threads"):
+            verify_theorem(theorem, {"n": 2, "r": 5}, threads=2)
+
+
 def test_verify_theorem_main():
     rep = verify_theorem("main", {"k": 5, "r": 4})
     assert rep.passed and not rep.inconclusive

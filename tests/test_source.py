@@ -1,7 +1,12 @@
 """Rules the package source keeps."""
 
 import ast
+import os
 import re
+import shlex
+import shutil
+import subprocess
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -30,3 +35,16 @@ def test_kernels_declare_the_same_flat_table_cap():
     # digits, shifts and arithmetic read the same in C and Python
     assert re.fullmatch(r"[\d\s()<*+-]+", expr), expr
     assert eval(expr) == _kernels_py._FLAT_TABLE_MAX
+
+
+def test_kernels_c_compiles_without_warnings():
+    # catches, among others, the variables a refactor leaves unused
+    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler")
+    include = sysconfig.get_paths()["include"]
+    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-std=c99", f"-I{include}"]
+    done = subprocess.run(
+        [*cc, *flags, str(PACKAGE / "_kernels.c")], capture_output=True, text=True
+    )
+    assert done.returncode == 0 and done.stderr == "", done.stderr
