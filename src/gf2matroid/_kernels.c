@@ -927,7 +927,8 @@ static void cmp_dfs(CmpCtx *c, int depth, const u64 *b_mask, int b_size, const u
     u64 *cspan;
     u16 piv[16];
     c->nodes++;
-    if (deadline_passed(c->nodes, 1, c->use_deadline, c->deadline)) {
+    /* every node: a node rescans the whole family, so its cost grows with it */
+    if (c->use_deadline && monotonic_now() > c->deadline) {
         c->timed_out = 1;
         return;
     }
@@ -1111,13 +1112,14 @@ static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *
         PyErr_NoMemory();
         goto done;
     }
+    /* the budget covers reading the family too */
+    if (read_deadline(budget, &c.use_deadline, &c.deadline) < 0)
+        goto done;
     for (i = 0; i < n_subs; i++) {
         if (read_mask(PySequence_Fast_GET_ITEM(seq, i), r, c.subs + (size_t)i * nw, nw) < 0)
             goto done;
         c.subs[(size_t)i * nw] &= ~1ULL; /* the zero vector is no point */
     }
-    if (read_deadline(budget, &c.use_deadline, &c.deadline) < 0)
-        goto done;
 
     for (i = 0; i < n_subs; i++) {
         for (wi = 0; wi < nw; wi++) {

@@ -60,17 +60,24 @@ its subspace finder instead, so the lockstep tests compare two
 independent versions of each test.  With symmetry on, every node
 branches on the points of its subspace inside span(B) and on one point
 outside it; complement_search gives the argument.
+
+Both searches set up their tables as whole-array work.  The flats come
+as point masks from gf2.subspace_masks, one translation per row and
+no Subspace object.  Every per-point column (the subspaces through v,
+the flats through v) and the root counter planes are the columns of a
+bit matrix whose rows are masks; _transpose packs the rows into bytes
+once and reads each column with a strided slice, a byte translation to
+ASCII digits and int(s, 2), all linear and in C.
 """
 
 from __future__ import annotations
 
 import sys
 from time import monotonic
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gf2 import (
     echelon_insert,
-    enumerate_subspaces,
     gaussian_binomial,
     hyperplane_complement,
     iter_bits,
@@ -78,6 +85,7 @@ from .gf2 import (
     subspace_in,
     translate_mask,
 )
+from .gf2 import subspace_masks as flat_masks  # complement_search has a parameter of its name
 
 __all__ = [
     "BACKEND_NAME",
@@ -113,26 +121,43 @@ def _check_mask(mask: int, r: int) -> None:
         raise ValueError(f"mask has bits outside the 2^{r} vectors of GF(2)^{r}")
 
 
-def _columns(
-    rows: Iterable[Iterable[int]],
-    n_rows: int,
-    n_cols: int,
-    poll: Optional[Callable[[], None]] = None,
-) -> List[int]:
-    """Column bitmaps of a 0/1 table: bit k of column c is set iff row k holds c.
+# _BIT_DIGITS[j] maps a byte to ASCII "1" where its bit j is set, else "0"
+_BIT_DIGITS = tuple((b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8))
 
-    Per-column bytearrays keep this linear in the incidences; OR-ing
-    1 << k into growing ints would be quadratic in n_rows.  poll, when
-    given, runs every _LIST_POLL rows.
+
+def _transpose(
+    masks: Iterable[int], width: int, poll: Optional[Callable[[], None]] = None
+) -> List[int]:
+    """Columns of a bit matrix: bit k of column c is set iff bit c of masks[k] is.
+
+    Each mask becomes one row of a byte matrix through to_bytes.  The
+    matrix is reversed once, so the rows run last to first and each
+    row's bytes high to low; a strided slice then holds byte c >> 3 of
+    every row, last row first, and translating it to ASCII digits reads
+    as column c in base 2.  Every step is linear and runs in C.  poll,
+    when given, runs after each column.
     """
-    cols = [bytearray((n_rows + 7) >> 3) for _ in range(n_cols)]
-    for k, row in enumerate(rows):
-        byte, bit = k >> 3, 1 << (k & 7)
-        for c in row:
-            cols[c][byte] |= bit
-        if poll is not None and k % _LIST_POLL == 0:
+    nbytes = (width + 7) >> 3
+    matrix = b"".join([m.to_bytes(nbytes, "little") for m in masks])[::-1]
+    if not matrix:
+        return [0] * width
+    cols = []
+    for c in range(width):
+        i, j = divmod(c, 8)
+        if j == 0:
+            stripe = matrix[nbytes - 1 - i :: nbytes]
+        cols.append(int(stripe.translate(_BIT_DIGITS[j]), 2))
+        if poll is not None:
             poll()
-    return [int.from_bytes(col, "little") for col in cols]
+    return cols
+
+
+def _polled(masks: Iterable[int], poll: Callable[[], None]) -> Iterator[int]:
+    """masks, running poll after every _LIST_POLL of them."""
+    for k, m in enumerate(masks, 1):
+        yield m
+        if k % _LIST_POLL == 0:
+            poll()
 
 
 def _decrement(planes: List[int], borrow: int) -> List[int]:
@@ -270,8 +295,10 @@ def forward_search(
       whole flat.
     - Each point lies on exactly [r-1, n-1]_2 n-flats.
     So at least ceil(u / [r-1, n-1]_2) points of feas stay out of M.
-    The n-flats are listed once, polling the deadline every _LIST_POLL
-    flats, when there are at most _FLAT_TABLE_MAX of them; above that
+    The n-flats are listed once by gf2.subspace_masks and turned into
+    per-point columns by _transpose, polling the deadline every
+    _LIST_POLL flats and after each column, when there are at most
+    _FLAT_TABLE_MAX of them; above that
     the bound is off.  flats_through[p] holds the flats through p, one
     bit per flat, and inside, the flats within S, drops
     flats_through[p] for each point p that leaves S: the excluded v,
@@ -431,10 +458,8 @@ def forward_search(
     completed = True
     try:
         if n_flats:
-            flats = enumerate_subspaces(r, pg_n)
-            # vectors() lists 0 first
-            rows = (s.vectors()[1:] for s in flats)
-            flats_through = _columns(rows, n_flats, n_all, poll)
+            flats = _polled(flat_masks(r, pg_n), poll)
+            flats_through = _transpose(flats, n_all, poll)
             inside = (1 << n_flats) - 1
         for v in forced_in:
             if not (feas >> v) & 1:
@@ -504,14 +529,22 @@ def complement_search(
     has |F \\ B| = 1: one AND of the flats through p with the count-1
     plane, built once per node.  A child that passes its bound
     subtracts one from the counters of the flats through p, a t-step
-    borrow chain.  Listing the t-flats costs [r, t]_2 subspaces up
-    front, linear in their points, and polls the deadline every
-    _LIST_POLL flats.
+    borrow chain.  The t-flats are listed up front, [r, t]_2 masks from
+    gf2.subspace_masks, polling the deadline every _LIST_POLL flats.
 
     All three give the verdicts of the direct tests, so the tree and
     the node count stay those of the compiled twin, which recounts the
     uncovered subspaces, packs by scanning and asks its subspace finder
     whether a t-flat closes.
+
+    The columns through[v], the flats through v and the root count
+    planes are each the transpose of a list of masks (the count planes
+    that of the subspace sizes), built by _transpose: one to_bytes per
+    mask, then per column a strided slice of the packed bytes, a
+    translation to ASCII digits and int(s, 2), linear and in C.  The
+    deadline, which covers this setup, is polled after each column and
+    at every node: a node's cost grows with the family, so a fixed
+    count of nodes between polls would not bound the overrun.
 
     symmetry=True breaks symmetry at every node and needs a subspace
     family closed under GL(r,2), such as all subspaces of some given
@@ -539,11 +572,12 @@ def complement_search(
     _check_rank(r)
     if not 0 <= forbidden_dim <= r:
         raise ValueError(f"forbidden_dim must be in [0, {r}], got {forbidden_dim}")
+    # the budget covers reading the family too
+    deadline = monotonic() + budget if budget is not None else None
     for m in subspace_masks:
         _check_mask(m, r)
     subs = [m & ~1 for m in subspace_masks]
     n_all = 1 << r
-    deadline = monotonic() + budget if budget is not None else None
     n_subs = len(subs)
     through: List[int] = []  # the subspaces through v, one bit per subspace
     meets: dict = {}
@@ -582,8 +616,7 @@ def complement_search(
         yet subtracted from planes; span: the span of b_mask, a bitset."""
         nonlocal best, best_mask, nodes
         nodes += 1
-        if nodes % _CHECK_INTERVAL == 0:
-            poll()
+        poll()
         if uncov == 0:
             if full_rank:
                 pts = nonzero_mask(r) & ~b_mask
@@ -648,21 +681,15 @@ def complement_search(
 
     completed = True
     try:
-        through = _columns((iter_bits(m) for m in subs), n_subs, n_all, poll)
+        through = _transpose(subs, n_all, poll)
         maxcov = max(t.bit_count() for t in through) or 1
         # |S_i & avail| at the root, as bit-planes over the subspace indices
         sizes = [m.bit_count() for m in subs]
         n_planes = max(sizes, default=0).bit_length()
-        root_counts = _columns(
-            ((j for j in range(n_planes) if c >> j & 1) for c in sizes),
-            n_subs,
-            n_planes,
-            poll,
-        )
+        root_counts = _transpose(sizes, n_planes, poll)
         n_flats = gaussian_binomial(r, forbidden_dim) if forbidden_dim else 0
-        flats = enumerate_subspaces(r, forbidden_dim) if forbidden_dim else ()
-        # vectors() lists 0 first
-        flats_through = _columns((s.vectors()[1:] for s in flats), n_flats, n_all, poll)
+        flats = _polled(flat_masks(r, forbidden_dim), poll) if forbidden_dim else ()
+        flats_through = _transpose(flats, n_all, poll)
         root_planes = [(1 << n_flats) - 1] * forbidden_dim
         uncov = (1 << n_subs) - 1
         dfs(0, 0, uncov, nonzero_mask(r), root_counts, root_planes, 0, 1)

@@ -79,14 +79,6 @@ def _emit(d: Dict) -> None:
     print(json.dumps(d, indent=2, sort_keys=True))
 
 
-def _resolve_threads(value: Optional[int]) -> int:
-    if value is None:
-        return 1
-    if value < 1:
-        raise ValueError(f"threads must be >= 1, got {value}")
-    return value
-
-
 def _needs_deep(theorem: str, params: Dict[str, int]) -> bool:
     """Parameter ranges that can take minutes to hours; refused unless
     --deep is given."""
@@ -96,12 +88,16 @@ def _needs_deep(theorem: str, params: Dict[str, int]) -> bool:
         return (k == 5 and r >= 7) or (k == 7 and r >= 8) or k >= 9
     n = params["n"]
     if theorem == "bose_burton":
-        # n >= r - 2 takes seconds up to r = 9 (n=7 r=9: about 4 s pure);
-        # n=2 r=7 takes 1,863 nodes with the basis forced, n=4 r=7 is a
-        # 3.47M-node tree and n=2 r=8 does not finish in two minutes
+        # n >= r - 2 takes seconds up to r = 10 (pure: n=7 r=9 0.4 s,
+        # n=8 r=10 2.1 s), and n >= r - 1 under 0.3 s up to the kernels'
+        # rank 12; n = r - 2 at r = 11 hits [11, 9]_2 = 698,027 flats,
+        # and past rank 12 the hitting family is listed before the
+        # kernel refuses the rank.  n=2 r=7 takes 1,863 nodes with the
+        # basis forced, n=4 r=7 is a 3.47M-node tree and n=2 r=8 does
+        # not finish in two minutes
         if n == 2:
             return r >= 8
-        return r >= 7 and (n <= r - 3 or r >= 10)
+        return r >= 7 and (n <= r - 3 or (n == r - 2 and r >= 11) or r >= 13)
     # gs n=2 and n=4 at r=6 take under 0.1 s; n=3 r=6 is a 7.5M-node tree
     return r >= 7 or (r == 6 and n == 3)
 
@@ -209,7 +205,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             args.rank,
             cs,
             budget=args.budget,
-            threads=_resolve_threads(args.threads),
+            threads=1 if args.threads is None else args.threads,
             symmetry_break=not args.no_symmetry,
             prune=not args.no_prune,
         )
@@ -250,7 +246,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.theorem,
         params,
         budget=args.budget,
-        threads=_resolve_threads(args.threads),
+        threads=1 if args.threads is None else args.threads,
     )
     _emit(rep.to_json_dict())
     if rep.passed:

@@ -33,6 +33,7 @@ __all__ = [
     "rank_of",
     "span",
     "subspace_in",
+    "subspace_masks",
     "translate_mask",
 ]
 
@@ -226,37 +227,79 @@ def enumerate_subspaces(r: int, d: int) -> Iterator[Subspace]:
 
     Every subspace appears exactly once because reduced-echelon bases
     are canonical.  The count equals gaussian_binomial(r, d).  Yields
-    lazily: b_1 runs ascending over the vectors whose top bit is an
-    allowed pivot, and the rest of the basis is a reduced-echelon
-    basis of dimension d - 1 whose pivots are the allowed positions
-    below b_1's top bit where b_1 is 0 (b_1 must be 0 at every later
-    pivot, and the later rows lie below its pivot).  Ascending b_1 with
-    the rest ascending below it is the ascending tuple order.
+    lazily, from the recursion _echelon describes.
     """
     check_rank(r, POINTSET_RANK_MAX)
     if d < 0 or d > r:
         return
-    for rows in _echelon_rows(d, (1 << r) - 1, ()):
-        yield Subspace(r, rows)
-
-
-def _echelon_rows(
-    d: int, allowed: int, prefix: Tuple[int, ...]
-) -> Iterator[Tuple[int, ...]]:
-    # prefix + each reduced-echelon basis of dimension d with every
-    # pivot in allowed, ascending by tuple
     if d == 0:
-        yield prefix
+        yield Subspace(r, ())
         return
+    for rows, p in _echelon(d, (1 << r) - 1, (), _append_row):
+        for b in range(1 << p, 2 << p):
+            yield Subspace(r, rows + (b,))
+
+
+def subspace_masks(r: int, d: int) -> Iterator[int]:
+    """Point masks of all d-dimensional subspaces, in enumerate_subspaces order.
+
+    The recursion of enumerate_subspaces passes down the point mask of
+    each prefix's span instead of its rows: a row b grows the span S
+    to S + T_b(S + {0}), T_b translating by b.  The last row b runs
+    over [2^p, 2^(p+1)), so the coset T_b(S + {0}) for the next b in a
+    block of 2^k consecutive values is one single-bit translation of an
+    earlier one, the block doubling once per low bit; each block costs
+    one full translate_mask.  No Subspace is built.  Lazy, with at most
+    64 cosets held at a time.
+    """
+    check_rank(r, POINTSET_RANK_MAX)
+    if d < 0 or d > r:
+        return
+    if d == 0:
+        yield 0
+        return
+
+    def grow(span: int, b: int) -> int:
+        return span | translate_mask(span | 1, b, r)
+
+    for span, p in _echelon(d, (1 << r) - 1, 0, grow):
+        k = min(p, 6)
+        for hi in range(1 << p, 2 << p, 1 << k):
+            block = [translate_mask(span | 1, hi, r)]
+            for j in range(k):
+                s, low = 1 << j, _low_pattern(r, j)
+                block += [((c & low) << s) | ((c >> s) & low) for c in block]
+            for c in block:
+                yield span | c
+
+
+def _append_row(rows: Tuple[int, ...], b: int) -> Tuple[int, ...]:
+    return rows + (b,)
+
+
+def _echelon(d: int, allowed: int, state, step) -> Iterator[tuple]:
+    """(state, p) for the first d - 1 rows of each reduced-echelon basis
+    of dimension d >= 1 with every pivot in allowed, and the pivot p of
+    its last row, ascending by tuple; every b in [2^p, 2^(p+1)) is a
+    last row.  step(state, b) is the state after row b.
+
+    The first row b runs ascending over the vectors whose top bit is an
+    allowed pivot, and the rest of the basis is a reduced-echelon
+    basis of dimension d - 1 whose pivots are the allowed positions
+    below b's top bit where b is 0 (b must be 0 at every later pivot,
+    and the later rows lie below its pivot).  Ascending b with the rest
+    ascending below it is the ascending tuple order.
+    """
     for p in iter_bits(allowed):
         below = allowed & ((1 << p) - 1)
         if below.bit_count() < d - 1:
             continue
+        if d == 1:
+            yield state, p
+            continue
         for b in range(1 << p, 2 << p):
-            if d == 1:
-                yield prefix + (b,)
-            elif (below & ~b).bit_count() >= d - 1:
-                yield from _echelon_rows(d - 1, below & ~b, prefix + (b,))
+            if (below & ~b).bit_count() >= d - 1:
+                yield from _echelon(d - 1, below & ~b, step(state, b), step)
 
 
 def hyperplane_complement(f: int, r: int) -> int:

@@ -27,14 +27,19 @@ are the canonical first find.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
+from itertools import islice
 from time import monotonic
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._backend import kernels, load_kernels
 from .constructions import bose_burton, extremal_gs, extremal_odd_girth
-from .gf2 import enumerate_subspaces, nonzero_mask
+from .gf2 import (
+    enumerate_subspaces,  # unused; perfbench/tracing.py wraps it under this name
+    nonzero_mask,
+    subspace_masks,
+)
 from .matroid import (
     BinaryMatroid,
     critical_number,
@@ -55,6 +60,18 @@ __all__ = [
 THEOREMS = ("main", "bose_burton", "gs")
 
 _LIST_POLL = 256  # subspaces listed between deadline polls
+
+
+def __getattr__(name: str):
+    # The process pool costs every CLI start its import, so it loads on
+    # first use.  _run_forward reads it as a module attribute, which
+    # lets a caller patch search.ProcessPoolExecutor.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -240,6 +257,11 @@ def _check_budget(budget: Optional[float]) -> None:
         raise ValueError(f"budget must be >= 0 seconds, got {budget}")
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def _report(
     r: int,
     constraints: ConstraintSet,
@@ -327,7 +349,9 @@ def _run_forward(
             )
         )
     best, best_mask, nodes, completed = -1, 0, 0, True
-    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+    # a module attribute, so that __getattr__ imports it on first use
+    executor = sys.modules[__name__].ProcessPoolExecutor
+    with executor(max_workers=min(threads, len(tasks))) as pool:
         for b, mask, n, done in pool.map(_forward_task, tasks):
             nodes += n
             completed = completed and done
@@ -337,14 +361,17 @@ def _run_forward(
 
 
 def _subspace_masks(r: int, d: int, deadline: Optional[float]) -> Optional[List[int]]:
-    """Point masks of every d-dimensional subspace, or None once the deadline passes."""
-    masks = []
-    for s in enumerate_subspaces(r, d):
-        masks.append(s.point_mask())
-        if deadline is not None and len(masks) % _LIST_POLL == 0:
-            if monotonic() > deadline:
-                return None
-    return masks
+    """Point masks of every d-dimensional subspace, in gf2.subspace_masks
+    order, or None once the deadline passes; polled every _LIST_POLL masks."""
+    masks: List[int] = []
+    listing = subspace_masks(r, d)
+    while True:
+        n = len(masks)
+        masks.extend(islice(listing, _LIST_POLL))
+        if len(masks) - n < _LIST_POLL:
+            return masks
+        if deadline is not None and monotonic() > deadline:
+            return None
 
 
 def _forced_basis(r: int) -> Tuple[int, ...]:
@@ -371,10 +398,14 @@ def max_size(
     GL(r,2)-invariant and GL(r,2) is transitive on ordered bases, so
     some image of that set contains the fixed basis.  Freeness of
     order 1 admits no point at all and is searched unforced.
+
+    threads >= 2 splits the search over that many processes; threads
+    below 1 raise ValueError.
     """
     t0 = monotonic()
     constraints.validate(r)
     _check_budget(budget)
+    _check_threads(threads)
     norm = constraints.normalized()
     forced = _forced_basis(r) if symmetry_break and norm[1] != 1 else ()
     best, best_mask, nodes, completed = _run_forward(
@@ -494,9 +525,11 @@ def verify_theorem(
     Each check also rebuilds the matching construction and confirms it
     attains the bound.  threads splits the forward search of main over
     processes; bose_burton and gs run the complement engine in one
-    process and raise ValueError unless threads is 1.
+    process and raise ValueError unless threads is 1.  threads below 1
+    raise ValueError for every theorem.
     """
     t0 = monotonic()
+    _check_threads(threads)
     if theorem in ("bose_burton", "gs") and threads != 1:
         raise ValueError(f"threads apply to theorem 'main' only, not {theorem!r}")
     if theorem == "main":

@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import gf2matroid
 from gf2matroid import (
     FamilySpec,
     ag,
@@ -415,11 +420,15 @@ def test_verify_deep_gate(capsys):
         code, _, err = run(capsys, "verify", theorem, "--n", str(n), "--r", str(r))
         assert code == EXIT_USAGE, (theorem, n, r)
         assert "--deep" in err
-    # n >= r - 2 runs without --deep up to r = 9; its witness is
-    # certified flat-free by its critical number
+    # n >= r - 2 runs without --deep up to r = 10, and n >= r - 1 up
+    # to r = 12; its witness is certified flat-free by its critical number
     code, _, _ = run(capsys, "verify", "bose_burton", "--n", "6", "--r", "7")
     assert code == EXIT_OK
-    for n, r in ((4, 7), (6, 9), (8, 10)):
+    for n, r in ((8, 10), (10, 11), (11, 12)):
+        argv = ["verify", "bose_burton", "--n", str(n), "--r", str(r)]
+        code, _, _ = run(capsys, *argv, "--budget", "1e-9")
+        assert code == EXIT_INCONCLUSIVE, (n, r)
+    for n, r in ((4, 7), (6, 9), (9, 11), (12, 13), (19, 20)):
         code, _, err = run(
             capsys, "verify", "bose_burton", "--n", str(n), "--r", str(r)
         )
@@ -444,3 +453,21 @@ def test_version_flag():
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+def test_version_does_not_import_the_process_pool():
+    # the pool loads on first use, so a plain CLI start never pays for it
+    src = Path(gf2matroid.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gf2matroid", "--version"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "gf2matroid.search" in imported
+    assert "concurrent.futures.process" not in imported

@@ -21,7 +21,7 @@ from gf2matroid import (
     span,
     translate_mask,
 )
-from gf2matroid.gf2 import largest_subspace_in, subspace_in
+from gf2matroid.gf2 import largest_subspace_in, subspace_in, subspace_masks
 from helpers import random_mask
 
 rng = random.Random(0x6F32)
@@ -208,6 +208,27 @@ def test_enumerate_subspaces_yields_lazily():
     finally:
         tracemalloc.stop()
     assert first.basis == (8, 4, 2, 1)
+    assert peak < 100_000
+
+
+def test_subspace_masks_match_enumerate_subspaces():
+    for r in range(1, 8):
+        for d in range(0, r + 1):
+            want = [s.point_mask() for s in enumerate_subspaces(r, d)]
+            assert list(subspace_masks(r, d)) == want, (r, d)
+    assert list(subspace_masks(4, 5)) == [] and list(subspace_masks(4, -1)) == []
+
+
+def test_subspace_masks_yield_lazily():
+    # the first of the 200,787 masks comes without listing the rest,
+    # which would take about 17 MB
+    tracemalloc.start()
+    try:
+        first = next(subspace_masks(8, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == Subspace(8, (8, 4, 2, 1)).point_mask()
     assert peak < 100_000
 
 

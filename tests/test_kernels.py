@@ -15,6 +15,7 @@ from gf2matroid import (
     mask_from,
     nonzero_mask,
 )
+from gf2matroid.gf2 import subspace_masks
 from gf2matroid.search import _forced_basis
 
 from helpers import backends, compiled, pure, random_mask
@@ -671,18 +672,52 @@ def test_complement_search_budget_covers_the_flat_listing():
     got = pure.complement_search(8, flat_masks(8, 7), 3, False, 255, budget, True)
     assert monotonic() - t0 <= budget + 0.5
     assert got[3] is False
+    assert got[2] == 0  # stopped before the first node
 
 
 def test_complement_search_budget_covers_the_point_columns():
     # the pure kernel turns the masks into one column per point before
-    # its first node: about 0.8 s for 20,000 dense rank-8 masks
+    # its first node: about 0.2 s for 200,000 dense rank-8 masks
     draws = random.Random(0xC015)
-    masks = [draws.getrandbits(256) for _ in range(20_000)]
+    masks = [draws.getrandbits(256) for _ in range(200_000)]
     budget = 0.05
     t0 = monotonic()
     got = pure.complement_search(8, masks, 0, False, 255, budget, True)
     assert monotonic() - t0 <= budget + 0.5
     assert got[3] is False
+    assert got[2] == 0  # stopped before the first node
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_complement_search_budget_holds_on_a_large_family(kern):
+    # A node's cost grows with the family: here the [8, 4]_2 = 200,787
+    # 4-flats, whose columns the pure kernel builds in a fraction of the
+    # budget.  Polling every node keeps the overrun near one node, where
+    # polling every 4,096 nodes overran a 0.5 s budget by seconds.
+    masks = list(subspace_masks(8, 4))
+    budget = 0.5
+    t0 = monotonic()
+    got = kern.complement_search(8, masks, 0, False, 31, budget, True)
+    assert monotonic() - t0 <= budget + 0.5
+    assert got[3] is False
+
+
+def naive_transpose(masks, width):
+    return [
+        sum((m >> c & 1) << k for k, m in enumerate(masks)) for c in range(width)
+    ]
+
+
+def test_transpose_matches_a_bit_loop():
+    draws = random.Random(0x7A5)
+    for width in (1, 2, 4, 8, 64, 256):
+        for n in (1, 7, 8, 9, 300):
+            masks = [draws.getrandbits(width) for _ in range(n)]
+            assert pure._transpose(masks, width) == naive_transpose(masks, width)
+        assert pure._transpose([], width) == [0] * width
+    polls = []
+    cols = pure._transpose([0b101, 0b011], 3, lambda: polls.append(1))
+    assert cols == [0b11, 0b10, 0b01] and len(polls) == 3
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)

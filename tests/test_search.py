@@ -351,14 +351,15 @@ def test_huge_odd_girth_demand_finishes_inside_its_budget(monkeypatch, kern):
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
 def test_complement_budget_covers_the_hitting_family(monkeypatch, kern):
-    # Listing the [8, 4]_2 = 200,787 4-flats to hit takes about 2 s,
+    # Listing the [9, 4]_2 = 3,309,747 4-flats to hit takes seconds,
     # before the kernel's first node.
     monkeypatch.setattr(search, "kernels", kern)
     budget = 0.5
     t0 = monotonic()
-    rep = max_size_complement(8, ConstraintSet(pg_free_order=4), 31, budget=budget)
+    rep = max_size_complement(9, ConstraintSet(pg_free_order=4), 63, budget=budget)
     assert monotonic() - t0 <= budget + 0.5
     assert not rep.exhaustive and rep.optimum is None
+    assert rep.nodes == 0  # stopped while listing
 
 
 def test_complement_kernel_gets_the_budget_left(monkeypatch):
@@ -498,6 +499,15 @@ def test_engines_agree_on_an_infeasible_demand():
     rep = max_size_complement(5, cs, 30)
     assert not rep.exhaustive
     assert rep.optimum is None and rep.witness is None
+
+
+def test_threads_must_be_positive():
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            max_size(4, GIRTH5_NONAFFINE, threads=threads)
+        for theorem, params in (("main", {"k": 5, "r": 4}), ("gs", {"n": 2, "r": 5})):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                verify_theorem(theorem, params, threads=threads)
 
 
 def test_verify_theorem_complement_theorems_refuse_threads():
