@@ -832,8 +832,9 @@ done:
 typedef struct {
     int r, n_all, nw, n_subs, tw, forbidden_dim, max_blocker, maxcov;
     int full_rank, symmetry, use_deadline, timed_out;
+    int node_cost; /* poll ticks per node; see cmp_dfs */
     double deadline;
-    long long nodes;
+    long long nodes, ticks; /* ticks: the deadline poll counter */
     int best;
     u64 *best_mask;    /* nw */
     u64 *subs;         /* n_subs * nw */
@@ -927,8 +928,9 @@ static void cmp_dfs(CmpCtx *c, int depth, const u64 *b_mask, int b_size, const u
     u64 *cspan;
     u16 piv[16];
     c->nodes++;
-    /* every node: a node rescans the whole family, so its cost grows with it */
-    if (c->use_deadline && monotonic_now() > c->deadline) {
+    /* a node rescans the whole family, so its poll cost grows with it */
+    c->ticks += c->node_cost;
+    if (deadline_passed(c->ticks, c->node_cost, c->use_deadline, c->deadline)) {
         c->timed_out = 1;
         return;
     }
@@ -1047,7 +1049,12 @@ PyDoc_STRVAR(complement_search_doc,
              "meeting S only outside span(B) has an image in the last branch.\n"
              "For forbidden_dim >= 2 that last point closes no forbidden flat.\n"
              "At the root span(B) = {0}: a single branch.  span(B) is kept per\n"
-             "depth and grown by one translation in the last branch.");
+             "depth and grown by one translation in the last branch.\n\n"
+             "The deadline, which covers reading the family, is polled whenever a\n"
+             "counter passes a multiple of CHECK_INTERVAL.  Each node advances it\n"
+             "by n_subs * nw / 64 + 1, capped at CHECK_INTERVAL, nw being the words\n"
+             "of a mask: a node scans up to n_subs masks, so the work between\n"
+             "polls stays about CHECK_INTERVAL * 64 words whatever the family.");
 
 static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *kw)
 {
@@ -1093,6 +1100,10 @@ static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *
     c.max_blocker = max_blocker;
     c.full_rank = full_rank;
     c.symmetry = symmetry;
+    /* a node scans up to n_subs * nw words: about one tick per 64 of them */
+    c.node_cost = (int)((long long)n_subs * nw / 64 + 1 < CHECK_INTERVAL
+                            ? (long long)n_subs * nw / 64 + 1
+                            : CHECK_INTERVAL);
     c.best = -1;
     c.best_mask = calloc(nw, sizeof(u64));
     c.subs = calloc((size_t)(n_subs > 0 ? n_subs : 1) * nw, sizeof(u64));

@@ -130,15 +130,20 @@ def _transpose(
 ) -> List[int]:
     """Columns of a bit matrix: bit k of column c is set iff bit c of masks[k] is.
 
-    Each mask becomes one row of a byte matrix through to_bytes.  The
-    matrix is reversed once, so the rows run last to first and each
-    row's bytes high to low; a strided slice then holds byte c >> 3 of
-    every row, last row first, and translating it to ASCII digits reads
-    as column c in base 2.  Every step is linear and runs in C.  poll,
-    when given, runs after each column.
+    Each mask becomes one row of a byte matrix through to_bytes,
+    appended in place, so the peak stays near the matrix itself.  The
+    matrix is reversed once, in place, so the rows run last to first
+    and each row's bytes high to low; a strided slice then holds byte
+    c >> 3 of every row, last row first, and translating it to ASCII
+    digits reads as column c in base 2.  Past the one to_bytes per row,
+    every step is linear and runs in C.  poll, when given, runs after
+    each column.
     """
     nbytes = (width + 7) >> 3
-    matrix = b"".join([m.to_bytes(nbytes, "little") for m in masks])[::-1]
+    matrix = bytearray()
+    for m in masks:
+        matrix += m.to_bytes(nbytes, "little")
+    matrix.reverse()
     if not matrix:
         return [0] * width
     cols = []

@@ -262,12 +262,12 @@ def subspace_masks(r: int, d: int) -> Iterator[int]:
     def grow(span: int, b: int) -> int:
         return span | translate_mask(span | 1, b, r)
 
+    steps = [(1 << j, _low_pattern(r, j)) for j in range(min(r, 6))]
     for span, p in _echelon(d, (1 << r) - 1, 0, grow):
         k = min(p, 6)
         for hi in range(1 << p, 2 << p, 1 << k):
             block = [translate_mask(span | 1, hi, r)]
-            for j in range(k):
-                s, low = 1 << j, _low_pattern(r, j)
+            for s, low in steps[:k]:
                 block += [((c & low) << s) | ((c >> s) & low) for c in block]
             for c in block:
                 yield span | c

@@ -212,10 +212,12 @@ def test_enumerate_subspaces_yields_lazily():
 
 
 def test_subspace_masks_match_enumerate_subspaces():
-    for r in range(1, 8):
-        for d in range(0, r + 1):
-            want = [s.point_mask() for s in enumerate_subspaces(r, d)]
-            assert list(subspace_masks(r, d)) == want, (r, d)
+    # r = 8 adds a last pivot of 7 (d = 1): 128 last rows, two blocks of 64
+    cases = [(r, d) for r in range(1, 8) for d in range(0, r + 1)]
+    cases += [(8, d) for d in (1, 2, 6, 7, 8)]
+    for r, d in cases:
+        want = [s.point_mask() for s in enumerate_subspaces(r, d)]
+        assert list(subspace_masks(r, d)) == want, (r, d)
     assert list(subspace_masks(4, 5)) == [] and list(subspace_masks(4, -1)) == []
 
 

@@ -677,10 +677,12 @@ def test_complement_search_budget_covers_the_flat_listing():
 
 def test_complement_search_budget_covers_the_point_columns():
     # the pure kernel turns the masks into one column per point before
-    # its first node: about 0.2 s for 200,000 dense rank-8 masks
+    # its first node and polls after each column; with no forbidden flats
+    # that is its first poll, so a budget spent at once stops it there
+    # on any machine
     draws = random.Random(0xC015)
-    masks = [draws.getrandbits(256) for _ in range(200_000)]
-    budget = 0.05
+    masks = [draws.getrandbits(256) for _ in range(20_000)]
+    budget = 1e-9
     t0 = monotonic()
     got = pure.complement_search(8, masks, 0, False, 255, budget, True)
     assert monotonic() - t0 <= budget + 0.5
@@ -692,8 +694,10 @@ def test_complement_search_budget_covers_the_point_columns():
 def test_complement_search_budget_holds_on_a_large_family(kern):
     # A node's cost grows with the family: here the [8, 4]_2 = 200,787
     # 4-flats, whose columns the pure kernel builds in a fraction of the
-    # budget.  Polling every node keeps the overrun near one node, where
-    # polling every 4,096 nodes overran a 0.5 s budget by seconds.
+    # budget.  The pure kernel polls every node and the compiled one
+    # every CHECK_INTERVAL * 64 scanned words, so the overrun stays near
+    # one node, where polling every 4,096 nodes overran a 0.5 s budget by
+    # seconds.
     masks = list(subspace_masks(8, 4))
     budget = 0.5
     t0 = monotonic()
