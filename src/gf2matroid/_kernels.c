@@ -25,10 +25,7 @@ typedef uint16_t u16;
 #define KERNEL_RANK_MAX 12
 #define CHECK_INTERVAL 4096
 #define FINDER_COST 64
-/* The most n-flats the forward search lists for its flat-coverage bound;
- * above it the bound is off.  It exists to bound memory: the table holds
- * nw words per flat.  _kernels_py.py declares the same cap. */
-#define FLAT_TABLE_MAX (1 << 18)
+#define LIST_POLL 256 /* masks read between deadline polls */
 
 static inline int popcnt64(u64 x) { return __builtin_popcountll(x); }
 static inline int ctz64(u64 x) { return __builtin_ctzll(x); }
@@ -356,7 +353,6 @@ static PyObject *py_min_odd_zero_subset(PyObject *self, PyObject *points)
 typedef struct {
     int r, n_all, nw, T, pg_n, min_critical;
     int full_rank, prune, use_deadline, timed_out;
-    int n_flats, per_point; /* listed n-flats; n-flats through one point */
     double deadline;
     long long nodes, ticks; /* ticks: the deadline poll counter */
     int best;
@@ -368,8 +364,7 @@ typedef struct {
     u64 *slab_covers; /* maxd * nw */
     u16 *slab_piv;    /* maxd * r */
     u16 *slab_feas;   /* maxd * n_all */
-    u64 *flats;       /* n_flats * nw: the n-flats' points */
-    u64 *scratch;     /* tmp, rest, free (reach, S), pair: nw each; then 2 * nw * (r + 1) */
+    u64 *scratch;     /* tmp, rest, free (reach), pair: nw each; then 2 * nw * (r + 1) */
 } FwdCtx;
 
 /* subspace_in(mask, d) found a subspace; the call advances the poll
@@ -494,76 +489,6 @@ static int fwd_half_space_bound(FwdCtx *c, const u16 *feas, int nf, const u64 *c
     return 0;
 }
 
-/* [r, d]_2, the number of d-dimensional subspaces of GF(2)^r; each step's
- * product stays below 2^48 for r <= KERNEL_RANK_MAX. */
-static long long gaussian_binomial(int r, int d)
-{
-    long long g = 1;
-    int i;
-    if (d < 0 || d > r)
-        return 0;
-    for (i = 0; i < d; i++)
-        g = g * ((1LL << (r - i)) - 1) / ((1LL << (i + 1)) - 1);
-    return g;
-}
-
-/* Append to c->flats the span of base plus d more reduced-echelon rows
- * with pivots in allowed, zero vector dropped, for every choice of rows;
- * from base = {0} and d = n that lists each n-flat once.  A row with
- * pivot p is any vector with top bit p, and the later pivots are the
- * allowed positions below p where that row is 0.  next holds nw words
- * per level still to add. */
-static void fwd_list_flats(FwdCtx *c, int d, u32 allowed, const u64 *base, u64 *next)
-{
-    int p, k, nw = c->nw;
-    u32 below, b;
-    u64 *dst;
-    for (p = 0; p < c->r; p++) {
-        below = allowed & ((1u << p) - 1);
-        if (!((allowed >> p) & 1) || popcnt64(below) < d - 1)
-            continue;
-        for (b = 1u << p; b < 2u << p; b++) {
-            if (d > 1 && popcnt64(below & ~b) < d - 1)
-                continue;
-            dst = d == 1 ? c->flats + (size_t)c->n_flats++ * nw : next;
-            bs_translate(dst, base, (int)b, nw);
-            for (k = 0; k < nw; k++)
-                dst[k] |= base[k];
-            if (d == 1)
-                dst[0] &= ~1ULL;
-            else
-                fwd_list_flats(c, d - 1, below & ~b, next, next + nw);
-        }
-    }
-}
-
-/* The flat-coverage bound: u, the number of n-flats inside
- * S = chosen + feas, is recounted by scanning every listed flat, and the
- * node returns when size + nf - ceil(u / per_point) <= best.  The scan
- * stops once u is large enough, and advances the poll counter by
- * FINDER_COST; a passed deadline also returns 1.  The argument is in the
- * pure twin's forward_search docstring, which keeps u incrementally. */
-static int fwd_flat_bound(FwdCtx *c, const u16 *feas, int nf, const u64 *chosen, int size)
-{
-    int i, k, nw = c->nw, u = 0;
-    /* ceil(u / per_point) >= size + nf - best, and size + nf > best here */
-    long long need = (long long)(size + nf - c->best - 1) * c->per_point + 1;
-    const u64 *fl = c->flats;
-    u64 *s = c->scratch + 2 * nw;
-    memcpy(s, chosen, nw * sizeof(u64));
-    for (i = 0; i < nf; i++)
-        bs_set(s, feas[i]);
-    for (i = 0; i < c->n_flats && u < need; i++, fl += nw) {
-        for (k = 0; k < nw && !(fl[k] & ~s[k]); k++)
-            ;
-        u += k == nw;
-    }
-    c->ticks += FINDER_COST;
-    if (deadline_passed(c->ticks, FINDER_COST, c->use_deadline, c->deadline))
-        c->timed_out = 1;
-    return u >= need || c->timed_out;
-}
-
 /* One node: its state is in slab slot `slot` and its frontier is the nf
  * points feas; the include branch's state goes to slot depth + 1. */
 static void fwd_dfs(FwdCtx *c, int depth, const u16 *feas, int nf, int slot, int rank,
@@ -588,8 +513,6 @@ static void fwd_dfs(FwdCtx *c, int depth, const u16 *feas, int nf, int slot, int
     if (nf == 0)
         return;
     if (c->prune && size + nf <= c->best)
-        return;
-    if (c->prune && c->n_flats && fwd_flat_bound(c, feas, nf, chosen, size))
         return;
     if (c->prune && c->min_critical >= 2) {
         reach = c->scratch + 2 * c->nw;
@@ -629,7 +552,6 @@ static void fwd_free(FwdCtx *c)
     free(c->slab_covers);
     free(c->slab_piv);
     free(c->slab_feas);
-    free(c->flats);
     free(c->scratch);
 }
 
@@ -659,22 +581,12 @@ PyDoc_STRVAR(forward_search_doc,
              "completion at most min(size + |one|, 2^(r-2)) + min(|zero|, 2^(r-2))\n"
              "<= best points, one and zero being the candidates with f = 1 and\n"
              "f = 0; the argument is in the pure twin's docstring.\n\n"
-             "With pg_free_order = n >= 3 and at most 2^18 n-flats, a memory cap, a\n"
-             "node returns when size + |feas| - ceil(u / [r-1, n-1]_2) <= best,\n"
-             "u being the number of n-flats inside S = chosen + feas.  Every\n"
-             "valid completion M has chosen <= M <= S.  Every n-flat F inside S\n"
-             "must lose a point; that point is in F minus chosen, which lies\n"
-             "inside feas, because chosen holds no whole flat.  Each point lies\n"
-             "on exactly [r-1, n-1]_2 n-flats, so at least ceil(u / [r-1, n-1]_2)\n"
-             "points of feas stay out of M.  The flats are listed once as point\n"
-             "masks and u is recounted at every node by scanning them; the pure\n"
-             "twin keeps the flats inside S incrementally.\n\n"
              "Sums of more than r chosen points are never tested: an odd circuit\n"
              "has at most r + 1 points, so capping girth - 3 at the largest\n"
              "even number <= r leaves every verdict unchanged.\n\n"
              "The deadline is polled whenever a counter passes a multiple of\n"
              "CHECK_INTERVAL; each node advances it by 1, and each flat-finder call\n"
-             "and each scan of the listed n-flats by FINDER_COST.");
+             "by FINDER_COST.");
 
 static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
 {
@@ -686,11 +598,10 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     Py_ssize_t n_forced = 0, j, k;
     FwdCtx c;
     int n_all, nw, T, maxd, v, x, rank, depth, nf, overflow;
-    long long n_flats;
     long fv;
     int *forced = NULL;
     u16 *feas;
-    u64 *forced_out = NULL, *levels;
+    u64 *forced_out = NULL;
     (void)self;
 
     memset(&c, 0, sizeof(c));
@@ -763,22 +674,6 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     }
     if (read_deadline(budget, &c.use_deadline, &c.deadline) < 0)
         goto done;
-
-    /* the flat-coverage bound's table of n-flats, when it is small enough */
-    n_flats = prune && pg_n >= 3 ? gaussian_binomial(r, pg_n) : 0;
-    if (n_flats > 0 && n_flats <= FLAT_TABLE_MAX) {
-        c.per_point = (int)gaussian_binomial(r - 1, pg_n - 1);
-        c.flats = malloc((size_t)n_flats * nw * sizeof(u64));
-        levels = calloc((size_t)(pg_n + 1) * nw, sizeof(u64));
-        if (c.flats == NULL || levels == NULL) {
-            free(levels);
-            PyErr_NoMemory();
-            goto done;
-        }
-        levels[0] = 1; /* the zero vector spans {0} */
-        fwd_list_flats(&c, pg_n, (1u << r) - 1, levels, levels + nw);
-        free(levels);
-    }
 
     /* functionals hitting v, as a bitset over f; dot is symmetric */
     for (v = 1; v < n_all; v++) {
@@ -1050,8 +945,10 @@ PyDoc_STRVAR(complement_search_doc,
              "For forbidden_dim >= 2 that last point closes no forbidden flat.\n"
              "At the root span(B) = {0}: a single branch.  span(B) is kept per\n"
              "depth and grown by one translation in the last branch.\n\n"
-             "The deadline, which covers reading the family, is polled whenever a\n"
-             "counter passes a multiple of CHECK_INTERVAL.  Each node advances it\n"
+             "The deadline covers reading the family: it is polled every 256 masks\n"
+             "read and after the last, each mask checked as it is read, in the pure\n"
+             "twin's order.  In the search it is polled whenever a counter passes\n"
+             "a multiple of CHECK_INTERVAL.  Each node advances it\n"
              "by n_subs * nw / 64 + 1, capped at CHECK_INTERVAL, nw being the words\n"
              "of a mask: a node scans up to n_subs masks, so the work between\n"
              "polls stays about CHECK_INTERVAL * 64 words whatever the family.");
@@ -1123,24 +1020,24 @@ static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *
         PyErr_NoMemory();
         goto done;
     }
-    /* the budget covers reading the family too */
+    /* the budget covers reading the family too: masks are read and checked
+     * in order, as the pure twin reads them, with a poll every LIST_POLL
+     * masks and after the last */
     if (read_deadline(budget, &c.use_deadline, &c.deadline) < 0)
         goto done;
-    for (i = 0; i < n_subs; i++) {
+    for (i = 0; i < n_subs && !c.timed_out; i++) {
         if (read_mask(PySequence_Fast_GET_ITEM(seq, i), r, c.subs + (size_t)i * nw, nw) < 0)
             goto done;
         c.subs[(size_t)i * nw] &= ~1ULL; /* the zero vector is no point */
-    }
-
-    for (i = 0; i < n_subs; i++) {
         for (wi = 0; wi < nw; wi++) {
-            m = c.subs[(size_t)i * nw + wi];
-            while (m) {
+            for (m = c.subs[(size_t)i * nw + wi]; m; m &= m - 1) {
                 v = (wi << 6) + ctz64(m);
-                m &= m - 1;
                 bs_set(c.through + (size_t)v * tw, i);
             }
         }
+        if (((i + 1) % LIST_POLL == 0 || i + 1 == n_subs) && c.use_deadline &&
+            monotonic_now() > c.deadline)
+            c.timed_out = 1;
     }
     for (v = 1; v < n_all; v++)
         bs_set(c.nonzero, v);
@@ -1155,7 +1052,8 @@ static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *
         bs_set(c.slab_uncov, i);
     memcpy(c.slab_avail, c.nonzero, nw * sizeof(u64));
     bs_set(c.slab_span, 0);
-    cmp_dfs(&c, 0, c.slab_b, 0, c.slab_uncov, c.slab_avail, c.slab_span);
+    if (!c.timed_out)
+        cmp_dfs(&c, 0, c.slab_b, 0, c.slab_uncov, c.slab_avail, c.slab_span);
     result = search_result(c.best, c.best_mask, nw, c.nodes, c.timed_out);
 done:
     cmp_free(&c);

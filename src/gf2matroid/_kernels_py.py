@@ -20,15 +20,9 @@ completion that is not affine and has no 3-circuit holds at most
 candidate has f = 0 every completion stays affine; both tests are two
 thresholds on the count of one side.  _kernels.c keeps its reach test,
 an AND over the frontier, for that last case, and counts each side
-over its list frontier into the min() form.  The flat-coverage bound
-of a search with no rank-n flat keeps the n-flats lying inside the
-chosen points and the frontier as a bitset over a table of flats
-listed once: a point leaving that set drops the flats through it, and
-each flat left inside costs a completion one point, a point covering
-[r-1, n-1]_2 of them.  _kernels.c rescans its own listing of the flats
-at every node.  A node's exclude branch is the next pass of its own
-loop, not a call.  The flat-freeness gate is
-incremental.  Every candidate w left after v joins the chosen set C
+over its list frontier into the min() form.  A node's exclude branch
+is the next pass of its own loop, not a call.  The flat-freeness gate
+is incremental.  Every candidate w left after v joins the chosen set C
 was feasible for C without v, so a new rank-n flat F inside C + {w}
 must pass through both v and w.  F then holds v ^ w, a chosen point,
 so only the w in T_v(C) are tested, T_x translating by x.  For them
@@ -61,13 +55,13 @@ independent versions of each test.  With symmetry on, every node
 branches on the points of its subspace inside span(B) and on one point
 outside it; complement_search gives the argument.
 
-Both searches set up their tables as whole-array work.  The flats come
-as point masks from gf2.subspace_masks, one translation per row and
-no Subspace object.  Every per-point column (the subspaces through v,
-the flats through v) and the root counter planes are the columns of a
-bit matrix whose rows are masks; _transpose packs the rows into bytes
-once and reads each column with a strided slice, a byte translation to
-ASCII digits and int(s, 2), all linear and in C.
+The complement search sets up its tables as whole-array work.  The
+flats come as point masks from gf2.subspace_masks, one translation per
+row and no Subspace object.  Every per-point column (the subspaces
+through v, the flats through v) and the root counter planes are the
+columns of a bit matrix whose rows are masks; _transpose packs the
+rows into bytes once and reads each column with a strided slice, a
+byte translation to ASCII digits and int(s, 2), all linear and in C.
 """
 
 from __future__ import annotations
@@ -100,11 +94,7 @@ BACKEND_NAME = "python"
 KERNEL_RANK_MAX = 12
 
 _CHECK_INTERVAL = 4096
-_LIST_POLL = 256  # flats listed between deadline polls
-# The most n-flats the forward search lists for its flat-coverage bound;
-# above it the bound is off.  It exists to bound memory: the table holds
-# one column of n_flats bits per point.  _kernels.c declares the same cap.
-_FLAT_TABLE_MAX = 1 << 18
+_LIST_POLL = 256  # masks read or flats listed between deadline polls
 
 
 class _Timeout(Exception):
@@ -291,25 +281,6 @@ def forward_search(
     plus the other side.  An empty zero side meets the second
     threshold, which makes it the affine-reach prune as well.
 
-    The flat-coverage bound (pg_free_order = n >= 3) counts u, the
-    n-flats lying wholly inside S = chosen + feas, and returns when
-        size + |feas| - ceil(u / [r-1, n-1]_2) <= best.
-    - Every valid completion M has chosen <= M <= S.
-    - Every n-flat F inside S must lose a point.  That point is in
-      F minus chosen, which lies inside feas, because chosen holds no
-      whole flat.
-    - Each point lies on exactly [r-1, n-1]_2 n-flats.
-    So at least ceil(u / [r-1, n-1]_2) points of feas stay out of M.
-    The n-flats are listed once by gf2.subspace_masks and turned into
-    per-point columns by _transpose, polling the deadline every
-    _LIST_POLL flats and after each column, when there are at most
-    _FLAT_TABLE_MAX of them; above that
-    the bound is off.  flats_through[p] holds the flats through p, one
-    bit per flat, and inside, the flats within S, drops
-    flats_through[p] for each point p that leaves S: the excluded v,
-    the points include drops from the child's frontier, and the points
-    of forced_out_mask.
-    _kernels.c recounts u at every node by scanning its own listing.
     The rank the full-rank test reads is kept as the span of the chosen
     set, a bitset grown by one translation whenever a point outside it
     joins.
@@ -343,12 +314,6 @@ def forward_search(
     half = 1 << (r - 2) if T >= 2 else n_all
     pg_n = pg_free_order
     whole = (1 << n_all) - 1  # the span of a full-rank set
-    # the flat-coverage bound's table of n-flats, when it is small enough
-    n_flats = gaussian_binomial(r, pg_n) if prune and pg_n >= 3 else 0
-    if n_flats > _FLAT_TABLE_MAX:
-        n_flats = 0
-    per_point = gaussian_binomial(r - 1, pg_n - 1)  # n-flats through a point
-    flats_through: List[int] = []  # the n-flats through v, one bit per flat
 
     best = -1
     best_mask = 0
@@ -375,15 +340,9 @@ def forward_search(
             return False
         return True
 
-    def drop(inside: int, gone: int) -> int:
-        """inside without the flats through any point of gone."""
-        for p in iter_bits(gone):
-            inside &= ~flats_through[p]
-        return inside
-
-    def include(v, feas, chosen, sums, covers, span, inside):
-        """The child's state: v joins chosen, feas (without v) keeps the
-        w still feasible, and inside the flats within chosen + feas."""
+    def include(v, feas, chosen, sums, covers, span):
+        """The child's state: v joins chosen, and feas (without v) keeps
+        the w still feasible."""
         chosen |= 1 << v
         sums = list(sums)
         for t in range(T, 1, -1):
@@ -404,12 +363,9 @@ def forward_search(
             for w in iter_bits(rest & tv):
                 if finds(pair & translate_mask(pair, w, r), pg_n - 2):
                     rest ^= 1 << w
-        if inside:
-            inside = drop(inside, feas & ~rest)
-        return rest, chosen, sums, covers, span, inside
+        return rest, chosen, sums, covers, span
 
-    def dfs(feas, chosen, size, sums, covers, span, inside):
-        """inside: the n-flats inside chosen + feas, one bit per flat."""
+    def dfs(feas, chosen, size, sums, covers, span):
         nonlocal best, best_mask, nodes
         while True:
             nodes += 1
@@ -426,8 +382,6 @@ def forward_search(
                 slack = size + n_feas - best
                 if slack <= 0:
                     return  # the size bound
-                if inside and -(-inside.bit_count() // per_point) >= slack:
-                    return  # the flat-coverage bound
                 if covers and min_critical >= 2:
                     if 2 * half <= best:
                         return  # both sides capped: the half-space bound
@@ -443,12 +397,8 @@ def forward_search(
                         fs ^= 1 << f
             v = feas.bit_length() - 1
             feas ^= 1 << v
-            rest, c2, s2, cov2, span2, inside2 = include(
-                v, feas, chosen, sums, covers, span, inside
-            )
-            dfs(rest, c2, size + 1, s2, cov2, span2, inside2)
-            if inside:
-                inside &= ~flats_through[v]
+            rest, c2, s2, cov2, span2 = include(v, feas, chosen, sums, covers, span)
+            dfs(rest, c2, size + 1, s2, cov2, span2)
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n_all + 100))
     # the empty set: every point is feasible (none under order-1 freeness)
@@ -459,24 +409,16 @@ def forward_search(
         sums[0] = 1  # the empty subset sums to zero
     covers = nonzero_mask(r)
     span = 1  # the zero vector
-    inside = 0
     completed = True
     try:
-        if n_flats:
-            flats = _polled(flat_masks(r, pg_n), poll)
-            flats_through = _transpose(flats, n_all, poll)
-            inside = (1 << n_flats) - 1
         for v in forced_in:
             if not (feas >> v) & 1:
                 break  # v is no longer feasible
-            feas, chosen, sums, covers, span, inside = include(
-                v, feas ^ (1 << v), chosen, sums, covers, span, inside
+            feas, chosen, sums, covers, span = include(
+                v, feas ^ (1 << v), chosen, sums, covers, span
             )
         else:
-            out = feas & forced_out_mask
-            if inside:
-                inside = drop(inside, out)
-            dfs(feas ^ out, chosen, len(forced_in), sums, covers, span, inside)
+            dfs(feas & ~forced_out_mask, chosen, len(forced_in), sums, covers, span)
     except _Timeout:
         completed = False
     return best, best_mask, nodes, completed
@@ -547,9 +489,11 @@ def complement_search(
     that of the subspace sizes), built by _transpose: one to_bytes per
     mask, then per column a strided slice of the packed bytes, a
     translation to ASCII digits and int(s, 2), linear and in C.  The
-    deadline, which covers this setup, is polled after each column and
-    at every node: a node's cost grows with the family, so a fixed
-    count of nodes between polls would not bound the overrun.
+    deadline, which covers this setup, is polled every _LIST_POLL masks
+    read, after each column and at every node: a node's cost grows with
+    the family, so a fixed count of nodes between polls would not bound
+    the overrun.  The masks are checked in the order they are read, so
+    a bad mask past a spent deadline is not reached, on either twin.
 
     symmetry=True breaks symmetry at every node and needs a subspace
     family closed under GL(r,2), such as all subspaces of some given
@@ -579,11 +523,8 @@ def complement_search(
         raise ValueError(f"forbidden_dim must be in [0, {r}], got {forbidden_dim}")
     # the budget covers reading the family too
     deadline = monotonic() + budget if budget is not None else None
-    for m in subspace_masks:
-        _check_mask(m, r)
-    subs = [m & ~1 for m in subspace_masks]
     n_all = 1 << r
-    n_subs = len(subs)
+    subs: List[int] = []
     through: List[int] = []  # the subspaces through v, one bit per subspace
     meets: dict = {}
     flats_through: List[int] = []  # the forbidden flats through v, one bit per flat
@@ -686,6 +627,9 @@ def complement_search(
 
     completed = True
     try:
+        for m in _polled(subspace_masks, poll):
+            _check_mask(m, r)
+            subs.append(m & ~1)
         through = _transpose(subs, n_all, poll)
         maxcov = max(t.bit_count() for t in through) or 1
         # |S_i & avail| at the root, as bit-planes over the subspace indices
@@ -696,7 +640,7 @@ def complement_search(
         flats = _polled(flat_masks(r, forbidden_dim), poll) if forbidden_dim else ()
         flats_through = _transpose(flats, n_all, poll)
         root_planes = [(1 << n_flats) - 1] * forbidden_dim
-        uncov = (1 << n_subs) - 1
+        uncov = (1 << len(subs)) - 1
         dfs(0, 0, uncov, nonzero_mask(r), root_counts, root_planes, 0, 1)
     except _Timeout:
         completed = False

@@ -129,7 +129,12 @@ def build_parser() -> _Parser:
     s.add_argument("--min-critical", type=int, metavar="C")
     s.add_argument("--pg-free", type=int, metavar="N", help="forbid rank-N flats")
     s.add_argument("--full-rank", action="store_true")
-    s.add_argument("--method", choices=("forward", "complement"), default="forward")
+    s.add_argument(
+        "--method",
+        choices=("forward", "complement"),
+        default="forward",
+        help="forward runs max_size, which sends flat-free demands to the complement engine",
+    )
     s.add_argument("--max-blocker", type=int, help="complement window size")
     s.add_argument("--budget", type=float, metavar="SECONDS")
     s.add_argument("--threads", type=int)

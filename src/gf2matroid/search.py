@@ -2,9 +2,10 @@
 
 Two engines: max_size grows point sets directly (include-first DFS in
 decreasing encoding order), max_size_complement enumerates minimal
-blockers B and reports PG(r-1,2) minus B.  Both prove optimality when
-they complete within budget; otherwise the report carries the best
-bound found and exhaustive=False.
+blockers B and reports PG(r-1,2) minus B; max_size hands flat-free
+demands of order >= 3 to the second.  Both prove optimality when they
+complete within budget; otherwise the report carries the best bound
+found and exhaustive=False.
 
 Symmetry breaking: the direct engine keeps only sets containing one
 fixed basis, which loses no optimum because some largest valid set has
@@ -37,6 +38,7 @@ from ._backend import kernels, load_kernels
 from .constructions import bose_burton, extremal_gs, extremal_odd_girth
 from .gf2 import (
     enumerate_subspaces,  # unused; perfbench/tracing.py wraps it under this name
+    gaussian_binomial,
     nonzero_mask,
     subspace_masks,
 )
@@ -60,6 +62,10 @@ __all__ = [
 THEOREMS = ("main", "bose_burton", "gs")
 
 _LIST_POLL = 256  # subspaces listed between deadline polls
+# The most flats max_size hands to the complement engine, in the family to
+# hit or the forbidden flats; it bounds the kernels' per-point columns.
+# Larger flat-free demands run forward.
+_FAMILY_MAX = 1 << 18
 
 
 def __getattr__(name: str):
@@ -111,13 +117,16 @@ class ConstraintSet:
     def normalized(self) -> Tuple[int, int, int, bool]:
         """(girth, pg_order, min_critical, full_rank) with overlaps folded.
 
-        Freeness of order 2 is the same constraint as odd girth >= 5;
+        Freeness of order 2 is the same constraint as odd girth >= 5, and
+        odd girth >= 5 implies freeness of every order n >= 2: a rank-n
+        flat with n >= 2 holds a line, which is a 3-circuit.
         forbid_affine is critical number >= 2; girth 3 is vacuous.
         """
         g = self.min_odd_girth or 0
         pg_n = self.pg_free_order or 0
         if pg_n == 2:
             g = max(g, 5)
+        if g >= 5 and pg_n >= 2:
             pg_n = 0
         if g == 3:
             g = 0
@@ -262,6 +271,13 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
 
+def _check_kernel_rank(r: int) -> None:
+    """The kernels' own rank check, made before any family is listed."""
+    limit = kernels.KERNEL_RANK_MAX
+    if not 1 <= r <= limit:
+        raise ValueError(f"kernel rank must be in [1, {limit}], got {r}")
+
+
 def _report(
     r: int,
     constraints: ConstraintSet,
@@ -399,15 +415,33 @@ def max_size(
     some image of that set contains the fixed basis.  Freeness of
     order 1 admits no point at all and is searched unforced.
 
-    threads >= 2 splits the search over that many processes; threads
-    below 1 raise ValueError.
+    With prune, a demand that keeps freeness of some order n >= 3
+    after normalized() runs max_size_complement instead, with the full
+    window 2^r - 1 and symmetry_break passed on; the report says method
+    "complement" and threads 1, as that engine runs in one process.  It
+    beats the forward engine on every such demand measured: pg-free 3
+    at r=6 takes 12,735 complement nodes, while the forward search had
+    not finished after 4.3M.  The n-flats to hit and, under a critical
+    demand c >= 2, the forbidden (r-c+1)-flats must each number at most
+    _FAMILY_MAX, to bound the kernels' tables; larger demands run
+    forward.  prune=False always runs the literal forward search.
+
+    threads >= 2 splits the forward search over that many processes;
+    threads below 1 raise ValueError.
     """
     t0 = monotonic()
     constraints.validate(r)
     _check_budget(budget)
     _check_threads(threads)
+    _check_kernel_rank(r)
     norm = constraints.normalized()
-    forced = _forced_basis(r) if symmetry_break and norm[1] != 1 else ()
+    _, pg_n, c, _ = norm
+    if prune and pg_n >= 3:
+        t = r - c + 1 if c >= 2 else 0
+        if max(gaussian_binomial(r, pg_n), gaussian_binomial(r, t)) <= _FAMILY_MAX:
+            window = (1 << r) - 1
+            return max_size_complement(r, constraints, window, budget, symmetry_break)
+    forced = _forced_basis(r) if symmetry_break and pg_n != 1 else ()
     best, best_mask, nodes, completed = _run_forward(
         r, norm, forced, budget, threads, prune
     )
@@ -468,6 +502,7 @@ def max_size_complement(
     t0 = monotonic()
     constraints.validate(r)
     _check_budget(budget)
+    _check_kernel_rank(r)
     g, pg_n, c, full = constraints.normalized()
     if pg_n == 1:
         raise ValueError("complement search does not support flat-freeness of order 1")

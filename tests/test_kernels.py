@@ -132,15 +132,14 @@ FORWARD_CASES = [
     (7, 0, 4, 0, False, _forced_basis(7), mask_from(R7_OUT), True),
 ]
 
-# (best, nodes) of the flat-free FORWARD_CASES.  The flat-coverage bound
-# took them from (24, 39671), (28, 3339), (30, 51) and (45, 15849), the
-# trees of the full flat test at every include, which the incremental
-# gate keeps; r=5 n=5 keeps its tree.
+# (best, nodes) of the flat-free FORWARD_CASES: the trees of the full
+# flat test at every include, which the incremental gate keeps.  No
+# bound beyond the size bound applies to them.
 PINNED_TREES = {
-    (5, 3): (24, 7931),
-    (5, 4): (28, 47),
+    (5, 3): (24, 39671),
+    (5, 4): (28, 3339),
     (5, 5): (30, 51),
-    (7, 4): (45, 1341),
+    (7, 4): (45, 15849),
 }
 
 
@@ -270,7 +269,7 @@ def test_bounded_forward_search_replays_literal_search_at_rank_five(kern):
         fr = draws.random() < 0.5
         args = literal_replay_args(draws, 5, g, pg_n, mc, fr, _forced_basis(5))
         bests.add(assert_bounds_replay_literal(kern, args))
-    # flat-free searches, where the flat-coverage bound fires; forcing
+    # flat-free searches, where the flat gate cuts the tree; forcing
     # half the points out keeps the literal trees small
     for pg_n in (3, 4, 5):
         for _ in range(3):
@@ -631,12 +630,9 @@ def test_forward_search_stops_at_a_real_budget(kern):
     assert nodes > 10_000 and best > 0
 
 
-# Budgets of the flat-free searches below.  At r=8 n=4 the pure kernel
-# lists the [8, 4]_2 = 200,787 flats of its flat-coverage bound before
-# the first node, about 2 s unless the listing polls the deadline.  At
-# r=12 n=6 the [12, 6]_2 flats are far past the table's cap, so the
-# bound is off and the search starts at once.
-FLAT_FREE_BUDGETS = {(6, 5): 0.5, (7, 6): 0.5, (8, 4): 0.3, (12, 6): 0.2}
+# Budgets of the flat-free searches below, run as max_size ran them
+# before it sent such demands to the complement engine.
+FLAT_FREE_BUDGETS = {(5, 4): 0.5, (6, 5): 0.5, (7, 6): 0.5, (8, 4): 0.3, (12, 6): 0.2}
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
@@ -644,15 +640,15 @@ FLAT_FREE_BUDGETS = {(6, 5): 0.5, (7, 6): 0.5, (8, 4): 0.3, (12, 6): 0.2}
 def test_forward_search_budget_holds_on_flat_free_searches(kern, r, pg_n):
     # Single flat tests cost up to milliseconds here; polling on the
     # node count alone would overshoot the budget by minutes.  A search
-    # that finishes must be right (Bose-Burton: 2^r - 2^(r-n+1)); the
-    # flat-coverage bound finishes r=6 n=5 in 109 nodes.
+    # that finishes must be right (Bose-Burton: 2^r - 2^(r-n+1)); r=5
+    # n=4 finishes in 3,339 nodes.
     budget = FLAT_FREE_BUDGETS[r, pg_n]
     t0 = monotonic()
     best, _, _, completed = kern.forward_search(
         r, 0, pg_n, 0, False, _forced_basis(r), 0, budget, True
     )
     assert monotonic() - t0 <= budget + 1.0
-    assert completed or (r, pg_n) != (6, 5)
+    assert completed or (r, pg_n) != (5, 4)
     assert not completed or best == (1 << r) - (1 << (r - pg_n + 1))
 
 
@@ -704,6 +700,22 @@ def test_complement_search_budget_holds_on_a_large_family(kern):
     got = kern.complement_search(8, masks, 0, False, 31, budget, True)
     assert monotonic() - t0 <= budget + 0.5
     assert got[3] is False
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_complement_search_polls_while_it_reads_the_family(kern):
+    # Both twins check each mask as they read it and poll the deadline
+    # every 256 masks: a spent budget stops them before the first node,
+    # and before a bad mask that comes later, while with no budget that
+    # mask raises on both.
+    lines = list(subspace_masks(6, 2))  # 651 masks
+    for family in (lines[:100], lines, lines[:300] + [-2] + lines[300:]):
+        got = kern.complement_search(6, family, 0, False, 63, 1e-9, True)
+        assert got == (-1, 0, 0, False), len(family)
+    with pytest.raises(ValueError):
+        kern.complement_search(6, lines[:300] + [-2], 0, False, 63, None, True)
+    with pytest.raises(ValueError):
+        kern.complement_search(6, [-2] + lines, 0, False, 63, 1e-9, True)
 
 
 def naive_transpose(masks, width):
@@ -763,7 +775,7 @@ def test_forced_points_pass_through_the_include_step(kern):
     assert kern.forward_search(*args) == (8, 0xFF00, 51, True)
     # the order of the forced points leaves the tree as it is
     basis = _forced_basis(5)
-    trees = (((5, 5, 0, 2, False), 10, 153), ((5, 0, 3, 0, False), 24, 7931))
+    trees = (((5, 5, 0, 2, False), 10, 153), ((5, 0, 3, 0, False), 24, 39671))
     for head, best, nodes in trees:
         down = kern.forward_search(*head, basis, 0, None, True)
         up = kern.forward_search(*head, tuple(sorted(basis)), 0, None, True)

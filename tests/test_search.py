@@ -1,5 +1,6 @@
 """Extremal search wrappers: exactness, determinism, agreement, budgets."""
 
+import functools
 import random
 from time import monotonic
 
@@ -25,7 +26,7 @@ from gf2matroid import (
 from gf2matroid import search
 from gf2matroid.search import _mask_lex_less
 
-from helpers import backends, random_matroid
+from helpers import backends, compiled, pure, random_matroid
 
 rng = random.Random(0x5EA)
 
@@ -77,6 +78,15 @@ def test_normalized_folds_overlaps():
         3,
         False,
     )
+    # odd girth >= 5 rules out lines, and with them every larger flat
+    assert ConstraintSet(min_odd_girth=5, pg_free_order=3).normalized() == (
+        5,
+        0,
+        0,
+        False,
+    )
+    assert ConstraintSet(min_odd_girth=7, pg_free_order=4).normalized()[:2] == (7, 0)
+    assert ConstraintSet(min_odd_girth=3, pg_free_order=3).normalized()[:2] == (0, 3)
 
 
 def test_mask_lex_less_prefers_low_bits():
@@ -368,6 +378,8 @@ def test_complement_kernel_gets_the_budget_left(monkeypatch):
     real = search.kernels
 
     class Spy:
+        KERNEL_RANK_MAX = real.KERNEL_RANK_MAX
+
         @staticmethod
         def complement_search(*args):
             passed.append(args[5])
@@ -387,6 +399,30 @@ def test_budget_runs_are_never_exhaustive():
         assert rep.optimum == rep.witness.size
 
 
+@functools.cache
+def forward_optimum(r, cs):
+    """The forward engine's optimum, which max_size runs on flat-free
+    demands only with prune off.
+
+    Up to rank 4 that is the literal search, max_size with neither
+    symmetry breaking nor bounds: it visits every valid set, at most
+    2^15.  At rank 5 the literal tree reaches 2^31 - 1 nodes (pg-free
+    5), so the forward kernel runs from the forced basis with its
+    bounds, as max_size ran it before flat-free demands went to the
+    complement engine.  Computed once, on the compiled backend when it
+    is built.
+    """
+    if r <= 4:
+        rep = max_size(r, cs, symmetry_break=False, prune=False)
+        assert rep.method == "forward" and rep.exhaustive
+        return rep.optimum
+    kern = compiled or pure
+    forced = search._forced_basis(r)
+    best, _, _, done = kern.forward_search(r, *cs.normalized(), forced, 0, None, True)
+    assert done
+    return max(best, 0)
+
+
 def test_forward_and_complement_agree():
     cases = [
         (4, ConstraintSet(pg_free_order=2), 15),
@@ -401,11 +437,100 @@ def test_forward_and_complement_agree():
         (5, ConstraintSet(min_odd_girth=5, full_rank=True), 31),
     ]
     for r, cs, window in cases:
-        fwd = max_size(r, cs)
+        if cs.normalized()[1] >= 3:
+            # max_size would run the complement engine itself
+            want = forward_optimum(r, cs)
+        else:
+            fwd = max_size(r, cs)
+            assert fwd.method == "forward" and fwd.exhaustive
+            want = fwd.optimum
         comp = max_size_complement(r, cs, window)
-        assert fwd.exhaustive and comp.exhaustive
-        assert fwd.optimum == comp.optimum, (r, cs)
+        assert comp.exhaustive
+        assert comp.optimum == want, (r, cs)
         assert cs.satisfied_by(comp.witness)
+
+
+def flat_free_demands():
+    """Freeness of order 3, 4 or 5, critical demand none, 2 or 3, either
+    full-rank demand, at ranks 3-5, and orders 4 and 5 at rank 6."""
+    for r, orders in ((3, (3,)), (4, (3, 4)), (5, (3, 4, 5)), (6, (4, 5))):
+        for n in orders:
+            for c in (None, 2, 3):
+                for full in (False, True):
+                    yield r, ConstraintSet(pg_free_order=n, min_critical=c, full_rank=full)
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_max_size_runs_flat_free_demands_on_the_complement_engine(monkeypatch, kern):
+    # The forward optimum is the oracle up to rank 5 (forward_optimum).
+    # At rank 6 it does not finish for order 4, so the oracle there is
+    # the Bose-Burton theorem: no set free of rank-n flats exceeds
+    # 2^r - 2^(r-n+1), and bose_burton(r, n - 1) attains it with full
+    # rank and critical number n - 1 >= 3.
+    demands = list(flat_free_demands())
+    want = {}
+    for r, cs in demands:
+        n = cs.pg_free_order
+        if r <= 5:
+            want[r, cs] = forward_optimum(r, cs)
+        else:
+            assert cs.satisfied_by(bose_burton(r, n - 1))
+            want[r, cs] = (1 << r) - (1 << (r - n + 1))
+    monkeypatch.setattr(search, "kernels", kern)
+    for r, cs in demands:
+        rep = max_size(r, cs)
+        assert (rep.method, rep.threads, rep.exhaustive) == ("complement", 1, True)
+        assert rep.optimum == want[r, cs], (r, cs)
+        if rep.witness is not None:
+            assert rep.witness.size == rep.optimum and cs.satisfied_by(rep.witness)
+        if r <= 4:
+            # the literal oracle on this backend as well
+            literal = max_size(r, cs, symmetry_break=False, prune=False)
+            assert literal.method == "forward" and literal.optimum == rep.optimum
+    assert len(demands) == 48
+
+
+def test_flat_free_dispatch_keeps_within_the_family_cap(monkeypatch):
+    # one process whatever threads asks for
+    def no_pool(*args, **kw):
+        raise AssertionError("the complement engine needs no process pool")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    rep = max_size(6, ConstraintSet(pg_free_order=3), threads=2)
+    assert (rep.method, rep.threads, rep.optimum, rep.exhaustive) == (
+        "complement",
+        1,
+        48,
+        True,
+    )
+    assert max_size(4, ConstraintSet(pg_free_order=3), prune=False).method == "forward"
+    # odd girth >= 5 folds freeness away, so the forward engine keeps it
+    rep = max_size(5, ConstraintSet(min_odd_girth=5, pg_free_order=3))
+    assert rep.method == "forward" and rep.optimum == 16
+    # past _FAMILY_MAX flats to hit or to forbid, the forward engine runs;
+    # a stand-in returns at once, before any witness needs re-verifying
+    monkeypatch.setattr(search, "_run_forward", lambda *args: (-1, 0, 0, False))
+    for cs in (
+        ConstraintSet(pg_free_order=3),  # [9, 3]_2 = 788,035 planes to hit
+        ConstraintSet(pg_free_order=8, min_critical=5),  # 3,309,747 5-flats
+    ):
+        assert max_size(9, cs).method == "forward"
+    # 511 hyperplanes and 511 forbidden 8-flats; a spent budget stops the
+    # listing
+    cs = ConstraintSet(pg_free_order=8, min_critical=2)
+    assert max_size(9, cs, budget=0.0).method == "complement"
+
+
+def test_kernel_rank_is_checked_before_listing(monkeypatch):
+    def no_listing(r, d):
+        raise AssertionError(f"listed the {d}-flats of rank {r}")
+
+    monkeypatch.setattr(search, "subspace_masks", no_listing)
+    cs = ConstraintSet(pg_free_order=12)
+    with pytest.raises(ValueError, match="kernel rank"):
+        max_size_complement(13, cs, 3)
+    with pytest.raises(ValueError, match="kernel rank"):
+        max_size(13, cs)
 
 
 def test_complement_search_values(monkeypatch):

@@ -2,7 +2,6 @@
 
 import ast
 import os
-import re
 import shlex
 import shutil
 import subprocess
@@ -10,8 +9,6 @@ import sysconfig
 from pathlib import Path
 
 import pytest
-
-from gf2matroid import _kernels_py
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gf2matroid"
 
@@ -22,19 +19,6 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines}"
-
-
-def test_kernels_declare_the_same_flat_table_cap():
-    # the forward twins must skip the flat-coverage bound on the same
-    # searches, or their node counts part
-    found = re.findall(
-        r"^#define FLAT_TABLE_MAX (.+)$", (PACKAGE / "_kernels.c").read_text(), re.M
-    )
-    assert len(found) == 1, found
-    expr = found[0].strip()
-    # digits, shifts and arithmetic read the same in C and Python
-    assert re.fullmatch(r"[\d\s()<*+-]+", expr), expr
-    assert eval(expr) == _kernels_py._FLAT_TABLE_MAX
 
 
 def test_kernels_c_compiles_without_warnings():
