@@ -130,12 +130,11 @@ def build_parser() -> _Parser:
     s.add_argument("--pg-free", type=int, metavar="N", help="forbid rank-N flats")
     s.add_argument("--full-rank", action="store_true")
     s.add_argument(
-        "--method",
-        choices=("forward", "complement"),
-        default="forward",
-        help="forward runs max_size, which sends flat-free demands to the complement engine",
+        "--max-blocker",
+        type=int,
+        metavar="W",
+        help="complement engine, window W; default: the constraints pick the engine",
     )
-    s.add_argument("--max-blocker", type=int, help="complement window size")
     s.add_argument("--budget", type=float, metavar="SECONDS")
     s.add_argument("--threads", type=int)
     s.add_argument("--no-symmetry", action="store_true")
@@ -203,9 +202,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         pg_free_order=args.pg_free,
         full_rank=args.full_rank,
     )
-    if args.method == "forward":
-        if args.max_blocker is not None:
-            raise ValueError("--max-blocker applies to --method complement only")
+    if args.max_blocker is None:
         rep = max_size(
             args.rank,
             cs,
@@ -214,16 +211,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
             symmetry_break=not args.no_symmetry,
             prune=not args.no_prune,
         )
+    elif args.threads is not None or args.no_prune:
+        raise ValueError("--threads and --no-prune apply to the forward engine only")
     else:
-        if args.threads is not None or args.no_prune:
-            raise ValueError("--threads and --no-prune apply to --method forward only")
-        window = args.max_blocker
-        if window is None:
-            window = (1 << args.rank) - 1
         rep = max_size_complement(
             args.rank,
             cs,
-            window,
+            args.max_blocker,
             budget=args.budget,
             symmetry_break=not args.no_symmetry,
         )

@@ -2,10 +2,10 @@
 
 Two engines: max_size grows point sets directly (include-first DFS in
 decreasing encoding order), max_size_complement enumerates minimal
-blockers B and reports PG(r-1,2) minus B; max_size hands flat-free
-demands of order >= 3 to the second.  Both prove optimality when they
-complete within budget; otherwise the report carries the best bound
-found and exhaustive=False.
+blockers B and reports PG(r-1,2) minus B; max_size picks the engine
+itself (see there).  Both prove optimality when they complete within
+budget; otherwise the report carries the best bound found and
+exhaustive=False.
 
 Symmetry breaking: the direct engine keeps only sets containing one
 fixed basis, which loses no optimum because some largest valid set has
@@ -64,7 +64,6 @@ THEOREMS = ("main", "bose_burton", "gs")
 _LIST_POLL = 256  # subspaces listed between deadline polls
 # The most flats max_size hands to the complement engine, in the family to
 # hit or the forbidden flats; it bounds the kernels' per-point columns.
-# Larger flat-free demands run forward.
 _FAMILY_MAX = 1 << 18
 
 
@@ -415,16 +414,18 @@ def max_size(
     some image of that set contains the fixed basis.  Freeness of
     order 1 admits no point at all and is searched unforced.
 
-    With prune, a demand that keeps freeness of some order n >= 3
-    after normalized() runs max_size_complement instead, with the full
-    window 2^r - 1 and symmetry_break passed on; the report says method
-    "complement" and threads 1, as that engine runs in one process.  It
-    beats the forward engine on every such demand measured: pg-free 3
-    at r=6 takes 12,735 complement nodes, while the forward search had
-    not finished after 4.3M.  The n-flats to hit and, under a critical
-    demand c >= 2, the forbidden (r-c+1)-flats must each number at most
-    _FAMILY_MAX, to bound the kernels' tables; larger demands run
-    forward.  prune=False always runs the literal forward search.
+    With prune, max_size_complement runs instead, with the full window
+    2^r - 1 and symmetry_break passed on, when the normalized demand
+    keeps freeness of some order n >= 3, or has odd girth 5, a critical
+    demand c other than 2 and no order-1 freeness (lines to hit, n = 2);
+    the report says method "complement" and threads 1.  It wins all of
+    these as measured: pg-free 3 at r=6 takes 12,735 nodes against over
+    4.3M forward, odd girth 5 with c >= 3 at r=6 takes 498 against
+    9,245,881.  At c = 2 the forward engine wins (k=5 r=7 reached 40 in
+    30 s, against 33).  The n-flats to hit and, for c >= 2, the
+    forbidden (r-c+1)-flats must each number at most _FAMILY_MAX, to
+    bound the kernels' tables; larger demands run forward.
+    prune=False always runs the literal forward search.
 
     threads >= 2 splits the forward search over that many processes;
     threads below 1 raise ValueError.
@@ -435,10 +436,11 @@ def max_size(
     _check_threads(threads)
     _check_kernel_rank(r)
     norm = constraints.normalized()
-    _, pg_n, c, _ = norm
-    if prune and pg_n >= 3:
+    g, pg_n, c, _ = norm
+    n = 2 if g == 5 and pg_n == 0 and c != 2 else pg_n
+    if prune and n >= 2:
         t = r - c + 1 if c >= 2 else 0
-        if max(gaussian_binomial(r, pg_n), gaussian_binomial(r, t)) <= _FAMILY_MAX:
+        if max(gaussian_binomial(r, n), gaussian_binomial(r, t)) <= _FAMILY_MAX:
             window = (1 << r) - 1
             return max_size_complement(r, constraints, window, budget, symmetry_break)
     forced = _forced_basis(r) if symmetry_break and pg_n != 1 else ()
@@ -516,6 +518,8 @@ def max_size_complement(
         raise ValueError("complement search needs a flat-freeness constraint")
     if max_blocker < 0:
         raise ValueError("max_blocker must be nonnegative")
+    if c > r:  # forbid_affine at rank 1: no set is valid, no flat to forbid
+        return _report(r, constraints, "complement", -1, 0, 0, True, t0)
     # one deadline covers listing the hitting family and the search
     deadline = None if budget is None else t0 + budget
     subspaces = _subspace_masks(r, n_eff, deadline)

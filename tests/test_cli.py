@@ -224,8 +224,6 @@ def test_search_complement_method(capsys):
         "4",
         "--pg-free",
         "2",
-        "--method",
-        "complement",
         "--max-blocker",
         "15",
     )
@@ -269,36 +267,48 @@ def test_search_empty_constraints_rejected(capsys):
     assert "constraint" in err
 
 
-def test_search_blocker_flag_needs_complement_method(capsys):
-    code, _, err = run(
-        capsys, "search", "-r", "4", "--pg-free", "2", "--max-blocker", "5"
-    )
-    assert code == EXIT_USAGE
-    assert "complement" in err
+def test_search_picks_the_engine_itself(capsys):
+    argv = ["search", "-r", "5", "--min-odd-girth", "5", "--min-critical", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["method"] == "complement"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--method", "complement"])
+    assert info.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--help"])
+    out = capsys.readouterr().out
+    assert info.value.code == EXIT_OK and "--max-blocker" in out
+    assert "--method" not in out
 
 
 def test_search_complement_refuses_order_one_freeness(capsys):
     # order 1 admits only the empty set; a line family must not hide it
     for girth in ([], ["--min-odd-girth", "5"]):
-        argv = ["search", "-r", "4", "--pg-free", "1", "--method", "complement"]
+        argv = ["search", "-r", "4", "--pg-free", "1", "--max-blocker", "15"]
         code, out, err = run(capsys, *argv, *girth)
         assert code == EXIT_USAGE, girth
         assert out == "" and "order 1" in err
 
 
 def test_search_complement_proves_an_infeasible_demand(capsys):
-    argv = ["search", "-r", "5", "--pg-free", "2", "--min-critical", "3"]
-    code, out, _ = run(capsys, *argv, "--method", "complement")
-    assert code == EXIT_OK
-    report = json.loads(out)
-    jsonschema.validate(report, schema("search"))
-    assert report["exhaustive"] and report["optimum"] == 0
-    assert report["witness"] is None
+    # critical number 2 at rank 1 leaves no flat to forbid; no set is valid
+    for argv in (
+        ["-r", "5", "--pg-free", "2", "--min-critical", "3", "--max-blocker", "31"],
+        ["-r", "1", "--min-odd-girth", "5", "--forbid-affine", "--max-blocker", "1"],
+    ):
+        code, out, _ = run(capsys, "search", *argv)
+        assert code == EXIT_OK, argv
+        report = json.loads(out)
+        jsonschema.validate(report, schema("search"))
+        assert report["exhaustive"] and report["optimum"] == 0
+        assert report["witness"] is None
 
 
 def test_search_forward_flags_need_forward_method(capsys):
     for flag in (["--threads", "2"], ["--no-prune"]):
-        argv = ["search", "-r", "4", "--pg-free", "2", "--method", "complement"]
+        argv = ["search", "-r", "4", "--pg-free", "2", "--max-blocker", "15"]
         code, _, err = run(capsys, *argv, *flag)
         assert code == EXIT_USAGE, flag
         assert "forward" in err

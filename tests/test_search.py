@@ -2,6 +2,7 @@
 
 import functools
 import random
+from itertools import product
 from time import monotonic
 
 import pytest
@@ -13,6 +14,7 @@ from gf2matroid import (
     bose_burton,
     circuit,
     critical_number,
+    critical_number_bruteforce,
     extremal_gs,
     has_pg_restriction,
     is_affine,
@@ -20,6 +22,8 @@ from gf2matroid import (
     max_size,
     max_size_complement,
     odd_girth,
+    odd_girth_bruteforce,
+    parse,
     pg,
     verify_theorem,
 )
@@ -402,7 +406,8 @@ def test_budget_runs_are_never_exhaustive():
 @functools.cache
 def forward_optimum(r, cs):
     """The forward engine's optimum, which max_size runs on flat-free
-    demands only with prune off.
+    demands, and on odd-girth-5 demands other than critical number 2,
+    only with prune off.
 
     Up to rank 4 that is the literal search, max_size with neither
     symmetry breaking nor bounds: it visits every valid set, at most
@@ -437,27 +442,28 @@ def test_forward_and_complement_agree():
         (5, ConstraintSet(min_odd_girth=5, full_rank=True), 31),
     ]
     for r, cs, window in cases:
-        if cs.normalized()[1] >= 3:
-            # max_size would run the complement engine itself
-            want = forward_optimum(r, cs)
-        else:
-            fwd = max_size(r, cs)
-            assert fwd.method == "forward" and fwd.exhaustive
-            want = fwd.optimum
         comp = max_size_complement(r, cs, window)
         assert comp.exhaustive
-        assert comp.optimum == want, (r, cs)
+        assert comp.optimum == forward_optimum(r, cs), (r, cs)
         assert cs.satisfied_by(comp.witness)
 
 
 def flat_free_demands():
-    """Freeness of order 3, 4 or 5, critical demand none, 2 or 3, either
-    full-rank demand, at ranks 3-5, and orders 4 and 5 at rank 6."""
+    """Demands max_size sends to the complement engine: freeness of
+    order 3, 4 or 5, critical demand none, 2 or 3, either full-rank
+    demand, at ranks 3-5, and orders 4 and 5 at rank 6; and odd girth 5
+    with critical demand none, 1, 3 or 4 and either full-rank demand at
+    ranks 3-5."""
     for r, orders in ((3, (3,)), (4, (3, 4)), (5, (3, 4, 5)), (6, (4, 5))):
         for n in orders:
             for c in (None, 2, 3):
                 for full in (False, True):
                     yield r, ConstraintSet(pg_free_order=n, min_critical=c, full_rank=full)
+    for r in (3, 4, 5):
+        for c in (None, 1, 3, 4):
+            for full in (False, True):
+                if c is None or c <= r:
+                    yield r, ConstraintSet(min_odd_girth=5, min_critical=c, full_rank=full)
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
@@ -487,7 +493,7 @@ def test_max_size_runs_flat_free_demands_on_the_complement_engine(monkeypatch, k
             # the literal oracle on this backend as well
             literal = max_size(r, cs, symmetry_break=False, prune=False)
             assert literal.method == "forward" and literal.optimum == rep.optimum
-    assert len(demands) == 48
+    assert len(demands) == 70
 
 
 def test_flat_free_dispatch_keeps_within_the_family_cap(monkeypatch):
@@ -503,22 +509,145 @@ def test_flat_free_dispatch_keeps_within_the_family_cap(monkeypatch):
         48,
         True,
     )
-    assert max_size(4, ConstraintSet(pg_free_order=3), prune=False).method == "forward"
-    # odd girth >= 5 folds freeness away, so the forward engine keeps it
-    rep = max_size(5, ConstraintSet(min_odd_girth=5, pg_free_order=3))
-    assert rep.method == "forward" and rep.optimum == 16
+    # odd girth >= 5 folds freeness of order 3 into lines to hit
+    rep = max_size(5, ConstraintSet(min_odd_girth=5, pg_free_order=3), threads=2)
+    assert (rep.method, rep.threads, rep.optimum) == ("complement", 1, 16)
+    # the forward engine keeps prune=False, critical number exactly 2
+    # (forbid_affine included) and order-1 freeness
+    for r, cs, optimum, kw in (
+        (4, ConstraintSet(pg_free_order=3), 12, {"prune": False}),
+        (4, ConstraintSet(min_odd_girth=5), 8, {"prune": False}),
+        (5, ConstraintSet(min_odd_girth=5, min_critical=2), 10, {}),
+        (5, GIRTH5_NONAFFINE, 10, {}),
+        (5, ConstraintSet(pg_free_order=2, forbid_affine=True), 10, {}),
+        (4, ConstraintSet(min_odd_girth=5, pg_free_order=1), 0, {}),
+    ):
+        rep = max_size(r, cs, **kw)
+        assert (rep.method, rep.optimum) == ("forward", optimum), (cs, kw)
     # past _FAMILY_MAX flats to hit or to forbid, the forward engine runs;
     # a stand-in returns at once, before any witness needs re-verifying
     monkeypatch.setattr(search, "_run_forward", lambda *args: (-1, 0, 0, False))
-    for cs in (
-        ConstraintSet(pg_free_order=3),  # [9, 3]_2 = 788,035 planes to hit
-        ConstraintSet(pg_free_order=8, min_critical=5),  # 3,309,747 5-flats
+    for r, cs in (
+        (9, ConstraintSet(pg_free_order=3)),  # [9, 3]_2 = 788,035 planes to hit
+        (9, ConstraintSet(pg_free_order=8, min_critical=5)),  # 3,309,747 5-flats
+        (11, ConstraintSet(min_odd_girth=5)),  # [11, 2]_2 = 698,027 lines
+        (10, ConstraintSet(min_odd_girth=5, min_critical=6)),  # [10, 5]_2 5-flats
     ):
-        assert max_size(9, cs).method == "forward"
-    # 511 hyperplanes and 511 forbidden 8-flats; a spent budget stops the
-    # listing
-    cs = ConstraintSet(pg_free_order=8, min_critical=2)
-    assert max_size(9, cs, budget=0.0).method == "complement"
+        assert max_size(r, cs).method == "forward", (r, cs)
+    # 511 hyperplanes and 511 forbidden 8-flats, or the 174,251 lines of
+    # rank 10; a spent budget stops the listing
+    for r, cs in (
+        (9, ConstraintSet(pg_free_order=8, min_critical=2)),
+        (10, ConstraintSet(min_odd_girth=5)),
+    ):
+        assert max_size(r, cs, budget=0.0).method == "complement", (r, cs)
+
+
+# odd girth 5 on the complement engine: (rank, critical demand, optimum,
+# nodes), the same on both backends
+GIRTH_FIVE_TREES = [
+    (5, 3, 0, 16),
+    (6, 3, 0, 498),
+    (6, 4, 0, 22),
+    (6, None, 32, 67),
+    (7, None, 64, 1863),
+]
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_odd_girth_five_trees_are_pinned(monkeypatch, kern):
+    monkeypatch.setattr(search, "kernels", kern)
+    for r, c, optimum, nodes in GIRTH_FIVE_TREES:
+        rep = max_size(r, ConstraintSet(min_odd_girth=5, min_critical=c))
+        assert rep.method == "complement" and rep.exhaustive, (r, c)
+        assert (rep.optimum, rep.nodes) == (optimum, nodes), (r, c)
+
+
+# A triangle-free set (odd girth 5) of critical number 3 at rank 7, found
+# by the complement engine with the full window; no such set exists at
+# rank 6, and Govaerts-Storme caps one at rank 7 by 40 points.
+TRIANGLE_FREE_CRITICAL_THREE = """
+0000111 0001101 0001111 0010011 0010101 0100101 0100110 1001000
+1001011 1001101 1001110 1010100 1010101 1010110 1010111 1011100
+1011111 1100001 1100011 1100101 1100111 1101001 1101111 1110101
+1110111 1111011 1111101 1111110 1111111
+"""
+
+
+def test_a_triangle_free_set_of_critical_number_three_at_rank_seven():
+    m = parse("\n".join(["rank 7"] + TRIANGLE_FREE_CRITICAL_THREE.split()))
+    assert m.size == 29 and m.is_full_rank
+    assert odd_girth(m) == odd_girth_bruteforce(m) == 5
+    assert critical_number(m)[0] == critical_number_bruteforce(m) == 3
+    cs = ConstraintSet(min_odd_girth=5, min_critical=3, full_rank=True)
+    assert cs.satisfied_by(m)
+
+
+TRIANGLE_FREE_CRITICAL_THREE_CS = ConstraintSet(min_odd_girth=5, min_critical=3)
+
+
+def test_no_triangle_free_set_of_critical_number_three_at_rank_six():
+    rep = max_size(6, TRIANGLE_FREE_CRITICAL_THREE_CS)
+    assert (rep.method, rep.optimum, rep.exhaustive) == ("complement", 0, True)
+    assert rep.witness is None
+
+
+@pytest.mark.deep
+def test_forward_kernel_confirms_no_triangle_free_critical_three_set_at_rank_six():
+    # 1-2 s compiled, over 30 s pure
+    kern = compiled or pure
+    norm = TRIANGLE_FREE_CRITICAL_THREE_CS.normalized()
+    out = kern.forward_search(6, *norm, search._forced_basis(6), 0, None, True)
+    assert out == (-1, 0, 9245881, True)
+
+
+def complement_grid():
+    """Every demand the complement engine can express at ranks 1-4:
+    odd girth 5, freeness of order >= 2 or both, with any forbid_affine,
+    critical demand and full-rank demand."""
+    for r in range(1, 5):
+        orders = [None] + list(range(2, r + 1))
+        criticals = [None] + list(range(1, r + 1))
+        flags = (False, True)
+        for g, n, affine, c, full in product((None, 5), orders, flags, criticals, flags):
+            if g is not None or n is not None:
+                yield r, ConstraintSet(
+                    min_odd_girth=g,
+                    forbid_affine=affine,
+                    min_critical=c,
+                    pg_free_order=n,
+                    full_rank=full,
+                )
+
+
+@functools.cache
+def literal_optimum(r, cs):
+    rep = max_size(r, cs, symmetry_break=False, prune=False)
+    assert rep.method == "forward" and rep.exhaustive
+    return rep.optimum
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+def test_complement_engine_matches_the_literal_search(monkeypatch, kern):
+    # rank 1 under forbid_affine asks for critical number 2 > r, which
+    # no set reaches; the complement engine says so before listing
+    demands = list(complement_grid())
+    want = {(r, cs): literal_optimum(r, cs) for r, cs in demands}
+    monkeypatch.setattr(search, "kernels", kern)
+    for r, cs in demands:
+        key = (r, cs)
+        reps = [
+            max_size_complement(r, cs, (1 << r) - 1, symmetry_break=sym)
+            for sym in (True, False)
+        ]
+        picked = max_size(r, cs)
+        g, _, c, _ = cs.normalized()
+        assert picked.method == ("forward" if (g, c) == (5, 2) else "complement"), key
+        for rep in reps + [picked]:
+            assert rep.exhaustive and rep.optimum == want[key], key
+            if rep.witness is not None:
+                assert cs.satisfied_by(rep.witness), key
+    assert len(demands) == 264
 
 
 def test_kernel_rank_is_checked_before_listing(monkeypatch):
@@ -617,9 +746,13 @@ def test_complement_window_too_small_is_inconclusive():
 def test_engines_agree_on_an_infeasible_demand():
     # no line-free set at rank 5 has critical number >= 3
     cs = ConstraintSet(pg_free_order=2, min_critical=3)
-    for rep in (max_size(5, cs), max_size_complement(5, cs, 31)):
-        assert rep.exhaustive, rep.method
-        assert rep.optimum == 0 and rep.witness is None, rep.method
+    forced = search._forced_basis(5)
+    for kern in backends:
+        out = kern.forward_search(5, *cs.normalized(), forced, 0, None, True)
+        assert out == (-1, 0, 1037, True), kern.BACKEND_NAME
+    rep = max_size(5, cs)
+    assert rep.method == "complement" and rep.exhaustive
+    assert rep.optimum == 0 and rep.witness is None
     # a window short of all 31 points does not admit every blocker
     rep = max_size_complement(5, cs, 30)
     assert not rep.exhaustive
