@@ -350,196 +350,164 @@ static PyObject *py_min_odd_zero_subset(PyObject *self, PyObject *points)
 
 /* --------------------------------------------------------- forward search */
 
+/* The pure twin's forward_search on word bitsets; its docstring gives the
+ * arguments.  Slot d of the slab holds the state of the node at depth d,
+ * nw words each: the frontier, the chosen set, covers, the span and
+ * sums[0..T]. */
 typedef struct {
-    int r, n_all, nw, T, pg_n, min_critical;
+    int r, n_all, nw, T, pg_n, min_critical, half, stride;
     int full_rank, prune, use_deadline, timed_out;
     double deadline;
     long long nodes, ticks; /* ticks: the deadline poll counter */
     int best;
-    u64 *best_mask;   /* nw */
-    u64 *hit;         /* n_all * nw */
-    u64 *nonzero;     /* nw */
-    u64 *slab_chosen; /* maxd * nw */
-    u64 *slab_sums;   /* maxd * (T+1) * nw */
-    u64 *slab_covers; /* maxd * nw */
-    u16 *slab_piv;    /* maxd * r */
-    u16 *slab_feas;   /* maxd * n_all */
-    u64 *scratch;     /* tmp, rest, free (reach), pair: nw each; then 2 * nw * (r + 1) */
+    u64 *best_mask; /* nw */
+    u64 *hit;       /* n_all * nw: the functionals hitting v */
+    u64 *nonzero;   /* nw */
+    u64 *slab;      /* n_all * stride */
+    u64 *scratch;   /* tmp, pair, cand: nw each; then 2 * nw * (r + 1) */
 } FwdCtx;
+
+static inline u64 *fwd_slot(FwdCtx *c, int depth)
+{
+    return c->slab + (size_t)depth * c->stride;
+}
 
 /* subspace_in(mask, d) found a subspace; the call advances the poll
  * counter by FINDER_COST and may set timed_out. */
 static int fwd_finds(FwdCtx *c, const u64 *mask, int d)
 {
-    int found = subspace_in(mask, d, c->r, c->nw, c->scratch + 4 * c->nw);
+    int found = subspace_in(mask, d, c->r, c->nw, c->scratch + 3 * c->nw);
     c->ticks += FINDER_COST;
     if (deadline_passed(c->ticks, FINDER_COST, c->use_deadline, c->deadline))
         c->timed_out = 1;
     return found;
 }
 
-static int fwd_passes_extra(FwdCtx *c, const u64 *chosen, const u64 *covers, int rank)
+static int fwd_passes_extra(FwdCtx *c, const u64 *chosen, const u64 *covers, const u64 *span)
 {
     int i;
-    u64 *freebuf = c->scratch + 2 * c->nw;
+    u64 *unchosen = c->scratch;
     if (c->min_critical >= 2 && !bs_isempty(covers, c->nw))
         return 0;
     if (c->min_critical >= 3) {
         for (i = 0; i < c->nw; i++)
-            freebuf[i] = c->nonzero[i] & ~chosen[i];
-        if (fwd_finds(c, freebuf, c->r - c->min_critical + 1))
+            unchosen[i] = c->nonzero[i] & ~chosen[i];
+        if (fwd_finds(c, unchosen, c->r - c->min_critical + 1))
             return 0;
     }
-    if (c->full_rank && rank != c->r)
+    if (c->full_rank && bs_popcount(span, c->nw) != c->n_all)
         return 0;
     return 1;
 }
 
-/* Join v to the state in slab slot `slot` and write the result into slot
- * depth + 1 (depth >= slot), with the child's frontier: the w among the
- * nf candidates feas, v not among them, that may still join.  A new flat
- * through v and w holds v ^ w, a chosen point, and is then
- * span(v, w) + U with the nonzero vectors of U in pair & T_w(pair),
- * pair = chosen & T_v(chosen); the argument is in the pure twin's
- * forward_search docstring.  Returns the child's frontier size, adds 1
- * to *rank when v is outside the span, and stops filtering once
- * timed_out is set. */
-static int fwd_include(FwdCtx *c, int v, int slot, int depth, const u16 *feas, int nf,
-                       int *rank)
+/* The child's state in slot depth + 1: v, just taken from the frontier of
+ * slot depth, joins the chosen set, and the frontier keeps the w still
+ * feasible.  Stops filtering once timed_out is set. */
+static void fwd_include(FwdCtx *c, int v, int depth)
 {
-    int nw = c->nw, sw = (c->T + 1) * nw, t, i, j, p, w, cnf = 0;
-    u64 x;
-    u64 *nc = c->slab_chosen + (size_t)(depth + 1) * nw;
-    u64 *ns = c->slab_sums + (size_t)(depth + 1) * sw;
-    u64 *ncov = c->slab_covers + (size_t)(depth + 1) * nw;
-    u16 *npiv = c->slab_piv + (size_t)(depth + 1) * c->r;
-    u16 *cfeas = c->slab_feas + (size_t)(depth + 1) * c->n_all;
-    const u64 *hv = c->hit + (size_t)v * nw, *cov = c->slab_covers + (size_t)slot * nw;
-    u64 *tmp = c->scratch, *rest = c->scratch + nw, *pair = c->scratch + 3 * nw;
-    memcpy(nc, c->slab_chosen + (size_t)slot * nw, nw * sizeof(u64));
-    bs_set(nc, v);
-    memcpy(ns, c->slab_sums + (size_t)slot * sw, sw * sizeof(u64));
+    int nw = c->nw, t, i, k, w;
+    u64 m;
+    const u64 *feas = fwd_slot(c, depth), *hv = c->hit + (size_t)v * nw;
+    u64 *rest = fwd_slot(c, depth + 1), *chosen = rest + nw, *covers = rest + 2 * nw;
+    u64 *span = rest + 3 * nw, *sums = rest + 4 * nw;
+    u64 *tmp = c->scratch, *pair = c->scratch + nw, *cand = c->scratch + 2 * nw;
+    memcpy(chosen, feas + nw, (c->stride - nw) * sizeof(u64)); /* all but the frontier */
+    bs_set(chosen, v);
     for (t = c->T; t >= 2; t--) {
-        bs_translate(tmp, ns + (t - 1) * nw, v, nw);
+        bs_translate(tmp, sums + (t - 1) * nw, v, nw);
         for (i = 0; i < nw; i++)
-            ns[t * nw + i] |= tmp[i];
+            sums[t * nw + i] |= tmp[i];
     }
     if (c->T >= 1)
-        bs_set(ns + nw, v);
+        bs_set(sums + nw, v);
     for (i = 0; i < nw; i++)
-        ncov[i] = cov[i] & hv[i];
-    memcpy(npiv, c->slab_piv + (size_t)slot * c->r, c->r * sizeof(u16));
-    for (x = (u64)v; x; x ^= npiv[p]) {
-        p = msb64(x);
-        if (npiv[p] == 0) {
-            npiv[p] = (u16)x;
-            ++*rank;
-            break;
-        }
-    }
-    if (c->pg_n >= 3) {
-        bs_translate(pair, nc, v, nw);
+        covers[i] &= hv[i];
+    if (!bs_get(span, v)) {
+        bs_translate(tmp, span, v, nw);
         for (i = 0; i < nw; i++)
-            pair[i] &= nc[i];
+            span[i] |= tmp[i];
     }
-    for (j = 0; j < nf && !c->timed_out; j++) {
-        w = feas[j];
-        /* sums of an even number of chosen points close odd circuits */
-        for (t = 2; t <= c->T && !bs_get(ns + t * nw, w); t += 2)
-            ;
-        if (t <= c->T)
-            continue;
-        if (c->pg_n >= 3 && bs_get(nc, v ^ w)) {
+    /* the sums of an even number of chosen points close odd circuits */
+    memcpy(rest, feas, nw * sizeof(u64));
+    for (t = 2; t <= c->T; t += 2)
+        for (i = 0; i < nw; i++)
+            rest[i] &= ~sums[t * nw + i];
+    if (c->pg_n < 3)
+        return;
+    /* a new flat through v and w holds v ^ w, a chosen point */
+    bs_translate(tmp, chosen, v, nw);
+    for (i = 0; i < nw; i++) {
+        pair[i] = chosen[i] & tmp[i];
+        cand[i] = rest[i] & tmp[i];
+    }
+    for (k = 0; k < nw && !c->timed_out; k++) {
+        for (m = cand[k]; m && !c->timed_out; m &= m - 1) {
+            w = (k << 6) + ctz64(m);
             bs_translate(tmp, pair, w, nw);
             for (i = 0; i < nw; i++)
-                rest[i] = pair[i] & tmp[i];
-            if (fwd_finds(c, rest, c->pg_n - 2))
-                continue;
+                tmp[i] &= pair[i];
+            if (fwd_finds(c, tmp, c->pg_n - 2))
+                rest[k] ^= m & -m;
         }
-        cfeas[cnf++] = (u16)w;
     }
-    return cnf;
 }
 
-/* The half-space bound, for odd girth >= 5: some f in covers leaves any
- * completion at most min(size + |one|, 2^(r-2)) + min(|zero|, 2^(r-2))
- * <= best points.  |one| = |feas & hit[f]| is counted over the feas list on
- * row f of hit, hit being symmetric.  The reach test before it has already
- * returned when some zero is empty.  The argument is in the pure twin's
- * forward_search docstring. */
-static int fwd_half_space_bound(FwdCtx *c, const u16 *feas, int nf, const u64 *covers,
-                                int size)
+/* One node, its state in slot depth; the exclude branch is the next pass
+ * of its loop. */
+static void fwd_dfs(FwdCtx *c, int depth, int size)
 {
-    int k, f, i, n_one, a, b, half = 1 << (c->r - 2);
-    u64 word;
+    int nw = c->nw, i, k, v, n_feas, n_one, lo, hi;
+    u64 m, *feas = fwd_slot(c, depth), *chosen = feas + nw, *covers = feas + 2 * nw;
     const u64 *hf;
-    for (k = 0; k < c->nw; k++) {
-        for (word = covers[k]; word; word &= word - 1) {
-            f = (k << 6) + ctz64(word);
-            hf = c->hit + (size_t)f * c->nw;
-            n_one = 0;
-            for (i = 0; i < nf; i++)
-                n_one += bs_get(hf, feas[i]);
-            a = size + n_one < half ? size + n_one : half;
-            b = nf - n_one < half ? nf - n_one : half;
-            if (a + b <= c->best)
-                return 1;
+    for (;;) {
+        c->nodes++;
+        c->ticks++;
+        if (deadline_passed(c->ticks, 1, c->use_deadline, c->deadline)) {
+            c->timed_out = 1;
+            return;
         }
-    }
-    return 0;
-}
-
-/* One node: its state is in slab slot `slot` and its frontier is the nf
- * points feas; the include branch's state goes to slot depth + 1. */
-static void fwd_dfs(FwdCtx *c, int depth, const u16 *feas, int nf, int slot, int rank,
-                    int size)
-{
-    int i, k, cnf, nrank = rank, nonempty;
-    const u64 *hw, *chosen = c->slab_chosen + (size_t)slot * c->nw;
-    const u64 *covers = c->slab_covers + (size_t)slot * c->nw;
-    u64 *reach;
-    c->nodes++;
-    c->ticks++;
-    if (deadline_passed(c->ticks, 1, c->use_deadline, c->deadline)) {
-        c->timed_out = 1;
-        return;
-    }
-    if (size > c->best && fwd_passes_extra(c, chosen, covers, rank) && !c->timed_out) {
-        c->best = size;
-        memcpy(c->best_mask, chosen, c->nw * sizeof(u64));
-    }
-    if (c->timed_out)
-        return;
-    if (nf == 0)
-        return;
-    if (c->prune && size + nf <= c->best)
-        return;
-    if (c->prune && c->min_critical >= 2) {
-        reach = c->scratch + 2 * c->nw;
-        memcpy(reach, covers, c->nw * sizeof(u64));
-        nonempty = !bs_isempty(reach, c->nw);
-        for (i = 0; i < nf && nonempty; i++) {
-            hw = c->hit + (size_t)feas[i] * c->nw;
-            nonempty = 0;
-            for (k = 0; k < c->nw; k++) {
-                reach[k] &= hw[k];
-                if (reach[k])
-                    nonempty = 1;
+        if (size > c->best && fwd_passes_extra(c, chosen, covers, feas + 3 * nw) &&
+            !c->timed_out) {
+            c->best = size;
+            memcpy(c->best_mask, chosen, nw * sizeof(u64));
+        }
+        if (c->timed_out)
+            return;
+        n_feas = bs_popcount(feas, nw);
+        if (n_feas == 0)
+            return;
+        if (c->prune) {
+            if (size + n_feas <= c->best)
+                return; /* the size bound */
+            if (c->min_critical >= 2 && !bs_isempty(covers, nw)) {
+                if (2 * c->half <= c->best)
+                    return; /* both sides capped: the half-space bound */
+                /* the half-space bound as two thresholds on |one| */
+                lo = c->best - c->half - size;
+                hi = n_feas - (c->best > c->half ? c->best - c->half : 0);
+                for (k = 0; k < nw; k++) {
+                    for (m = covers[k]; m; m &= m - 1) {
+                        hf = c->hit + (size_t)((k << 6) + ctz64(m)) * nw;
+                        n_one = 0;
+                        for (i = 0; i < nw; i++)
+                            n_one += popcnt64(feas[i] & hf[i]);
+                        if (n_one <= lo || n_one >= hi)
+                            return;
+                    }
+                }
             }
         }
-        if (nonempty)
-            return; /* every completion stays affine */
-        if (c->T >= 2 && fwd_half_space_bound(c, feas, nf, covers, size))
+        for (k = nw - 1; feas[k] == 0; k--)
+            ;
+        v = (k << 6) + msb64(feas[k]);
+        feas[k] ^= 1ULL << (v & 63);
+        fwd_include(c, v, depth);
+        if (c->timed_out)
+            return;
+        fwd_dfs(c, depth + 1, size + 1);
+        if (c->timed_out)
             return;
     }
-    cnf = fwd_include(c, feas[0], slot, depth, feas + 1, nf - 1, &nrank);
-    if (c->timed_out)
-        return;
-    fwd_dfs(c, depth + 1, c->slab_feas + (size_t)(depth + 1) * c->n_all, cnf, depth + 1,
-            nrank, size + 1);
-    if (c->timed_out)
-        return;
-    fwd_dfs(c, depth + 1, feas + 1, nf - 1, slot, rank, size);
 }
 
 static void fwd_free(FwdCtx *c)
@@ -547,11 +515,7 @@ static void fwd_free(FwdCtx *c)
     free(c->best_mask);
     free(c->hit);
     free(c->nonzero);
-    free(c->slab_chosen);
-    free(c->slab_sums);
-    free(c->slab_covers);
-    free(c->slab_piv);
-    free(c->slab_feas);
+    free(c->slab);
     free(c->scratch);
 }
 
@@ -559,34 +523,10 @@ PyDoc_STRVAR(forward_search_doc,
              "forward_search(r, min_odd_girth, pg_free_order, min_critical, full_rank,\n"
              "               forced_in, forced_out_mask, budget, prune=True)\n--\n\n"
              "Maximum point set under the given constraints, include-first DFS.\n\n"
-             "Returns (best_size or -1, witness_mask, nodes, completed); see the\n"
-             "pure twin for the contract details.\n\n"
-             "After v is included, the flat gate re-tests a surviving candidate w\n"
-             "only for flats through v and w.  Every w in feas was already feasible\n"
-             "for the chosen set without v, so any new rank-n flat F in\n"
-             "chosen + {v, w} contains both v and w.  F then contains v ^ w, which\n"
-             "must be a chosen point; this one bit test clears most w.  Otherwise\n"
-             "F = span(v, w) + U with U an (n-2)-dimensional subspace whose nonzero\n"
-             "vectors lie in chosen & T_v(chosen) & T_w(chosen) & T_{v^w}(chosen),\n"
-             "T_x being translation by x.  That set avoids span(v, w), so the test\n"
-             "is one subspace_in(rest, n-2, r) call on a much sparser mask, and\n"
-             "the verdict, the tree and the node count are those of the full test.\n"
-             "Every point is feasible for the empty set, none under order-1\n"
-             "freeness, and the include step keeps every frontier point feasible,\n"
-             "so the search starts from the empty set and passes each forced point\n"
-             "through that step; a forced point gone from the frontier ends the\n"
-             "search with no set found.\n\n"
-             "With odd girth >= 5 and critical demand >= 2, a node returns when\n"
-             "some functional f that is 1 on every chosen point leaves any\n"
-             "completion at most min(size + |one|, 2^(r-2)) + min(|zero|, 2^(r-2))\n"
-             "<= best points, one and zero being the candidates with f = 1 and\n"
-             "f = 0; the argument is in the pure twin's docstring.\n\n"
-             "Sums of more than r chosen points are never tested: an odd circuit\n"
-             "has at most r + 1 points, so capping girth - 3 at the largest\n"
-             "even number <= r leaves every verdict unchanged.\n\n"
-             "The deadline is polled whenever a counter passes a multiple of\n"
-             "CHECK_INTERVAL; each node advances it by 1, and each flat-finder call\n"
-             "by FINDER_COST.");
+             "Returns (best_size or -1, witness_mask, nodes, completed); the pure\n"
+             "twin gives the algorithm and its arguments.  The deadline is polled\n"
+             "whenever a counter passes a multiple of CHECK_INTERVAL; each node\n"
+             "advances it by 1, and each flat-finder call by FINDER_COST.");
 
 static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
 {
@@ -597,11 +537,10 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     PyObject *forced_in_obj, *forced_out_obj, *budget, *seq = NULL, *result = NULL;
     Py_ssize_t n_forced = 0, j, k;
     FwdCtx c;
-    int n_all, nw, T, maxd, v, x, rank, depth, nf, overflow;
+    int n_all, nw, T, v, x, i, depth, overflow;
     long fv;
     int *forced = NULL;
-    u16 *feas;
-    u64 *forced_out = NULL;
+    u64 *forced_out = NULL, *feas;
     (void)self;
 
     memset(&c, 0, sizeof(c));
@@ -617,7 +556,7 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     nw = nwords(r);
     T = girth >= 5 ? girth - 3 : 0;
     if (T > (r & ~1))
-        T = r & ~1; /* see the docstring */
+        T = r & ~1; /* see the pure twin's docstring */
 
     seq = PySequence_Fast(forced_in_obj, "forced_in must be a sequence of ints");
     if (seq == NULL)
@@ -647,28 +586,27 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     if (read_mask(forced_out_obj, r, forced_out, nw) < 0)
         goto done;
 
-    maxd = n_all + (int)n_forced + 4;
     c.r = r;
     c.n_all = n_all;
     c.nw = nw;
     c.T = T;
     c.pg_n = pg_n;
     c.min_critical = min_critical;
+    /* the most points a set with no 3-circuit holds on one side of a
+     * hyperplane; a cap of 2^r leaves the half-space bound inert */
+    c.half = T >= 2 ? 1 << (r - 2) : n_all;
+    c.stride = (T + 5) * nw;
     c.full_rank = full_rank;
     c.prune = prune;
     c.best = -1;
     c.best_mask = calloc(nw, sizeof(u64));
     c.hit = calloc((size_t)n_all * nw, sizeof(u64));
     c.nonzero = calloc(nw, sizeof(u64));
-    c.slab_chosen = calloc((size_t)maxd * nw, sizeof(u64));
-    c.slab_sums = calloc((size_t)maxd * (T + 1) * nw, sizeof(u64));
-    c.slab_covers = calloc((size_t)maxd * nw, sizeof(u64));
-    c.slab_piv = calloc((size_t)maxd * r, sizeof(u16));
-    c.slab_feas = calloc((size_t)maxd * n_all, sizeof(u16));
-    c.scratch = calloc(4 * nw + 2 * nw * (r + 1), sizeof(u64));
-    if (c.best_mask == NULL || c.hit == NULL || c.nonzero == NULL || c.slab_chosen == NULL ||
-        c.slab_sums == NULL || c.slab_covers == NULL || c.slab_piv == NULL ||
-        c.slab_feas == NULL || c.scratch == NULL) {
+    /* a chosen set has fewer than n_all points, so depth < n_all */
+    c.slab = calloc((size_t)n_all * c.stride, sizeof(u64));
+    c.scratch = calloc(3 * nw + 2 * nw * (r + 1), sizeof(u64));
+    if (c.best_mask == NULL || c.hit == NULL || c.nonzero == NULL || c.slab == NULL ||
+        c.scratch == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -683,31 +621,29 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
         bs_set(c.nonzero, v);
     }
 
-    /* the empty set in slab slot 0: every point is feasible for it (none
-     * under order-1 freeness), and fwd_include keeps every point of a
-     * frontier feasible, so a forced point gone from it would not fit */
-    bs_set(c.slab_sums, 0); /* the empty subset sums to zero */
-    memcpy(c.slab_covers, c.nonzero, nw * sizeof(u64));
-    feas = c.slab_feas;
-    nf = 0;
-    for (v = n_all - 1; v > 0 && pg_n != 1; v--)
-        feas[nf++] = (u16)v;
-    rank = 0;
+    /* the empty set in slot 0: every point is feasible for it (none under
+     * order-1 freeness), and fwd_include keeps the frontier feasible, so a
+     * forced point gone from it would not fit */
+    feas = c.slab;
+    if (pg_n != 1)
+        memcpy(feas, c.nonzero, nw * sizeof(u64));
+    memcpy(feas + 2 * nw, c.nonzero, nw * sizeof(u64)); /* covers */
+    bs_set(feas + 3 * nw, 0);                           /* span: the zero vector */
+    bs_set(feas + 4 * nw, 0); /* sums[0]: the empty subset sums to zero */
     for (depth = 0; depth < n_forced && !c.timed_out; depth++) {
-        for (k = 0; k < nf && feas[k] != forced[depth]; k++)
-            ;
-        if (k == nf)
+        feas = fwd_slot(&c, depth);
+        v = forced[depth];
+        if (!bs_get(feas, v))
             break;
-        memmove(feas + k, feas + k + 1, (nf - k - 1) * sizeof(u16));
-        nf = fwd_include(&c, forced[depth], depth, depth, feas, nf - 1, &rank);
-        feas = c.slab_feas + (size_t)(depth + 1) * n_all;
+        feas[v >> 6] ^= 1ULL << (v & 63);
+        fwd_include(&c, v, depth);
     }
     if (depth == n_forced && !c.timed_out) {
         /* forced_out_mask goes last: a forced point may lie in it */
-        for (k = j = 0; k < nf; k++)
-            if (!bs_get(forced_out, feas[k]))
-                feas[j++] = feas[k];
-        fwd_dfs(&c, depth, feas, (int)j, depth, rank, depth);
+        feas = fwd_slot(&c, depth);
+        for (i = 0; i < nw; i++)
+            feas[i] &= ~forced_out[i];
+        fwd_dfs(&c, depth, depth);
     }
     result = search_result(c.best, c.best_mask, nw, c.nodes, c.timed_out);
 done:

@@ -18,10 +18,8 @@ hit[f] for each functional f the chosen set still leaves at 1.  A
 completion that is not affine and has no 3-circuit holds at most
 2^(r-2) points on either side of the hyperplane f = 0, and when no
 candidate has f = 0 every completion stays affine; both tests are two
-thresholds on the count of one side.  _kernels.c keeps its reach test,
-an AND over the frontier, for that last case, and counts each side
-over its list frontier into the min() form.  A node's exclude branch
-is the next pass of its own loop, not a call.  The flat-freeness gate
+thresholds on the count of one side.  A node's exclude branch is the
+next pass of its own loop, not a call.  The flat-freeness gate
 is incremental.  Every candidate w left after v joins the chosen set C
 was feasible for C without v, so a new rank-n flat F inside C + {w}
 must pass through both v and w.  F then holds v ^ w, a chosen point,
@@ -32,9 +30,8 @@ with P = C & T_v(C), a set that misses span(v, w).  P is computed
 once per include, so each tested w costs one translate and one
 subspace_in call on a much sparser mask.  The forced points pass
 through include too: every point is feasible for the empty set, and
-include keeps the frontier feasible.  _kernels.c keeps a list frontier
-and recurses into both branches, so the lockstep tests compare the
-two forms.
+include keeps the frontier feasible.  _kernels.c takes the same steps
+on word arrays.
 
 The complement search keeps all three of its per-node tests
 incremental.  The greedy packing bound takes the lowest uncovered

@@ -61,7 +61,7 @@ def analysis_dict(m: BinaryMatroid) -> Dict:
         raise RuntimeError("affineness, odd girth and critical number disagree")
     # a rank-n flat inside the points meets the codimension-cn subspace
     # disjoint from them only in 0, so n <= cn
-    max_pg = len(largest_subspace_in(m.points, m.ambient_rank, 0, cn))
+    max_pg = len(largest_subspace_in(m.points, m.ambient_rank, cn))
     return {
         "report": "analysis",
         "rank": m.ambient_rank,

@@ -10,7 +10,7 @@ the new unit vector as apex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from .gf2 import POINTSET_RANK_MAX, check_rank, hyperplane_complement, nonzero_mask
 from .matroid import BinaryMatroid
@@ -121,14 +121,23 @@ def extremal_gs(n: int, r: int) -> BinaryMatroid:
     return BinaryMatroid(r, mask)
 
 
-_FAMILY_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "pg": ("r",),
-    "ag": ("r",),
-    "bose-burton": ("r", "c"),
-    "circuit": ("k",),
-    "extremal-odd-girth": ("k", "r"),
-    "extremal-gs": ("n", "r"),
+# each family's parameters, named as its builder's arguments
+_FAMILIES: Dict[str, Tuple[Tuple[str, ...], Callable[..., BinaryMatroid]]] = {
+    "pg": (("r",), pg),
+    "ag": (("r",), ag),
+    "bose-burton": (("r", "c"), bose_burton),
+    "circuit": (("k",), circuit),
+    "extremal-odd-girth": (("k", "r"), extremal_odd_girth),
+    "extremal-gs": (("n", "r"), extremal_gs),
 }
+
+
+def _family(name: str) -> Tuple[Tuple[str, ...], Callable[..., BinaryMatroid]]:
+    entry = _FAMILIES.get(name)
+    if entry is None:
+        known = ", ".join(sorted(_FAMILIES))
+        raise ValueError(f"unknown family {name!r}; known: {known}")
+    return entry
 
 
 @dataclass(frozen=True)
@@ -140,10 +149,7 @@ class FamilySpec:
 
     @classmethod
     def of(cls, family: str, *values: int) -> "FamilySpec":
-        wanted = _FAMILY_PARAMS.get(family)
-        if wanted is None:
-            known = ", ".join(sorted(_FAMILY_PARAMS))
-            raise ValueError(f"unknown family {family!r}; known: {known}")
+        wanted = _family(family)[0]
         if len(values) != len(wanted):
             raise ValueError(
                 f"family {family!r} takes {len(wanted)} parameter(s): "
@@ -152,26 +158,13 @@ class FamilySpec:
         return cls(family, tuple(zip(wanted, values)))
 
     def build(self) -> BinaryMatroid:
-        wanted = _FAMILY_PARAMS.get(self.family)
-        if wanted is None:
-            known = ", ".join(sorted(_FAMILY_PARAMS))
-            raise ValueError(f"unknown family {self.family!r}; known: {known}")
+        wanted, builder = _family(self.family)
         given = dict(self.params)
         if set(given) != set(wanted):
             raise ValueError(
                 f"family {self.family!r} takes parameters {'/'.join(wanted)}"
             )
-        if self.family == "pg":
-            return pg(given["r"])
-        if self.family == "ag":
-            return ag(given["r"])
-        if self.family == "bose-burton":
-            return bose_burton(given["r"], given["c"])
-        if self.family == "circuit":
-            return circuit(given["k"])
-        if self.family == "extremal-odd-girth":
-            return extremal_odd_girth(given["k"], given["r"])
-        return extremal_gs(given["n"], given["r"])
+        return builder(**given)
 
 
-FamilySpec.FAMILIES = tuple(sorted(_FAMILY_PARAMS))
+FamilySpec.FAMILIES = tuple(sorted(_FAMILIES))

@@ -381,15 +381,15 @@ def subspace_in(mask: int, d: int, r: int) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def largest_subspace_in(mask: int, r: int, lo: int, hi: int) -> Tuple[int, ...]:
-    """Basis of a largest subspace of dimension in (lo, hi] inside mask.
+def largest_subspace_in(mask: int, r: int, hi: int) -> Tuple[int, ...]:
+    """Basis of a largest subspace of dimension at most hi inside mask.
 
     The subspace_in basis for the largest such d, trying d ascending;
     () when there is none.
     """
     check_rank(r, POINTSET_RANK_MAX)
     best: Tuple[int, ...] = ()
-    for d in range(lo + 1, hi + 1):
+    for d in range(1, hi + 1):
         basis = subspace_in(mask, d, r)
         if basis is None:
             break

@@ -258,7 +258,7 @@ def critical_number(m: BinaryMatroid) -> Tuple[int, CocycleCover]:
     sp = span(m.point_list(), r)
     dim = sp.dim
     free = nonzero_mask(dim) & ~mask_from(sp.coordinates(v) for v in m.point_list())
-    basis = largest_subspace_in(free, dim, 0, dim)
+    basis = largest_subspace_in(free, dim, dim)
     d_max = len(basis)
     witness = span(basis, dim)
     pivots = [b.bit_length() - 1 for b in sp.basis]

@@ -295,10 +295,9 @@ def test_largest_subspace_in_matches_bruteforce():
     for _ in range(200):
         r = rng.randrange(1, 6)
         mask = random_mask(rng, r, rng.choice((0.3, 0.6, 0.8, 0.95, 1.0)))
-        lo = rng.randrange(0, r + 1)
-        hi = rng.randrange(lo, r + 1)
+        hi = rng.randrange(0, r + 1)
         want = ()
-        for d in range(hi, lo, -1):
+        for d in range(hi, 0, -1):
             inside = [
                 greedy_basis(s)
                 for s in enumerate_subspaces(r, d)
@@ -308,7 +307,7 @@ def test_largest_subspace_in_matches_bruteforce():
                 want = min(inside)
                 break
         for m in (mask, mask | 1):  # bit 0 is the zero vector, ignored
-            assert largest_subspace_in(m, r, lo, hi) == want, (m, r, lo, hi)
+            assert largest_subspace_in(m, r, hi) == want, (m, r, hi)
 
 
 def test_subspace_in_matches_bruteforce():

@@ -121,6 +121,8 @@ FORWARD_CASES = [
     (4, 5, 0, 0, False, (), mask_from([1, 2, 3]), True),
     (4, 3, 3, 3, True, (), 0, True),
     (4, 0, 3, 3, False, (15, 14), 0, True),
+    # the points with x_0 = 1 excluded: no set left has full rank
+    (4, 0, 3, 0, True, (), mask_from(range(1, 16, 2)), True),
     (5, 5, 0, 2, False, (31, 30), 0, True),
     (5, 7, 0, 2, False, (), 0, True),
     # r=7: two-word bitsets, translations by v >= 64 swap words
@@ -130,6 +132,9 @@ FORWARD_CASES = [
     (5, 0, 4, 0, False, _forced_basis(5), 0, True),
     (5, 0, 5, 0, False, _forced_basis(5), 0, True),
     (7, 0, 4, 0, False, _forced_basis(7), mask_from(R7_OUT), True),
+    # r=8: four-word bitsets, translations by v >= 128 swap word pairs
+    (8, 9, 0, 2, False, _forced_basis(8), 0, True),
+    (8, 9, 0, 2, True, _forced_basis(8), 0, True),
 ]
 
 # (best, nodes) of the flat-free FORWARD_CASES: the trees of the full
@@ -150,6 +155,16 @@ def test_forward_search_backends_bit_identical(case):
     got_c = compiled.forward_search(r, g, pg_n, mc, fr, fin, fout, None, prune)
     got_py = pure.forward_search(r, g, pg_n, mc, fr, fin, fout, None, prune)
     assert got_c == got_py  # best, mask, node count, completed: all four
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled backend not built")
+def test_forward_search_backends_agree_at_the_rank_cap():
+    # 64-word bitsets.  Budget 0 stops both twins at their first poll,
+    # node 4,096, since no flat-finder call advances the C poll counter.
+    args = (12, 5, 0, 2, False, _forced_basis(12), 0, 0.0, True)
+    got = compiled.forward_search(*args)
+    assert got == pure.forward_search(*args)
+    assert (got[0], got[2], got[3]) == (1025, 4096, False)
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)

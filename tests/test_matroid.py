@@ -148,8 +148,8 @@ def test_critical_number_self_check_raises(monkeypatch):
 
     real = mod.largest_subspace_in
 
-    def widened(mask, r, lo, hi):
-        basis = real(mask, r, lo, hi)
+    def widened(mask, r, hi):
+        basis = real(mask, r, hi)
         below = span(basis, r)
         return basis + (min(v for v in range(1, 1 << r) if v not in below),)
 

@@ -22,12 +22,14 @@ def test_no_assert_statements(path):
 
 
 def test_kernels_c_compiles_without_warnings():
-    # catches, among others, the variables a refactor leaves unused
+    # catches, among others, the variables a refactor leaves unused and
+    # the loop locals that shadow outer ones
     cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
     if shutil.which(cc[0]) is None:
         pytest.skip("no C compiler")
     include = sysconfig.get_paths()["include"]
-    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-std=c99", f"-I{include}"]
+    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-Wshadow", "-Wvla", "-Wundef"]
+    flags += ["-std=c99", f"-I{include}"]
     done = subprocess.run(
         [*cc, *flags, str(PACKAGE / "_kernels.c")], capture_output=True, text=True
     )
