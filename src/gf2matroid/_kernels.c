@@ -613,11 +613,17 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     if (read_deadline(budget, &c.use_deadline, &c.deadline) < 0)
         goto done;
 
-    /* functionals hitting v, as a bitset over f; dot is symmetric */
+    /* functionals hitting v, as a bitset over f; dot is symmetric and
+     * linear in v, so the row of v is the row of its lowest bit x XOR the
+     * row of v ^ x, and the row of bit j is the periodic pattern of bit j */
     for (v = 1; v < n_all; v++) {
-        for (x = 1; x < n_all; x++)
-            if (popcnt64((u64)(v & x)) & 1)
-                bs_set(c.hit + (size_t)v * nw, x);
+        u64 *row = c.hit + (size_t)v * nw;
+        const u64 *rest = c.hit + (size_t)(v & (v - 1)) * nw;
+        x = ctz64((u64)v);
+        for (i = 0; i < nw; i++)
+            row[i] = rest[i] ^ (x < 6 ? ~LOWPAT[x] : (((i >> (x - 6)) & 1) ? ~0ULL : 0));
+        if (n_all < 64)
+            row[0] &= (1ULL << n_all) - 1;
         bs_set(c.nonzero, v);
     }
 

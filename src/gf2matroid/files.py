@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 from typing import Iterable, TextIO, Union
 
-from .gf2 import POINTSET_RANK_MAX
+from .gf2 import POINTSET_RANK_MAX, mask_from
 from .matroid import BinaryMatroid
 
 __all__ = ["MatroidFileError", "parse", "render", "read_matroid", "write_matroid"]
@@ -53,7 +53,7 @@ def parse(text: Union[str, TextIO]) -> BinaryMatroid:
         raise MatroidFileError(
             lineno, f"rank must be in [1, {POINTSET_RANK_MAX}], got {r}"
         )
-    mask = 0
+    seen = set()
     for lineno, line in rows:
         if len(line) != r:
             raise MatroidFileError(
@@ -64,10 +64,10 @@ def parse(text: Union[str, TextIO]) -> BinaryMatroid:
         v = int(line, 2)
         if v == 0:
             raise MatroidFileError(lineno, "zero vector is not a point")
-        if (mask >> v) & 1:
+        if v in seen:
             raise MatroidFileError(lineno, f"duplicate point {line}")
-        mask |= 1 << v
-    return BinaryMatroid(r, mask)
+        seen.add(v)
+    return BinaryMatroid(r, mask_from(seen))
 
 
 def render(m: BinaryMatroid, comment: str = "") -> str:

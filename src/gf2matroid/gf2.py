@@ -65,10 +65,21 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def mask_from(vectors: Iterable[int]) -> int:
-    m = 0
-    for v in vectors:
-        m |= 1 << v
-    return m
+    """Bitset of the given vectors, repeats allowed.
+
+    Writes one binary digit per vector and parses the digits once, in
+    time linear in the count and the largest vector; OR-ing 1 << v
+    into a growing int copies the whole bitset per vector.
+    """
+    vs = list(vectors)
+    if not vs:
+        return 0
+    if min(vs) < 0:
+        raise ValueError("vectors must be nonnegative")
+    digits = bytearray(b"0") * (max(vs) + 1)
+    for v in vs:
+        digits[v] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 def nonzero_mask(r: int) -> int:
@@ -171,10 +182,7 @@ class Subspace:
     def point_mask(self) -> int:
         """Bitset of the nonzero elements."""
         check_rank(self.ambient_rank, POINTSET_RANK_MAX)
-        m = 0
-        for v in self.vectors():
-            m |= 1 << v
-        return m & ~1
+        return mask_from(self.vectors()) & ~1
 
 
 def span(vectors: Iterable[int], r: int) -> Subspace:

@@ -126,13 +126,12 @@ class BinaryMatroid:
 
     @classmethod
     def from_vectors(cls, r: int, vectors) -> "BinaryMatroid":
-        m = 0
+        vectors = list(vectors)
         for v in vectors:
             check_vector(v, r)
             if v == 0:
                 raise ValueError("the zero vector cannot be a point")
-            m |= 1 << v
-        return cls(r, m)
+        return cls(r, mask_from(vectors))
 
     @property
     def size(self) -> int:
@@ -334,20 +333,36 @@ def contract_simplify(m: BinaryMatroid, subset_mask: int) -> BinaryMatroid:
     return BinaryMatroid(new_r, out)
 
 
-def _line_degrees(m: BinaryMatroid) -> Dict[int, int]:
-    """For each point, the number of other points whose XOR is again a point."""
-    out = {}
-    for v in iter_bits(m.points):
-        out[v] = (m.points & translate_mask(m.points, v, m.ambient_rank)).bit_count()
-    return out
+def _vector_labels(m: BinaryMatroid) -> List[int]:
+    """2|M ∩ T_u(M)| + [u in M] for every vector u of GF(2)^r, T_u
+    translating by u."""
+    r, pts = m.ambient_rank, m.points
+    return [
+        (pts & translate_mask(pts, u, r)).bit_count() << 1 | ((pts >> u) & 1)
+        for u in range(1 << r)
+    ]
+
+
+def _point_colours(m: BinaryMatroid, lab: List[int]) -> Dict[int, tuple]:
+    """The sorted labels of v ^ w over the points w, for each point v."""
+    pts = m.point_list()
+    return {v: tuple(sorted(lab[v ^ w] for w in pts)) for v in pts}
 
 
 def is_isomorphic(a: BinaryMatroid, b: BinaryMatroid) -> bool:
     """Whether an invertible GF(2) map carries the points of a onto b.
 
-    Both matroids must be full rank.  Backtracks over images of a
-    greedy independent spanning subset, pruning with local line counts
-    and membership consistency over the mapped span.
+    Both matroids must be full rank.  Each vector u is labelled by
+    whether it is a point and by |M ∩ T_u(M)|.  A linear bijection g
+    with g(A) = B carries A ∩ T_u(A) onto B ∩ T_g(u)(B), so u and g(u)
+    share a label, and a point v and g(v) share the colour, the labels
+    of v ^ w over the points w.  The search takes a basis of a
+    greedily from its smallest colour classes and maps each basis
+    vector to a same-colour point of b outside the span of the earlier
+    images, comparing labels over the mapped span.  A full assignment
+    is a linear bijection g with label(g(u)) = label(u) for all 2^r
+    vectors u; the labels include membership, so g(A) = B.  The answer
+    is exact.
     """
     for m in (a, b):
         if not m.is_full_rank:
@@ -355,47 +370,31 @@ def is_isomorphic(a: BinaryMatroid, b: BinaryMatroid) -> bool:
     if a.ambient_rank != b.ambient_rank or a.size != b.size:
         return False
     r = a.ambient_rank
-    deg_a = _line_degrees(a)
-    deg_b = _line_degrees(b)
-    if sorted(deg_a.values()) != sorted(deg_b.values()):
+    lab_a, lab_b = _vector_labels(a), _vector_labels(b)
+    if sorted(lab_a) != sorted(lab_b):
         return False
-    if odd_girth(a) != odd_girth(b):
+    col_a, col_b = _point_colours(a, lab_a), _point_colours(b, lab_b)
+    if sorted(col_a.values()) != sorted(col_b.values()):
         return False
-    if critical_number(a)[0] != critical_number(b)[0]:
-        return False
+    images: Dict[tuple, List[int]] = {}
+    for t, c in col_b.items():
+        images.setdefault(c, []).append(t)
 
-    # greedy independent spanning subset of a
-    basis_a: List[int] = []
     pivots: Dict[int, int] = {}
-    for v in iter_bits(a.points):
-        if echelon_insert(pivots, v):
-            basis_a.append(v)
-            if len(basis_a) == r:
-                break
-    b_points = b.point_list()
+    by_class = sorted(col_a, key=lambda v: len(images[col_a[v]]))
+    basis = [v for v in by_class if echelon_insert(pivots, v)]
 
-    def assign(i: int, pairs: List[Tuple[int, int]], img_pivots: Dict[int, int]) -> bool:
+    def extend(i: int, pairs: List[Tuple[int, int]]) -> bool:
         if i == r:
             return True
-        v = basis_a[i]
-        for t in b_points:
-            if deg_b[t] != deg_a[v]:
-                continue
-            ok_piv = dict(img_pivots)
-            if not echelon_insert(ok_piv, t):
+        v = basis[i]
+        mapped = {y for _, y in pairs}
+        for t in images[col_a[v]]:
+            if t in mapped:
                 continue  # image would be linearly dependent
-            new_pairs = []
-            ok = True
-            for x, y in pairs:
-                xv, yv = x ^ v, y ^ t
-                if a.contains(xv) != (yv != 0 and b.contains(yv)):
-                    ok = False
-                    break
-                new_pairs.append((xv, yv))
-            if not ok:
-                continue
-            if assign(i + 1, pairs + new_pairs, ok_piv):
+            new = [(x ^ v, y ^ t) for x, y in pairs]
+            if all(lab_a[x] == lab_b[y] for x, y in new) and extend(i + 1, pairs + new):
                 return True
         return False
 
-    return assign(0, [(0, 0)], {})
+    return extend(0, [(0, 0)])

@@ -1,6 +1,8 @@
 """Shared random generators and kernel backends for the test suite."""
 
 import random
+from functools import lru_cache
+from itertools import product
 
 from gf2matroid import BinaryMatroid, rank_of
 from gf2matroid._backend import load_kernels
@@ -58,3 +60,43 @@ def apply_linear(rows, v: int) -> int:
 def map_matroid(rows, m: BinaryMatroid) -> BinaryMatroid:
     pts = [apply_linear(rows, v) for v in m.point_list()]
     return BinaryMatroid.from_vectors(m.ambient_rank, pts)
+
+
+def or_loop(vectors) -> int:
+    """Bitset of the vectors by OR-ing in 1 << v one vector at a time.
+
+    The bits go into one int per block of 2^12 vectors, which are
+    joined at the end, so a dense rank-20 set stays cheap.
+    """
+    blocks = {}
+    for v in vectors:
+        blocks[v >> 12] = blocks.get(v >> 12, 0) | 1 << (v & 4095)
+    mask = 0
+    for hi, bits in blocks.items():
+        mask |= bits << (hi << 12)
+    return mask
+
+
+@lru_cache(maxsize=None)
+def gl_maps(r: int):
+    """Every element of GL(r,2), each as the tuple of images of all 2^r
+    vectors; 20,160 of them at r = 4."""
+    out = []
+    for rows in product(range(1, 1 << r), repeat=r):
+        if rank_of(rows, r) == r:
+            images = [0]
+            for row in rows:
+                images += [x ^ row for x in images]
+            out.append(tuple(images))
+    return out
+
+
+def is_isomorphic_bruteforce(a: BinaryMatroid, b: BinaryMatroid) -> bool:
+    """Whether some element of GL(r,2) maps the points of a into b,
+    trying every one; with equal sizes, into is onto."""
+    if a.ambient_rank != b.ambient_rank or a.size != b.size:
+        return False
+    pts = a.point_list()
+    return any(
+        all((b.points >> g[v]) & 1 for v in pts) for g in gl_maps(a.ambient_rank)
+    )

@@ -13,7 +13,7 @@ from gf2matroid import (
     render,
     write_matroid,
 )
-from helpers import random_matroid
+from helpers import or_loop, random_matroid
 
 rng = random.Random(0xF11E)
 
@@ -35,6 +35,14 @@ def test_render_parse_round_trip_families():
     ]:
         m = FamilySpec.of(name, *values).build()
         assert parse(render(m, comment=name)) == m
+
+
+def test_parse_matches_the_or_loop():
+    for r, n in [(3, 5), (7, 100), (12, 3000), (20, 524320)]:
+        pts = rng.sample(range(1, 1 << r), n)
+        text = f"rank {r}\n" + "\n".join(format(v, f"0{r}b") for v in pts) + "\n"
+        m = parse(text)
+        assert m.ambient_rank == r and m.points == or_loop(pts)
 
 
 def test_render_layout():
@@ -97,6 +105,10 @@ def test_parse_errors_carry_line_numbers():
 
     e = parse_error("rank 3\n011\n\n011\n")
     assert e.lineno == 4 and "duplicate" in str(e)
+
+    rows = [format(v, "012b") for v in range(1, 4000)]
+    e = parse_error("rank 12\n" + "\n".join(rows + [rows[1234]]) + "\n")
+    assert e.lineno == 4001 and "duplicate" in str(e)
 
 
 def test_parse_rejects_second_header():

@@ -22,7 +22,7 @@ from gf2matroid import (
     translate_mask,
 )
 from gf2matroid.gf2 import largest_subspace_in, subspace_in, subspace_masks
-from helpers import random_mask
+from helpers import or_loop, random_mask
 
 rng = random.Random(0x6F32)
 
@@ -44,6 +44,26 @@ def test_iter_bits_and_mask_from_round_trip():
         mask = mask_from(vals)
         assert list(iter_bits(mask)) == vals
     assert list(iter_bits(0)) == []
+
+
+def test_mask_from_matches_the_or_loop():
+    # repeats, any order, any iterable, up to rank 18
+    for _ in range(60):
+        top = 1 << rng.randrange(1, 19)
+        vs = [rng.randrange(top) for _ in range(rng.randrange(0, 300))]
+        assert mask_from(iter(vs)) == or_loop(vs)
+    dense = rng.sample(range(1 << 18), 1 << 17)
+    assert mask_from(dense) == or_loop(dense)
+    assert mask_from([]) == 0
+    with pytest.raises(ValueError):
+        mask_from([3, -1])
+
+
+def test_point_mask_matches_the_or_loop():
+    for _ in range(40):
+        r = rng.randrange(1, 15)
+        s = span([rng.randrange(1 << r) for _ in range(rng.randrange(0, r + 1))], r)
+        assert s.point_mask() == or_loop(s.vectors()) & ~1
 
 
 def test_nonzero_mask():

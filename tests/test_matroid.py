@@ -1,6 +1,7 @@
 """Matroid invariants against brute-force oracles and each other."""
 
 import random
+import time
 
 import pytest
 
@@ -11,9 +12,11 @@ from gf2matroid import (
     bose_burton,
     circuit,
     closure,
+    conical_lift,
     contract_simplify,
     critical_number,
     critical_number_bruteforce,
+    doubling,
     extremal_gs,
     extremal_odd_girth,
     has_pg_restriction,
@@ -27,8 +30,11 @@ from gf2matroid import (
     pg_restriction,
     span,
 )
+from gf2matroid.matroid import _point_colours, _vector_labels
 from helpers import (
+    is_isomorphic_bruteforce,
     map_matroid,
+    or_loop,
     random_full_rank_matroid,
     random_invertible,
     random_matroid,
@@ -292,6 +298,119 @@ def test_isomorphism_respects_invariants():
 def test_bose_burton_one_is_affine_geometry():
     assert is_isomorphic(bose_burton(4, 1), ag(4))
     assert bose_burton(4, 1).size == ag(4).size == 8
+
+
+def _families_up_to_rank(top: int):
+    """Instances of every construction family at ambient rank <= top."""
+    for r in range(2, top + 1):
+        yield f"pg({r})", pg(r)
+        yield f"ag({r})", ag(r)
+        for c in sorted({1, 2, r // 2, r - 1}):
+            if 1 <= c < r:
+                yield f"bose_burton({r}, {c})", bose_burton(r, c)
+    for k in range(3, top + 2, 2):
+        yield f"circuit({k})", circuit(k)
+    for k in range(5, top + 2, 2):
+        for r in range(k - 1, top + 1):
+            yield f"extremal_odd_girth({k}, {r})", extremal_odd_girth(k, r)
+    for n in range(2, top - 1):
+        for r in range(n + 2, top + 1):
+            yield f"extremal_gs({n}, {r})", extremal_gs(n, r)
+    for k in (5, 7):
+        yield f"doubling(circuit({k}))", doubling(circuit(k))
+        yield f"conical_lift(circuit({k}))", conical_lift(circuit(k))[0]
+
+
+def _line_count(m: BinaryMatroid) -> int:
+    pts = m.point_list()
+    pairs = sum(m.contains(x ^ y) for i, x in enumerate(pts) for y in pts[i + 1 :])
+    return pairs // 3
+
+
+def _swap_changing_line_count(m: BinaryMatroid):
+    """m with one point traded for a non-point, full rank and with
+    another line count, or None."""
+    r, lines = m.ambient_rank, _line_count(m)
+    outside = [w for w in range(1, 1 << r) if not m.contains(w)]
+    for v in m.point_list():
+        for w in outside:
+            swap = BinaryMatroid(r, m.points ^ (1 << v) ^ (1 << w))
+            if swap.is_full_rank and _line_count(swap) != lines:
+                return swap
+    return None
+
+
+def test_isomorphism_matches_the_gl4_oracle():
+    # random same-size full-rank pairs at rank 4, a third of them relabelled
+    seen = {True: 0, False: 0}
+    for i in range(240):
+        a = random_full_rank_matroid(rng, 4)
+        if i % 3 == 0:
+            b = map_matroid(random_invertible(rng, 4), a)
+        else:
+            b = random_full_rank_matroid(rng, 4)
+            while b.size != a.size:
+                b = random_full_rank_matroid(rng, 4)
+        want = is_isomorphic_bruteforce(a, b)
+        assert is_isomorphic(a, b) is want, (a.points, b.points)
+        seen[want] += 1
+    assert seen[True] >= 80 and seen[False] >= 60, seen
+
+
+def test_relabelled_constructions_are_isomorphic_within_a_second():
+    for name, m in _families_up_to_rank(9):
+        img = map_matroid(random_invertible(rng, m.ambient_rank), m)
+        t0 = time.perf_counter()
+        assert is_isomorphic(m, img), name
+        assert time.perf_counter() - t0 < 1.0, name
+
+
+def test_one_point_swaps_are_not_isomorphic():
+    # drop one point and add one non-point; the line count proves the
+    # pair is not isomorphic, independently of is_isomorphic
+    checked = 0
+    for name, m in _families_up_to_rank(7):
+        swap = _swap_changing_line_count(m)
+        if swap is None:
+            continue  # at most one non-point: every swap is a relabelling
+        assert swap.size == m.size
+        assert not is_isomorphic(m, swap), name
+        img = map_matroid(random_invertible(rng, m.ambient_rank), m)
+        assert not is_isomorphic(swap, img), name
+        checked += 1
+    assert checked == 38, checked
+
+
+def test_pairs_the_labels_do_not_separate_are_not_isomorphic():
+    # found by a seeded random search: equal label and colour multisets,
+    # so only the backtrack can answer; odd girth or the critical number
+    # proves each pair is not isomorphic
+    for r, pa, pb in [
+        (5, 134287416, 705692674),
+        (6, 4504705581514818, 882714361712345120),
+        (6, 4625205759431410048, 585112001462276),
+        (6, 9223407223443554314, 882714361712345120),
+        (6, 70643625502740, 1461420836450797568),
+    ]:
+        a, b = BinaryMatroid(r, pa), BinaryMatroid(r, pb)
+        lab_a, lab_b = _vector_labels(a), _vector_labels(b)
+        assert sorted(lab_a) == sorted(lab_b)
+        col_a, col_b = _point_colours(a, lab_a), _point_colours(b, lab_b)
+        assert sorted(col_a.values()) == sorted(col_b.values())
+        assert (odd_girth(a), critical_number(a)[0]) != (odd_girth(b), critical_number(b)[0])
+        assert not is_isomorphic(a, b)
+        assert not is_isomorphic(map_matroid(random_invertible(rng, r), b), a)
+
+
+def test_from_vectors_matches_the_or_loop():
+    for _ in range(60):
+        r = rng.randrange(1, 11)
+        vs = [rng.randrange(1, 1 << r) for _ in range(rng.randrange(0, 1 << r))]
+        assert BinaryMatroid.from_vectors(r, iter(vs)).points == or_loop(vs)
+    with pytest.raises(ValueError):
+        BinaryMatroid.from_vectors(3, [1, 0])
+    with pytest.raises(ValueError):
+        BinaryMatroid.from_vectors(3, [1, 8])
 
 
 def test_isomorphic_constructions_across_embeddings():
