@@ -1,9 +1,14 @@
 /* Compiled search kernels: the C twin of gf2matroid._kernels_py.
  *
- * Same call contracts, entry checks, traversal order, pruning rules,
- * node counts and deadline polls as the pure module; point sets live in
- * uint64 word arrays instead of Python big ints.  The pure module is
- * the reference; keep the two in lockstep when changing either.
+ * Same call contracts, entry checks, algorithms, traversal order,
+ * pruning rules and node counts as the pure module; point sets live in
+ * uint64 word arrays instead of Python big ints.  Both twins poll their
+ * deadline while they read a family or list flats (every LIST_POLL
+ * masks); in the search this one polls by a tick counter that grows
+ * with the work done (see CHECK_INTERVAL) where the pure one counts
+ * nodes and flat-finder calls, so a spent budget may stop the two at
+ * different nodes.  The pure module is the reference; keep the two in
+ * lockstep when changing either.
  *
  * Plain C99 plus the GCC/Clang bit builtins, built by setuptools:
  *     python setup.py build_ext --inplace
@@ -13,6 +18,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -26,6 +32,7 @@ typedef uint16_t u16;
 #define CHECK_INTERVAL 4096
 #define FINDER_COST 64
 #define LIST_POLL 256 /* masks read between deadline polls */
+#define MEETS_MAX_WORDS (1 << 23) /* meets rows a complement search keeps: 64 MB */
 
 static inline int popcnt64(u64 x) { return __builtin_popcountll(x); }
 static inline int ctz64(u64 x) { return __builtin_ctzll(x); }
@@ -662,110 +669,231 @@ done:
 
 /* ------------------------------------------------------ complement search */
 
-/* The pure twin packs by memoised meets[] sets and keeps bit-sliced
- * forbidden-flat counters; this one rescans and asks subspace_in, so the
- * lockstep tests compare two independent versions of both tests. */
-
+/* The pure twin's complement_search on word bitsets; its docstring gives
+ * the algorithm.  Slot d of each slab belongs to the node at depth d: its
+ * blocker, uncovered set and available points; the span its last branch
+ * grows; its own fail-first counters, written once its sibling loop first
+ * changes the ones it inherits; and its forbidden-flat counters, then the
+ * plane of the flats at count 1.  The slabs are calloc'd and a slot is
+ * first written on descent, so depths the search never reaches cost no
+ * resident memory. */
 typedef struct {
-    int r, n_all, nw, n_subs, tw, forbidden_dim, max_blocker, maxcov;
-    int full_rank, symmetry, use_deadline, timed_out;
-    int node_cost; /* poll ticks per node; see cmp_dfs */
+    int r, n_all, nw, n_subs, tw, n_planes, max_blocker, maxcov;
+    int t, fw; /* forbidden_dim, and the words of a bitset over the t-flats */
+    int full_rank, symmetry, use_deadline, timed_out, no_memory;
+    int meets_room; /* rows meets may still keep */
+    int node_cost;  /* poll ticks per node; see the docstring */
     double deadline;
     long long nodes, ticks; /* ticks: the deadline poll counter */
     int best;
-    u64 *best_mask;    /* nw */
-    u64 *subs;         /* n_subs * nw */
-    u64 *through;      /* n_all * tw */
-    u64 *nonzero;      /* nw */
-    u64 *slab_b;       /* maxd * nw */
-    u64 *slab_uncov;   /* maxd * tw */
-    u64 *slab_avail;   /* maxd * nw */
-    u64 *slab_removed; /* maxd * nw */
-    u64 *slab_span;    /* maxd * nw */
-    u64 *taken;        /* nw */
-    u64 *scratch;      /* 2 * nw + 2 * nw * (r + 1) */
+    u64 *best_mask;     /* nw */
+    u64 *subs;          /* n_subs * nw */
+    u64 *through;       /* n_all * tw: the subspaces through v */
+    u64 **meets;        /* n_subs rows of tw, each built when first packed */
+    u64 *meets_tmp;     /* tw: a row rebuilt once meets keeps no more */
+    u64 *flats_through; /* n_all * fw: the forbidden t-flats through v */
+    u64 *nonzero;       /* nw */
+    u64 *slab_b;        /* maxd * nw */
+    u64 *slab_uncov;    /* maxd * tw */
+    u64 *slab_avail;    /* maxd * nw */
+    u64 *slab_span;     /* maxd * nw */
+    u64 *slab_counts;   /* maxd * n_planes * tw */
+    u64 *slab_flats;    /* maxd * (t + 1) * fw */
+    u64 *cand;          /* tw */
 } CmpCtx;
 
-static int cmp_lower_bound(CmpCtx *c, const u64 *uncov)
+static void cmp_poll(CmpCtx *c)
 {
-    int u = bs_popcount(uncov, c->tw), bound, packed = 0, wi, i, k, disjoint;
-    const u64 *si;
-    u64 m;
-    if (u == 0)
-        return 0;
-    bound = (u + c->maxcov - 1) / c->maxcov;
-    memset(c->taken, 0, c->nw * sizeof(u64));
-    for (wi = 0; wi < c->tw; wi++) {
-        m = uncov[wi];
-        while (m) {
-            i = (wi << 6) + ctz64(m);
-            m &= m - 1;
-            si = c->subs + (size_t)i * c->nw;
-            disjoint = 1;
-            for (k = 0; k < c->nw; k++) {
-                if (si[k] & c->taken[k]) {
-                    disjoint = 0;
-                    break;
-                }
-            }
-            if (disjoint) {
-                for (k = 0; k < c->nw; k++)
-                    c->taken[k] |= si[k];
-                packed++;
-            }
+    if (c->use_deadline && monotonic_now() > c->deadline)
+        c->timed_out = 1;
+}
+
+/* Bit-sliced counters, plane j holding bit j of every count at
+ * src + j * width: dst = src minus 1 wherever borrow is set.  dst may be
+ * src.  Serves the fail-first counters and the forbidden-flat ones. */
+static void bs_decrement(u64 *dst, const u64 *src, const u64 *borrow, int n_planes, int width)
+{
+    int j, k;
+    u64 b, s;
+    for (k = 0; k < width; k++) {
+        b = borrow[k];
+        for (j = 0; j < n_planes; j++) {
+            s = src[(size_t)j * width + k];
+            dst[(size_t)j * width + k] = s ^ b;
+            b &= ~s;
         }
     }
-    return bound > packed ? bound : packed;
 }
 
-static int cmp_closes_forbidden(CmpCtx *c, const u64 *b_mask, int p)
+/* Read the point masks masks yields into per-point columns: bit i of
+ * cols + v * width is set iff point v is in mask i, the zero vector being
+ * no point.  Mask i is kept at rows + i * nw unless rows is NULL.  Each
+ * mask is checked as it is read, in order; the deadline is polled every
+ * LIST_POLL masks and after the last, and a spent one stops the reading.
+ * Serves the family to hit and the forbidden flats.  Returns 0, or -1
+ * with an exception set, also when masks yields more than n. */
+static int cmp_read_columns(CmpCtx *c, PyObject *masks, Py_ssize_t n, u64 *rows, u64 *cols,
+                            int width)
 {
-    int i;
-    u64 *tmp = c->scratch, *rest = c->scratch + c->nw;
-    bs_translate(tmp, b_mask, p, c->nw);
-    for (i = 0; i < c->nw; i++)
-        rest[i] = b_mask[i] & tmp[i];
-    return subspace_in(rest, c->forbidden_dim - 1, c->r, c->nw, c->scratch + 2 * c->nw);
+    PyObject *it = PyObject_GetIter(masks), *item;
+    u64 one[1 << (KERNEL_RANK_MAX - 6)], *row, m;
+    Py_ssize_t i = 0;
+    int wi, bad;
+    if (it == NULL)
+        return -1;
+    while (!c->timed_out && (item = PyIter_Next(it)) != NULL) {
+        if (i == n) {
+            Py_DECREF(item);
+            PyErr_Format(PyExc_RuntimeError, "more than %zd masks", n);
+            break;
+        }
+        row = rows != NULL ? rows + (size_t)i * c->nw : one;
+        bad = read_mask(item, c->r, row, c->nw);
+        Py_DECREF(item);
+        if (bad < 0)
+            break;
+        row[0] &= ~1ULL;
+        for (wi = 0; wi < c->nw; wi++)
+            for (m = row[wi]; m; m &= m - 1)
+                bs_set(cols + (size_t)((wi << 6) + ctz64(m)) * width, (int)i);
+        if (++i % LIST_POLL == 0)
+            cmp_poll(c);
+    }
+    Py_DECREF(it);
+    if (PyErr_Occurred())
+        return -1;
+    if (i % LIST_POLL != 0)
+        cmp_poll(c);
+    return 0;
 }
 
-static void cmp_dfs(CmpCtx *c, int depth, const u64 *b_mask, int b_size, const u64 *uncov,
-                    const u64 *avail, const u64 *span);
-
-/* Branch on p unless it closes a forbidden flat: the child B + {p} sees
- * avail minus the points this node has removed, p included, and has
- * span(B + {p}) = span. */
-static void cmp_branch(CmpCtx *c, int depth, const u64 *b_mask, int b_size,
-                       const u64 *uncov, const u64 *avail, int p, const u64 *span)
+/* The subspaces sharing a point with S_i, i included: the OR of
+ * through[v] over the points v of S_i, built the first time i is packed
+ * and kept while meets_room lasts, then rebuilt in meets_tmp at each use.
+ * NULL when a row to keep does not fit in memory. */
+static const u64 *cmp_meets(CmpCtx *c, int i)
 {
-    int k;
-    u64 *removed = c->slab_removed + depth * c->nw;
-    u64 *cb = c->slab_b + (depth + 1) * c->nw;
-    u64 *cu = c->slab_uncov + (size_t)(depth + 1) * c->tw;
-    u64 *ca = c->slab_avail + (depth + 1) * c->nw;
-    const u64 *tp = c->through + (size_t)p * c->tw;
-    bs_set(removed, p);
-    if (c->forbidden_dim && cmp_closes_forbidden(c, b_mask, p))
-        return;
-    memcpy(cb, b_mask, c->nw * sizeof(u64));
+    int k, wi;
+    u64 m, *mi = c->meets[i];
+    const u64 *tv;
+    if (mi != NULL)
+        return mi;
+    if (c->meets_room > 0) {
+        mi = calloc(c->tw, sizeof(u64));
+        if (mi == NULL)
+            return NULL;
+        c->meets[i] = mi;
+        c->meets_room--;
+    } else {
+        mi = c->meets_tmp;
+        memset(mi, 0, c->tw * sizeof(u64));
+    }
+    bs_set(mi, i);
+    for (wi = 0; wi < c->nw; wi++) {
+        for (m = c->subs[(size_t)i * c->nw + wi]; m; m &= m - 1) {
+            tv = c->through + (size_t)((wi << 6) + ctz64(m)) * c->tw;
+            for (k = 0; k < c->tw; k++)
+                mi[k] |= tv[k];
+        }
+    }
+    return mi;
+}
+
+/* max(ceil(u / maxcov), greedy packing of uncov) > slack, u = |uncov|.
+ * The packing takes the lowest subspace left and drops the ones meeting
+ * it, and stops once it passes slack.  A meets row that does not fit sets
+ * no_memory and timed_out. */
+static int cmp_bound_exceeds(CmpCtx *c, const u64 *uncov, int slack)
+{
+    int u = bs_popcount(uncov, c->tw), packed = 0, k = 0, j;
+    const u64 *mi;
+    if ((u + c->maxcov - 1) / c->maxcov > slack)
+        return 1;
+    memcpy(c->cand, uncov, c->tw * sizeof(u64));
+    for (;;) {
+        while (k < c->tw && c->cand[k] == 0)
+            k++;
+        if (k == c->tw)
+            return 0;
+        if (++packed > slack)
+            return 1;
+        mi = cmp_meets(c, (k << 6) + ctz64(c->cand[k]));
+        if (mi == NULL) {
+            c->no_memory = c->timed_out = 1;
+            return 1;
+        }
+        for (j = k; j < c->tw; j++)
+            c->cand[j] &= ~mi[j];
+    }
+}
+
+/* Fail-first: the lowest uncovered subspace of least count, found by
+ * narrowing uncov from the top counter plane down, keeping cand & ~plane
+ * whenever it is nonempty.  uncov is nonempty. */
+static int cmp_fail_first(CmpCtx *c, const u64 *uncov, const u64 *counts)
+{
+    int j, k;
+    u64 any;
+    const u64 *plane;
+    memcpy(c->cand, uncov, c->tw * sizeof(u64));
+    for (j = c->n_planes - 1; j >= 0; j--) {
+        plane = counts + (size_t)j * c->tw;
+        any = 0;
+        for (k = 0; k < c->tw; k++)
+            any |= c->cand[k] & ~plane[k];
+        if (any)
+            for (k = 0; k < c->tw; k++)
+                c->cand[k] &= ~plane[k];
+    }
+    for (k = 0; c->cand[k] == 0; k++)
+        ;
+    return (k << 6) + ctz64(c->cand[k]);
+}
+
+static void cmp_dfs(CmpCtx *c, int depth, int b_size, const u64 *counts, const u64 *span,
+                    int added);
+
+/* Branch on p unless it closes a forbidden flat, that is unless a flat
+ * through p is at count 1.  The child B + {p} takes avail and the counters
+ * as they stand, and has span(B + {p}) = span. */
+static void cmp_branch(CmpCtx *c, int depth, int b_size, const u64 *counts, const u64 *span,
+                       int p)
+{
+    int nw = c->nw, tw = c->tw, k;
+    const u64 *fp, *one_left, *tp = c->through + (size_t)p * tw;
+    const u64 *b = c->slab_b + (size_t)depth * nw, *uncov = c->slab_uncov + (size_t)depth * tw;
+    u64 *cb = c->slab_b + (size_t)(depth + 1) * nw;
+    u64 *cu = c->slab_uncov + (size_t)(depth + 1) * tw;
+    if (c->t) {
+        fp = c->flats_through + (size_t)p * c->fw;
+        one_left = c->slab_flats + ((size_t)depth * (c->t + 1) + c->t) * c->fw;
+        for (k = 0; k < c->fw; k++)
+            if (fp[k] & one_left[k])
+                return;
+    }
+    memcpy(cb, b, nw * sizeof(u64));
     bs_set(cb, p);
-    for (k = 0; k < c->tw; k++)
+    for (k = 0; k < tw; k++)
         cu[k] = uncov[k] & ~tp[k];
-    for (k = 0; k < c->nw; k++)
-        ca[k] = avail[k] & ~removed[k];
-    cmp_dfs(c, depth + 1, cb, b_size + 1, cu, ca, span);
+    memcpy(c->slab_avail + (size_t)(depth + 1) * nw, c->slab_avail + (size_t)depth * nw,
+           nw * sizeof(u64));
+    cmp_dfs(c, depth + 1, b_size + 1, counts, span, p);
 }
 
-/* span: the span of b_mask, as a bitset over the vectors. */
-static void cmp_dfs(CmpCtx *c, int depth, const u64 *b_mask, int b_size, const u64 *uncov,
-                    const u64 *avail, const u64 *span)
+/* One node.  Slot depth holds its blocker B, uncovered set and available
+ * points; counts are the fail-first counters it inherits, span is
+ * span(B), and added is the point its parent added, -1 at the root. */
+static void cmp_dfs(CmpCtx *c, int depth, int b_size, const u64 *counts, const u64 *span,
+                    int added)
 {
-    int i, k, wi, p, window, sel, sel_count, cnt, rank, pp;
-    u64 m, w;
-    const u64 *pts, *si;
-    u64 *cspan;
+    int nw = c->nw, t = c->t, fw = c->fw, k, j, wi, p, window, last, n_branch, rank, pp;
+    u64 m, w, any;
+    u64 *b = c->slab_b + (size_t)depth * nw, *avail = c->slab_avail + (size_t)depth * nw;
+    u64 *uncov = c->slab_uncov + (size_t)depth * c->tw;
+    u64 *own = c->slab_counts + (size_t)depth * c->n_planes * c->tw, *planes, *cspan;
+    const u64 *si;
     u16 piv[16];
     c->nodes++;
-    /* a node rescans the whole family, so its poll cost grows with it */
     c->ticks += c->node_cost;
     if (deadline_passed(c->ticks, c->node_cost, c->use_deadline, c->deadline)) {
         c->timed_out = 1;
@@ -775,8 +903,8 @@ static void cmp_dfs(CmpCtx *c, int depth, const u64 *b_mask, int b_size, const u
         if (c->full_rank) {
             memset(piv, 0, sizeof(piv));
             rank = 0;
-            for (wi = 0; wi < c->nw; wi++) {
-                m = c->nonzero[wi] & ~b_mask[wi];
+            for (wi = 0; wi < nw; wi++) {
+                m = c->nonzero[wi] & ~b[wi];
                 while (m) {
                     w = (u64)((wi << 6) + ctz64(m));
                     m &= m - 1;
@@ -794,106 +922,146 @@ static void cmp_dfs(CmpCtx *c, int depth, const u64 *b_mask, int b_size, const u
                 return;
         }
         c->best = b_size;
-        memcpy(c->best_mask, b_mask, c->nw * sizeof(u64));
+        memcpy(c->best_mask, b, nw * sizeof(u64));
         return;
     }
     window = c->max_blocker;
     if (c->best >= 0 && c->best - 1 < window)
         window = c->best - 1;
-    if (b_size + cmp_lower_bound(c, uncov) > window)
+    if (cmp_bound_exceeds(c, uncov, window - b_size))
         return;
-    /* fail-first: uncovered subspace with fewest available points */
-    sel = -1;
-    sel_count = 1 << 30;
-    for (wi = 0; wi < c->tw; wi++) {
-        m = uncov[wi];
-        while (m) {
-            i = (wi << 6) + ctz64(m);
-            m &= m - 1;
-            si = c->subs + (size_t)i * c->nw;
-            cnt = 0;
-            for (k = 0; k < c->nw; k++)
-                cnt += popcnt64(si[k] & avail[k]);
-            if (cnt == 0)
-                return; /* unhittable in this branch */
-            if (cnt < sel_count) {
-                sel = i;
-                sel_count = cnt;
+    si = c->subs + (size_t)cmp_fail_first(c, uncov, counts) * nw;
+    any = 0;
+    for (k = 0; k < nw; k++)
+        any |= si[k] & avail[k];
+    if (!any)
+        return; /* unhittable in this branch */
+    if (t) {
+        /* |F \ B| one lower on the flats through the added point; then
+         * the plane of the flats at count 1 */
+        planes = c->slab_flats + (size_t)depth * (t + 1) * fw;
+        if (added >= 0)
+            bs_decrement(planes, planes - (size_t)(t + 1) * fw,
+                         c->flats_through + (size_t)added * fw, t, fw);
+        for (k = 0; k < fw; k++) {
+            w = planes[k];
+            for (j = 1; j < t; j++)
+                w &= ~planes[(size_t)j * fw + k];
+            planes[(size_t)t * fw + k] = w;
+        }
+    }
+    /* with symmetry, the points in span(B) first, excluding earlier
+     * siblings, then one point outside span(B), which stands for all of
+     * them; a point leaves avail and the counters before the next sibling */
+    last = -1;
+    n_branch = 0;
+    for (wi = 0; wi < nw; wi++) {
+        m = si[wi] & avail[wi];
+        if (c->symmetry) {
+            if (last < 0 && (m & ~span[wi]))
+                last = (wi << 6) + ctz64(m & ~span[wi]);
+            m &= span[wi];
+        }
+        n_branch += popcnt64(m);
+    }
+    n_branch += last >= 0;
+    for (wi = 0; wi < nw; wi++) {
+        for (m = si[wi] & avail[wi] & (c->symmetry ? span[wi] : ~0ULL); m; m &= m - 1) {
+            p = (wi << 6) + ctz64(m);
+            cmp_branch(c, depth, b_size, counts, span, p);
+            if (c->timed_out)
+                return;
+            if (--n_branch > 0) {
+                avail[wi] ^= m & -m;
+                bs_decrement(own, counts, c->through + (size_t)p * c->tw, c->n_planes, c->tw);
+                counts = own;
             }
         }
     }
-    memset(c->slab_removed + depth * c->nw, 0, c->nw * sizeof(u64));
-    pts = c->subs + (size_t)sel * c->nw;
-    /* with symmetry, the points in span(B) first, excluding earlier siblings */
-    for (wi = 0; wi < c->nw; wi++) {
-        m = pts[wi] & avail[wi];
-        if (c->symmetry)
-            m &= span[wi];
-        while (m) {
-            p = (wi << 6) + ctz64(m);
-            m &= m - 1;
-            cmp_branch(c, depth, b_mask, b_size, uncov, avail, p, span);
-            if (c->timed_out)
-                return;
-        }
-    }
-    if (!c->symmetry)
+    if (last < 0)
         return;
-    /* then one point outside span(B), which stands for all of them */
-    for (wi = 0; wi < c->nw; wi++) {
-        m = pts[wi] & avail[wi] & ~span[wi];
-        if (m) {
-            p = (wi << 6) + ctz64(m);
-            cspan = c->slab_span + (depth + 1) * c->nw;
-            bs_translate(cspan, span, p, c->nw);
-            for (k = 0; k < c->nw; k++)
-                cspan[k] |= span[k];
-            cmp_branch(c, depth, b_mask, b_size, uncov, avail, p, cspan);
-            return;
-        }
-    }
+    cspan = c->slab_span + (size_t)(depth + 1) * nw;
+    bs_translate(cspan, span, last, nw);
+    for (k = 0; k < nw; k++)
+        cspan[k] |= span[k];
+    cmp_branch(c, depth, b_size, counts, cspan, last);
 }
 
 static void cmp_free(CmpCtx *c)
 {
+    int i;
+    if (c->meets != NULL)
+        for (i = 0; i < c->n_subs; i++)
+            free(c->meets[i]);
+    free(c->meets);
+    free(c->meets_tmp);
     free(c->best_mask);
     free(c->subs);
     free(c->through);
+    free(c->flats_through);
     free(c->nonzero);
     free(c->slab_b);
     free(c->slab_uncov);
     free(c->slab_avail);
-    free(c->slab_removed);
     free(c->slab_span);
-    free(c->taken);
-    free(c->scratch);
+    free(c->slab_counts);
+    free(c->slab_flats);
+    free(c->cand);
+}
+
+/* The t-flats through each point, listed by gf2.subspace_masks, the
+ * pure twin's lister, in its order: [r, t]_2 of them. */
+static int cmp_list_flats(CmpCtx *c, size_t maxd)
+{
+    PyObject *gf2 = PyImport_ImportModule("gf2matroid.gf2"), *count = NULL, *flats = NULL;
+    long long n_flats;
+    int out = -1;
+    if (gf2 == NULL)
+        return -1;
+    count = PyObject_CallMethod(gf2, "gaussian_binomial", "ii", c->r, c->t);
+    if (count == NULL)
+        goto done;
+    n_flats = PyLong_AsLongLong(count);
+    if (n_flats == -1 && PyErr_Occurred())
+        goto done;
+    if (n_flats > INT_MAX) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    c->fw = n_flats > 64 ? (int)((n_flats + 63) >> 6) : 1;
+    c->flats_through = calloc((size_t)c->n_all * c->fw, sizeof(u64));
+    c->slab_flats = calloc(maxd * (c->t + 1) * c->fw, sizeof(u64));
+    if (c->flats_through == NULL || c->slab_flats == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memset(c->slab_flats, 0xFF, (size_t)c->t * c->fw * sizeof(u64)); /* all 2^t - 1 */
+    flats = PyObject_CallMethod(gf2, "subspace_masks", "ii", c->r, c->t);
+    if (flats != NULL)
+        out = cmp_read_columns(c, flats, (Py_ssize_t)n_flats, NULL, c->flats_through, c->fw);
+done:
+    Py_XDECREF(flats);
+    Py_XDECREF(count);
+    Py_DECREF(gf2);
+    return out;
 }
 
 PyDoc_STRVAR(complement_search_doc,
              "complement_search(r, subspace_masks, forbidden_dim, full_rank, max_blocker,\n"
              "                  budget, symmetry)\n--\n\n"
              "Smallest blocker hitting every given subspace, branch and bound.\n\n"
-             "Returns (best_size or -1, blocker_mask, nodes, completed); see the\n"
-             "pure twin for the contract details.\n\n"
-             "symmetry=True needs a subspace family closed under GL(r,2).  A node\n"
-             "with blocker B, excluded points X and chosen subspace S branches on\n"
-             "each available point of S & span(B), ascending and excluding earlier\n"
-             "siblings, then once on the lowest point of S outside span(B).  Only\n"
-             "points of span(B) are ever excluded, so X lies in span(B).  The\n"
-             "pointwise stabiliser of span(B) in GL(r,2) fixes B and X, moves any\n"
-             "point outside span(B) to any other and preserves the family, the\n"
-             "forbidden flats, the full-rank test and sizes; so a valid blocker\n"
-             "meeting S only outside span(B) has an image in the last branch.\n"
-             "For forbidden_dim >= 2 that last point closes no forbidden flat.\n"
-             "At the root span(B) = {0}: a single branch.  span(B) is kept per\n"
-             "depth and grown by one translation in the last branch.\n\n"
-             "The deadline covers reading the family: it is polled every 256 masks\n"
-             "read and after the last, each mask checked as it is read, in the pure\n"
-             "twin's order.  In the search it is polled whenever a counter passes\n"
-             "a multiple of CHECK_INTERVAL.  Each node advances it\n"
-             "by n_subs * nw / 64 + 1, capped at CHECK_INTERVAL, nw being the words\n"
-             "of a mask: a node scans up to n_subs masks, so the work between\n"
-             "polls stays about CHECK_INTERVAL * 64 words whatever the family.");
+             "Returns (best_size or -1, blocker_mask, nodes, completed); the pure\n"
+             "twin gives the algorithm, its arguments and the symmetry argument.\n\n"
+             "The deadline covers reading the family and listing the forbidden\n"
+             "flats: it is polled every 256 masks and after the last, each mask\n"
+             "checked as it is read, in the pure twin's order.  In the search it\n"
+             "is polled whenever a counter passes a multiple of CHECK_INTERVAL.\n"
+             "Each node advances it by ((p + 3) * tw + (2t + 1) * fw) / 64 + 1,\n"
+             "capped at CHECK_INTERVAL: tw and fw are the words of a bitset over\n"
+             "the family and over the t-flats, and p the counter planes.  A node\n"
+             "reads its uncovered set and the counters a few times and its flat\n"
+             "counters twice, so the work between polls stays about\n"
+             "CHECK_INTERVAL * 64 words whatever the family.");
 
 static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *kw)
 {
@@ -902,8 +1070,9 @@ static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *
     int r, forbidden_dim, full_rank, max_blocker, symmetry;
     PyObject *subs_obj, *budget, *seq, *result = NULL;
     CmpCtx c;
-    int n_all, nw, n_subs, tw, maxd, i, v, mc, wi;
-    u64 m;
+    int n_all, nw, n_subs, tw, i, j, v, mc, most;
+    size_t maxd;
+    long long words;
     (void)self;
 
     memset(&c, 0, sizeof(c));
@@ -926,61 +1095,40 @@ static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *
     n_subs = (int)PySequence_Fast_GET_SIZE(seq);
     tw = n_subs > 64 ? (n_subs + 63) >> 6 : 1;
     /* recursion stops at b_size = min(max_blocker, n_all - 1) */
-    maxd = (max_blocker < n_all ? max_blocker : n_all) + 2;
-    if (maxd < 2)
-        maxd = 2;
+    maxd = (size_t)(max_blocker < n_all ? (max_blocker > 0 ? max_blocker : 0) : n_all) + 2;
 
     c.r = r;
     c.n_all = n_all;
     c.nw = nw;
     c.n_subs = n_subs;
     c.tw = tw;
-    c.forbidden_dim = forbidden_dim;
+    c.t = forbidden_dim;
     c.max_blocker = max_blocker;
     c.full_rank = full_rank;
     c.symmetry = symmetry;
-    /* a node scans up to n_subs * nw words: about one tick per 64 of them */
-    c.node_cost = (int)((long long)n_subs * nw / 64 + 1 < CHECK_INTERVAL
-                            ? (long long)n_subs * nw / 64 + 1
-                            : CHECK_INTERVAL);
     c.best = -1;
     c.best_mask = calloc(nw, sizeof(u64));
     c.subs = calloc((size_t)(n_subs > 0 ? n_subs : 1) * nw, sizeof(u64));
     c.through = calloc((size_t)n_all * tw, sizeof(u64));
+    c.meets = calloc(n_subs > 0 ? n_subs : 1, sizeof(u64 *));
+    c.meets_tmp = calloc(tw, sizeof(u64));
+    c.meets_room = MEETS_MAX_WORDS / tw;
     c.nonzero = calloc(nw, sizeof(u64));
-    c.slab_b = calloc((size_t)maxd * nw, sizeof(u64));
-    c.slab_uncov = calloc((size_t)maxd * tw, sizeof(u64));
-    c.slab_avail = calloc((size_t)maxd * nw, sizeof(u64));
-    c.slab_removed = calloc((size_t)maxd * nw, sizeof(u64));
-    c.slab_span = calloc((size_t)maxd * nw, sizeof(u64));
-    c.taken = calloc(nw, sizeof(u64));
-    c.scratch = calloc(2 * nw + 2 * nw * (r + 1), sizeof(u64));
-    if (c.best_mask == NULL || c.subs == NULL || c.through == NULL || c.nonzero == NULL ||
-        c.slab_b == NULL || c.slab_uncov == NULL || c.slab_avail == NULL ||
-        c.slab_removed == NULL || c.slab_span == NULL || c.taken == NULL ||
-        c.scratch == NULL) {
+    c.slab_b = calloc(maxd * nw, sizeof(u64));
+    c.slab_uncov = calloc(maxd * tw, sizeof(u64));
+    c.slab_avail = calloc(maxd * nw, sizeof(u64));
+    c.slab_span = calloc(maxd * nw, sizeof(u64));
+    c.cand = calloc(tw, sizeof(u64));
+    if (c.best_mask == NULL || c.subs == NULL || c.through == NULL || c.meets == NULL ||
+        c.meets_tmp == NULL || c.nonzero == NULL || c.slab_b == NULL || c.slab_uncov == NULL ||
+        c.slab_avail == NULL || c.slab_span == NULL || c.cand == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    /* the budget covers reading the family too: masks are read and checked
-     * in order, as the pure twin reads them, with a poll every LIST_POLL
-     * masks and after the last */
     if (read_deadline(budget, &c.use_deadline, &c.deadline) < 0)
         goto done;
-    for (i = 0; i < n_subs && !c.timed_out; i++) {
-        if (read_mask(PySequence_Fast_GET_ITEM(seq, i), r, c.subs + (size_t)i * nw, nw) < 0)
-            goto done;
-        c.subs[(size_t)i * nw] &= ~1ULL; /* the zero vector is no point */
-        for (wi = 0; wi < nw; wi++) {
-            for (m = c.subs[(size_t)i * nw + wi]; m; m &= m - 1) {
-                v = (wi << 6) + ctz64(m);
-                bs_set(c.through + (size_t)v * tw, i);
-            }
-        }
-        if (((i + 1) % LIST_POLL == 0 || i + 1 == n_subs) && c.use_deadline &&
-            monotonic_now() > c.deadline)
-            c.timed_out = 1;
-    }
+    if (cmp_read_columns(&c, seq, n_subs, c.subs, c.through, tw) < 0)
+        goto done;
     for (v = 1; v < n_all; v++)
         bs_set(c.nonzero, v);
     c.maxcov = 1;
@@ -989,13 +1137,40 @@ static PyObject *py_complement_search(PyObject *self, PyObject *args, PyObject *
         if (mc > c.maxcov)
             c.maxcov = mc;
     }
+    /* |S_i & avail| at the root, the mask sizes, as bit-planes over i */
+    most = 0;
+    for (i = 0; i < n_subs; i++) {
+        mc = bs_popcount(c.subs + (size_t)i * nw, nw);
+        most = mc > most ? mc : most;
+    }
+    while (most >> c.n_planes)
+        c.n_planes++;
+    c.slab_counts = calloc(maxd * (c.n_planes > 0 ? c.n_planes : 1) * tw, sizeof(u64));
+    if (c.slab_counts == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < n_subs; i++) {
+        mc = bs_popcount(c.subs + (size_t)i * nw, nw);
+        for (j = 0; j < c.n_planes; j++)
+            if ((mc >> j) & 1)
+                bs_set(c.slab_counts + (size_t)j * tw, i);
+    }
+    if (forbidden_dim && !c.timed_out && cmp_list_flats(&c, maxd) < 0)
+        goto done;
+    words = (long long)(c.n_planes + 3) * tw + (long long)(2 * c.t + 1) * c.fw;
+    c.node_cost = (int)(words / 64 + 1 < CHECK_INTERVAL ? words / 64 + 1 : CHECK_INTERVAL);
     /* root: everything uncovered, every point available, span(B) = {0} */
     for (i = 0; i < n_subs; i++)
         bs_set(c.slab_uncov, i);
     memcpy(c.slab_avail, c.nonzero, nw * sizeof(u64));
     bs_set(c.slab_span, 0);
     if (!c.timed_out)
-        cmp_dfs(&c, 0, c.slab_b, 0, c.slab_uncov, c.slab_avail, c.slab_span);
+        cmp_dfs(&c, 0, 0, c.slab_counts, c.slab_span, -1);
+    if (c.no_memory) {
+        PyErr_NoMemory();
+        goto done;
+    }
     result = search_result(c.best, c.best_mask, nw, c.nodes, c.timed_out);
 done:
     cmp_free(&c);

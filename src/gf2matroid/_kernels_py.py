@@ -46,9 +46,8 @@ The forbidden-flat test keeps |F \\ B| for every t-flat F as t
 bit-planes: B never holds a whole t-flat, so a point p outside B
 closes one exactly when a flat through p has count 1, and a child
 decrements the counters of the flats through p.  The t-flats are
-listed once, [r, t]_2 of them.  _kernels.c recounts, rescans and calls
-its subspace finder instead, so the lockstep tests compare two
-independent versions of each test.  With symmetry on, every node
+listed once, [r, t]_2 of them.  _kernels.c keeps the same three
+structures as word bitsets.  With symmetry on, every node
 branches on the points of its subspace inside span(B) and on one point
 outside it; complement_search gives the argument.
 
@@ -92,6 +91,7 @@ KERNEL_RANK_MAX = 12
 
 _CHECK_INTERVAL = 4096
 _LIST_POLL = 256  # masks read or flats listed between deadline polls
+_MEETS_MAX_WORDS = 1 << 23  # 64-bit words of meets rows a complement search keeps
 
 
 class _Timeout(Exception):
@@ -449,7 +449,11 @@ def complement_search(
     meets[i], the subspaces sharing a point with S_i (i included), so
     it costs one step per packed subspace.  meets[i] is the OR of
     through[v] over the points v of S_i, built the first time i is
-    packed; a table for every i would not fit at high rank.  The count
+    packed; a table for every i would not fit at high rank.  The rows
+    kept hold at most _MEETS_MAX_WORDS words of a bitset over the
+    family, and a row past that is rebuilt at each use: a long line
+    search at rank 10 keeps about 64 MB of rows, where a row for each
+    of the 174,251 lines would take 3.8 GB.  The count
     stops once it passes the window, which leaves the prune unchanged.
 
     The fail-first choice keeps |S_i & avail| for every subspace as
@@ -476,10 +480,9 @@ def complement_search(
     borrow chain.  The t-flats are listed up front, [r, t]_2 masks from
     gf2.subspace_masks, polling the deadline every _LIST_POLL flats.
 
-    All three give the verdicts of the direct tests, so the tree and
-    the node count stay those of the compiled twin, which recounts the
-    uncovered subspaces, packs by scanning and asks its subspace finder
-    whether a t-flat closes.
+    All three give the verdicts of the direct tests, which recount the
+    uncovered subspaces, pack by scanning and ask gf2.subspace_in
+    whether a t-flat closes, so the tree and the node count are theirs.
 
     The columns through[v], the flats through v and the root count
     planes are each the transpose of a list of masks (the count planes
@@ -550,7 +553,8 @@ def complement_search(
                 mi = 1 << i
                 for v in iter_bits(subs[i]):
                     mi |= through[v]
-                meets[i] = mi
+                if len(meets) < meets_room:
+                    meets[i] = mi
             cand &= ~mi
         return False
 
@@ -628,6 +632,7 @@ def complement_search(
             _check_mask(m, r)
             subs.append(m & ~1)
         through = _transpose(subs, n_all, poll)
+        meets_room = _MEETS_MAX_WORDS // max(1, -(-len(subs) // 64))
         maxcov = max(t.bit_count() for t in through) or 1
         # |S_i & avail| at the root, as bit-planes over the subspace indices
         sizes = [m.bit_count() for m in subs]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import combinations
+from itertools import combinations, compress
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 from . import gf2
@@ -109,6 +109,9 @@ class OddGirth:
 
 OddGirth.INFINITE = OddGirth(None)
 
+# ASCII binary digits to the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @dataclass(frozen=True)
 class BinaryMatroid:
@@ -142,7 +145,15 @@ class BinaryMatroid:
         return self.points == 0
 
     def point_list(self) -> List[int]:
-        return list(iter_bits(self.points))
+        """The points, ascending: iter_bits(points) in time linear in 2^r.
+
+        The binary digits reversed put bit v at index v; as bytes 0 and 1
+        they select the indices through itertools.compress, all in C.
+        iter_bits, whose lazy callers stop early, costs a big-int
+        operation per point instead.
+        """
+        digits = bin(self.points)[:1:-1].encode().translate(_DIGIT_BYTES)
+        return list(compress(range(len(digits)), digits))
 
     def contains(self, v: int) -> bool:
         check_vector(v, self.ambient_rank)

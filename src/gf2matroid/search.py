@@ -59,7 +59,9 @@ __all__ = [
     "verify_theorem",
 ]
 
-THEOREMS = ("main", "bose_burton", "gs")
+# each theorem's parameters, exactly
+_THEOREM_PARAMS = {"main": ("k", "r"), "bose_burton": ("n", "r"), "gs": ("n", "r")}
+THEOREMS = tuple(_THEOREM_PARAMS)
 
 _LIST_POLL = 256  # subspaces listed between deadline polls
 # The most flats max_size hands to the complement engine, in the family to
@@ -565,10 +567,20 @@ def verify_theorem(
     attains the bound.  threads splits the forward search of main over
     processes; bose_burton and gs run the complement engine in one
     process and raise ValueError unless threads is 1.  threads below 1
-    raise ValueError for every theorem.
+    raise ValueError for every theorem, and so do params that lack one
+    of the theorem's keys or hold another.
     """
     t0 = monotonic()
     _check_threads(threads)
+    if theorem not in _THEOREM_PARAMS:
+        raise ValueError(f"unknown theorem {theorem!r}; known: {', '.join(THEOREMS)}")
+    want = _THEOREM_PARAMS[theorem]
+    for key in want:
+        if key not in params:
+            raise ValueError(f"theorem {theorem!r} needs parameter {key!r}")
+    for key in params:
+        if key not in want:
+            raise ValueError(f"theorem {theorem!r} takes no parameter {key!r}")
     if theorem in ("bose_burton", "gs") and threads != 1:
         raise ValueError(f"threads apply to theorem 'main' only, not {theorem!r}")
     if theorem == "main":
@@ -591,7 +603,7 @@ def verify_theorem(
         rep = max_size_complement(r, cs, (1 << (r - n + 1)) - 1, budget=budget)
         construction = bose_burton(r, n - 1)
         c_ok = construction.size == bound and cs.satisfied_by(construction)
-    elif theorem == "gs":
+    else:
         n, r = params["n"], params["r"]
         construction = extremal_gs(n, r)  # validates n and r
         bound = (1 << r) - 11 * (1 << (r - n - 2))
@@ -602,8 +614,6 @@ def verify_theorem(
             and critical_number(construction)[0] == n
             and cs.satisfied_by(construction)
         )
-    else:
-        raise ValueError(f"unknown theorem {theorem!r}; known: {', '.join(THEOREMS)}")
     passed = rep.exhaustive and rep.optimum == bound and c_ok
     return VerifyReport(
         theorem=theorem,

@@ -4,7 +4,8 @@ import random
 from functools import lru_cache
 from itertools import product
 
-from gf2matroid import BinaryMatroid, rank_of
+from gf2matroid import BinaryMatroid, iter_bits, nonzero_mask, rank_of
+from gf2matroid.gf2 import subspace_in, translate_mask
 from gf2matroid._backend import load_kernels
 
 pure = load_kernels("python")
@@ -100,3 +101,53 @@ def is_isomorphic_bruteforce(a: BinaryMatroid, b: BinaryMatroid) -> bool:
     return any(
         all((b.points >> g[v]) & 1 for v in pts) for g in gl_maps(a.ambient_rank)
     )
+
+
+def literal_complement_search(r, masks, forbidden_dim, full_rank, max_blocker, symmetry):
+    """(best, blocker_mask) of complement_search, from its tree grown literally.
+
+    The branching is the kernels': fail-first on the lowest uncovered
+    subspace of least count, recounted at every node, then its
+    available points, with symmetry those inside span(B) ascending and
+    the lowest one outside it.  A branch point that would close a
+    forbidden flat is skipped, found by gf2.subspace_in.  A node is cut
+    only when its blocker fills the window, with no packing bound.
+    Every bound the kernels add cuts only subtrees holding no blocker
+    better than the best so far, so both searches meet the same
+    improvements in the same order and return the same (best, mask), in
+    more nodes here.
+    """
+    subs = [m & ~1 for m in masks]
+    t = forbidden_dim
+    best, best_mask = -1, 0
+
+    def closes(b, p):
+        # a t-flat through p inside B + {p} pairs its other points as u, u ^ p
+        return t > 0 and subspace_in(b & translate_mask(b, p, r), t - 1, r) is not None
+
+    def dfs(b, b_size, avail, span_mask):
+        nonlocal best, best_mask
+        uncov = [s for s in subs if not s & b]
+        if not uncov:
+            if full_rank and not BinaryMatroid(r, nonzero_mask(r) & ~b).is_full_rank:
+                return
+            best, best_mask = b_size, b
+            return
+        window = max_blocker if best < 0 else min(max_blocker, best - 1)
+        if b_size >= window:
+            return
+        left = min(uncov, key=lambda s: (s & avail).bit_count()) & avail
+        if not left:
+            return  # some subspace can no longer be hit
+        branches = [(p, span_mask) for p in iter_bits(left & span_mask if symmetry else left)]
+        outside = left & ~span_mask
+        if symmetry and outside:
+            p = (outside & -outside).bit_length() - 1
+            branches.append((p, span_mask | translate_mask(span_mask, p, r)))
+        for p, child_span in branches:
+            avail &= ~(1 << p)
+            if not closes(b, p):
+                dfs(b | 1 << p, b_size + 1, avail, child_span)
+
+    dfs(0, 0, nonzero_mask(r), 1)
+    return best, best_mask

@@ -18,7 +18,13 @@ from gf2matroid import (
 from gf2matroid.gf2 import subspace_masks
 from gf2matroid.search import _forced_basis
 
-from helpers import backends, compiled, pure, random_mask
+from helpers import (
+    backends,
+    compiled,
+    literal_complement_search,
+    pure,
+    random_mask,
+)
 
 rng = random.Random(0x4B31)
 
@@ -496,6 +502,42 @@ def test_complement_symmetry_replays_literal_branching(kern, dims, fd, fr):
         assert not fr or BinaryMatroid(5, nonzero_mask(5) & ~mask).is_full_rank
 
 
+# r, flat dim, forbidden_dim, symmetry, with the full window: each
+# literal tree takes about a second or less; lines with t=4 and 3-flats
+# with t=3 at rank 5 without symmetry take several seconds, and the
+# other rank-6 trees over 15 s
+LITERAL_COMPLEMENT_CASES = [
+    (5, 2, 0, True),
+    (5, 2, 0, False),
+    (5, 2, 3, True),
+    (5, 2, 3, False),
+    (5, 2, 4, True),
+    (5, 3, 0, True),
+    (5, 3, 0, False),
+    (5, 3, 3, True),
+    (5, 3, 4, True),
+    (5, 3, 4, False),
+    (6, 2, 3, True),
+    (6, 2, 3, False),
+]
+
+
+@pytest.mark.parametrize("case", LITERAL_COMPLEMENT_CASES, ids=repr)
+def test_complement_search_matches_the_literal_search(case):
+    # the packing, the counter planes and the flat counters against a
+    # search that recounts, tests each flat with subspace_in and packs
+    # nothing: same optimum and same first optimal blocker on both twins
+    r, n, t, sym = case
+    family = flat_masks(r, n)
+    window = (1 << r) - 1
+    want = literal_complement_search(r, family, t, False, window, sym)
+    for kern in backends:
+        best, mask, _, completed = kern.complement_search(
+            r, family, t, False, window, None, sym
+        )
+        assert completed and (best, mask) == want, kern.BACKEND_NAME
+
+
 @pytest.mark.parametrize("case", COMPLEMENT_CASES, ids=repr)
 def test_complement_search_ignores_the_zero_vector(case):
     # bit 0 of a subspace mask is the zero vector, no point: it must not
@@ -676,14 +718,16 @@ def test_complement_search_budget_times_out(kern):
 
 
 def test_complement_search_budget_covers_the_flat_listing():
-    # the pure kernel lists all [8, 3]_2 = 97,155 forbidden 3-flats before
-    # its first node; that listing alone outlasts the budget
+    # both kernels list all [8, 3]_2 = 97,155 forbidden 3-flats through
+    # gf2.subspace_masks before their first node; that listing alone
+    # outlasts the budget
     budget = 0.05
-    t0 = monotonic()
-    got = pure.complement_search(8, flat_masks(8, 7), 3, False, 255, budget, True)
-    assert monotonic() - t0 <= budget + 0.5
-    assert got[3] is False
-    assert got[2] == 0  # stopped before the first node
+    for kern in backends:
+        t0 = monotonic()
+        got = kern.complement_search(8, flat_masks(8, 7), 3, False, 255, budget, True)
+        assert monotonic() - t0 <= budget + 0.5, kern.BACKEND_NAME
+        assert got[3] is False, kern.BACKEND_NAME
+        assert got[2] == 0, kern.BACKEND_NAME  # stopped before the first node
 
 
 def test_complement_search_budget_covers_the_point_columns():

@@ -85,6 +85,21 @@ def test_basic_accessors():
     assert e.is_empty and e.size == 0 and e.rank() == 0
 
 
+def test_point_list_matches_iter_bits():
+    draws = random.Random(0x9B1)
+    for r in range(1, 13):
+        n_all = 1 << r
+        masks = [0, 1 << 1, 1 << (n_all - 1), (1 << n_all) - 2]
+        masks += [draws.getrandbits(n_all) & ~1 for _ in range(5)]
+        for mask in masks:
+            assert BinaryMatroid(r, mask).point_list() == list(iter_bits(mask))
+    # rank 18, sparse enough that the iter_bits reference stays quick
+    pts = draws.sample(range(1, 1 << 18), 3000) + [(1 << 18) - 1]
+    mask = mask_from(pts)
+    assert BinaryMatroid(18, mask).point_list() == sorted(pts)
+    assert BinaryMatroid(18, mask).point_list() == list(iter_bits(mask))
+
+
 def test_empty_matroid_conventions():
     e = BinaryMatroid(3, 0)
     assert odd_girth(e) == OddGirth.INFINITE

@@ -826,6 +826,26 @@ def test_verify_theorem_domain_errors():
             verify_theorem(theorem, params)
 
 
+def test_verify_theorem_takes_exactly_the_theorems_parameters():
+    # a missing key once raised KeyError and a stray one rode along into
+    # the report; both are ValueErrors naming the key
+    for theorem, params, key in [
+        ("main", {"r": 5}, "'k'"),
+        ("main", {"k": 5}, "'r'"),
+        ("gs", {"r": 5}, "'n'"),
+        ("bose_burton", {}, "'n'"),
+    ]:
+        with pytest.raises(ValueError, match=f"needs parameter {key}"):
+            verify_theorem(theorem, params)
+    for theorem, params, key in [
+        ("main", {"k": 5, "r": 5, "n": 9}, "'n'"),
+        ("gs", {"n": 2, "r": 5, "k": 5}, "'k'"),
+        ("bose_burton", {"n": 2, "r": 4, "budget": 1}, "'budget'"),
+    ]:
+        with pytest.raises(ValueError, match=f"takes no parameter {key}"):
+            verify_theorem(theorem, params)
+
+
 def test_search_report_json_shape():
     rep = max_size(4, GIRTH5_NONAFFINE)
     d = rep.to_json_dict()
