@@ -104,6 +104,29 @@ static inline int bs_get(const u64 *a, int v) { return (a[v >> 6] >> (v & 63)) &
 
 static inline void bs_set(u64 *a, int v) { a[v >> 6] |= 1ULL << (v & 63); }
 
+/* Rank over GF(2) of the vectors in a, less those in cut unless cut is
+ * NULL: the twin of gf2.rank_of, one elimination step per vector against
+ * rows keyed by their top bit. */
+static int bs_rank(const u64 *a, const u64 *cut, int nw)
+{
+    u16 piv[KERNEL_RANK_MAX] = {0};
+    int wi, p, rank = 0;
+    u64 m, w;
+    for (wi = 0; wi < nw; wi++) {
+        for (m = cut != NULL ? a[wi] & ~cut[wi] : a[wi]; m; m &= m - 1) {
+            for (w = (u64)((wi << 6) + ctz64(m)); w; w ^= piv[p]) {
+                p = msb64(w);
+                if (piv[p] == 0) {
+                    piv[p] = (u16)w;
+                    rank++;
+                    break;
+                }
+            }
+        }
+    }
+    return rank;
+}
+
 /* Clear bits 0..v inclusive. */
 static inline void bs_clear_through(u64 *a, int v)
 {
@@ -359,10 +382,9 @@ static PyObject *py_min_odd_zero_subset(PyObject *self, PyObject *points)
 
 /* The pure twin's forward_search on word bitsets; its docstring gives the
  * arguments.  Slot d of the slab holds the state of the node at depth d,
- * nw words each: the frontier, the chosen set, covers, the span and
- * sums[0..T]. */
+ * nw words each: the frontier, the chosen set, covers and sums[0..T]. */
 typedef struct {
-    int r, n_all, nw, T, pg_n, min_critical, half, stride;
+    int r, nw, T, pg_n, min_critical, half, stride;
     int full_rank, prune, use_deadline, timed_out;
     double deadline;
     long long nodes, ticks; /* ticks: the deadline poll counter */
@@ -390,7 +412,7 @@ static int fwd_finds(FwdCtx *c, const u64 *mask, int d)
     return found;
 }
 
-static int fwd_passes_extra(FwdCtx *c, const u64 *chosen, const u64 *covers, const u64 *span)
+static int fwd_passes_extra(FwdCtx *c, const u64 *chosen, const u64 *covers)
 {
     int i;
     u64 *unchosen = c->scratch;
@@ -402,7 +424,7 @@ static int fwd_passes_extra(FwdCtx *c, const u64 *chosen, const u64 *covers, con
         if (fwd_finds(c, unchosen, c->r - c->min_critical + 1))
             return 0;
     }
-    if (c->full_rank && bs_popcount(span, c->nw) != c->n_all)
+    if (c->full_rank && bs_rank(chosen, NULL, c->nw) != c->r)
         return 0;
     return 1;
 }
@@ -416,7 +438,7 @@ static void fwd_include(FwdCtx *c, int v, int depth)
     u64 m;
     const u64 *feas = fwd_slot(c, depth), *hv = c->hit + (size_t)v * nw;
     u64 *rest = fwd_slot(c, depth + 1), *chosen = rest + nw, *covers = rest + 2 * nw;
-    u64 *span = rest + 3 * nw, *sums = rest + 4 * nw;
+    u64 *sums = rest + 3 * nw;
     u64 *tmp = c->scratch, *pair = c->scratch + nw, *cand = c->scratch + 2 * nw;
     memcpy(chosen, feas + nw, (c->stride - nw) * sizeof(u64)); /* all but the frontier */
     bs_set(chosen, v);
@@ -429,11 +451,6 @@ static void fwd_include(FwdCtx *c, int v, int depth)
         bs_set(sums + nw, v);
     for (i = 0; i < nw; i++)
         covers[i] &= hv[i];
-    if (!bs_get(span, v)) {
-        bs_translate(tmp, span, v, nw);
-        for (i = 0; i < nw; i++)
-            span[i] |= tmp[i];
-    }
     /* the sums of an even number of chosen points close odd circuits */
     memcpy(rest, feas, nw * sizeof(u64));
     for (t = 2; t <= c->T; t += 2)
@@ -473,7 +490,7 @@ static void fwd_dfs(FwdCtx *c, int depth, int size)
             c->timed_out = 1;
             return;
         }
-        if (size > c->best && fwd_passes_extra(c, chosen, covers, feas + 3 * nw) &&
+        if (size > c->best && fwd_passes_extra(c, chosen, covers) &&
             !c->timed_out) {
             c->best = size;
             memcpy(c->best_mask, chosen, nw * sizeof(u64));
@@ -487,8 +504,6 @@ static void fwd_dfs(FwdCtx *c, int depth, int size)
             if (size + n_feas <= c->best)
                 return; /* the size bound */
             if (c->min_critical >= 2 && !bs_isempty(covers, nw)) {
-                if (2 * c->half <= c->best)
-                    return; /* both sides capped: the half-space bound */
                 /* the half-space bound as two thresholds on |one| */
                 lo = c->best - c->half - size;
                 hi = n_feas - (c->best > c->half ? c->best - c->half : 0);
@@ -594,7 +609,6 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
         goto done;
 
     c.r = r;
-    c.n_all = n_all;
     c.nw = nw;
     c.T = T;
     c.pg_n = pg_n;
@@ -602,7 +616,7 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     /* the most points a set with no 3-circuit holds on one side of a
      * hyperplane; a cap of 2^r leaves the half-space bound inert */
     c.half = T >= 2 ? 1 << (r - 2) : n_all;
-    c.stride = (T + 5) * nw;
+    c.stride = (T + 4) * nw;
     c.full_rank = full_rank;
     c.prune = prune;
     c.best = -1;
@@ -641,8 +655,7 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     if (pg_n != 1)
         memcpy(feas, c.nonzero, nw * sizeof(u64));
     memcpy(feas + 2 * nw, c.nonzero, nw * sizeof(u64)); /* covers */
-    bs_set(feas + 3 * nw, 0);                           /* span: the zero vector */
-    bs_set(feas + 4 * nw, 0); /* sums[0]: the empty subset sums to zero */
+    bs_set(feas + 3 * nw, 0); /* sums[0]: the empty subset sums to zero */
     for (depth = 0; depth < n_forced && !c.timed_out; depth++) {
         feas = fwd_slot(&c, depth);
         v = forced[depth];
@@ -886,13 +899,12 @@ static void cmp_branch(CmpCtx *c, int depth, int b_size, const u64 *counts, cons
 static void cmp_dfs(CmpCtx *c, int depth, int b_size, const u64 *counts, const u64 *span,
                     int added)
 {
-    int nw = c->nw, t = c->t, fw = c->fw, k, j, wi, p, window, last, n_branch, rank, pp;
+    int nw = c->nw, t = c->t, fw = c->fw, k, j, wi, p, window, last, n_branch;
     u64 m, w, any;
     u64 *b = c->slab_b + (size_t)depth * nw, *avail = c->slab_avail + (size_t)depth * nw;
     u64 *uncov = c->slab_uncov + (size_t)depth * c->tw;
     u64 *own = c->slab_counts + (size_t)depth * c->n_planes * c->tw, *planes, *cspan;
     const u64 *si;
-    u16 piv[16];
     c->nodes++;
     c->ticks += c->node_cost;
     if (deadline_passed(c->ticks, c->node_cost, c->use_deadline, c->deadline)) {
@@ -900,27 +912,8 @@ static void cmp_dfs(CmpCtx *c, int depth, int b_size, const u64 *counts, const u
         return;
     }
     if (bs_isempty(uncov, c->tw)) {
-        if (c->full_rank) {
-            memset(piv, 0, sizeof(piv));
-            rank = 0;
-            for (wi = 0; wi < nw; wi++) {
-                m = c->nonzero[wi] & ~b[wi];
-                while (m) {
-                    w = (u64)((wi << 6) + ctz64(m));
-                    m &= m - 1;
-                    for (; w; w ^= piv[pp]) {
-                        pp = msb64(w);
-                        if (piv[pp] == 0) {
-                            piv[pp] = (u16)w;
-                            rank++;
-                            break;
-                        }
-                    }
-                }
-            }
-            if (rank != c->r)
-                return;
-        }
+        if (c->full_rank && bs_rank(c->nonzero, b, nw) != c->r)
+            return;
         c->best = b_size;
         memcpy(c->best_mask, b, nw * sizeof(u64));
         return;

@@ -31,7 +31,8 @@ once per include, so each tested w costs one translate and one
 subspace_in call on a much sparser mask.  The forced points pass
 through include too: every point is feasible for the empty set, and
 include keeps the frontier feasible.  _kernels.c takes the same steps
-on word arrays.
+on word arrays.  Both searches test full rank by one rank_of call, only
+where a set would become the best; _kernels.c has bs_rank for it.
 
 The complement search keeps all three of its per-node tests
 incremental.  The greedy packing bound takes the lowest uncovered
@@ -67,11 +68,11 @@ from time import monotonic
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gf2 import (
-    echelon_insert,
     gaussian_binomial,
     hyperplane_complement,
     iter_bits,
     nonzero_mask,
+    rank_of,
     subspace_in,
     translate_mask,
 )
@@ -270,17 +271,23 @@ def forward_search(
       so |S| <= 2^(r-2).
     So M has at most the bound's number of points and cannot beat best.
     The test runs as two thresholds on |one|, with half = 2^(r-2), or
-    2^r when T < 2, which no side reaches.  The size bound has passed,
-    so size + |feas| > best, and the test holds exactly when
-    2 * half <= best, or |zero| <= max(best - half, 0), or
-    |one| <= best - half - size: with both sides capped the sum is
-    2 * half, with neither it is size + |feas|, and with one it is half
-    plus the other side.  An empty zero side meets the second
+    2^r when T < 2, which no side reaches.  Both sides are never capped
+    at once, since best < 2 * half.  When T < 2, 2 * half is above every
+    size.  When T >= 2, best is -1 or the size of a non-affine set with no
+    3-circuit, and such a set S has fewer than 2^(r-1) points: for u in
+    S, S and u + S are disjoint, so |S| <= 2^(r-1).  At equality u + S
+    is the complement of S for every u in S; it holds 0 and is closed
+    under addition (s + s' lies in s' + S, the same complement), so it
+    is a hyperplane and S, its complement, is affine.  The size bound
+    has passed, so size + |feas| > best, and the test holds exactly
+    when |zero| <= max(best - half, 0) or |one| <= best - half - size:
+    with neither side capped the sum is size + |feas|, and with one it
+    is half plus the other side.  An empty zero side meets the first
     threshold, which makes it the affine-reach prune as well.
 
-    The rank the full-rank test reads is kept as the span of the chosen
-    set, a bitset grown by one translation whenever a point outside it
-    joins.
+    The full-rank test ranks the chosen set by elimination
+    (gf2.rank_of), and only at a node that would improve best, as the
+    complement search ranks the points outside its blocker.
 
     The deadline is polled every _CHECK_INTERVAL nodes and after every
     flat-finder call.  One call at rank 7 can cost as much as thousands
@@ -299,10 +306,13 @@ def forward_search(
         raise ValueError("forced_in repeats a vector")
     _check_mask(forced_out_mask, r)
     deadline = monotonic() + budget if budget is not None else None
-    # functionals hitting v, as a bitset over f; dot is symmetric
+    # functionals hitting v, as a bitset over f; dot is symmetric and
+    # linear in v, so the row of v is the row of its lowest bit XOR the
+    # row of the rest of v
     hit = [0] * n_all
     for v in range(1, n_all):
-        hit[v] = hyperplane_complement(v, r)
+        low = v & -v
+        hit[v] = hit[v ^ low] ^ hit[low] if v != low else hyperplane_complement(v, r)
     # an odd circuit has at most r + 1 points: see the docstring
     T = min(min_odd_girth - 3, r & ~1) if min_odd_girth >= 5 else 0
     evens = range(2, T + 1, 2)
@@ -310,7 +320,6 @@ def forward_search(
     # hyperplane; a cap above 2^r leaves the half-space bound inert
     half = 1 << (r - 2) if T >= 2 else n_all
     pg_n = pg_free_order
-    whole = (1 << n_all) - 1  # the span of a full-rank set
 
     best = -1
     best_mask = 0
@@ -326,18 +335,18 @@ def forward_search(
         poll()
         return found
 
-    def passes_extra(chosen: int, covers: int, span: int) -> bool:
+    def passes_extra(chosen: int, covers: int) -> bool:
         if min_critical >= 2 and covers != 0:
             return False
         if min_critical >= 3:
             free = nonzero_mask(r) & ~chosen
             if finds(free, r - min_critical + 1):
                 return False
-        if full_rank and span != whole:
+        if full_rank and rank_of(iter_bits(chosen), r) != r:
             return False
         return True
 
-    def include(v, feas, chosen, sums, covers, span):
+    def include(v, feas, chosen, sums, covers):
         """The child's state: v joins chosen, and feas (without v) keeps
         the w still feasible."""
         chosen |= 1 << v
@@ -347,8 +356,6 @@ def forward_search(
         if T >= 1:
             sums[1] |= 1 << v
         covers &= hit[v]
-        if not (span >> v) & 1:
-            span |= translate_mask(span, v, r)
         # the sums of an even number of chosen points close odd circuits
         rest = feas
         for t in evens:
@@ -360,16 +367,16 @@ def forward_search(
             for w in iter_bits(rest & tv):
                 if finds(pair & translate_mask(pair, w, r), pg_n - 2):
                     rest ^= 1 << w
-        return rest, chosen, sums, covers, span
+        return rest, chosen, sums, covers
 
-    def dfs(feas, chosen, size, sums, covers, span):
+    def dfs(feas, chosen, size, sums, covers):
         nonlocal best, best_mask, nodes
         while True:
             nodes += 1
             if deadline is not None and nodes % _CHECK_INTERVAL == 0:
                 if monotonic() > deadline:
                     raise _Timeout
-            if size > best and passes_extra(chosen, covers, span):
+            if size > best and passes_extra(chosen, covers):
                 best = size
                 best_mask = chosen
             if not feas:
@@ -380,8 +387,6 @@ def forward_search(
                 if slack <= 0:
                     return  # the size bound
                 if covers and min_critical >= 2:
-                    if 2 * half <= best:
-                        return  # both sides capped: the half-space bound
                     # the half-space bound as two thresholds on |one|
                     lo = best - half - size
                     hi = n_feas - (best - half if best > half else 0)
@@ -394,8 +399,8 @@ def forward_search(
                         fs ^= 1 << f
             v = feas.bit_length() - 1
             feas ^= 1 << v
-            rest, c2, s2, cov2, span2 = include(v, feas, chosen, sums, covers, span)
-            dfs(rest, c2, size + 1, s2, cov2, span2)
+            rest, c2, s2, cov2 = include(v, feas, chosen, sums, covers)
+            dfs(rest, c2, size + 1, s2, cov2)
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n_all + 100))
     # the empty set: every point is feasible (none under order-1 freeness)
@@ -405,17 +410,14 @@ def forward_search(
     if T >= 0:
         sums[0] = 1  # the empty subset sums to zero
     covers = nonzero_mask(r)
-    span = 1  # the zero vector
     completed = True
     try:
         for v in forced_in:
             if not (feas >> v) & 1:
                 break  # v is no longer feasible
-            feas, chosen, sums, covers, span = include(
-                v, feas ^ (1 << v), chosen, sums, covers, span
-            )
+            feas, chosen, sums, covers = include(v, feas ^ (1 << v), chosen, sums, covers)
         else:
-            dfs(feas & ~forced_out_mask, chosen, len(forced_in), sums, covers, span)
+            dfs(feas & ~forced_out_mask, chosen, len(forced_in), sums, covers)
     except _Timeout:
         completed = False
     return best, best_mask, nodes, completed
@@ -565,13 +567,8 @@ def complement_search(
         nodes += 1
         poll()
         if uncov == 0:
-            if full_rank:
-                pts = nonzero_mask(r) & ~b_mask
-                piv: dict = {}
-                for v in iter_bits(pts):
-                    echelon_insert(piv, v)
-                if len(piv) != r:
-                    return
+            if full_rank and rank_of(iter_bits(nonzero_mask(r) & ~b_mask), r) != r:
+                return
             best = b_size
             best_mask = b_mask
             return

@@ -238,19 +238,16 @@ def odd_girth_bruteforce(m: BinaryMatroid) -> OddGirth:
     return OddGirth(s) if s else OddGirth.INFINITE
 
 
-def _cover_mask(m: BinaryMatroid) -> int:
-    """Bitset of functionals f with dot(f, v) = 1 for every point v."""
-    covers = nonzero_mask(m.ambient_rank)
-    for v in iter_bits(m.points):
-        covers &= hyperplane_complement(v, m.ambient_rank)
-        if not covers:
-            break
-    return covers
-
-
 def is_affine(m: BinaryMatroid) -> bool:
-    """True iff one functional evaluates to 1 on every point."""
-    return _cover_mask(m) != 0
+    """True iff one functional evaluates to 1 on every point.
+
+    dot(f, v) = 1 over the points v is a linear system in f, consistent
+    exactly when appending a coordinate 1 to every point leaves their
+    rank unchanged.  The empty set is affine.
+    """
+    pts = m.point_list()
+    r = m.ambient_rank
+    return gf2.rank_of(pts, r) == gf2.rank_of([v << 1 | 1 for v in pts], r + 1)
 
 
 def critical_number(m: BinaryMatroid) -> Tuple[int, CocycleCover]:

@@ -1,12 +1,14 @@
 """Build the C kernel extension before any test module imports gf2matroid.
 
 setup.py is the one place that knows the compile flags, so the session
-runs `setup.py build_ext --inplace`; setuptools skips the compile when
-the built module is newer than `_kernels.c`.  On a machine without a C
-compiler the lockstep tests skip.  With one, a build that leaves no
-module newer than the source (setup.py only warns when the compile
-fails, and would leave a stale binary in place) or a module that does
-not import ends the session with the compiler output.
+runs `setup.py build_ext --inplace --force`.  Without --force,
+setuptools skips the compile whenever `build/` holds a module newer
+than `_kernels.c`, as in a copied checkout, and the session would test
+that stale module.  On a machine without a C compiler the lockstep
+tests skip.  With one, a build that leaves no module newer than the
+source (setup.py only warns when the compile fails, and would leave a
+stale binary in place) or a module that does not import ends the
+session with the compiler output.
 """
 
 import os
@@ -32,7 +34,7 @@ def pytest_configure(config):
     if not _compiler_on_path():
         return
     build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
+        [sys.executable, "setup.py", "build_ext", "--inplace", "--force"],
         cwd=ROOT,
         capture_output=True,
         text=True,

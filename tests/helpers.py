@@ -103,6 +103,15 @@ def is_isomorphic_bruteforce(a: BinaryMatroid, b: BinaryMatroid) -> bool:
     )
 
 
+def is_affine_bruteforce(m: BinaryMatroid) -> bool:
+    """Whether some functional f has f.v = 1 on every point v, trying all
+    2^r - 1 of them."""
+    pts = m.point_list()
+    return any(
+        all((f & v).bit_count() & 1 for v in pts) for f in range(1, 1 << m.ambient_rank)
+    )
+
+
 def literal_complement_search(r, masks, forbidden_dim, full_rank, max_blocker, symmetry):
     """(best, blocker_mask) of complement_search, from its tree grown literally.
 

@@ -21,6 +21,7 @@ from gf2matroid.search import _forced_basis
 from helpers import (
     backends,
     compiled,
+    is_affine_bruteforce,
     literal_complement_search,
     pure,
     random_mask,
@@ -218,6 +219,29 @@ def test_unforced_search_trees_are_pinned(kern, case):
     assert (best, nodes) == UNFORCED_TREES[case]
 
 
+# (best, nodes) of full-rank searches with every point with x_0 = 1
+# excluded, so that no set left has full rank, keyed (r, girth, pg_n,
+# critical).  Without the full-rank test they end at (6, 13) and
+# (5, 1341).  No unforced tree with nothing excluded moves without it,
+# at ranks 3-6: the first maximal set a search reaches has full rank.
+FULL_RANK_TREES = {
+    (4, 0, 3, 0): (-1, 253),
+    (5, 5, 0, 2): (-1, 1919),
+}
+
+
+@pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize("case", sorted(FULL_RANK_TREES), ids=str)
+def test_full_rank_search_trees_are_pinned(kern, case):
+    r, g, pg_n, mc = case
+    out = mask_from(range(1, 1 << r, 2))
+    best, _, nodes, completed = kern.forward_search(
+        r, g, pg_n, mc, True, (), out, None, True
+    )
+    assert completed
+    assert (best, nodes) == FULL_RANK_TREES[case]
+
+
 @pytest.mark.skipif(compiled is None, reason="compiled backend not built")
 def test_forward_search_backends_agree_on_every_rank_four_combination():
     grid = itertools.product(
@@ -325,7 +349,9 @@ def test_half_space_lemma_by_brute_force(r):
     # The forward kernels' half-space bound: a set with no 3-circuit and
     # a point at f = 0 holds at most 2^(r-2) points on each side of the
     # hyperplane f = 0.  Rank 5 (2,534,530 sets) passes too, but takes
-    # about a minute.
+    # about a minute.  Both sides are never capped at once: only the
+    # 2^r - 1 hyperplane complements reach 2^(r-1) = 2 * half points,
+    # and they are affine, so a non-affine best stays below 2 * half.
     sets = no_three_circuit_sets(r)
     if r == 4:
         assert len(sets) == 3049  # the empty set included
@@ -343,6 +369,11 @@ def test_half_space_lemma_by_brute_force(r):
                 assert n_one <= half and size - n_one <= half, (r, bin(mask), f)
                 tight |= half in (n_one, size - n_one)
     assert tight
+    big = [mask for mask in sets if mask.bit_count() >= 2 * half]
+    assert len(big) == (1 << r) - 1
+    for mask in big:
+        assert mask.bit_count() == 2 * half
+        assert is_affine_bruteforce(BinaryMatroid(r, mask)), (r, bin(mask))
 
 
 @functools.cache
@@ -585,7 +616,9 @@ def complement_ref(n, t, full_rank):
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
-@pytest.mark.parametrize("n", [2, 3])
+# n = 1: the one blocker is every point, and its empty complement fails
+# the full-rank test, which lines and planes never reach at this rank
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("t", [0, 2, 3])
 @pytest.mark.parametrize("fr", [False, True], ids=["any", "full-rank"])
 @pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])

@@ -32,6 +32,7 @@ from gf2matroid import (
 )
 from gf2matroid.matroid import _point_colours, _vector_labels
 from helpers import (
+    is_affine_bruteforce,
     is_isomorphic_bruteforce,
     map_matroid,
     or_loop,
@@ -107,6 +108,37 @@ def test_empty_matroid_conventions():
     assert is_affine(e)
     c, cover = critical_number(e)
     assert c == 0 and cover.size == 0 and cover.covers(e)
+
+
+def test_is_affine_matches_the_literal_functional_loop():
+    draws = random.Random(0xAFF1)
+    seen = set()
+    for r in range(1, 7):
+        assert is_affine(BinaryMatroid(r, 0))
+        for _ in range(40):
+            drawn = random_matroid(draws, r, draws.choice([0.1, 0.3, 0.6]))
+            # a sample of a hyperplane complement, and maybe one point more
+            f = draws.randrange(1, 1 << r)
+            side = [v for v in range(1, 1 << r) if (f & v).bit_count() & 1]
+            pts = draws.sample(side, draws.randrange(len(side) + 1))
+            if draws.random() < 0.5:
+                pts.append(draws.randrange(1, 1 << r))
+            for m in (drawn, BinaryMatroid(r, mask_from(pts))):
+                want = is_affine_bruteforce(m)
+                assert is_affine(m) is want, (r, m.points)
+                seen.add(want)
+    assert seen == {True, False}
+    for r in range(1, 10):
+        for m in [ag(r), pg(r)] + [bose_burton(r, c) for c in range(1, r + 1)]:
+            assert is_affine(m) is is_affine_bruteforce(m), (r, m.points)
+
+
+def test_is_affine_is_fast_at_rank_eighteen():
+    # 131,072 points each
+    t0 = time.perf_counter()
+    assert is_affine(ag(18))
+    assert not is_affine(bose_burton(18, 2))
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_all_rank_three_sets_against_bruteforce():
