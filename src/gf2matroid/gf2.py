@@ -393,7 +393,10 @@ def largest_subspace_in(mask: int, r: int, hi: int) -> Tuple[int, ...]:
     """Basis of a largest subspace of dimension at most hi inside mask.
 
     The subspace_in basis for the largest such d, trying d ascending;
-    () when there is none.
+    () when there is none.  The search ends at the first d with no
+    subspace, or at hi.  A failing call searches exhaustively, so a
+    caller that knows the largest dimension d_max passes it as hi and
+    makes none.
     """
     check_rank(r, POINTSET_RANK_MAX)
     best: Tuple[int, ...] = ()

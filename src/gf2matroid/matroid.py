@@ -9,7 +9,10 @@ Two deliberately independent routes exist for the central quantities:
 odd_girth (parity BFS) against odd_girth_bruteforce (subset
 enumeration), and critical_number (largest disjoint subspace) against
 critical_number_bruteforce (exhaustive cocycle cover).  The test suite
-asserts their agreement.
+asserts their agreement.  critical_number takes the top of its
+subspace search from is_affine (a hyperplane of the span misses the
+points exactly when they are affine); the bruteforce oracle uses
+neither, so the comparison still checks both.
 
 Both subspace invariants, critical_number (a largest subspace inside
 the complement of the points) and pg_restriction (a rank-n subspace
@@ -254,10 +257,17 @@ def critical_number(m: BinaryMatroid) -> Tuple[int, CocycleCover]:
     """Least number of cocycles covering the points, with a witness cover.
 
     Computed in the span of the points (unused ambient dimensions do
-    not matter) as dim minus the largest dimension of a subspace
+    not matter) as dim minus the largest dimension d_max of a subspace
     disjoint from the points (gf2.largest_subspace_in); the cover is a
     basis of that subspace's annihilator, lifted back to ambient
     coordinates.
+
+    The points are nonempty, so d_max < dim.  A hyperplane of the span
+    misses them exactly when one functional is 1 on every point, that
+    is, when they are affine; so d_max = dim - 1 for affine sets and
+    d_max <= dim - 2 otherwise.  That bound is the search's hi, so only
+    sets with critical number 3 or more make a failing (exhaustive)
+    call, at dimension dim - cn + 1.
     """
     r = m.ambient_rank
     if m.is_empty:
@@ -265,7 +275,8 @@ def critical_number(m: BinaryMatroid) -> Tuple[int, CocycleCover]:
     sp = span(m.point_list(), r)
     dim = sp.dim
     free = nonzero_mask(dim) & ~mask_from(sp.coordinates(v) for v in m.point_list())
-    basis = largest_subspace_in(free, dim, dim)
+    hi = dim - 1 if is_affine(m) else dim - 2
+    basis = largest_subspace_in(free, dim, hi)
     d_max = len(basis)
     witness = span(basis, dim)
     pivots = [b.bit_length() - 1 for b in sp.basis]

@@ -164,11 +164,18 @@ def test_analyze_missing_file(capsys):
 def test_analysis_self_check_raises(monkeypatch):
     # is_affine contradicting odd girth and critical number is a library
     # bug; it must raise, even under python -O
-    from gf2matroid import cli
+    from gf2matroid import cli, matroid
 
-    monkeypatch.setattr(cli, "is_affine", lambda m: not m.is_empty)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "is_affine", lambda m: not m.is_empty)
+        with pytest.raises(RuntimeError, match="disagree"):
+            cli.analysis_dict(parse("rank 3\n001\n010\n011\n"))
+    # critical_number caps its search with matroid.is_affine: a lie there
+    # yields a valid 2-cover of ag(4), and odd girth still disagrees
+    monkeypatch.setattr(matroid, "is_affine", lambda m: False)
+    assert matroid.critical_number(ag(4))[0] == 2
     with pytest.raises(RuntimeError, match="disagree"):
-        cli.analysis_dict(parse("rank 3\n001\n010\n011\n"))
+        cli.analysis_dict(ag(4))
 
 
 def test_analysis_max_pg_order_is_the_largest_flat():

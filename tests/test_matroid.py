@@ -142,17 +142,18 @@ def test_is_affine_is_fast_at_rank_eighteen():
 
 
 def test_all_rank_three_sets_against_bruteforce():
-    # the full census: every point set in GF(2)^3
-    for half in range(128):
-        m = BinaryMatroid(3, half << 1)
-        og = odd_girth(m)
-        assert og == odd_girth_bruteforce(m), m.points
-        c, cover = critical_number(m)
-        assert c == critical_number_bruteforce(m), m.points
-        assert cover.size == c
-        assert cover.covers(m)
-        # one fact three ways
-        assert is_affine(m) == og.is_infinite == (c <= 1)
+    # the full census: every point set in GF(2)^r for r = 1, 2, 3
+    for r in range(1, 4):
+        for half in range(1 << ((1 << r) - 1)):
+            m = BinaryMatroid(r, half << 1)
+            og = odd_girth(m)
+            assert og == odd_girth_bruteforce(m), (r, m.points)
+            c, cover = critical_number(m)
+            assert c == critical_number_bruteforce(m), (r, m.points)
+            assert cover.size == c
+            assert cover.covers(m)
+            # one fact three ways
+            assert is_affine(m) == og.is_infinite == (c <= 1)
 
 
 def test_random_odd_girth_against_bruteforce():
@@ -191,6 +192,44 @@ def test_critical_number_of_geometries():
     for r in range(2, 7):
         for c in range(1, r + 1):
             assert critical_number(bose_burton(r, c))[0] == c
+    # triangle-free at rank 8: quick only because the affine bound skips
+    # the failing hyperplane search
+    assert critical_number(extremal_odd_girth(7, 8))[0] == 2
+
+
+def test_critical_number_search_stops_at_the_affine_bound(monkeypatch):
+    # a hyperplane of the span misses the points exactly when they are
+    # affine, so the search tops out at dim - 1 or dim - 2 and never
+    # makes the exhaustive failing call there
+    import gf2matroid.matroid as mod
+
+    real = mod.largest_subspace_in
+    his = []
+
+    def recorded(mask, r, hi):
+        his.append(hi)
+        return real(mask, r, hi)
+
+    monkeypatch.setattr(mod, "largest_subspace_in", recorded)
+    draws = random.Random(0xCA9)
+    sets = [
+        random_matroid(draws, r, d)
+        for r in range(1, 7)
+        for d in (0.2, 0.5, 0.8)
+        for _ in range(4)
+    ]
+    sets += [ag(r) for r in range(2, 7)] + [pg(r) for r in range(1, 7)]
+    sets += [circuit(5), extremal_odd_girth(5, 6)]
+    seen = set()
+    for m in sets:
+        if m.is_empty:
+            continue
+        his.clear()
+        critical_number(m)
+        affine = is_affine_bruteforce(m)
+        assert his == [m.rank() - (1 if affine else 2)], (m.ambient_rank, m.points)
+        seen.add(affine)
+    assert seen == {True, False}
 
 
 def test_critical_number_self_check_raises(monkeypatch):
