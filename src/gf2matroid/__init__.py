@@ -14,9 +14,9 @@ backend_name().
 
 from ._backend import backend_name
 from .constructions import (
-    FamilySpec,
     ag,
     bose_burton,
+    build_family,
     circuit,
     conical_lift,
     doubling,
@@ -73,7 +73,6 @@ __all__ = [
     "BinaryMatroid",
     "CocycleCover",
     "ConstraintSet",
-    "FamilySpec",
     "MatroidFileError",
     "OddGirth",
     "SearchReport",
@@ -82,6 +81,7 @@ __all__ = [
     "ag",
     "backend_name",
     "bose_burton",
+    "build_family",
     "circuit",
     "closure",
     "conical_lift",

@@ -15,11 +15,11 @@ _ENV = "GF2MATROID_KERNEL"
 
 def load_kernels(name: str):
     """Import a kernel module by backend name ("c" or "python")."""
-    if name in ("python", "py", "pure"):
+    if name == "python":
         from . import _kernels_py
 
         return _kernels_py
-    if name in ("c", "compiled"):
+    if name == "c":
         from . import _kernels  # type: ignore[attr-defined]
 
         return _kernels

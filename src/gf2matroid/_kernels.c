@@ -4,11 +4,16 @@
  * pruning rules and node counts as the pure module; point sets live in
  * uint64 word arrays instead of Python big ints.  Both twins poll their
  * deadline while they read a family or list flats (every LIST_POLL
- * masks); in the search this one polls by a tick counter that grows
- * with the work done (see CHECK_INTERVAL) where the pure one counts
- * nodes and flat-finder calls, so a spent budget may stop the two at
- * different nodes.  The pure module is the reference; keep the two in
- * lockstep when changing either.
+ * masks).  In the search this one polls by a tick counter weighted by
+ * the work done (see CHECK_INTERVAL), where the pure one reads the clock
+ * at every complement node and after every forward flat-finder call: a
+ * read is cheap beside a Python node, not beside a C one.  Polling the
+ * pure way here took the gs n=3 r=6 call (7,521,088 nodes) from
+ * 1.63-1.80 s to 1.87-2.07 s, and forward r=9 pg-free 3 with the basis
+ * forced from 0.53-0.68M to 0.40-0.45M nodes/s (2-vCPU machine, 2-3
+ * runs each).  So a spent budget may stop the two at different nodes,
+ * and the polls are no part of the lockstep contract.  The pure module
+ * is the reference; keep the two in lockstep when changing either.
  *
  * Plain C99 plus the GCC/Clang bit builtins, built by setuptools:
  *     python setup.py build_ext --inplace
@@ -382,7 +387,9 @@ static PyObject *py_min_odd_zero_subset(PyObject *self, PyObject *points)
 
 /* The pure twin's forward_search on word bitsets; its docstring gives the
  * arguments.  Slot d of the slab holds the state of the node at depth d,
- * nw words each: the frontier, the chosen set, covers and sums[0..T]. */
+ * nw words each: the frontier, covers, the chosen set and sums[2..T].
+ * From covers, row t + 1 holds sums[t]: the chosen set stands for
+ * sums[1], and no sums[0] is kept. */
 typedef struct {
     int r, nw, T, pg_n, min_critical, half, stride;
     int full_rank, prune, use_deadline, timed_out;
@@ -416,7 +423,7 @@ static int fwd_passes_extra(FwdCtx *c, const u64 *chosen, const u64 *covers)
 {
     int i;
     u64 *unchosen = c->scratch;
-    if (c->min_critical >= 2 && !bs_isempty(covers, c->nw))
+    if (!bs_isempty(covers, c->nw))
         return 0;
     if (c->min_critical >= 3) {
         for (i = 0; i < c->nw; i++)
@@ -437,18 +444,17 @@ static void fwd_include(FwdCtx *c, int v, int depth)
     int nw = c->nw, t, i, k, w;
     u64 m;
     const u64 *feas = fwd_slot(c, depth), *hv = c->hit + (size_t)v * nw;
-    u64 *rest = fwd_slot(c, depth + 1), *chosen = rest + nw, *covers = rest + 2 * nw;
-    u64 *sums = rest + 3 * nw;
+    u64 *rest = fwd_slot(c, depth + 1), *covers = rest + nw, *chosen = rest + 2 * nw;
+    u64 *sums = covers; /* sums + t * nw is sums[t] for t >= 1 */
     u64 *tmp = c->scratch, *pair = c->scratch + nw, *cand = c->scratch + 2 * nw;
-    memcpy(chosen, feas + nw, (c->stride - nw) * sizeof(u64)); /* all but the frontier */
-    bs_set(chosen, v);
+    memcpy(covers, feas + nw, (c->stride - nw) * sizeof(u64)); /* all but the frontier */
+    /* t = 2 translates the chosen set before v joins it */
     for (t = c->T; t >= 2; t--) {
         bs_translate(tmp, sums + (t - 1) * nw, v, nw);
         for (i = 0; i < nw; i++)
             sums[t * nw + i] |= tmp[i];
     }
-    if (c->T >= 1)
-        bs_set(sums + nw, v);
+    bs_set(chosen, v);
     for (i = 0; i < nw; i++)
         covers[i] &= hv[i];
     /* the sums of an even number of chosen points close odd circuits */
@@ -481,7 +487,7 @@ static void fwd_include(FwdCtx *c, int v, int depth)
 static void fwd_dfs(FwdCtx *c, int depth, int size)
 {
     int nw = c->nw, i, k, v, n_feas, n_one, lo, hi;
-    u64 m, *feas = fwd_slot(c, depth), *chosen = feas + nw, *covers = feas + 2 * nw;
+    u64 m, *feas = fwd_slot(c, depth), *covers = feas + nw, *chosen = feas + 2 * nw;
     const u64 *hf;
     for (;;) {
         c->nodes++;
@@ -503,7 +509,7 @@ static void fwd_dfs(FwdCtx *c, int depth, int size)
         if (c->prune) {
             if (size + n_feas <= c->best)
                 return; /* the size bound */
-            if (c->min_critical >= 2 && !bs_isempty(covers, nw)) {
+            if (!bs_isempty(covers, nw)) {
                 /* the half-space bound as two thresholds on |one| */
                 lo = c->best - c->half - size;
                 hi = n_feas - (c->best > c->half ? c->best - c->half : 0);
@@ -616,7 +622,7 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     /* the most points a set with no 3-circuit holds on one side of a
      * hyperplane; a cap of 2^r leaves the half-space bound inert */
     c.half = T >= 2 ? 1 << (r - 2) : n_all;
-    c.stride = (T + 4) * nw;
+    c.stride = (T >= 2 ? T + 2 : 3) * nw;
     c.full_rank = full_rank;
     c.prune = prune;
     c.best = -1;
@@ -654,8 +660,9 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     feas = c.slab;
     if (pg_n != 1)
         memcpy(feas, c.nonzero, nw * sizeof(u64));
-    memcpy(feas + 2 * nw, c.nonzero, nw * sizeof(u64)); /* covers */
-    bs_set(feas + 3 * nw, 0); /* sums[0]: the empty subset sums to zero */
+    /* covers: every functional is 1 on the empty set; see the pure twin for 0 */
+    if (min_critical >= 2)
+        memcpy(feas + nw, c.nonzero, nw * sizeof(u64));
     for (depth = 0; depth < n_forced && !c.timed_out; depth++) {
         feas = fwd_slot(&c, depth);
         v = forced[depth];

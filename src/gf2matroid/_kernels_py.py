@@ -59,6 +59,9 @@ through v, the flats through v) and the root counter planes are the
 columns of a bit matrix whose rows are masks; _transpose packs the
 rows into bytes once and reads each column with a strided slice, a
 byte translation to ASCII digits and int(s, 2), all linear and in C.
+
+The twins poll their deadlines differently, for the reason _kernels.c's
+header gives, so a spent budget may stop them at different nodes.
 """
 
 from __future__ import annotations
@@ -227,6 +230,9 @@ def forward_search(
 
     The odd-girth gate removes sums[2] | sums[4] | ... | sums[T] at
     once, sums[t] being the sums of t chosen points and T = girth - 3.
+    Only sums[2..T] are kept: sums[0] is never read, and sums[1] is the
+    chosen set itself, so including v ORs T_v(chosen) into sums[2]
+    before v joins chosen.  T is even, and at T = 0 none are kept.
     T is capped at the largest even number <= r, which leaves every
     verdict unchanged: an odd circuit has at most r + 1 points, since
     its rank is one less than its size.  Once girth - 3 >= r, the gate
@@ -257,6 +263,8 @@ def forward_search(
     into zero = feas & ~hit[f] and one = feas & hit[f]; hit[w], the
     functionals hitting w, is symmetric in f and w.  covers is an
     affine subspace that halves with each independent chosen point.
+    Without a critical demand >= 2 it starts empty, which turns off
+    both this bound and the affine test at a new best.
     If zero is empty every completion stays affine, and the node
     returns: the affine-reach prune.  With odd girth >= 5 (T >= 2) the
     node also returns when
@@ -315,7 +323,6 @@ def forward_search(
         hit[v] = hit[v ^ low] ^ hit[low] if v != low else hyperplane_complement(v, r)
     # an odd circuit has at most r + 1 points: see the docstring
     T = min(min_odd_girth - 3, r & ~1) if min_odd_girth >= 5 else 0
-    evens = range(2, T + 1, 2)
     # the most points a set with no 3-circuit holds on one side of a
     # hyperplane; a cap above 2^r leaves the half-space bound inert
     half = 1 << (r - 2) if T >= 2 else n_all
@@ -336,7 +343,7 @@ def forward_search(
         return found
 
     def passes_extra(chosen: int, covers: int) -> bool:
-        if min_critical >= 2 and covers != 0:
+        if covers:
             return False
         if min_critical >= 3:
             free = nonzero_mask(r) & ~chosen
@@ -349,17 +356,19 @@ def forward_search(
     def include(v, feas, chosen, sums, covers):
         """The child's state: v joins chosen, and feas (without v) keeps
         the w still feasible."""
+        # sums[i] holds the sums of i + 2 chosen points; those of one
+        # point are chosen itself, taken before v joins it
+        grown, lower = [], chosen
+        for s in sums:
+            grown.append(s | translate_mask(lower, v, r))
+            lower = s
+        sums = grown
         chosen |= 1 << v
-        sums = list(sums)
-        for t in range(T, 1, -1):
-            sums[t] |= translate_mask(sums[t - 1], v, r)
-        if T >= 1:
-            sums[1] |= 1 << v
         covers &= hit[v]
         # the sums of an even number of chosen points close odd circuits
         rest = feas
-        for t in evens:
-            rest &= ~sums[t]
+        for s in sums[::2]:
+            rest &= ~s
         if pg_n >= 3:
             # a new flat through v and w holds v ^ w, a chosen point
             tv = translate_mask(chosen, v, r)
@@ -386,7 +395,7 @@ def forward_search(
                 slack = size + n_feas - best
                 if slack <= 0:
                     return  # the size bound
-                if covers and min_critical >= 2:
+                if covers:
                     # the half-space bound as two thresholds on |one|
                     lo = best - half - size
                     hi = n_feas - (best - half if best > half else 0)
@@ -406,10 +415,9 @@ def forward_search(
     # the empty set: every point is feasible (none under order-1 freeness)
     feas = nonzero_mask(r) if pg_n != 1 else 0
     chosen = 0
-    sums = [0] * (T + 1)
-    if T >= 0:
-        sums[0] = 1  # the empty subset sums to zero
-    covers = nonzero_mask(r)
+    sums = [0] * max(T - 1, 0)
+    # every functional is 1 on the empty set; see the docstring for 0
+    covers = nonzero_mask(r) if min_critical >= 2 else 0
     completed = True
     try:
         for v in forced_in:

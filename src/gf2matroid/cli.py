@@ -16,7 +16,7 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-from .constructions import FamilySpec
+from .constructions import FAMILIES, build_family
 from .files import MatroidFileError, parse, read_matroid, render, write_matroid
 from .gf2 import largest_subspace_in
 from .matroid import (
@@ -113,7 +113,7 @@ def build_parser() -> _Parser:
     c = sub.add_parser("construct", help="build a named family")
     c.add_argument(
         "family",
-        choices=sorted(set(FamilySpec.FAMILIES) | set(FAMILY_ALIASES)),
+        choices=sorted(set(FAMILIES) | set(FAMILY_ALIASES)),
     )
     c.add_argument("params", nargs="*", type=int, help="family parameters")
     c.add_argument("-o", "--output", help="write to file instead of stdout")
@@ -154,8 +154,7 @@ def build_parser() -> _Parser:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     family = FAMILY_ALIASES.get(args.family, args.family)
-    spec = FamilySpec.of(family, *args.params)
-    m = spec.build()
+    m = build_family(family, *args.params)
     text = render(m, comment=" ".join([family] + [str(x) for x in args.params]))
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:

@@ -9,16 +9,17 @@ the new unit vector as apex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
 from typing import Callable, Dict, Tuple
 
 from .gf2 import POINTSET_RANK_MAX, check_rank, hyperplane_complement, nonzero_mask
 from .matroid import BinaryMatroid
 
 __all__ = [
-    "FamilySpec",
+    "FAMILIES",
     "ag",
     "bose_burton",
+    "build_family",
     "circuit",
     "conical_lift",
     "doubling",
@@ -121,50 +122,30 @@ def extremal_gs(n: int, r: int) -> BinaryMatroid:
     return BinaryMatroid(r, mask)
 
 
-# each family's parameters, named as its builder's arguments
-_FAMILIES: Dict[str, Tuple[Tuple[str, ...], Callable[..., BinaryMatroid]]] = {
-    "pg": (("r",), pg),
-    "ag": (("r",), ag),
-    "bose-burton": (("r", "c"), bose_burton),
-    "circuit": (("k",), circuit),
-    "extremal-odd-girth": (("k", "r"), extremal_odd_girth),
-    "extremal-gs": (("n", "r"), extremal_gs),
+# the named families; each takes its builder's parameters, in order
+FAMILIES: Dict[str, Callable[..., BinaryMatroid]] = {
+    "pg": pg,
+    "ag": ag,
+    "bose-burton": bose_burton,
+    "circuit": circuit,
+    "extremal-odd-girth": extremal_odd_girth,
+    "extremal-gs": extremal_gs,
 }
 
 
-def _family(name: str) -> Tuple[Tuple[str, ...], Callable[..., BinaryMatroid]]:
-    entry = _FAMILIES.get(name)
-    if entry is None:
-        known = ", ".join(sorted(_FAMILIES))
+def build_family(name: str, *values: int) -> BinaryMatroid:
+    """The member of family name with the given parameter values.
+
+    Raises ValueError for an unknown name or a wrong number of values;
+    the builder checks the values themselves.
+    """
+    builder = FAMILIES.get(name)
+    if builder is None:
+        known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"unknown family {name!r}; known: {known}")
-    return entry
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family instance; validates parameters before building."""
-
-    family: str
-    params: Tuple[Tuple[str, int], ...]
-
-    @classmethod
-    def of(cls, family: str, *values: int) -> "FamilySpec":
-        wanted = _family(family)[0]
-        if len(values) != len(wanted):
-            raise ValueError(
-                f"family {family!r} takes {len(wanted)} parameter(s): "
-                f"{', '.join(wanted)}"
-            )
-        return cls(family, tuple(zip(wanted, values)))
-
-    def build(self) -> BinaryMatroid:
-        wanted, builder = _family(self.family)
-        given = dict(self.params)
-        if set(given) != set(wanted):
-            raise ValueError(
-                f"family {self.family!r} takes parameters {'/'.join(wanted)}"
-            )
-        return builder(**given)
-
-
-FamilySpec.FAMILIES = tuple(sorted(_FAMILIES))
+    wanted = list(inspect.signature(builder).parameters)
+    if len(values) != len(wanted):
+        raise ValueError(
+            f"family {name!r} takes {len(wanted)} parameter(s): {', '.join(wanted)}"
+        )
+    return builder(*values)

@@ -200,10 +200,11 @@ def closure(m: BinaryMatroid, subset_mask: int) -> int:
     return sp.point_mask() & m.points
 
 
-def _reduced_points(m: BinaryMatroid) -> Tuple[int, List[int]]:
-    """Re-express the points in coordinates of their own span."""
-    sp = span(m.point_list(), m.ambient_rank)
-    return sp.dim, [sp.coordinates(v) for v in m.point_list()]
+def _reduced_points(m: BinaryMatroid) -> Tuple[Subspace, List[int]]:
+    """The span of the points, and the points in its coordinates."""
+    pts = m.point_list()
+    sp = span(pts, m.ambient_rank)
+    return sp, [sp.coordinates(v) for v in pts]
 
 
 def odd_girth(m: BinaryMatroid) -> OddGirth:
@@ -215,7 +216,7 @@ def odd_girth(m: BinaryMatroid) -> OddGirth:
     """
     if m.is_empty:
         return OddGirth.INFINITE
-    dim, pts = _reduced_points(m)
+    sp, pts = _reduced_points(m)
     frontier = 1  # {0}
     seen = [1, 0]  # visited value-sets, by walk parity
     t = 0
@@ -223,7 +224,7 @@ def odd_girth(m: BinaryMatroid) -> OddGirth:
         t += 1
         nxt = 0
         for p in pts:
-            nxt |= translate_mask(frontier, p, dim)
+            nxt |= translate_mask(frontier, p, sp.dim)
         par = t & 1
         if par and nxt & 1:
             return OddGirth(t)
@@ -272,9 +273,9 @@ def critical_number(m: BinaryMatroid) -> Tuple[int, CocycleCover]:
     r = m.ambient_rank
     if m.is_empty:
         return 0, CocycleCover(r, ())
-    sp = span(m.point_list(), r)
+    sp, pts = _reduced_points(m)
     dim = sp.dim
-    free = nonzero_mask(dim) & ~mask_from(sp.coordinates(v) for v in m.point_list())
+    free = nonzero_mask(dim) & ~mask_from(pts)
     hi = dim - 1 if is_affine(m) else dim - 2
     basis = largest_subspace_in(free, dim, hi)
     d_max = len(basis)

@@ -14,9 +14,9 @@ import pytest
 
 import gf2matroid
 from gf2matroid import (
-    FamilySpec,
     ag,
     bose_burton,
+    build_family,
     circuit,
     extremal_gs,
     extremal_odd_girth,
@@ -72,7 +72,7 @@ def test_construct_to_file_prints_summary(tmp_path, capsys):
     code, out, _ = run(capsys, "construct", "circuit", "5", "-o", target)
     assert code == EXIT_OK
     assert "rank 4" in out and "5 points" in out
-    assert read_matroid(target) == FamilySpec.of("circuit", 5).build()
+    assert read_matroid(target) == build_family("circuit", 5)
 
 
 def test_construct_domain_error_names_the_rule(capsys):

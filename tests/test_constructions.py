@@ -1,4 +1,4 @@
-"""Families: sizes, invariants, lift/doubling behavior, FamilySpec parsing."""
+"""Families: sizes, invariants, lift/doubling behavior, build_family lookup."""
 
 import random
 
@@ -6,10 +6,10 @@ import pytest
 
 from gf2matroid import (
     BinaryMatroid,
-    FamilySpec,
     OddGirth,
     ag,
     bose_burton,
+    build_family,
     circuit,
     conical_lift,
     contract_simplify,
@@ -25,6 +25,7 @@ from gf2matroid import (
     odd_girth,
     pg,
 )
+from gf2matroid.constructions import FAMILIES
 from helpers import random_full_rank_matroid
 
 rng = random.Random(0xC0C0)
@@ -203,7 +204,7 @@ def test_extremal_gs_domain():
             extremal_gs(n, r)
 
 
-def test_family_spec_round_trip():
+def test_build_family_round_trip():
     cases = [
         ("pg", (3,), pg(3)),
         ("ag", (4,), ag(4)),
@@ -213,24 +214,25 @@ def test_family_spec_round_trip():
         ("extremal-gs", (3, 5), extremal_gs(3, 5)),
     ]
     for name, values, want in cases:
-        spec = FamilySpec.of(name, *values)
-        assert spec.build() == want
-        assert spec.family == name
+        assert build_family(name, *values) == want
 
 
-def test_family_spec_errors():
-    with pytest.raises(ValueError, match="unknown family"):
-        FamilySpec.of("fano")
+def test_build_family_errors():
+    with pytest.raises(ValueError, match="unknown family 'fano'; known: ag, bose-burton"):
+        build_family("fano")
+    with pytest.raises(ValueError, match=r"family 'pg' takes 1 parameter\(s\): r$"):
+        build_family("pg")
+    # the names come from the builder's signature
+    with pytest.raises(ValueError, match=r"takes 2 parameter\(s\): k, r$"):
+        build_family("extremal-odd-girth", 5)
     with pytest.raises(ValueError, match="parameter"):
-        FamilySpec.of("pg")
-    with pytest.raises(ValueError, match="parameter"):
-        FamilySpec.of("circuit", 5, 6)
-    with pytest.raises(ValueError):
-        FamilySpec.of("circuit", 4).build()
+        build_family("circuit", 5, 6)
+    with pytest.raises(ValueError, match="odd and >= 3"):
+        build_family("circuit", 4)
 
 
 def test_family_listing_is_stable():
-    assert set(FamilySpec.FAMILIES) == {
+    assert set(FAMILIES) == {
         "pg",
         "ag",
         "bose-burton",

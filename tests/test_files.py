@@ -6,8 +6,8 @@ import pytest
 
 from gf2matroid import (
     BinaryMatroid,
-    FamilySpec,
     MatroidFileError,
+    build_family,
     parse,
     read_matroid,
     render,
@@ -33,7 +33,7 @@ def test_render_parse_round_trip_families():
         ("extremal-odd-girth", (5, 6)),
         ("extremal-gs", (3, 5)),
     ]:
-        m = FamilySpec.of(name, *values).build()
+        m = build_family(name, *values)
         assert parse(render(m, comment=name)) == m
 
 
@@ -66,7 +66,7 @@ def test_parse_empty_point_set():
 
 
 def test_file_io_round_trip(tmp_path):
-    m = FamilySpec.of("bose-burton", 4, 2).build()
+    m = build_family("bose-burton", 4, 2)
     path = tmp_path / "bb.pts"
     write_matroid(str(path), m, comment="fixture")
     assert read_matroid(str(path)) == m

@@ -15,6 +15,7 @@ from gf2matroid import (
     mask_from,
     nonzero_mask,
 )
+from gf2matroid._backend import load_kernels
 from gf2matroid.gf2 import subspace_masks
 from gf2matroid.search import _forced_basis
 
@@ -32,6 +33,13 @@ rng = random.Random(0x4B31)
 
 def test_backend_name_is_known():
     assert backend_name() in ("c", "python")
+
+
+def test_load_kernels_takes_only_the_documented_names():
+    assert load_kernels("python") is pure
+    for name in ("pure", "py", "compiled"):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            load_kernels(name)
 
 
 def min_odd_zero_subset_ref(points):

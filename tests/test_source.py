@@ -56,6 +56,9 @@ for r, n in ((4, 2), (4, 3), (5, 2)):
             calls.append(("complement_search", (r, family, t, False, (1 << r) - 1, None, sym)))
 calls.append(("complement_search", (5, list(subspace_masks(5, 2)), 4, False, 21, 1e-9, True)))
 calls.append(("forward_search", (5, 5, 0, 2, False, _forced_basis(5), 0, None, True)))
+# the narrowest slot (no sums, covers live) and a slot with sums[2..4]
+calls.append(("forward_search", (4, 3, 0, 2, False, _forced_basis(4), 0, None, True)))
+calls.append(("forward_search", (6, 7, 0, 0, False, _forced_basis(6), 0, None, True)))
 # the full-rank tests of both engines rank by bs_rank
 calls.append(("forward_search", (4, 3, 3, 3, True, (), 0, None, True)))
 calls.append(("complement_search", (5, list(subspace_masks(5, 3)), 0, True, 31, None, True)))
@@ -104,4 +107,4 @@ def test_kernels_c_is_clean_under_sanitizers(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.strip() == "22", done.stdout
+    assert done.stdout.strip() == "24", done.stdout
