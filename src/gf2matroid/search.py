@@ -22,12 +22,11 @@ pointwise stabiliser of span(B) in GL(r,2) fixes B and every point
 excluded so far, and moves any point outside span(B) to any other, so
 that one branch stands for all of them (max_size_complement and the
 kernels' complement_search give both arguments).  Reported witnesses
-are the canonical first find.
+are the canonical first find, for every threads value.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -254,14 +253,6 @@ class VerifyReport:
         }
 
 
-def _mask_lex_less(a: int, b: int) -> bool:
-    """Ascending point lists of equal length: a before b?"""
-    d = a ^ b
-    if d == 0:
-        return False
-    return bool(a & (d & -d))
-
-
 def _check_budget(budget: Optional[float]) -> None:
     if budget is not None and not budget >= 0:  # NaN fails every comparison
         raise ValueError(f"budget must be >= 0 seconds, got {budget}")
@@ -330,51 +321,53 @@ def _run_forward(
     budget: Optional[float],
     threads: int,
     prune: bool,
-) -> Tuple[int, int, int, bool]:
+) -> Tuple[int, int, int, bool, int]:
+    """The forward kernel's (best, mask, nodes, completed), and the number
+    of processes it ran in.
+
+    The tree is cut into 2^k parts, k = min(floor(log2(threads)), 6,
+    free points), one process each under one absolute deadline; a single
+    part runs inline.  Part p fixes the top k free points split[0..k-1],
+    leaving out split[i] exactly when bit k-1-i of p is set, so the parts
+    come in the order the serial include-first DFS visits them.
+
+    The merge keeps the first part to reach the largest size, so a
+    completed run returns the serial optimum and witness.  Within a part
+    the DFS visits sets in serial order, and a prune cuts a branch only
+    when its bound is at most best.  So until the part's best reaches the
+    optimum, no prune cuts an optimum-size set, and the part accepts the
+    same first optimum-size set of its region as the serial search, whose
+    best is below the optimum there too.  An earlier part that held such
+    a set would have reached the optimum itself.
+    """
     g, pg_n, c, full = norm
-    if threads <= 1:
-        return kernels.forward_search(
+    taken = set(forced_in)
+    free = (v for v in range((1 << r) - 1, 0, -1) if v not in taken)
+    split = list(islice(free, min(threads.bit_length() - 1, 6)))
+    k = len(split)
+    if k == 0:
+        found = kernels.forward_search(
             r, g, pg_n, c, full, tuple(forced_in), 0, budget, prune
         )
-    # split the top of the tree into 2^k independent subproblems that
-    # share one absolute deadline
+        return (*found, 1)
     deadline = None if budget is None else monotonic() + budget
-    taken = set(forced_in)
-    avail = [v for v in range((1 << r) - 1, 0, -1) if v not in taken]
-    k = max(1, math.ceil(math.log2(2 * threads)))
-    k = min(k, 6, len(avail))
-    split = avail[:k]
-    tasks = []
-    for pattern in range(1 << k):
-        inc = [split[i] for i in range(k) if (pattern >> i) & 1]
-        out = 0
-        for i in range(k):
-            if not (pattern >> i) & 1:
-                out |= 1 << split[i]
-        tasks.append(
-            (
-                kernels.BACKEND_NAME,
-                r,
-                g,
-                pg_n,
-                c,
-                full,
-                tuple(forced_in) + tuple(inc),
-                out,
-                deadline,
-                prune,
-            )
-        )
+    head = (kernels.BACKEND_NAME, r, g, pg_n, c, full)
+    parts = []
+    for p in range(1 << k):
+        out = [v for i, v in enumerate(split) if p >> (k - 1 - i) & 1]
+        inc = tuple(v for v in split if v not in out)
+        tail = (tuple(forced_in) + inc, sum(1 << v for v in out), deadline, prune)
+        parts.append(head + tail)
     best, best_mask, nodes, completed = -1, 0, 0, True
     # a module attribute, so that __getattr__ imports it on first use
     executor = sys.modules[__name__].ProcessPoolExecutor
-    with executor(max_workers=min(threads, len(tasks))) as pool:
-        for b, mask, n, done in pool.map(_forward_task, tasks):
+    with executor(max_workers=len(parts)) as pool:
+        for b, mask, n, done in pool.map(_forward_task, parts):
             nodes += n
             completed = completed and done
-            if b > best or (b == best >= 0 and _mask_lex_less(mask, best_mask)):
+            if b > best:
                 best, best_mask = b, mask
-    return best, best_mask, nodes, completed
+    return best, best_mask, nodes, completed, len(parts)
 
 
 def _subspace_masks(r: int, d: int, deadline: Optional[float]) -> Optional[List[int]]:
@@ -423,13 +416,18 @@ def max_size(
     the report says method "complement" and threads 1.  It wins all of
     these as measured: pg-free 3 at r=6 takes 12,735 nodes against over
     4.3M forward, odd girth 5 with c >= 3 at r=6 takes 498 against
-    9,245,881.  At c = 2 the forward engine wins (k=5 r=7 reached 40 in
-    30 s, against 33).  The n-flats to hit and, for c >= 2, the
-    forbidden (r-c+1)-flats must each number at most _FAMILY_MAX, to
-    bound the kernels' tables; larger demands run forward.
-    prune=False always runs the literal forward search.
+    9,245,881.  c = 2 runs forward, though the complement engine
+    finishes it at r=7 (gs n=2, the paper's k=5 case): 142,728,496
+    nodes (34.8 s compiled) with the full window, 22,392,602 (6 s) with
+    verify's window 87; the forward engine does not finish in 30 s.
+    The n-flats to hit and, for c >= 2, the forbidden (r-c+1)-flats
+    must each number at most _FAMILY_MAX, to bound the kernels' tables;
+    larger demands run forward.  prune=False always runs the literal
+    forward search.
 
-    threads >= 2 splits the forward search over that many processes;
+    threads >= 2 splits the forward search over that many processes,
+    rounded down to a power of two and at most 64, with the
+    single-process optimum and witness; report.threads counts them.
     threads below 1 raise ValueError.
     """
     t0 = monotonic()
@@ -446,11 +444,11 @@ def max_size(
             window = (1 << r) - 1
             return max_size_complement(r, constraints, window, budget, symmetry_break)
     forced = _forced_basis(r) if symmetry_break and pg_n != 1 else ()
-    best, best_mask, nodes, completed = _run_forward(
+    best, best_mask, nodes, completed, procs = _run_forward(
         r, norm, forced, budget, threads, prune
     )
     return _report(
-        r, constraints, "forward", best, best_mask, nodes, completed, t0, threads
+        r, constraints, "forward", best, best_mask, nodes, completed, t0, procs
     )
 
 
@@ -565,8 +563,9 @@ def verify_theorem(
                  (1 - 11/2^(n+2))*2^r
     Each check also rebuilds the matching construction and confirms it
     attains the bound.  threads splits the forward search of main over
-    processes; bose_burton and gs run the complement engine in one
-    process and raise ValueError unless threads is 1.  threads below 1
+    processes as max_size does, with the single-process answer;
+    bose_burton and gs run the complement engine in one process and
+    raise ValueError unless threads is 1.  threads below 1
     raise ValueError for every theorem, and so do params that lack one
     of the theorem's keys or hold another.
     """

@@ -28,7 +28,7 @@ from gf2matroid import (
     verify_theorem,
 )
 from gf2matroid import search
-from gf2matroid.search import _forced_basis, _mask_lex_less
+from gf2matroid.search import _forced_basis
 
 from helpers import backends, compiled, pure, random_matroid
 
@@ -91,13 +91,6 @@ def test_normalized_folds_overlaps():
     )
     assert ConstraintSet(min_odd_girth=7, pg_free_order=4).normalized()[:2] == (7, 0)
     assert ConstraintSet(min_odd_girth=3, pg_free_order=3).normalized()[:2] == (0, 3)
-
-
-def test_mask_lex_less_prefers_low_bits():
-    # equal sizes: the set whose ascending point list comes first wins
-    assert _mask_lex_less(0b0110, 0b1010)
-    assert not _mask_lex_less(0b1010, 0b0110)
-    assert not _mask_lex_less(0b0110, 0b0110)
 
 
 def test_max_size_matches_brute_force_rank_three():
@@ -295,22 +288,40 @@ def test_basis_forcing_replays_the_unforced_search():
 
 
 def test_threads_agree_with_single_thread():
-    single = max_size(5, GIRTH5_NONAFFINE, threads=1)
-    multi = max_size(5, GIRTH5_NONAFFINE, threads=2)
-    again = max_size(5, GIRTH5_NONAFFINE, threads=2)
-    assert multi.optimum == single.optimum == 10
-    assert multi.witness == again.witness  # schedule independent
-    assert GIRTH5_NONAFFINE.satisfied_by(multi.witness)
+    # the parts run in serial DFS order and the first to reach the
+    # optimum wins, so every thread count returns the serial answer; each
+    # case stays under ~60k serial nodes
+    cases = (
+        (5, GIRTH5_NONAFFINE, {}),
+        (5, GIRTH5_NONAFFINE, {"symmetry_break": False}),
+        (5, ConstraintSet(min_odd_girth=7), {}),
+        (5, ConstraintSet(min_odd_girth=7, full_rank=True), {}),
+        (5, ConstraintSet(min_odd_girth=5, full_rank=True), {"prune": False}),
+        (5, ConstraintSet(min_odd_girth=5, min_critical=3), {"prune": False}),
+        (5, ConstraintSet(min_critical=3), {"symmetry_break": False}),
+        (4, ConstraintSet(pg_free_order=3), {"prune": False}),
+        (4, ConstraintSet(pg_free_order=3), {"prune": False, "symmetry_break": False}),
+        (4, ConstraintSet(pg_free_order=4, min_critical=2), {"prune": False}),
+        (4, ConstraintSet(min_odd_girth=5, pg_free_order=1), {}),
+    )
+    for r, cs, kw in cases:
+        single = max_size(r, cs, **kw)
+        assert single.method == "forward" and single.exhaustive, (r, cs, kw)
+        for threads in (2, 3, 4, 8):
+            multi = max_size(r, cs, threads=threads, **kw)
+            got = (multi.optimum, multi.witness, multi.exhaustive)
+            assert got == (single.optimum, single.witness, True), (r, cs, kw, threads)
 
 
 def test_budget_is_a_hard_deadline_under_threads():
-    # every pool subtask stops at the one shared deadline; the slack
-    # covers pool start-up and the kernels checking the clock only
-    # every few thousand nodes
+    # every part stops at the one shared deadline; the slack covers pool
+    # start-up and the kernels checking the clock only every few
+    # thousand nodes
     budget, slack = 1.0, 0.5
-    rep = max_size(7, GIRTH5_NONAFFINE, budget=budget, threads=2)
-    assert not rep.exhaustive
-    assert rep.wall_time <= budget + slack
+    for threads in (2, 3):
+        rep = max_size(7, GIRTH5_NONAFFINE, budget=budget, threads=threads)
+        assert not rep.exhaustive
+        assert rep.wall_time <= budget + slack, threads
 
 
 def test_budget_must_be_a_nonnegative_number():
@@ -328,8 +339,9 @@ def test_budget_must_be_a_nonnegative_number():
 
 
 def test_pool_workers_capped_at_subtask_count(monkeypatch):
-    # a recording stand-in runs the subtasks in this process, so a large
-    # thread count starts no processes at all
+    # a recording stand-in runs the parts in this process, so a large
+    # thread count starts no processes at all; each part gets its own
+    # worker, 2^k of them for the largest 2^k <= threads, at most 64
     opened = []
 
     class InlinePool:
@@ -349,11 +361,14 @@ def test_pool_workers_capped_at_subtask_count(monkeypatch):
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
     single = max_size(4, GIRTH5_NONAFFINE)
-    for threads, workers, tasks in ((100_000, 64, 64), (2, 2, 4)):
+    assert opened == [] and single.threads == 1
+    for threads, workers in ((2, 2), (3, 2), (4, 4), (5, 4), (64, 64), (100_000, 64)):
         opened.clear()
         rep = max_size(4, GIRTH5_NONAFFINE, threads=threads)
-        assert opened == [workers, tasks], threads
-        assert rep.optimum == single.optimum and rep.exhaustive
+        assert opened == [workers, workers], threads
+        assert rep.threads == workers, threads
+        assert (rep.optimum, rep.witness) == (single.optimum, single.witness)
+        assert rep.exhaustive
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)
@@ -532,7 +547,7 @@ def test_flat_free_dispatch_keeps_within_the_family_cap(monkeypatch):
         assert (rep.method, rep.optimum) == ("forward", optimum), (cs, kw)
     # past _FAMILY_MAX flats to hit or to forbid, the forward engine runs;
     # a stand-in returns at once, before any witness needs re-verifying
-    monkeypatch.setattr(search, "_run_forward", lambda *args: (-1, 0, 0, False))
+    monkeypatch.setattr(search, "_run_forward", lambda *args: (-1, 0, 0, False, 1))
     for r, cs in (
         (9, ConstraintSet(pg_free_order=3)),  # [9, 3]_2 = 788,035 planes to hit
         (9, ConstraintSet(pg_free_order=8, min_critical=5)),  # 3,309,747 5-flats

@@ -22,6 +22,33 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert on lines {lines}"
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    # a module-level import is read in its module, re-exported through
+    # __all__, or kept for another file that its line comment names
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            _, _, comment = lines[alias.lineno - 1].partition("#")
+            if name not in read and ".py" not in comment:
+                unused.append(f"{name} (line {alias.lineno})")
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
 def test_kernels_c_compiles_without_warnings():
     # catches, among others, the variables a refactor leaves unused and
     # the loop locals that shadow outer ones
