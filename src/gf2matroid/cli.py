@@ -227,15 +227,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    params: Dict[str, int] = {"r": args.r}
-    if args.theorem == "main":
-        if args.k is None:
-            raise ValueError("theorem 'main' requires --k")
-        params["k"] = args.k
-    else:
-        if args.n is None:
-            raise ValueError(f"theorem {args.theorem!r} requires --n")
-        params["n"] = args.n
+    key, other = ("k", "n") if args.theorem == "main" else ("n", "k")
+    if getattr(args, other) is not None:
+        raise ValueError(f"theorem {args.theorem!r} takes no --{other}")
+    if getattr(args, key) is None:
+        raise ValueError(f"theorem {args.theorem!r} requires --{key}")
+    params = {"r": args.r, key: getattr(args, key)}
     if _needs_deep(args.theorem, params) and not args.deep:
         raise ValueError(
             "these parameters can run for hours; pass --deep to confirm"

@@ -363,26 +363,23 @@ def _vector_labels(m: BinaryMatroid) -> List[int]:
     ]
 
 
-def _point_colours(m: BinaryMatroid, lab: List[int]) -> Dict[int, tuple]:
-    """The sorted labels of v ^ w over the points w, for each point v."""
-    pts = m.point_list()
-    return {v: tuple(sorted(lab[v ^ w] for w in pts)) for v in pts}
-
-
 def is_isomorphic(a: BinaryMatroid, b: BinaryMatroid) -> bool:
     """Whether an invertible GF(2) map carries the points of a onto b.
 
     Both matroids must be full rank.  Each vector u is labelled by
     whether it is a point and by |M ∩ T_u(M)|.  A linear bijection g
     with g(A) = B carries A ∩ T_u(A) onto B ∩ T_g(u)(B), so u and g(u)
-    share a label, and a point v and g(v) share the colour, the labels
-    of v ^ w over the points w.  The search takes a basis of a
-    greedily from its smallest colour classes and maps each basis
-    vector to a same-colour point of b outside the span of the earlier
-    images, comparing labels over the mapped span.  A full assignment
-    is a linear bijection g with label(g(u)) = label(u) for all 2^r
-    vectors u; the labels include membership, so g(A) = B.  The answer
-    is exact.
+    share a label; equal label multisets are therefore necessary, and
+    they give every point label of a an image among the points of b.
+    The search takes a basis of a greedily from the points whose label
+    is rarest in b and maps each basis vector to a point of b with the
+    same label outside the span of the earlier images, comparing labels
+    over the mapped span.  A full assignment is a linear bijection g
+    with label(g(u)) = label(u) for all 2^r vectors u; the labels
+    include membership, so g(A) = B.  The answer is exact.  Labels
+    that are constant on the points and on the non-points, as on the
+    support of a bent function, prune nothing, and from rank 8 the
+    backtrack then takes up to a minute.
     """
     for m in (a, b):
         if not m.is_full_rank:
@@ -393,15 +390,12 @@ def is_isomorphic(a: BinaryMatroid, b: BinaryMatroid) -> bool:
     lab_a, lab_b = _vector_labels(a), _vector_labels(b)
     if sorted(lab_a) != sorted(lab_b):
         return False
-    col_a, col_b = _point_colours(a, lab_a), _point_colours(b, lab_b)
-    if sorted(col_a.values()) != sorted(col_b.values()):
-        return False
-    images: Dict[tuple, List[int]] = {}
-    for t, c in col_b.items():
-        images.setdefault(c, []).append(t)
+    images: Dict[int, List[int]] = {}
+    for t in b.point_list():
+        images.setdefault(lab_b[t], []).append(t)
 
     pivots: Dict[int, int] = {}
-    by_class = sorted(col_a, key=lambda v: len(images[col_a[v]]))
+    by_class = sorted(a.point_list(), key=lambda v: len(images[lab_a[v]]))
     basis = [v for v in by_class if echelon_insert(pivots, v)]
 
     def extend(i: int, pairs: List[Tuple[int, int]]) -> bool:
@@ -409,7 +403,7 @@ def is_isomorphic(a: BinaryMatroid, b: BinaryMatroid) -> bool:
             return True
         v = basis[i]
         mapped = {y for _, y in pairs}
-        for t in images[col_a[v]]:
+        for t in images[lab_a[v]]:
             if t in mapped:
                 continue  # image would be linearly dependent
             new = [(x ^ v, y ^ t) for x, y in pairs]

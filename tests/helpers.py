@@ -31,9 +31,11 @@ def random_matroid(rng: random.Random, r: int, density: float = 0.5) -> BinaryMa
     return BinaryMatroid(r, random_mask(rng, r, density))
 
 
-def random_full_rank_matroid(rng: random.Random, r: int) -> BinaryMatroid:
+def random_full_rank_matroid(
+    rng: random.Random, r: int, density: float = 0.5
+) -> BinaryMatroid:
     while True:
-        m = random_matroid(rng, r)
+        m = random_matroid(rng, r, density)
         if not m.is_empty and m.is_full_rank:
             return m
 

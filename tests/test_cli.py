@@ -408,6 +408,11 @@ def test_verify_missing_parameter(capsys):
     assert code == EXIT_USAGE and "--k" in err
     code, _, err = run(capsys, "verify", "gs", "--r", "5")
     assert code == EXIT_USAGE and "--n" in err
+    # a parameter the theorem does not take is refused, not dropped
+    code, _, err = run(capsys, "verify", "gs", "--n", "3", "--r", "5", "--k", "7")
+    assert code == EXIT_USAGE and "--k" in err
+    code, _, err = run(capsys, "verify", "main", "--k", "5", "--r", "4", "--n", "3")
+    assert code == EXIT_USAGE and "--n" in err
 
 
 def test_verify_deep_gate(capsys):

@@ -24,13 +24,14 @@ from gf2matroid import (
     is_isomorphic,
     iter_bits,
     mask_from,
+    nonzero_mask,
     odd_girth,
     odd_girth_bruteforce,
     pg,
     pg_restriction,
     span,
 )
-from gf2matroid.matroid import _point_colours, _vector_labels
+from gf2matroid.matroid import _vector_labels
 from helpers import (
     is_affine_bruteforce,
     is_isomorphic_bruteforce,
@@ -444,7 +445,13 @@ def test_isomorphism_matches_the_gl4_oracle():
 
 
 def test_relabelled_constructions_are_isomorphic_within_a_second():
-    for name, m in _families_up_to_rank(9):
+    # random full-rank sets at rank 12 exercise the labels past the
+    # families' ranks
+    randoms = [
+        (f"random rank 12, density {d}", random_full_rank_matroid(rng, 12, d))
+        for d in (0.3, 0.5, 0.7)
+    ]
+    for name, m in list(_families_up_to_rank(9)) + randoms:
         img = map_matroid(random_invertible(rng, m.ambient_rank), m)
         t0 = time.perf_counter()
         assert is_isomorphic(m, img), name
@@ -468,24 +475,35 @@ def test_one_point_swaps_are_not_isomorphic():
 
 
 def test_pairs_the_labels_do_not_separate_are_not_isomorphic():
-    # found by a seeded random search: equal label and colour multisets,
-    # so only the backtrack can answer; odd girth or the critical number
-    # proves each pair is not isomorphic
+    # supports of two Maiorana-McFarland bent functions, 28 points each:
+    # only the Fano plane in the first tells them apart
+    bent = (6, 16325145112784283716, 13882060639979581526)
+    # the others were found by a seeded random search: equal label
+    # multisets, so only the backtrack can answer; odd girth, the
+    # critical number or a Fano plane proves each pair is not isomorphic
     for r, pa, pb in [
         (5, 134287416, 705692674),
         (6, 4504705581514818, 882714361712345120),
         (6, 4625205759431410048, 585112001462276),
         (6, 9223407223443554314, 882714361712345120),
         (6, 70643625502740, 1461420836450797568),
+        bent,
     ]:
         a, b = BinaryMatroid(r, pa), BinaryMatroid(r, pb)
-        lab_a, lab_b = _vector_labels(a), _vector_labels(b)
-        assert sorted(lab_a) == sorted(lab_b)
-        col_a, col_b = _point_colours(a, lab_a), _point_colours(b, lab_b)
-        assert sorted(col_a.values()) == sorted(col_b.values())
-        assert (odd_girth(a), critical_number(a)[0]) != (odd_girth(b), critical_number(b)[0])
+        assert sorted(_vector_labels(a)) == sorted(_vector_labels(b))
+        assert _invariants(a) != _invariants(b)
         assert not is_isomorphic(a, b)
         assert not is_isomorphic(map_matroid(random_invertible(rng, r), b), a)
+    # their labels are constant on the points and on the non-points
+    r, *supports = bent
+    for pts in supports:
+        lab = _vector_labels(BinaryMatroid(r, pts))
+        assert {lab[u] for u in iter_bits(pts)} == {25}
+        assert {lab[u] for u in iter_bits(nonzero_mask(r) & ~pts)} == {24}
+
+
+def _invariants(m: BinaryMatroid):
+    return odd_girth(m), critical_number(m)[0], has_pg_restriction(m, 3)
 
 
 def test_from_vectors_matches_the_or_loop():
