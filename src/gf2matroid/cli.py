@@ -17,7 +17,7 @@ import sys
 from typing import Dict, List, Optional
 
 from .constructions import FAMILIES, build_family
-from .files import MatroidFileError, parse, read_matroid, render, write_matroid
+from .files import parse, read_matroid, render, write_matroid
 from .gf2 import largest_subspace_in
 from .matroid import (
     BinaryMatroid,
@@ -262,10 +262,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except MatroidFileError as exc:
-        print(f"gf2matroid: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # MatroidFileError is a ValueError
         print(f"gf2matroid: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

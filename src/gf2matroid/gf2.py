@@ -311,19 +311,19 @@ def _echelon(d: int, allowed: int, state, step) -> Iterator[tuple]:
 
 
 def hyperplane_complement(f: int, r: int) -> int:
-    """Bitset of all v with dot(f, v) = 1; never contains the zero vector."""
+    """Bitset of all v with dot(f, v) = 1; never contains the zero vector.
+
+    The XOR, over the set bits j of f, of the bitsets of v with bit j
+    set, each the complement of _low_pattern(r, j).
+    """
     check_rank(r, POINTSET_RANK_MAX)
     check_vector(f, r)
     if f == 0:
         raise ValueError("functional must be nonzero")
+    full = (1 << (1 << r)) - 1
     odd = 0
-    for j in range(r):
-        width = 1 << j
-        if (f >> j) & 1:
-            half = ((1 << width) - 1) ^ odd  # even-parity mask of the low block
-        else:
-            half = odd
-        odd |= half << width
+    for j in iter_bits(f):
+        odd ^= full ^ _low_pattern(r, j)
     return odd
 
 

@@ -9,10 +9,12 @@ Two deliberately independent routes exist for the central quantities:
 odd_girth (parity BFS) against odd_girth_bruteforce (subset
 enumeration), and critical_number (largest disjoint subspace) against
 critical_number_bruteforce (exhaustive cocycle cover).  The test suite
-asserts their agreement.  critical_number takes the top of its
-subspace search from is_affine (a hyperplane of the span misses the
-points exactly when they are affine); the bruteforce oracle uses
-neither, so the comparison still checks both.
+asserts their agreement.  critical_number shares is_affine's solve
+for a functional that is 1 on every point: such a functional is the
+one-cocycle cover of an affine set, and its absence caps the subspace
+search at codimension 2 (a hyperplane of the span misses the points
+exactly when they are affine).  The bruteforce oracle uses neither, so
+the comparison still checks both.
 
 Both subspace invariants, critical_number (a largest subspace inside
 the complement of the points) and pg_restriction (a rank-n subspace
@@ -242,55 +244,61 @@ def odd_girth_bruteforce(m: BinaryMatroid) -> OddGirth:
     return OddGirth(s) if s else OddGirth.INFINITE
 
 
+def _affine_functional(m: BinaryMatroid) -> Optional[int]:
+    """A functional f with dot(f, v) = 1 on every point v, or None.
+
+    dot(a, v << 1 | 1) = dot(a >> 1, v) + (a & 1), so f solves the
+    system exactly when f << 1 | 1 annihilates every point with a
+    coordinate 1 appended.  The annihilator has such a vector iff some
+    vector of its basis has the appended coordinate set.  The empty
+    set gets 0.
+    """
+    lifted = span([v << 1 | 1 for v in m.point_list()], m.ambient_rank + 1)
+    return next((a >> 1 for a in orthogonal_complement(lifted).basis if a & 1), None)
+
+
 def is_affine(m: BinaryMatroid) -> bool:
     """True iff one functional evaluates to 1 on every point.
 
-    dot(f, v) = 1 over the points v is a linear system in f, consistent
-    exactly when appending a coordinate 1 to every point leaves their
-    rank unchanged.  The empty set is affine.
+    One linear solve (_affine_functional); the empty set is affine.
     """
-    pts = m.point_list()
-    r = m.ambient_rank
-    return gf2.rank_of(pts, r) == gf2.rank_of([v << 1 | 1 for v in pts], r + 1)
+    return _affine_functional(m) is not None
 
 
 def critical_number(m: BinaryMatroid) -> Tuple[int, CocycleCover]:
     """Least number of cocycles covering the points, with a witness cover.
 
-    Computed in the span of the points (unused ambient dimensions do
-    not matter) as dim minus the largest dimension d_max of a subspace
-    disjoint from the points (gf2.largest_subspace_in); the cover is a
-    basis of that subspace's annihilator, lifted back to ambient
-    coordinates.
-
-    The points are nonempty, so d_max < dim.  A hyperplane of the span
-    misses them exactly when one functional is 1 on every point, that
-    is, when they are affine; so d_max = dim - 1 for affine sets and
-    d_max <= dim - 2 otherwise.  That bound is the search's hi, so only
-    sets with critical number 3 or more make a failing (exhaustive)
-    call, at dimension dim - cn + 1.
+    An affine set is covered by the one functional that is 1 on all
+    its points (_affine_functional).  Otherwise no hyperplane of the
+    span misses the points, and the answer is computed in that span
+    (unused ambient dimensions do not matter) as dim minus the largest
+    dimension d_max <= dim - 2 of a subspace disjoint from the points
+    (gf2.largest_subspace_in); the cover is a basis of that subspace's
+    annihilator, dim - d_max functionals lifted back to ambient
+    coordinates.  So only sets with critical number 3 or more make a
+    failing (exhaustive) call, at dimension dim - cn + 1.  Every cover
+    is re-verified with CocycleCover.covers before it is returned.
     """
     r = m.ambient_rank
     if m.is_empty:
         return 0, CocycleCover(r, ())
-    sp, pts = _reduced_points(m)
-    dim = sp.dim
-    free = nonzero_mask(dim) & ~mask_from(pts)
-    hi = dim - 1 if is_affine(m) else dim - 2
-    basis = largest_subspace_in(free, dim, hi)
-    d_max = len(basis)
-    witness = span(basis, dim)
-    pivots = [b.bit_length() - 1 for b in sp.basis]
-    lifted = []
-    for g in orthogonal_complement(witness).basis:
-        f = 0
-        for i in iter_bits(g):
-            f |= 1 << pivots[i]
-        lifted.append(f)
-    cover = CocycleCover(r, tuple(sorted(lifted)))
-    if cover.size != dim - d_max or not cover.covers(m):
+    f = _affine_functional(m)
+    if f is not None:
+        cover = CocycleCover(r, (f,))
+    else:
+        sp, pts = _reduced_points(m)
+        dim = sp.dim
+        free = nonzero_mask(dim) & ~mask_from(pts)
+        witness = span(largest_subspace_in(free, dim, dim - 2), dim)
+        pivots = [b.bit_length() - 1 for b in sp.basis]
+        lifted = [
+            sum(1 << pivots[i] for i in iter_bits(g))
+            for g in orthogonal_complement(witness).basis
+        ]
+        cover = CocycleCover(r, tuple(sorted(lifted)))
+    if not cover.covers(m):
         raise RuntimeError("critical number cover failed re-verification")
-    return dim - d_max, cover
+    return cover.size, cover
 
 
 def critical_number_bruteforce(m: BinaryMatroid) -> int:

@@ -28,7 +28,7 @@ are the canonical first find, for every threads value.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from time import monotonic
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -168,13 +168,7 @@ class ConstraintSet:
         return True
 
     def to_json_dict(self) -> Dict:
-        return {
-            "min_odd_girth": self.min_odd_girth,
-            "forbid_affine": self.forbid_affine,
-            "min_critical": self.min_critical,
-            "pg_free_order": self.pg_free_order,
-            "full_rank": self.full_rank,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

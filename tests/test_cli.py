@@ -14,6 +14,7 @@ import pytest
 
 import gf2matroid
 from gf2matroid import (
+    BinaryMatroid,
     ag,
     bose_burton,
     build_family,
@@ -25,6 +26,7 @@ from gf2matroid import (
     parse,
     pg,
     read_matroid,
+    render,
 )
 from gf2matroid.cli import (
     EXIT_INCONCLUSIVE,
@@ -34,7 +36,7 @@ from gf2matroid.cli import (
     analysis_dict,
     main,
 )
-from gf2matroid.search import VerifyReport
+from gf2matroid.search import VerifyReport, _forced_basis
 from helpers import random_matroid
 
 
@@ -170,9 +172,10 @@ def test_analysis_self_check_raises(monkeypatch):
         patch.setattr(cli, "is_affine", lambda m: not m.is_empty)
         with pytest.raises(RuntimeError, match="disagree"):
             cli.analysis_dict(parse("rank 3\n001\n010\n011\n"))
-    # critical_number caps its search with matroid.is_affine: a lie there
-    # yields a valid 2-cover of ag(4), and odd girth still disagrees
-    monkeypatch.setattr(matroid, "is_affine", lambda m: False)
+    # is_affine and critical_number share matroid._affine_functional: a
+    # lie there yields a valid 2-cover of ag(4), and odd girth still
+    # disagrees
+    monkeypatch.setattr(matroid, "_affine_functional", lambda m: None)
     assert matroid.critical_number(ag(4))[0] == 2
     with pytest.raises(RuntimeError, match="disagree"):
         cli.analysis_dict(ag(4))
@@ -477,19 +480,36 @@ def test_version_flag():
     assert info.value.code == 0
 
 
-def test_version_does_not_import_the_process_pool():
-    # the pool loads on first use, so a plain CLI start never pays for it
+def fresh_cli(*argv, timeout=60):
+    """`python *argv` in a new process on these sources; raises on a
+    nonzero exit or after timeout seconds."""
     src = Path(gf2matroid.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "gf2matroid", "--version"],
+    return subprocess.run(
+        [sys.executable, *argv],
         env=env,
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         check=True,
     )
+
+
+def test_version_does_not_import_the_process_pool():
+    # the pool loads on first use, so a plain CLI start never pays for it
+    proc = fresh_cli("-X", "importtime", "-m", "gf2matroid", "--version")
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "gf2matroid.search" in imported
     assert "concurrent.futures.process" not in imported
+
+
+def test_analyze_of_a_rank_eight_basis_returns(tmp_path):
+    # an independent set is affine; its critical number once searched
+    # for a hyperplane for over 30 s, so a hang fails here in seconds
+    target = tmp_path / "basis8.pts"
+    target.write_text(render(BinaryMatroid.from_vectors(8, _forced_basis(8))))
+    proc = fresh_cli("-m", "gf2matroid", "analyze", str(target), "--json", timeout=20)
+    report = json.loads(proc.stdout)
+    assert report["affine"] is True and report["critical_number"] == 1
+    assert report["size"] == 8 and report["full_rank"] is True

@@ -32,6 +32,7 @@ from gf2matroid import (
     span,
 )
 from gf2matroid.matroid import _vector_labels
+from gf2matroid.search import _forced_basis
 from helpers import (
     is_affine_bruteforce,
     is_isomorphic_bruteforce,
@@ -200,8 +201,9 @@ def test_critical_number_of_geometries():
 
 def test_critical_number_search_stops_at_the_affine_bound(monkeypatch):
     # a hyperplane of the span misses the points exactly when they are
-    # affine, so the search tops out at dim - 1 or dim - 2 and never
-    # makes the exhaustive failing call there
+    # affine: affine sets take their one-functional cover without a
+    # subspace search, and the others search no higher than dim - 2, so
+    # none makes the exhaustive failing hyperplane call
     import gf2matroid.matroid as mod
 
     real = mod.largest_subspace_in
@@ -228,14 +230,15 @@ def test_critical_number_search_stops_at_the_affine_bound(monkeypatch):
         his.clear()
         critical_number(m)
         affine = is_affine_bruteforce(m)
-        assert his == [m.rank() - (1 if affine else 2)], (m.ambient_rank, m.points)
+        assert his == ([] if affine else [m.rank() - 2]), (m.ambient_rank, m.points)
         seen.add(affine)
     assert seen == {True, False}
 
 
 def test_critical_number_self_check_raises(monkeypatch):
     # a subspace one dimension above the largest disjoint one meets the
-    # points, so its annihilator misses a point; that must raise, even
+    # points, so its annihilator misses a point, and a functional that
+    # is not 1 on every point misses one too; both must raise, even
     # under python -O
     import gf2matroid.matroid as mod
 
@@ -246,9 +249,34 @@ def test_critical_number_self_check_raises(monkeypatch):
         below = span(basis, r)
         return basis + (min(v for v in range(1, 1 << r) if v not in below),)
 
-    monkeypatch.setattr(mod, "largest_subspace_in", widened)
+    with monkeypatch.context() as patch:
+        patch.setattr(mod, "largest_subspace_in", widened)
+        for m in (pg(3), circuit(5), bose_burton(4, 2)):
+            with pytest.raises(RuntimeError, match="cover"):
+                critical_number(m)
+    monkeypatch.setattr(mod, "_affine_functional", lambda m: 1)
     with pytest.raises(RuntimeError, match="cover"):
         critical_number(ag(3))
+
+
+def _random_basis(draws, r):
+    while True:
+        m = BinaryMatroid.from_vectors(r, [draws.randrange(1, 1 << r) for _ in range(r)])
+        if m.is_full_rank:
+            return m
+
+
+def test_critical_number_of_a_basis_is_quick():
+    # an independent set is affine, so its cover is one functional; the
+    # hyperplane search this replaced took over a minute at rank 8
+    sets = [BinaryMatroid.from_vectors(r, _forced_basis(r)) for r in range(8, 13)]
+    draws = random.Random(0xBA5E)
+    sets += [_random_basis(draws, 8) for _ in range(3)]
+    t0 = time.perf_counter()
+    for m in sets:
+        c, cover = critical_number(m)
+        assert c == 1 and cover.covers(m), m.points
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_monotonicity_under_point_removal():
