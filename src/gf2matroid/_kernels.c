@@ -15,6 +15,13 @@
  * and the polls are no part of the lockstep contract.  The pure module
  * is the reference; keep the two in lockstep when changing either.
  *
+ * The forward search runs its forced points and its DFS without the
+ * GIL: that span touches no Python object, and a threaded max_size
+ * runs one part of the tree through this call in the calling process
+ * while the process pool's manager thread, which needs the GIL, feeds
+ * the other parts to its workers.  Holding the GIL there kept every
+ * worker idle until the caller's part returned.
+ *
  * Plain C99 plus the GCC/Clang bit builtins, built by setuptools:
  *     python setup.py build_ext --inplace
  * Python ints cross the boundary through int.to_bytes / int.from_bytes.
@@ -663,6 +670,8 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
     /* covers: every functional is 1 on the empty set; see the pure twin for 0 */
     if (min_critical >= 2)
         memcpy(feas + nw, c.nonzero, nw * sizeof(u64));
+    /* plain C on this call's buffers from here to the result */
+    Py_BEGIN_ALLOW_THREADS
     for (depth = 0; depth < n_forced && !c.timed_out; depth++) {
         feas = fwd_slot(&c, depth);
         v = forced[depth];
@@ -678,6 +687,7 @@ static PyObject *py_forward_search(PyObject *self, PyObject *args, PyObject *kw)
             feas[i] &= ~forced_out[i];
         fwd_dfs(&c, depth, depth);
     }
+    Py_END_ALLOW_THREADS
     result = search_result(c.best, c.best_mask, nw, c.nodes, c.timed_out);
 done:
     fwd_free(&c);

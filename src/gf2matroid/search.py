@@ -320,10 +320,15 @@ def _run_forward(
     of processes it ran in.
 
     The tree is cut into 2^k parts, k = min(floor(log2(threads)), 6,
-    free points), one process each under one absolute deadline; a single
-    part runs inline.  Part p fixes the top k free points split[0..k-1],
-    leaving out split[i] exactly when bit k-1-i of p is set, so the parts
-    come in the order the serial include-first DFS visits them.
+    free points), one process each under one absolute deadline: part 0
+    runs in the calling process and the other 2^k - 1 in a pool of as
+    many workers; a single part runs inline.  Part p fixes the top k
+    free points split[0..k-1], leaving out split[i] exactly when bit
+    k-1-i of p is set, so the parts come in the order the serial
+    include-first DFS visits them.  The pool forks every worker when the
+    parts are submitted, before its manager thread starts, and that
+    thread feeds them while the caller searches; the compiled kernel
+    releases the GIL for it.
 
     The merge keeps the first part to reach the largest size, so a
     completed run returns the serial optimum and witness.  Within a part
@@ -355,12 +360,14 @@ def _run_forward(
     best, best_mask, nodes, completed = -1, 0, 0, True
     # a module attribute, so that __getattr__ imports it on first use
     executor = sys.modules[__name__].ProcessPoolExecutor
-    with executor(max_workers=len(parts)) as pool:
-        for b, mask, n, done in pool.map(_forward_task, parts):
-            nodes += n
-            completed = completed and done
-            if b > best:
-                best, best_mask = b, mask
+    with executor(max_workers=len(parts) - 1) as pool:
+        rest = pool.map(_forward_task, parts[1:])
+        results = [_forward_task(parts[0]), *rest]
+    for b, mask, n, done in results:
+        nodes += n
+        completed = completed and done
+        if b > best:
+            best, best_mask = b, mask
     return best, best_mask, nodes, completed, len(parts)
 
 
@@ -420,8 +427,9 @@ def max_size(
     forward search.
 
     threads >= 2 splits the forward search over that many processes,
-    rounded down to a power of two and at most 64, with the
-    single-process optimum and witness; report.threads counts them.
+    rounded down to a power of two and at most 64: the calling process
+    and one fewer pool workers.  It returns the single-process optimum
+    and witness; report.threads counts the processes, the caller too.
     threads below 1 raise ValueError.
     """
     t0 = monotonic()

@@ -504,6 +504,16 @@ def test_version_does_not_import_the_process_pool():
     assert "concurrent.futures.process" not in imported
 
 
+def test_threaded_search_runs_clean_in_dev_mode():
+    # -X dev warns of unclosed pool resources, and Python >= 3.12 of a
+    # fork once the pool's manager thread runs; -W error fails on either
+    argv = ["search", "-r", "5", "--min-odd-girth", "5", "--forbid-affine"]
+    argv += ["--threads", "2"]
+    proc = fresh_cli("-X", "dev", "-W", "error", "-m", "gf2matroid", *argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["threads"] == 2
+
+
 def test_analyze_of_a_rank_eight_basis_returns(tmp_path):
     # an independent set is affine; its critical number once searched
     # for a hyperplane for over 30 s, so a hang fails here in seconds

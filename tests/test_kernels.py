@@ -3,7 +3,8 @@
 import functools
 import itertools
 import random
-from time import monotonic
+import threading
+from time import monotonic, sleep
 
 import pytest
 
@@ -180,6 +181,35 @@ def test_forward_search_backends_agree_at_the_rank_cap():
     got = compiled.forward_search(*args)
     assert got == pure.forward_search(*args)
     assert (got[0], got[2], got[3]) == (1025, 4096, False)
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled backend not built")
+def test_compiled_forward_search_lets_other_threads_run():
+    # A threaded max_size runs one part through this call while the
+    # process pool's manager thread, which needs the GIL, feeds the other
+    # parts to the workers.  Holding the GIL, the call let the counter
+    # below advance about once in 0.2 s; released, thousands of times.
+    ticks, started, stop = [0], threading.Event(), threading.Event()
+
+    def count():
+        started.set()
+        while not stop.is_set():
+            ticks[0] += 1
+            sleep(0)
+
+    counter = threading.Thread(target=count, daemon=True)
+    counter.start()
+    try:
+        assert started.wait(5)
+        before = ticks[0]
+        got = compiled.forward_search(7, 5, 0, 2, False, _forced_basis(7), 0, 0.2, True)
+        during = ticks[0] - before
+    finally:
+        stop.set()
+        counter.join(timeout=5)
+    assert not counter.is_alive()
+    assert got[3] is False  # the budget, not the tree, ended the call
+    assert during >= 20, during
 
 
 @pytest.mark.parametrize("kern", backends, ids=lambda k: k.BACKEND_NAME)

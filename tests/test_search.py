@@ -287,10 +287,11 @@ def test_basis_forcing_replays_the_unforced_search():
     assert checked == 51
 
 
-def test_threads_agree_with_single_thread():
+def test_threads_agree_with_single_thread(monkeypatch):
     # the parts run in serial DFS order and the first to reach the
     # optimum wins, so every thread count returns the serial answer; each
-    # case stays under ~60k serial nodes
+    # case stays under ~60k serial nodes.  The caller runs part 0 on the
+    # backend in use, so both backends run.
     cases = (
         (5, GIRTH5_NONAFFINE, {}),
         (5, GIRTH5_NONAFFINE, {"symmetry_break": False}),
@@ -304,13 +305,15 @@ def test_threads_agree_with_single_thread():
         (4, ConstraintSet(pg_free_order=4, min_critical=2), {"prune": False}),
         (4, ConstraintSet(min_odd_girth=5, pg_free_order=1), {}),
     )
-    for r, cs, kw in cases:
+    for kern, (r, cs, kw) in product(backends, cases):
+        monkeypatch.setattr(search, "kernels", kern)
+        case = (kern.BACKEND_NAME, r, cs, kw)
         single = max_size(r, cs, **kw)
-        assert single.method == "forward" and single.exhaustive, (r, cs, kw)
+        assert single.method == "forward" and single.exhaustive, case
         for threads in (2, 3, 4, 8):
             multi = max_size(r, cs, threads=threads, **kw)
             got = (multi.optimum, multi.witness, multi.exhaustive)
-            assert got == (single.optimum, single.witness, True), (r, cs, kw, threads)
+            assert got == (single.optimum, single.witness, True), (case, threads)
 
 
 def test_budget_is_a_hard_deadline_under_threads():
@@ -340,8 +343,9 @@ def test_budget_must_be_a_nonnegative_number():
 
 def test_pool_workers_capped_at_subtask_count(monkeypatch):
     # a recording stand-in runs the parts in this process, so a large
-    # thread count starts no processes at all; each part gets its own
-    # worker, 2^k of them for the largest 2^k <= threads, at most 64
+    # thread count starts no processes at all; of the 2^k parts, for the
+    # largest 2^k <= threads and at most 64, the caller runs the first
+    # and the pool gets one worker for each of the rest
     opened = []
 
     class InlinePool:
@@ -365,7 +369,7 @@ def test_pool_workers_capped_at_subtask_count(monkeypatch):
     for threads, workers in ((2, 2), (3, 2), (4, 4), (5, 4), (64, 64), (100_000, 64)):
         opened.clear()
         rep = max_size(4, GIRTH5_NONAFFINE, threads=threads)
-        assert opened == [workers, workers], threads
+        assert opened == [workers - 1, workers - 1], threads
         assert rep.threads == workers, threads
         assert (rep.optimum, rep.witness) == (single.optimum, single.witness)
         assert rep.exhaustive
